@@ -22,7 +22,6 @@ from .lengthfns import (
     inscribed,
     parse_length,
     power_law,
-    telescoping,
 )
 from .numerics import (
     AccelerationSettings,
@@ -37,12 +36,10 @@ from .numerics import (
 from .render import Scene, Style, export_table, render_svg
 from .spiral import (
     PolygonGeometry,
-    SpiralSample,
     center,
     interpolated_vertex,
     polygon,
     q_term,
-    sample,
     theta,
     vertex,
 )

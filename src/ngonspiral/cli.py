@@ -26,10 +26,10 @@ from .convergence import (
     orbit_center,
 )
 from .intersect import self_intersections
-from .lengthfns import parse_length
+from .lengthfns import parse_length, telescoping as telescoping_fn
 from .numerics import AccelerationSettings, Strategy
 from .render import export_table, render_svg
-from .spiral import interpolated_vertex
+from .spiral import interpolated_vertex, q_term
 
 __all__ = ["main"]
 
@@ -183,11 +183,8 @@ def _telescope_check(args: argparse.Namespace) -> int:
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} unit-circle law: max deviation {worst:.3e} (tol 1e-12)")
 
-    from .lengthfns import telescoping as tl
-    from .spiral import q_term
-
     worst = max(
-        abs(tele.q_closed(float(m)) - q_term(tl(), float(m)))
+        abs(tele.q_closed(float(m)) - q_term(telescoping_fn(), float(m)))
         for m in range(3, min(n_max, 2000) + 1)
     )
     ok = worst < 1e-11
@@ -310,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"spiral: error: {exc}\n")
         return USAGE_ERROR
 

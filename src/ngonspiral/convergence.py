@@ -17,20 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .lengthfns import LengthFunction, power_law
 from .numerics import (
     TWO_PI,
     AccelerationSettings,
-    CompensatedSum,
     SummationResult,
     Strategy,
-    accelerated_alternating_sum,
     harmonic_number,
+    head_tail_sum,
     richardson,
 )
-from .spiral import unit_phase, vertex_at
+from .spiral import harmonic_phases, unit_phase, vertex_at
 
 __all__ = [
     "CircularOrbit",
@@ -88,56 +87,11 @@ class PairedSeriesTerm(NamedTuple):
     value: complex
 
 
-def _phase_terms(start: int = 3) -> Iterator[tuple[int, complex]]:
-    """(k, f(k)) with f(k) = e^{2 pi i (1/k - 2 H_k)}, from k = start."""
-    h = CompensatedSum(harmonic_number(start - 1))
-    k = start
-    while True:
-        h.add(1.0 / k)
-        yield k, unit_phase(float(k), h.value)
-        k += 1
-
-
-def _series_limit(
-    magnitude: Callable[[int, complex], complex],
-    settings: AccelerationSettings,
-    head_stop: int = 48,
-) -> SummationResult:
-    """Accelerated value of sum_{k>=3} (-1)^k magnitude(k, f(k)).
-
-    The first terms are summed directly (their phase still swings hard);
-    the smooth tail goes through the configured acceleration.  ``head_stop``
-    must stay even so the tail enters with sign +1.
-    """
-    phases = _phase_terms(3)
-    acc_re = CompensatedSum()
-    acc_im = CompensatedSum()
-    for k in range(3, head_stop):
-        _, fk = next(phases)
-        g = magnitude(k, fk)
-        if k % 2:
-            g = -g
-        acc_re.add(g.real)
-        acc_im.add(g.imag)
-
-    def tail() -> Iterator[complex]:
-        for k, fk in phases:
-            yield magnitude(k, fk)
-
-    res = accelerated_alternating_sum(tail(), settings)
-    return SummationResult(
-        value=complex(acc_re.value, acc_im.value) + res.value,
-        error_estimate=res.error_estimate,
-        converged=res.converged,
-        terms_used=(head_stop - 3) + res.terms_used,
-    )
-
-
 def limit_point(
     s: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
-    """W(s) for s > 0, by Euler transform (default) or the paired/direct
-    strategies carried in ``settings``.
+    """W(s) for s > 0: a direct head, then the tail by Euler transform
+    (default) or the paired/direct strategies carried in ``settings``.
 
     The Euler route reaches ~1e-13; the paired and direct routes decay like
     powers of the term count and will report not-converged at tight
@@ -145,54 +99,21 @@ def limit_point(
     """
     if not s > 0.0:
         raise ValueError(f"limit_point requires s > 0, got {s}")
-    settings = settings or AccelerationSettings()
-    if settings.strategy is Strategy.PAIRED_TERMS:
-        return _limit_point_paired(s, settings)
-    return _series_limit(lambda k, fk: fk * k ** (-s), settings)
+    terms = (fk * k ** (-s) for k, _, fk in harmonic_phases())
+    return head_tail_sum(terms, settings or AccelerationSettings())
 
 
-def _limit_point_paired(s: float, settings: AccelerationSettings) -> SummationResult:
-    """W(s) by summing F(j) until three paired partial sums agree."""
-    tol = settings.target_tolerance
-    acc_re = CompensatedSum()
-    acc_im = CompensatedSum()
-    agree = 0
-    last = math.inf
-    used = 0
-    for jf in paired_terms(s):
-        acc_re.add(jf.value.real)
-        acc_im.add(jf.value.imag)
-        last = abs(jf.value)
-        used += 1
-        agree = agree + 1 if last <= tol else 0
-        if agree >= 3:
-            return SummationResult(complex(acc_re.value, acc_im.value), last, True, used)
-        if used >= settings.max_terms:
-            break
-    return SummationResult(complex(acc_re.value, acc_im.value), last, False, used)
+def paired_terms(s: float) -> Iterator[PairedSeriesTerm]:
+    """F(j) = f(2j)/(2j)^s - f(2j-1)/(2j-1)^s for j = 2, 3, ...
 
-
-def paired_terms(s: float, start: int = 2) -> Iterator[PairedSeriesTerm]:
-    """F(j) = f(2j)/(2j)^s - f(2j-1)/(2j-1)^s for j = start, start+1, ...
-
-    Harmonic numbers advance incrementally, so streaming N terms costs
-    O(N), not O(N^2).
+    Both phases come from the harmonic_phases() stream, so streaming N
+    terms costs O(N), not O(N^2).
     """
-    if start < 2:
-        raise ValueError(f"paired terms start at j = 2, got {start}")
-    h = CompensatedSum(harmonic_number(2 * start - 2))
-    j = start
-    while True:
-        k_odd = 2 * j - 1
-        k_even = 2 * j
-        h.add(1.0 / k_odd)
-        f_odd = unit_phase(float(k_odd), h.value)
-        h.add(1.0 / k_even)
-        f_even = unit_phase(float(k_even), h.value)
+    phases = harmonic_phases()
+    for j, ((k_odd, _, f_odd), (k_even, _, f_even)) in enumerate(zip(phases, phases), 2):
         yield PairedSeriesTerm(
             j, f_even * k_even ** (-s) - f_odd * k_odd ** (-s)
         )
-        j += 1
 
 
 def paired_term(j: int, s: float) -> PairedSeriesTerm:
@@ -284,14 +205,15 @@ def classify(
             "terms do not approach 0: side lengths grow like "
             f"n^{-asym.exponent:g}"
         )
+    lf = f.as_callable()
     if asym.exponent > 0.0:
-        res = _series_limit(lambda k, fk: fk * f(float(k)), settings)
+        terms = (fk * lf(float(k)) for k, _, fk in harmonic_phases())
+        res = head_tail_sum(terms, settings)
         return Point(value=res.value, error_estimate=res.error_estimate)
     c = asym.scale
     base = orbit_center(settings)
-    residual = _series_limit(
-        lambda k, fk: fk * (f(float(k)) - c), settings
-    )
+    terms = (fk * (lf(float(k)) - c) for k, _, fk in harmonic_phases())
+    residual = head_tail_sum(terms, settings)
     return CircularOrbit(center=c * base.value + residual.value, radius=0.5 * c)
 
 
@@ -342,11 +264,6 @@ def convergence_curve(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     settings = settings or AccelerationSettings()
-    if samples == 1:
-        return [CurveSample(s_min, limit_point(s_min, settings))]
-    step = (s_max - s_min) / (samples - 1)
-    out = []
-    for i in range(samples):
-        s = s_min + i * step
-        out.append(CurveSample(s, limit_point(s, settings)))
-    return out
+    step = (s_max - s_min) / (samples - 1) if samples > 1 else 0.0
+    grid = (s_min + i * step for i in range(samples))
+    return [CurveSample(s, limit_point(s, settings)) for s in grid]

@@ -14,7 +14,7 @@ from .convergence import CurveSample, convergence_curve, orbit_center
 from .lengthfns import LengthFunction, power_law, telescoping as telescoping_fn
 from .numerics import AccelerationSettings
 from .render import Scene, Style, sample_curve_adaptive
-from .spiral import interpolated_vertex, polygon, q_term, vertex_at
+from .spiral import interpolated_vertex, polygon_from_vertex, vertex_at
 
 __all__ = [
     "fig_orbit",
@@ -44,8 +44,8 @@ def fig_spiral(
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     settings = settings or AccelerationSettings(target_tolerance=1e-9)
-    polys = [polygon(f, n) for n in range(3, max_n + 1)]
     verts = vertex_at(f, range(2, max_n + 1))
+    polys = [polygon_from_vertex(f, n, verts[n]) for n in range(3, max_n + 1)]
     vert_rows = [(float(n), verts[n]) for n in range(2, max_n + 1)]
     center_rows = [(float(p.n), p.center) for p in polys]
     style = Style()
@@ -76,8 +76,8 @@ def fig_orbit(
     """The s = 0 spiral: vertices accumulating on the diameter-1 circle."""
     settings = settings or AccelerationSettings(target_tolerance=1e-9)
     f = power_law(0.0)
-    polys = [polygon(f, n) for n in range(3, max_polygon + 1)]
-    verts = vertex_at(f, range(2, max_vertex + 1))
+    verts = vertex_at(f, range(2, max(max_polygon, max_vertex) + 1))
+    polys = [polygon_from_vertex(f, n, verts[n]) for n in range(3, max_polygon + 1)]
     vert_rows = [(float(n), verts[n]) for n in range(2, max_vertex + 1)]
     oc = orbit_center(settings)
     circle = [
@@ -138,10 +138,10 @@ def fig_telescope(
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     f = telescoping_fn()
-    polys = [polygon(f, n) for n in range(3, max_n + 1)]
     verts = vertex_at(f, range(2, max_n + 1))
+    polys = [polygon_from_vertex(f, n, verts[n]) for n in range(3, max_n + 1)]
     vert_rows = [(float(n), verts[n]) for n in range(2, max_n + 1)]
-    center_rows = [(float(n), verts[n] + q_term(f, n)) for n in range(3, max_n + 1)]
+    center_rows = [(float(p.n), p.center) for p in polys]
     style = Style()
     scale = _px_scale_guess([z for _, z in vert_rows], style)
     centers_curve = sample_curve_adaptive(

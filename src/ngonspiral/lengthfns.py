@@ -64,25 +64,10 @@ class LengthFunction:
     s: float = 0.0
 
     def __call__(self, x: float) -> float:
+        # one-off evaluations; loops over many x hold on to as_callable()
         if not x > 1.0:
             raise ValueError(f"length functions require x > 1, got {x}")
-        kind = self.kind
-        if kind is LengthKind.POWER:
-            return x ** (-self.s)
-        if kind is LengthKind.INSCRIBED:
-            return 2.0 * x ** (-self.s) * math.sin(math.pi / x)
-        if kind is LengthKind.CIRCUMSCRIBED:
-            if x == 2.0:
-                raise ValueError("circumscribed length is singular at x = 2")
-            return 2.0 * x ** (-self.s) * math.tan(math.pi / x)
-        if kind is LengthKind.AREA:
-            # tan(pi/x) < 0 on (1, 2): no regular polygon of positive area.
-            if x <= 2.0:
-                raise ValueError(
-                    f"area-normalized length requires x > 2, got {x}"
-                )
-            return math.sqrt(4.0 * x ** (-self.s) * math.tan(math.pi / x) / x)
-        return 2.0 * math.cos(_TWO_PI / x)
+        return _formula(self.kind, self.s)(x)
 
     def asymptote(self) -> Asymptote:
         """Large-x power law used for convergence classification."""
@@ -97,24 +82,12 @@ class LengthFunction:
             return Asymptote(e, e > 0.0, 2.0 * _SQRT_PI)
         return Asymptote(0.0, False, 2.0)
 
-    @property
-    def asymptotic_exponent(self) -> float:
-        return self.asymptote().exponent
-
     def as_callable(self) -> Callable[[float], float]:
-        """Specialized evaluator without per-call dispatch, for hot loops."""
-        kind, s = self.kind, self.s
-        if kind is LengthKind.POWER:
-            if s == 0.0:
-                return lambda x: 1.0
-            return lambda x: x ** (-s)
-        if kind is LengthKind.INSCRIBED:
-            return lambda x: 2.0 * x ** (-s) * math.sin(math.pi / x)
-        if kind is LengthKind.CIRCUMSCRIBED:
-            return self.__call__
-        if kind is LengthKind.AREA:
-            return self.__call__
-        return lambda x: 2.0 * math.cos(_TWO_PI / x)
+        """Specialized evaluator without per-call dispatch, for hot loops.
+
+        It skips the x > 1 check; the family's own singularities still raise.
+        """
+        return _formula(self.kind, self.s)
 
     def spec(self) -> str:
         """CLI spelling, e.g. "power:1" or "telescoping"."""
@@ -124,6 +97,34 @@ class LengthFunction:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+def _formula(kind: LengthKind, s: float) -> Callable[[float], float]:
+    """The side-length formula of one family at exponent s."""
+    if kind is LengthKind.POWER:
+        if s == 0.0:
+            return lambda x: 1.0
+        return lambda x: x ** (-s)
+    if kind is LengthKind.INSCRIBED:
+        return lambda x: 2.0 * x ** (-s) * math.sin(math.pi / x)
+    if kind is LengthKind.CIRCUMSCRIBED:
+
+        def circumscribed_side(x: float) -> float:
+            if x == 2.0:
+                raise ValueError("circumscribed length is singular at x = 2")
+            return 2.0 * x ** (-s) * math.tan(math.pi / x)
+
+        return circumscribed_side
+    if kind is LengthKind.AREA:
+
+        def area_side(x: float) -> float:
+            # tan(pi/x) < 0 on (1, 2): no regular polygon of positive area.
+            if x <= 2.0:
+                raise ValueError(f"area-normalized length requires x > 2, got {x}")
+            return math.sqrt(4.0 * x ** (-s) * math.tan(math.pi / x) / x)
+
+        return area_side
+    return lambda x: 2.0 * math.cos(_TWO_PI / x)
 
 
 def power_law(s: float) -> LengthFunction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 from typing import Iterable, Sequence
@@ -20,6 +20,7 @@ __all__ = [
     "EULER_GAMMA",
     "TWO_PI",
     "AccelerationSettings",
+    "ComplexCompensatedSum",
     "CompensatedSum",
     "Strategy",
     "SummationResult",
@@ -29,6 +30,7 @@ __all__ = [
     "harmonic_continued",
     "harmonic_number",
     "harmonic_real",
+    "head_tail_sum",
     "hurwitz_zeta",
     "richardson",
 ]
@@ -100,6 +102,41 @@ class CompensatedSum:
     @property
     def value(self) -> float:
         return self._s + self._c
+
+
+class ComplexCompensatedSum:
+    """Neumaier compensated accumulator for long complex sums.
+
+    Each part is compensated exactly as a CompensatedSum would be; one call
+    per term instead of two keeps the streaming loops cheap.
+    """
+
+    __slots__ = ("_re", "_im", "_c_re", "_c_im")
+
+    def __init__(self) -> None:
+        self._re = self._im = self._c_re = self._c_im = 0.0
+
+    def add(self, z: complex) -> None:
+        x = z.real
+        s = self._re
+        t = s + x
+        if abs(s) >= abs(x):
+            self._c_re += (s - t) + x
+        else:
+            self._c_re += (x - t) + s
+        self._re = t
+        x = z.imag
+        s = self._im
+        t = s + x
+        if abs(s) >= abs(x):
+            self._c_im += (s - t) + x
+        else:
+            self._c_im += (x - t) + s
+        self._im = t
+
+    @property
+    def value(self) -> complex:
+        return complex(self._re + self._c_re, self._im + self._c_im)
 
 
 # Harmonic numbers up to this index are memoized; the table behaves exactly
@@ -249,68 +286,66 @@ def euler_transform_sum(
     return SummationResult(best, best_err, False, used)
 
 
-def _direct_alternating_sum(
-    terms: Iterable[complex], settings: AccelerationSettings
+def _truncated_sum(
+    items: Iterable[complex], width: int, settings: AccelerationSettings
 ) -> SummationResult:
-    """Plain partial sums of sum (-1)^j a_j; stops on three small terms."""
+    """Compensated partial sums of ``items``, each spanning ``width`` series
+    terms of the budget; stops once three items in a row are within tol."""
     tol = settings.target_tolerance
-    re = CompensatedSum()
-    im = CompensatedSum()
+    acc = ComplexCompensatedSum()
     small = 0
     last = math.inf
     used = 0
-    for j, a in enumerate(islice(terms, settings.max_terms)):
-        a = complex(a)
-        if j % 2:
-            a = -a
-        re.add(a.real)
-        im.add(a.imag)
-        last = abs(a)
-        used = j + 1
+    for x in islice(items, settings.max_terms // width):
+        acc.add(x)
+        last = abs(x)
+        used += width
         small = small + 1 if last <= tol else 0
         if small >= 3:
-            return SummationResult(complex(re.value, im.value), last, True, used)
-    return SummationResult(complex(re.value, im.value), last, False, used)
-
-
-def _paired_alternating_sum(
-    terms: Iterable[complex], settings: AccelerationSettings
-) -> SummationResult:
-    """Sums consecutive pairs a_{2m} - a_{2m+1}; stops after three paired
-    partial sums agree within tolerance."""
-    tol = settings.target_tolerance
-    re = CompensatedSum()
-    im = CompensatedSum()
-    agree = 0
-    last = math.inf
-    used = 0
-    it = iter(terms)
-    while used + 2 <= settings.max_terms:
-        try:
-            a = complex(next(it))
-            b = complex(next(it))
-        except StopIteration:
-            break
-        pair = a - b
-        re.add(pair.real)
-        im.add(pair.imag)
-        last = abs(pair)
-        used += 2
-        agree = agree + 1 if last <= tol else 0
-        if agree >= 3:
-            return SummationResult(complex(re.value, im.value), last, True, used)
-    return SummationResult(complex(re.value, im.value), last, False, used)
+            return SummationResult(acc.value, last, True, used)
+    return SummationResult(acc.value, last, False, used)
 
 
 def accelerated_alternating_sum(
     terms: Iterable[complex], settings: AccelerationSettings
 ) -> SummationResult:
-    """Dispatch sum_{j>=0} (-1)^j a_j to the configured strategy."""
+    """Dispatch sum_{j>=0} (-1)^j a_j to the configured strategy.
+
+    Besides the Euler transform, the truncated strategies add up the signed
+    terms (direct) or the pairs a_{2m} - a_{2m+1} (paired) until three in a
+    row are within tolerance.
+    """
     if settings.strategy is Strategy.EULER_TRANSFORM:
         return euler_transform_sum(terms, settings)
+    it = (complex(a) for a in terms)
     if settings.strategy is Strategy.PAIRED_TERMS:
-        return _paired_alternating_sum(terms, settings)
-    return _direct_alternating_sum(terms, settings)
+        return _truncated_sum((a - b for a, b in zip(it, it)), 2, settings)
+    return _truncated_sum((-a if j % 2 else a for j, a in enumerate(it)), 1, settings)
+
+
+# Series over k >= 3 are summed directly below k = _HEAD_STOP, where the
+# phase still swings hard; the smooth tail goes to the acceleration.  Even,
+# so the tail enters with sign +1.
+_HEAD_STOP = 48
+
+
+def head_tail_sum(
+    terms: Iterable[complex], settings: AccelerationSettings
+) -> SummationResult:
+    """sum_{k>=3} (-1)^k g(k) from the unsigned terms g(3), g(4), ...
+
+    The head k < _HEAD_STOP is summed with compensation; the rest goes
+    through accelerated_alternating_sum, whose outcome (error estimate,
+    convergence flag) the result carries.  ``terms_used`` counts both.
+    """
+    terms = iter(terms)
+    acc = ComplexCompensatedSum()
+    for k, g in zip(range(3, _HEAD_STOP), terms):
+        acc.add(-g if k % 2 else g)
+    tail = accelerated_alternating_sum(terms, settings)
+    return replace(
+        tail, value=acc.value + tail.value, terms_used=(_HEAD_STOP - 3) + tail.terms_used
+    )
 
 
 def richardson(values: Sequence[complex], ratio: float = 10.0) -> complex:

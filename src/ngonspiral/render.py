@@ -8,6 +8,7 @@ significant digits so every float round-trips exactly.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -246,7 +247,8 @@ def export_table(
     """Tabulate named (n, point) rows as CSV or JSON.
 
     CSV columns are name,n,re,im with 17 significant digits, so parsing the
-    text recovers every float bit-exactly; JSON mirrors the same rows.
+    text recovers every float bit-exactly; JSON mirrors the same rows.  A
+    non-finite number in any row raises ValueError: it is never emitted.
     """
     fmt = format.lower()
     if fmt not in ("csv", "json"):
@@ -254,6 +256,8 @@ def export_table(
     rows = []
     for name, seq in named_points.items():
         for n, z in seq:
+            if not (math.isfinite(n) and cmath.isfinite(z)):
+                raise ValueError(f"non-finite value in row {name},{n:g}: {z}")
             rows.append((name, float(n), z))
     if fmt == "json":
         return json.dumps(

@@ -8,9 +8,11 @@ followed from one shared vertex to the next has the closed form
 
 and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
-the phase reduces to (-1)^k e^{2 pi i (1/k - 2 H_k)}, which is the form the
-hot loops use: the reduced angle stays O(log k) instead of O(k), dodging
-the argument-reduction error of the raw closed form.
+the phase reduces to (-1)^k e^{2 pi i (1/k - 2 H_k)}.  Every series over
+integer k (vertices, limits, paired terms, the interpolant and the
+telescoping check) reads that phase from the one stream harmonic_phases():
+its reduced angle stays O(log k) instead of O(k), dodging the
+argument-reduction error of the raw closed form.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -20,6 +22,7 @@ the telescoping module are smooth.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -28,25 +31,26 @@ from .lengthfns import LengthFunction
 from .numerics import (
     TWO_PI,
     AccelerationSettings,
+    ComplexCompensatedSum,
     CompensatedSum,
     SummationResult,
-    accelerated_alternating_sum,
     harmonic_continued,
     harmonic_number,
     harmonic_real,
+    head_tail_sum,
 )
 
 __all__ = [
     "PolygonGeometry",
-    "SpiralSample",
     "center",
     "convex_intersection_area",
+    "harmonic_phases",
     "interpolated_vertex",
     "phase_of_turns",
     "polygon",
     "polygon_area",
+    "polygon_from_vertex",
     "q_term",
-    "sample",
     "signed_phase",
     "theta",
     "unit_phase",
@@ -107,65 +111,47 @@ def signed_phase(n: float) -> complex:
     return cmath.exp(1j * math.pi * n)
 
 
-class _ComplexAccumulator:
-    """Compensated accumulator for complex sums."""
+def harmonic_phases() -> Iterator[tuple[int, float, complex]]:
+    """(k, H_k, e^{2 pi i (1/k - 2 H_k)}) for k = 3, 4, 5, ...
 
-    __slots__ = ("re", "im")
-
-    def __init__(self) -> None:
-        self.re = CompensatedSum()
-        self.im = CompensatedSum()
-
-    def add(self, z: complex) -> None:
-        self.re.add(z.real)
-        self.im.add(z.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re.value, self.im.value)
+    H_k advances by compensated increments from the memoized H_2, so
+    streaming N terms costs O(N); the phase equals unit_phase(k, H_k).
+    """
+    h = CompensatedSum(harmonic_number(2))
+    add, cos, sin = h.add, math.cos, math.sin  # locals: this loop is the hot path
+    for k in itertools.count(3):
+        inv = 1.0 / k
+        add(inv)
+        hk = h.value
+        t = inv - 2.0 * hk
+        ang = TWO_PI * (t - round(t))
+        yield k, hk, complex(cos(ang), sin(ang))
 
 
 def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     """Shared vertices V_f(n) for several indices in one streaming pass.
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)},
-    accumulated left to right with compensated complex summation and an
-    incrementally compensated harmonic number.
+    accumulated left to right over harmonic_phases() with compensated
+    complex summation.
     """
-    wanted = sorted(set(int(n) for n in indices))
-    if wanted and wanted[0] < 2:
-        raise ValueError(f"vertex indices must be >= 2, got {wanted[0]}")
-    out: dict[int, complex] = {}
-    if not wanted:
-        return out
-    if wanted[0] == 2:
-        out[2] = 0j
-        wanted = wanted[1:]
-    if not wanted:
-        return out
+    wanted = {int(n) for n in indices}
+    if wanted and min(wanted) < 2:
+        raise ValueError(f"vertex indices must be >= 2, got {min(wanted)}")
+    out = {2: 0j} if 2 in wanted else {}
     lf = f.as_callable()
-    h = CompensatedSum(1.0 + 0.5)  # H_2
-    acc = _ComplexAccumulator()
-    targets = iter(wanted)
-    target = next(targets)
-    for k in range(3, wanted[-1] + 1):
-        h.add(1.0 / k)
-        t = 1.0 / k - 2.0 * h.value
-        ang = TWO_PI * (t - round(t))
+    acc = ComplexCompensatedSum()
+    add = acc.add
+    for k, _, phase in itertools.islice(harmonic_phases(), max(wanted, default=2) - 2):
         scale = lf(float(k))
-        if k % 2:
-            scale = -scale
-        acc.add(complex(scale * math.cos(ang), scale * math.sin(ang)))
-        if k == target:
+        add(-scale * phase if k % 2 else scale * phase)
+        if k in wanted:
             out[k] = acc.value
-            target = next(targets, None)
     return out
 
 
 def vertex(f: LengthFunction, n: int) -> complex:
     """Shared vertex V_f(n) of the n-gon and (n+1)-gon, n >= 2."""
-    if n < 2:
-        raise ValueError(f"vertex requires n >= 2, got {n}")
     return vertex_at(f, (n,))[n]
 
 
@@ -195,25 +181,6 @@ def center(f: LengthFunction, n: int) -> complex:
 
 
 @dataclass(frozen=True)
-class SpiralSample:
-    """One polygon's worth of spiral data; center = vertex + q holds by
-    construction."""
-
-    index: float
-    theta: float
-    vertex: complex
-    q: complex
-    center: complex
-
-
-def sample(f: LengthFunction, n: int) -> SpiralSample:
-    """Assemble index, heading, vertex, correction and center for the n-gon."""
-    v = vertex(f, n)
-    q = q_term(f, n)
-    return SpiralSample(float(n), theta(n), v, q, v + q)
-
-
-@dataclass(frozen=True)
 class PolygonGeometry:
     """A fully enumerated regular n-gon of the construction.
 
@@ -229,8 +196,6 @@ class PolygonGeometry:
     center: complex
     vertices: tuple[complex, ...]
     degenerate: bool
-    shared_prev_index: int = 1
-    shared_next_index: int = 0
 
     @property
     def circumradius(self) -> float:
@@ -238,11 +203,16 @@ class PolygonGeometry:
 
 
 def polygon(f: LengthFunction, n: int) -> PolygonGeometry:
-    """Enumerate the n-gon: vertices C + (V(n) - C) e^{2 pi i k / n}."""
+    """Enumerate the n-gon of the construction, n >= 3."""
+    return polygon_from_vertex(f, n, vertex(f, n))
+
+
+def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
+    """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
+    a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n)."""
     if n < 3:
         raise ValueError(f"polygon requires n >= 3, got {n}")
     side = f(float(n))
-    v = vertex(f, n)
     c = v + q_term(f, n)
     spoke = v - c
     verts = tuple(
@@ -308,31 +278,25 @@ def convex_intersection_area(
     return polygon_area(clipped)
 
 
-def _interpolant_terms(
-    f: LengthFunction, n: float, start: int
-) -> Iterator[complex]:
-    """Unsigned magnitudes g(k) of the interpolant series from k = start.
+def _interpolant_terms(f: LengthFunction, n: float) -> Iterator[complex]:
+    """Unsigned magnitudes g(k) of the interpolant series from k = 3.
 
     The series is sum_{k>=3} (-1)^k g(k) with
     g(k) = l(k) e^{2 pi i (1/k - 2 H_k)}
            - e^{i pi (n-2)} l(k-2+n) e^{2 pi i (1/x - 2 H_x)},  x = k-2+n;
-    both harmonic arguments advance by one per term, so a single digamma
-    evaluation seeds each side and compensated increments do the rest.
+    the integer side reads harmonic_phases(), and the real side starts from
+    one digamma evaluation of H_{n+1} and advances by compensated increments.
     """
     lf = f.as_callable()
     offset_phase = signed_phase(n - 2.0)
-    h_int = CompensatedSum(harmonic_number(start - 1))
-    h_real = CompensatedSum(harmonic_continued(start - 2.0 + n))
-    k = start
-    while True:
+    h_real = CompensatedSum(harmonic_continued(1.0 + n))
+    for k, _, phase in harmonic_phases():
         x = k - 2.0 + n
-        h_int.add(1.0 / k)
-        if k > start:
+        if k > 3:
             h_real.add(1.0 / x)
-        a = lf(float(k)) * unit_phase(float(k), h_int.value)
+        a = lf(float(k)) * phase
         b = offset_phase * lf(x) * unit_phase(x, h_real.value)
         yield a - b
-        k += 1
 
 
 def interpolated_vertex(
@@ -353,17 +317,4 @@ def interpolated_vertex(
         raise ValueError(
             f"interpolant refused: {f} diverges (growing side lengths)"
         )
-    settings = settings or AccelerationSettings()
-    head_stop = 48  # direct head; even so the tail carries sign +1
-    acc = _ComplexAccumulator()
-    terms = _interpolant_terms(f, n, 3)
-    for k in range(3, head_stop):
-        g = next(terms)
-        acc.add(-g if k % 2 else g)
-    tail = accelerated_alternating_sum(terms, settings)
-    return SummationResult(
-        value=acc.value + tail.value,
-        error_estimate=tail.error_estimate,
-        converged=tail.converged,
-        terms_used=(head_stop - 3) + tail.terms_used,
-    )
+    return head_tail_sum(_interpolant_terms(f, n), settings or AccelerationSettings())

@@ -17,16 +17,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .lengthfns import telescoping
 from .numerics import (
     EULER_GAMMA,
-    CompensatedSum,
+    ComplexCompensatedSum,
     digamma,
     harmonic_real,
     richardson,
 )
-from .spiral import half_angle, phase_of_turns, signed_phase, unit_phase
+from .spiral import half_angle, harmonic_phases, phase_of_turns, signed_phase
 
 __all__ = [
     "CONSTANTS",
@@ -120,26 +121,19 @@ def verify_telescoping_identity(n_max: int) -> float:
     """
     if n_max < 3:
         raise ValueError(f"verify_telescoping_identity requires n_max >= 3, got {n_max}")
-    lf = telescoping()
-    h = CompensatedSum(1.5)  # H_2
-    acc_re = CompensatedSum()
-    acc_im = CompensatedSum()
+    lf = telescoping().as_callable()
+    acc = ComplexCompensatedSum()
     worst = 0.0
     prev_exp = phase_of_turns(-2.0 * 1.5)  # e^{-4 pi i H_2}
-    for k in range(3, n_max + 1):
-        h.add(1.0 / k)
-        hk = h.value
-        term = lf(float(k)) * unit_phase(float(k), hk)
-        sign = -1.0 if k % 2 else 1.0
+    for k, hk, phase in islice(harmonic_phases(), n_max - 2):
+        term = lf(float(k)) * phase
         # pairing identity, termwise (the (-1)^k factor cancels on both sides)
         cur_exp = phase_of_turns(-2.0 * hk)
         worst = max(worst, abs(term - (prev_exp + cur_exp)))
         prev_exp = cur_exp
         # direct sum vs closed form (theta-reduced form carries the sign)
-        acc_re.add(sign * term.real)
-        acc_im.add(sign * term.imag)
-        direct = complex(acc_re.value, acc_im.value)
-        worst = max(worst, abs(direct - vertex_closed(float(k))))
+        acc.add(-term if k % 2 else term)
+        worst = max(worst, abs(acc.value - vertex_closed(float(k))))
     return worst
 
 

@@ -55,6 +55,23 @@ class TestBuild:
         rows = json.loads(out)
         assert any(r["name"] == "vertices" and r["n"] == 2 for r in rows)
 
+    def test_overflow_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "build", "--length", "power:-300", "--max-n", "12", "--no-interp"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spiral: error:")
+
+    def test_non_finite_rows_refused(self, capsys):
+        # the 10-gon's center overflows to inf while every side is finite
+        code, out, err = run_cli(
+            capsys, "build", "--length", "power:-308.2", "--max-n", "10", "--no-interp"
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestLimit:
     def test_prints_digits(self, capsys):

@@ -14,12 +14,12 @@ from ngonspiral.numerics import (
 from ngonspiral.spiral import (
     center,
     convex_intersection_area,
+    harmonic_phases,
     interpolated_vertex,
     phase_of_turns,
     polygon,
     polygon_area,
     q_term,
-    sample,
     theta,
     unit_phase,
     vertex,
@@ -213,14 +213,6 @@ class TestPolygon:
         assert abs(polygon_area(square) - 4.0) < 1e-14
 
 
-class TestSample:
-    def test_center_is_vertex_plus_q(self):
-        s = sample(power_law(1.0), 6)
-        assert s.center == s.vertex + s.q
-        assert s.index == 6.0
-        assert abs(s.theta - theta(6.0)) == 0.0
-
-
 class TestInterpolatedVertex:
     @pytest.mark.parametrize("m", range(3, 13))
     def test_integer_agreement(self, m):
@@ -287,6 +279,13 @@ class TestInterpolatedVertex:
 
 
 class TestPhaseHelpers:
+    def test_harmonic_phases_stream(self):
+        for k, hk, phase in harmonic_phases():
+            if k > 5_000:
+                break
+            assert hk == harmonic_number(k), k
+            assert phase == unit_phase(float(k), hk), k
+
     def test_phase_of_turns_reduces_exactly(self):
         for t in (0.25, -12345.75, 1e8 + 0.125):
             z = phase_of_turns(t)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ngonspiral
 from ngonspiral.lengthfns import telescoping as telescoping_fn
 from ngonspiral.numerics import EULER_GAMMA, digamma, richardson
 from ngonspiral.spiral import q_term, vertex
@@ -38,6 +39,8 @@ class TestConstants:
 class TestVertexClosed:
     def test_seed_at_two(self):
         assert abs(vertex_closed(2.0)) < 1e-12
+        # the package attribute is this closed-form module, not the length function
+        assert ngonspiral.telescoping.vertex_closed is vertex_closed
 
     def test_at_three(self):
         # -1 - e^{-4 pi i 11/6} = -1/2 - i sqrt(3)/2
