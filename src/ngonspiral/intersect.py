@@ -3,7 +3,9 @@
 Used on the telescoping centers curve C_L(n) (golden-ratio crossing at
 (phi, phi+1)) and on Q_L(n) (which passes through the origin at both of
 its zeros, n = 4/3 and n = 4).  The method is plain: sample the curve into
-a polyline, scan segment pairs for crossings with numpy, then polish each
+a polyline, find the segment pairs that may cross with a sort-and-sweep
+over their bounding boxes (the Shamos-Hoey / Bentley-Ottmann sweep, here
+only as a box filter) and one segment predicate, then polish each
 candidate with a damped two-variable Newton iteration using a central
 finite-difference Jacobian, falling back to subdivision of the bracketing
 segments when Newton misbehaves.
@@ -24,8 +26,13 @@ _FD_STEP = 1e-6
 _NEWTON_ITERS = 60
 _SUBDIVIDE_ROUNDS = 80
 
-# Rows of the segment-pair scan processed per numpy block.
-_SCAN_BLOCK = 256
+# Segment pairs the sweep expands and tests per numpy block, so the scan's
+# memory stays bounded however many pairs overlap.
+_PAIR_BUDGET = 1 << 15
+
+# Largest sample grid self_intersections builds; a finer step is refused
+# before anything is allocated.
+_MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,39 +63,76 @@ def _sample(
     return ts, pts
 
 
-def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs (i, j), j > i + 1, whose segments may cross.
+def _overlap(a0, a1, b0, b1):
+    """Whether the intervals [a0, a1] and [b0, b1] (either order) meet."""
+    return (np.minimum(a0, a1) <= np.maximum(b0, b1)) & (
+        np.minimum(b0, b1) <= np.maximum(a0, a1)
+    )
 
-    Orientation tests are run inclusively (touching counts) so crossings
-    that pass exactly through a sample point are not lost; duplicates are
-    cleaned up after refinement.
+
+def _segments_cross(p0, p1, q0, q1):
+    """Whether segments p0-p1 and q0-q1 may meet, elementwise.
+
+    Takes complex scalars or numpy complex arrays.  The orientation tests
+    are inclusive (touching counts) so crossings that pass exactly through
+    a sample point are not lost.  The bounding-box overlap rejects the
+    collinear segments that do not meet, which the orientation tests alone
+    accept; for any other pair it rejects nothing the tests pass.
     """
-    x = pts.real
-    y = pts.imag
-    ax, ay = x[:-1], y[:-1]
-    bx, by = x[1:], y[1:]
-    n_seg = len(ax)
-    out: list[tuple[int, int]] = []
-    for i0 in range(0, n_seg, _SCAN_BLOCK):
-        i1 = min(i0 + _SCAN_BLOCK, n_seg)
-        rows = slice(i0, i1)
-        pax, pay = ax[rows, None], ay[rows, None]
-        pbx, pby = bx[rows, None], by[rows, None]
-        rx, ry = pbx - pax, pby - pay
-        # candidate columns must be beyond the adjacent segment
-        d1 = rx * (ay[None, :] - pay) - ry * (ax[None, :] - pax)
-        d2 = rx * (by[None, :] - pay) - ry * (bx[None, :] - pax)
-        sx, sy = bx[None, :] - ax[None, :], by[None, :] - ay[None, :]
-        d3 = sx * (pay - ay[None, :]) - sy * (pax - ax[None, :])
-        d4 = sx * (pby - ay[None, :]) - sy * (pbx - ax[None, :])
-        hit = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
-        ii, jj = np.nonzero(hit)
-        for di, j in zip(ii, jj):
-            i = i0 + int(di)
-            j = int(j)
-            if j > i + 1:
-                out.append((i, j))
-    return out
+    r = p1 - p0
+    s = q1 - q0
+    d1 = r.real * (q0.imag - p0.imag) - r.imag * (q0.real - p0.real)
+    d2 = r.real * (q1.imag - p0.imag) - r.imag * (q1.real - p0.real)
+    d3 = s.real * (p0.imag - q0.imag) - s.imag * (p0.real - q0.real)
+    d4 = s.real * (p1.imag - q0.imag) - s.imag * (p1.real - q0.real)
+    return (
+        (d1 * d2 <= 0.0)
+        & (d3 * d4 <= 0.0)
+        & _overlap(p0.real, p1.real, q0.real, q1.real)
+        & _overlap(p0.imag, p1.imag, q0.imag, q1.imag)
+    )
+
+
+def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs (i, j), j > i + 1, sorted, whose segments may cross.
+
+    Segments are sorted by their lower end on the axis where the samples
+    spread wider, so a straight run along either axis is swept along its
+    length.  Each segment is paired with the later ones whose extents
+    overlap it on that axis (found by binary search), those pairs are
+    expanded at most ``_PAIR_BUDGET`` at a time, and ``_segments_cross``
+    decides.  Duplicates are cleaned up after refinement.
+    """
+    p0, p1 = pts[:-1], pts[1:]
+    axis = np.real if np.ptp(pts.real) >= np.ptp(pts.imag) else np.imag
+    a0, a1 = axis(p0), axis(p1)
+    lows, highs = np.minimum(a0, a1), np.maximum(a0, a1)
+    order = np.argsort(lows)
+    lower, upper = lows[order], highs[order]
+    # sorted segment k overlaps sorted segments k + 1 .. stop[k] - 1
+    stop = np.searchsorted(lower, upper, side="right")
+    counts = np.maximum(stop - np.arange(len(order)) - 1, 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    firsts, seconds = [], []
+    r0 = 0
+    while r0 < len(order):
+        r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PAIR_BUDGET, side="right")))
+        c = counts[r0:r1]
+        k = np.repeat(np.arange(r0, r1), c)
+        m = k + 1 + np.arange(len(k)) - np.repeat(starts[r0:r1] - starts[r0], c)
+        i = np.minimum(order[k], order[m])
+        j = np.maximum(order[k], order[m])
+        apart = j > i + 1
+        i, j = i[apart], j[apart]
+        hit = _segments_cross(p0[i], p1[i], p0[j], p1[j])
+        firsts.append(i[hit])
+        seconds.append(j[hit])
+        r0 = r1
+    i = np.concatenate(firsts)
+    j = np.concatenate(seconds)
+    rank = np.lexsort((j, i))
+    return list(zip(i[rank].tolist(), j[rank].tolist()))
 
 
 def _segment_params(
@@ -171,16 +215,6 @@ def _subdivide_refine(
 ) -> tuple[float, float, complex, float] | None:
     """Bisection fallback: repeatedly split both bracketing segments and
     keep the sub-pair that still crosses."""
-
-    def crosses(p0, p1, q0, q1) -> bool:
-        r = p1 - p0
-        s = q1 - q0
-        d1 = r.real * (q0.imag - p0.imag) - r.imag * (q0.real - p0.real)
-        d2 = r.real * (q1.imag - p0.imag) - r.imag * (q1.real - p0.real)
-        d3 = s.real * (p0.imag - q0.imag) - s.imag * (p0.real - q0.real)
-        d4 = s.real * (p1.imag - q0.imag) - s.imag * (p1.real - q0.real)
-        return d1 * d2 <= 0.0 and d3 * d4 <= 0.0
-
     pa0, pa1 = curve(ta0), curve(ta1)
     pb0, pb1 = curve(tb0), curve(tb1)
     for _ in range(_SUBDIVIDE_ROUNDS):
@@ -191,7 +225,7 @@ def _subdivide_refine(
         found = False
         for a0, a1, qa0, qa1 in ((ta0, tam, pa0, pam), (tam, ta1, pam, pa1)):
             for b0, b1, qb0, qb1 in ((tb0, tbm, pb0, pbm), (tbm, tb1, pbm, pb1)):
-                if crosses(qa0, qa1, qb0, qb1):
+                if _segments_cross(qa0, qa1, qb0, qb1):
                     ta0, ta1, pa0, pa1 = a0, a1, qa0, qa1
                     tb0, tb1, pb0, pb1 = b0, b1, qb0, qb1
                     found = True
@@ -225,12 +259,23 @@ def self_intersections(
     pairs seed Newton refinement, and results are deduplicated, filtered by
     the parameter ``separation`` (nearby parameters always nearly intersect
     on a continuous curve) and returned sorted by the first parameter.
-    Raises if the curve is non-finite anywhere on the sample grid.
+    Raises ``ValueError`` if any argument after ``curve`` is not finite,
+    if the grid would exceed ``_MAX_SAMPLES`` samples, or if the curve is
+    non-finite anywhere on the sample grid.
     """
+    if not all(map(math.isfinite, (lo, hi, step, tolerance, separation))):
+        raise ValueError(
+            "lo, hi, step, tolerance and separation must be finite, got "
+            f"{lo}, {hi}, {step}, {tolerance}, {separation}"
+        )
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     if step <= 0.0 or tolerance <= 0.0:
         raise ValueError("step and tolerance must be positive")
+    if (hi - lo) / step > _MAX_SAMPLES - 1:
+        raise ValueError(
+            f"step {step} on [{lo}, {hi}] needs more than {_MAX_SAMPLES} samples"
+        )
     ts, pts = _sample(curve, lo, hi, step)
     found: list[Intersection] = []
     for i, j in _crossing_candidates(pts):

@@ -1,8 +1,17 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
-from ngonspiral.intersect import self_intersections
+from ngonspiral import intersect
+from ngonspiral.cli import main
+from ngonspiral.intersect import (
+    _crossing_candidates,
+    _segments_cross,
+    _subdivide_refine,
+    self_intersections,
+)
 from ngonspiral.telescoping import PHI, center_closed, q_closed
 
 
@@ -80,3 +89,106 @@ class TestContracts:
             self_intersections(limacon, 2.0, 1.0)
         with pytest.raises(ValueError):
             self_intersections(limacon, 0.0, 1.0, step=-1.0)
+
+
+def _brute_force_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
+    """Every pair (i, j), j > i + 1, that the segment predicate accepts."""
+    n_seg = len(pts) - 1
+    return [
+        (i, j)
+        for i in range(n_seg)
+        for j in range(i + 2, n_seg)
+        if _segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1])
+    ]
+
+
+class TestSweepScan:
+    def test_matches_brute_force_on_lattice_polylines(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # A 4 x 4 lattice makes collinear overlaps and gaps, touching and
+        # repeated vertices and axis-parallel runs common.  Small pair
+        # budgets split the sweep into many blocks.
+        lattice = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(lattice, min_size=2, max_size=24), st.integers(1, 64))
+        def check(points, budget):
+            monkeypatch.setattr(intersect, "_PAIR_BUDGET", budget)
+            pts = np.array([complex(x, y) for x, y in points])
+            assert _crossing_candidates(pts) == _brute_force_candidates(pts)
+
+        check()
+
+    def test_collinear_segments_count_only_where_they_meet(self):
+        # Segments 0 and 4 lie on the x-axis with a gap between them.
+        gap = np.array([0, 1, 1 + 1j, 2 + 1j, 2, 3], dtype=complex)
+        assert _crossing_candidates(gap) == []
+        # Segment 4 overlaps segment 0 on [1, 2]; segment 3 ends on
+        # segment 0 and segment 4 passes through the start of segment 1.
+        overlap = np.array([0, 2, 2 + 1j, 1 + 1j, 1, 3], dtype=complex)
+        assert _crossing_candidates(overlap) == [(0, 3), (0, 4), (1, 4)]
+
+    def test_vertical_straight_run_has_no_intersections(self):
+        assert self_intersections(lambda t: complex(0.3, -1.2 + t), 0.0, 1.0, step=0.01) == []
+
+    def test_long_vertical_run_sweeps_along_its_length(self):
+        pts = 0.3 + 1j * np.linspace(0.0, 1.0, 100_001)
+        start = time.perf_counter()
+        assert _crossing_candidates(pts) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_subdivision_fallback_recovers_limacon_crossing(self):
+        ts, pts = intersect._sample(limacon, 0.0, 2.0 * math.pi, 5e-3)
+        [(i, j)] = _crossing_candidates(pts)
+        refined = _subdivide_refine(limacon, ts[i], ts[i + 1], ts[j], ts[j + 1], 1e-10)
+        assert refined is not None
+        a, b, point, residual = refined
+        assert abs(a - 2.0 * math.pi / 3.0) < 1e-9
+        assert abs(b - 4.0 * math.pi / 3.0) < 1e-9
+        assert abs(point) < 1e-9
+        assert residual <= 1e-10
+
+
+class TestGridGuard:
+    @pytest.fixture(autouse=True)
+    def _no_sampling(self, monkeypatch):
+        # A guard that failed to fire must not go on to build the grid.
+        def refuse(*args):
+            raise AssertionError("the grid was sampled")
+
+        monkeypatch.setattr(intersect, "_sample", refuse)
+
+    def test_tiny_step_refused(self):
+        with pytest.raises(ValueError, match="samples"):
+            self_intersections(limacon, 1.05, 6.0, step=1e-9)
+
+    def test_cap_is_exact(self, monkeypatch):
+        monkeypatch.setattr(intersect, "_MAX_SAMPLES", 11)
+        with pytest.raises(AssertionError, match="sampled"):
+            self_intersections(limacon, 0.0, 1.0, step=0.1)
+        with pytest.raises(ValueError, match="samples"):
+            self_intersections(limacon, 0.0, 1.0, step=0.099)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lo": float("nan")},
+            {"hi": float("inf")},
+            {"lo": float("-inf")},
+            {"step": float("nan")},
+            {"step": float("inf")},
+            {"tolerance": float("inf")},
+            {"tolerance": float("nan")},
+            {"separation": float("inf")},
+        ],
+    )
+    def test_non_finite_inputs_refused(self, kwargs):
+        args = {"lo": 0.0, "hi": 1.0, "step": 0.1, **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            self_intersections(limacon, **args)
+
+    def test_cli_tiny_step_is_usage_error(self, capsys):
+        assert main(["intersect", "--curve", "centers", "--lo", "1.05", "--hi", "6", "--step", "1e-9"]) == 1
+        assert "samples" in capsys.readouterr().err
