@@ -56,7 +56,7 @@ def _settings(args: argparse.Namespace, default_tol: float) -> AccelerationSetti
     strategy = Strategy(args.strategy) if getattr(args, "strategy", None) else Strategy.EULER_TRANSFORM
     return AccelerationSettings(
         target_tolerance=tol,
-        max_terms=getattr(args, "max_terms", None) or 4000,
+        max_terms=args.max_terms or 4000,
         strategy=strategy,
     )
 
@@ -71,12 +71,18 @@ def _write_svg(path: str, scene) -> None:
     Path(path).write_text(render_svg(scene), encoding="utf-8")
 
 
-def _add_common(p: argparse.ArgumentParser, length: bool = False) -> None:
-    if length:
-        p.add_argument("--length", required=True, help="power:S | inscribed:S | circumscribed:S | area:S | telescoping")
-    p.add_argument("--tol", type=float, default=None, help="override the default tolerance")
-    p.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# Flags several subcommands share; each registers only those its handler reads.
+_SHARED_FLAGS = {
+    "--length": dict(required=True, help="power:S | inscribed:S | circumscribed:S | area:S | telescoping"),
+    "--tol": dict(type=float, help="override the default tolerance"),
+    "--max-terms": dict(type=int),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="polygon geometry and the interpolated spiral")
-    _add_common(p, length=True)
+    _add_shared(p, "--length", "--tol", "--max-terms", "--format")
     p.add_argument("--max-n", type=int, default=9, dest="max_n")
     p.add_argument("--out", default=None, help="SVG output path")
     p.add_argument("--no-interp", action="store_true", help="skip the interpolation curve")
@@ -254,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="convergence point W(s) for power-law lengths")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
-    _add_common(p)
+    _add_shared(p, "--tol", "--max-terms", "--format")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("classify", help="limit behavior of a length function")
-    _add_common(p, length=True)
+    _add_shared(p, "--length", "--tol", "--max-terms")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("orbit", help="center of the s = 0 circular orbit")
-    _add_common(p)
+    _add_shared(p, "--tol", "--max-terms", "--format")
     p.add_argument("--out", default=None, help="SVG output path")
     p.set_defaults(func=_cmd_orbit)
 
@@ -270,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, required=True, dest="s_min")
     p.add_argument("--s-max", type=float, required=True, dest="s_max")
     p.add_argument("--samples", type=int, default=10)
-    _add_common(p)
+    _add_shared(p, "--tol", "--max-terms", "--format")
     p.add_argument("--out", default=None, help="SVG output path")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("telescope", help="telescoping spiral closed forms and checks")
-    _add_common(p)
+    _add_shared(p, "--format")
     p.add_argument("--check", action="store_true", help="run the closed-form invariants")
     p.add_argument("--n-max", type=int, default=None, dest="max_n")
     p.add_argument("--out", default=None, help="SVG output path")
@@ -287,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--step", type=float, default=1e-3)
-    _add_common(p)
+    _add_shared(p, "--tol", "--format")
     p.set_defaults(func=_cmd_intersect)
 
     p = sub.add_parser("interp", help="smooth vertex continuation at real n")
-    _add_common(p, length=True)
+    _add_shared(p, "--length", "--tol", "--max-terms", "--format")
     p.add_argument("--n", type=float, required=True)
     p.set_defaults(func=_cmd_interp)
 

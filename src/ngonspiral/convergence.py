@@ -52,6 +52,8 @@ __all__ = [
 # Surrogate grid for the one-sided s -> 0+ limit of W(s).
 _ORBIT_S_GRID = (1e-6, 1e-7, 1e-8)
 _ORBIT_CONSISTENCY = 1e-7
+# Largest convergence_curve grid (one accelerated limit, ~0.5 ms, per sample).
+_MAX_CURVE_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,13 @@ def convergence_curve(
     """W(s) along a uniform grid of ``samples`` points on [s_min, s_max].
 
     Non-converged samples stay in the list with their flag set; nothing is
-    dropped.  A single sample degenerates to limit_point at s_min.
+    dropped.  A single sample degenerates to limit_point at s_min.  More
+    than ``_MAX_CURVE_SAMPLES`` samples raise ``ValueError`` before any work.
     """
     if not 0.0 < s_min <= s_max:
         raise ValueError(f"need 0 < s_min <= s_max, got [{s_min}, {s_max}]")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= _MAX_CURVE_SAMPLES:
+        raise ValueError(f"samples must be in [1, {_MAX_CURVE_SAMPLES}], got {samples}")
     settings = settings or AccelerationSettings()
     step = (s_max - s_min) / (samples - 1) if samples > 1 else 0.0
     grid = (s_min + i * step for i in range(samples))

@@ -17,16 +17,25 @@ from typing import Callable, Mapping, Sequence
 from .spiral import PolygonGeometry
 
 __all__ = [
+    "HEIGHT",
     "Scene",
-    "Style",
     "ViewTransform",
+    "WIDTH",
     "export_table",
     "render_svg",
     "sample_curve_adaptive",
     "view_transform",
 ]
 
+WIDTH = 900
+HEIGHT = 900
 _MARGIN_FRACTION = 0.05
+_STROKE_WIDTH = 1.2
+_MARKER_RADIUS = 2.5
+_POLYGON_COLOR = "#444444"
+_BACKGROUND = "#ffffff"
+_MAX_DEVIATION_PX = 0.2
+_MAX_DEPTH = 12
 
 _SERIES_COLORS = (
     "#1f6fb2",
@@ -39,31 +48,12 @@ _SERIES_COLORS = (
 
 
 @dataclass(frozen=True)
-class Style:
-    """Pixel-level appearance knobs."""
-
-    width: int = 900
-    height: int = 900
-    stroke_width: float = 1.2
-    marker_radius: float = 2.5
-    polygon_color: str = "#444444"
-    curve_color: str = "#1f6fb2"
-    background: str = "#ffffff"
-
-
-@dataclass(frozen=True)
 class Scene:
-    """Renderable content: polygons, named point sets, named curves.
-
-    ``viewport`` may pin the complex corners (min_corner, max_corner);
-    when omitted it is fitted around the content with a 5% margin.
-    """
+    """Renderable content: polygons, named point sets, named curves."""
 
     polygons: Sequence[PolygonGeometry] = ()
     point_sequences: Mapping[str, Sequence[complex]] = field(default_factory=dict)
     curves: Mapping[str, Sequence[complex]] = field(default_factory=dict)
-    viewport: tuple[complex, complex] | None = None
-    style: Style = Style()
 
     def all_points(self) -> list[complex]:
         pts: list[complex] = []
@@ -101,19 +91,15 @@ class ViewTransform:
 
 
 def view_transform(scene: Scene) -> ViewTransform:
-    """Fit the scene into its style's pixel box, preserving aspect ratio."""
+    """Fit the scene with a 5% margin into the WIDTH x HEIGHT pixel box,
+    preserving aspect ratio."""
     pts = scene.all_points()
-    if not pts and scene.viewport is None:
+    if not pts:
         raise ValueError("cannot render an empty scene")
-    if scene.viewport is not None:
-        lo, hi = scene.viewport
-        x_min, x_max = lo.real, hi.real
-        y_min, y_max = lo.imag, hi.imag
-    else:
-        xs = [p.real for p in pts]
-        ys = [p.imag for p in pts]
-        x_min, x_max = min(xs), max(xs)
-        y_min, y_max = min(ys), max(ys)
+    xs = [p.real for p in pts]
+    ys = [p.imag for p in pts]
+    x_min, x_max = min(xs), max(xs)
+    y_min, y_max = min(ys), max(ys)
     for v in (x_min, x_max, y_min, y_max):
         if not math.isfinite(v):
             raise ValueError("scene contains non-finite coordinates")
@@ -126,17 +112,16 @@ def view_transform(scene: Scene) -> ViewTransform:
     y_max += pad
     span_x = x_max - x_min
     span_y = y_max - y_min
-    style = scene.style
-    scale = min(style.width / span_x, style.height / span_y)
+    scale = min(WIDTH / span_x, HEIGHT / span_y)
     # center the content inside the pixel box
-    extra_x = style.width / scale - span_x
-    extra_y = style.height / scale - span_y
+    extra_x = WIDTH / scale - span_x
+    extra_y = HEIGHT / scale - span_y
     return ViewTransform(
         x0=x_min - extra_x / 2.0,
         y0=y_min - extra_y / 2.0,
         scale=scale,
-        width=style.width,
-        height=style.height,
+        width=WIDTH,
+        height=HEIGHT,
     )
 
 
@@ -149,24 +134,21 @@ def render_svg(scene: Scene) -> str:
     bytes.  Point markers carry enough digits to invert to their source
     coordinates far below pixel resolution."""
     tr = view_transform(scene)
-    style = scene.style
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">'
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     out.append(
-        f'<rect x="0" y="0" width="{style.width}" height="{style.height}" '
-        f'fill="{style.background}"/>'
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{_BACKGROUND}"/>'
     )
-    for idx, poly in enumerate(scene.polygons):
+    for poly in scene.polygons:
         if poly.degenerate:
             px, py = tr.to_px(poly.center)
             out.append(
                 f'<circle class="degenerate" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="{_fmt(style.marker_radius)}" fill="{style.polygon_color}"/>'
+                f'r="{_fmt(_MARKER_RADIUS)}" fill="{_POLYGON_COLOR}"/>'
             )
             continue
         coords = " ".join(
@@ -175,7 +157,7 @@ def render_svg(scene: Scene) -> str:
         )
         out.append(
             f'<polygon class="ngon ngon-{poly.n}" points="{coords}" fill="none" '
-            f'stroke="{style.polygon_color}" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'stroke="{_POLYGON_COLOR}" stroke-width="{_fmt(_STROKE_WIDTH)}"/>'
         )
     for idx, (name, seq) in enumerate(scene.curves.items()):
         if not seq:
@@ -186,7 +168,7 @@ def render_svg(scene: Scene) -> str:
         )
         out.append(
             f'<polyline id="curve-{name}" points="{coords}" fill="none" '
-            f'stroke="{color}" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(_STROKE_WIDTH)}"/>'
         )
     for idx, (name, seq) in enumerate(scene.point_sequences.items()):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
@@ -195,7 +177,7 @@ def render_svg(scene: Scene) -> str:
             px, py = tr.to_px(z)
             out.append(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="{_fmt(style.marker_radius)}"/>'
+                f'r="{_fmt(_MARKER_RADIUS)}"/>'
             )
         out.append("</g>")
     out.append("</svg>")
@@ -207,33 +189,28 @@ def sample_curve_adaptive(
     lo: float,
     hi: float,
     px_scale: float,
-    max_deviation_px: float = 0.2,
     initial: int = 64,
-    max_depth: int = 12,
 ) -> list[complex]:
     """Sample fn on [lo, hi], subdividing until the midpoint of every
-    parameter interval deviates from its chord by under ``max_deviation_px``
-    at the given pixels-per-unit scale."""
+    parameter interval deviates from its chord by under ``_MAX_DEVIATION_PX``
+    at the given pixels-per-unit scale, or ``_MAX_DEPTH`` bisections."""
     if initial < 2:
         raise ValueError("need at least two initial samples")
-    tol = max_deviation_px / px_scale
+    tol = _MAX_DEVIATION_PX / px_scale
 
     params = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
     values = [fn(t) for t in params]
-    out_t: list[float] = []
     out_z: list[complex] = []
 
     def refine(t0: float, z0: complex, t1: float, z1: complex, depth: int) -> None:
         tm = 0.5 * (t0 + t1)
         zm = fn(tm)
-        if depth >= max_depth or abs(zm - 0.5 * (z0 + z1)) <= tol:
-            out_t.append(t1)
+        if depth >= _MAX_DEPTH or abs(zm - 0.5 * (z0 + z1)) <= tol:
             out_z.append(z1)
             return
         refine(t0, z0, tm, zm, depth + 1)
         refine(tm, zm, t1, z1, depth + 1)
 
-    out_t.append(params[0])
     out_z.append(values[0])
     for i in range(len(params) - 1):
         refine(params[i], values[i], params[i + 1], values[i + 1], 0)

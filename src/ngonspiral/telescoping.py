@@ -56,6 +56,9 @@ class TelescopingConstants:
 
 CONSTANTS = TelescopingConstants()
 
+# Largest n_max verify_telescoping_identity streams (about 10 s of work).
+_MAX_IDENTITY_N = 10**6
+
 
 def _rotation(n: float) -> complex:
     """(-1)^n e^{-4 pi i H_n} with H continued through gamma + psi(n+1).
@@ -118,9 +121,14 @@ def verify_telescoping_identity(n_max: int) -> float:
     L(k) e^{i theta_k} = (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k});
     the returned maximum covers both checks.  The closed-form side goes
     through digamma, independent of the summation's running harmonic.
+    Raises ``ValueError`` unless 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
     if n_max < 3:
         raise ValueError(f"verify_telescoping_identity requires n_max >= 3, got {n_max}")
+    if n_max > _MAX_IDENTITY_N:
+        raise ValueError(
+            f"verify_telescoping_identity allows n_max <= {_MAX_IDENTITY_N}, got {n_max}"
+        )
     lf = telescoping().as_callable()
     acc = ComplexCompensatedSum()
     worst = 0.0

@@ -4,6 +4,9 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
+from ngonspiral import convergence, figures, telescoping
 from ngonspiral.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -202,6 +205,51 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--length", "power:1", "--format", "json"],
+            ["telescope", "--check", "--tol", "1e-30"],
+            ["telescope", "--max-terms", "5"],
+            ["intersect", "--curve", "centers", "--lo", "1.05", "--hi", "6", "--max-terms", "5"],
+        ],
+        ids=["classify-format", "telescope-tol", "telescope-max-terms", "intersect-max-terms"],
+    )
+    def test_flags_the_handler_ignores_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+class TestSizeCaps:
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        # A guard that failed to fire must not go on to the huge job.
+        def refuse(*args):
+            raise AssertionError("the work was started")
+
+        monkeypatch.setattr(figures, "vertex_at", refuse)
+        monkeypatch.setattr(convergence, "limit_point", refuse)
+        monkeypatch.setattr(telescoping, "harmonic_phases", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--length", "power:1", "--max-n", str(figures._MAX_POLYGON + 1)],
+            ["telescope", "--n-max", str(figures._MAX_POLYGON + 1)],
+            ["telescope", "--check", "--n-max", str(telescoping._MAX_IDENTITY_N + 1)],
+            ["curve", "--s-min", "0.5", "--s-max", "1", "--samples",
+             str(convergence._MAX_CURVE_SAMPLES // 4 + 1)],
+        ],
+        ids=["build", "telescope-figure", "telescope-check", "curve"],
+    )
+    def test_over_cap_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spiral: error:")
 
 
 class TestDeterminism:

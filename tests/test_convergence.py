@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ngonspiral import convergence
 from ngonspiral.convergence import (
     CircularOrbit,
     Divergent,
@@ -285,6 +286,18 @@ class TestConvergenceCurve:
             convergence_curve(0.0, 1.0, 3, TIGHT)
         with pytest.raises(ValueError):
             convergence_curve(0.5, 1.0, 0, TIGHT)
+
+    def test_size_cap_is_exact(self, monkeypatch):
+        # samples are replaced by a failure, so the cap itself never runs
+        def refuse(*args):
+            raise AssertionError("a sample was computed")
+
+        monkeypatch.setattr(convergence, "limit_point", refuse)
+        cap = convergence._MAX_CURVE_SAMPLES
+        with pytest.raises(AssertionError, match="computed"):
+            convergence_curve(0.5, 1.0, cap)
+        with pytest.raises(ValueError, match="samples"):
+            convergence_curve(0.5, 1.0, cap + 1)
 
 
 class TestEvenOddAgreement:

@@ -8,7 +8,6 @@ import pytest
 from ngonspiral.lengthfns import power_law
 from ngonspiral.render import (
     Scene,
-    Style,
     export_table,
     render_svg,
     sample_curve_adaptive,
@@ -82,9 +81,9 @@ class TestRenderSvg:
     def test_single_point_scene(self):
         svg = render_svg(Scene(point_sequences={"p": [1 + 2j]}))
         (coords,) = _marker_coords(svg, "points-p")
-        style = Style()
-        assert abs(coords[0] - style.width / 2.0) < 1.0
-        assert abs(coords[1] - style.height / 2.0) < 1.0
+        tr = view_transform(Scene(point_sequences={"p": [1 + 2j]}))
+        assert abs(coords[0] - tr.width / 2.0) < 1.0
+        assert abs(coords[1] - tr.height / 2.0) < 1.0
 
     def test_degenerate_polygon_rendered_as_marker(self):
         from ngonspiral.lengthfns import telescoping
@@ -104,14 +103,14 @@ class TestAdaptiveSampling:
     def test_chord_deviation_bound(self):
         circle = lambda t: complex(math.cos(t), math.sin(t))
         px_scale = 100.0
-        pts = sample_curve_adaptive(circle, 0.0, 2.0 * math.pi, px_scale, 0.2)
+        pts = sample_curve_adaptive(circle, 0.0, 2.0 * math.pi, px_scale)
         assert len(pts) >= 64
         for a, b in zip(pts, pts[1:]):
             # no chord long enough to deviate visibly at this scale
             assert abs(b - a) * px_scale < 40.0
 
     def test_line_needs_no_refinement(self):
-        pts = sample_curve_adaptive(lambda t: complex(t, 0.0), 0.0, 1.0, 100.0, 0.2, initial=8)
+        pts = sample_curve_adaptive(lambda t: complex(t, 0.0), 0.0, 1.0, 100.0, initial=8)
         assert len(pts) == 8
 
 

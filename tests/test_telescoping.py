@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ngonspiral
+import ngonspiral.telescoping as telescoping_mod
 from ngonspiral.lengthfns import telescoping as telescoping_fn
 from ngonspiral.numerics import EULER_GAMMA, digamma, richardson
 from ngonspiral.spiral import q_term, vertex
@@ -128,6 +129,18 @@ class TestTelescopingIdentity:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_telescoping_identity(2)
+
+    def test_size_cap_is_exact(self, monkeypatch):
+        # the stream is replaced by a failure, so the cap itself never runs
+        def refuse():
+            raise AssertionError("the series was streamed")
+
+        monkeypatch.setattr(telescoping_mod, "harmonic_phases", refuse)
+        cap = telescoping_mod._MAX_IDENTITY_N
+        with pytest.raises(AssertionError, match="streamed"):
+            verify_telescoping_identity(cap)
+        with pytest.raises(ValueError, match="n_max"):
+            verify_telescoping_identity(cap + 1)
 
 
 class TestWindingRegions:
