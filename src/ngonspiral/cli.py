@@ -27,7 +27,7 @@ from .convergence import (
 )
 from .intersect import self_intersections
 from .lengthfns import parse_length, telescoping as telescoping_fn
-from .numerics import AccelerationSettings, Strategy
+from .numerics import AccelerationSettings
 from .render import export_table, render_svg
 from .spiral import interpolated_vertex, q_term
 
@@ -53,12 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _settings(args: argparse.Namespace, default_tol: float) -> AccelerationSettings:
     tol = args.tol if args.tol is not None else default_tol
-    strategy = Strategy(args.strategy) if getattr(args, "strategy", None) else Strategy.EULER_TRANSFORM
-    return AccelerationSettings(
-        target_tolerance=tol,
-        max_terms=args.max_terms or 4000,
-        strategy=strategy,
-    )
+    return AccelerationSettings(target_tolerance=tol, max_terms=args.max_terms)
 
 
 def _emit(tables: dict[str, list[tuple[float, complex]]], fmt: str) -> None:
@@ -75,7 +70,7 @@ def _write_svg(path: str, scene) -> None:
 _SHARED_FLAGS = {
     "--length": dict(required=True, help="power:S | inscribed:S | circumscribed:S | area:S | telescoping"),
     "--tol": dict(type=float, help="override the default tolerance"),
-    "--max-terms": dict(type=int),
+    "--max-terms": dict(type=int, default=4000),
     "--format": dict(choices=("csv", "json"), default="csv"),
 }
 
@@ -162,7 +157,7 @@ def _cmd_telescope(args: argparse.Namespace) -> int:
     if args.fig == "q":
         scene, tables = figures.fig_q()
     else:
-        scene, tables = figures.fig_telescope(max_n=args.max_n if args.max_n else 12)
+        scene, tables = figures.fig_telescope(max_n=12 if args.max_n is None else args.max_n)
     if args.out:
         _write_svg(args.out, scene)
     _emit(tables, args.format)
@@ -172,7 +167,7 @@ def _cmd_telescope(args: argparse.Namespace) -> int:
 def _telescope_check(args: argparse.Namespace) -> int:
     import random
 
-    n_max = args.max_n or 2000
+    n_max = 2000 if args.max_n is None else args.max_n
     failures = 0
 
     residual = tele.verify_telescoping_identity(n_max)
@@ -259,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="convergence point W(s) for power-law lengths")
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], default=None)
     _add_shared(p, "--tol", "--max-terms", "--format")
     p.set_defaults(func=_cmd_limit)
 

@@ -16,7 +16,7 @@ numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Union
 
 from .lengthfns import LengthFunction, power_law
@@ -24,7 +24,6 @@ from .numerics import (
     TWO_PI,
     AccelerationSettings,
     SummationResult,
-    Strategy,
     harmonic_number,
     head_tail_sum,
     richardson,
@@ -92,12 +91,11 @@ class PairedSeriesTerm(NamedTuple):
 def limit_point(
     s: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
-    """W(s) for s > 0: a direct head, then the tail by Euler transform
-    (default) or the paired/direct strategies carried in ``settings``.
+    """W(s) for s > 0: a direct head, then the tail by Euler transform.
 
-    The Euler route reaches ~1e-13; the paired and direct routes decay like
-    powers of the term count and will report not-converged at tight
-    tolerances, which callers must check.
+    The transform reaches ~1e-13.  A tolerance it cannot meet within
+    ``settings.max_terms`` gives a not-converged result carrying the best
+    estimate, which callers must check.
     """
     if not s > 0.0:
         raise ValueError(f"limit_point requires s > 0, got {s}")
@@ -161,14 +159,10 @@ def orbit_center(settings: AccelerationSettings | None = None) -> SummationResul
     extrapolated value.
     """
     settings = settings or AccelerationSettings()
-    tight = AccelerationSettings(
-        target_tolerance=min(settings.target_tolerance, 1e-12),
-        max_terms=settings.max_terms,
-        strategy=Strategy.EULER_TRANSFORM,
-    )
+    tight = replace(settings, target_tolerance=min(settings.target_tolerance, 1e-12))
     results = [limit_point(s, tight) for s in _ORBIT_S_GRID]
     values = [r.value for r in results]
-    extrapolated = richardson(values, ratio=10.0)
+    extrapolated = richardson(values)
     stage_one = [
         (10.0 * values[i + 1] - values[i]) / 9.0 for i in range(len(values) - 1)
     ]

@@ -30,6 +30,10 @@ _SUBDIVIDE_ROUNDS = 80
 # memory stays bounded however many pairs overlap.
 _PAIR_BUDGET = 1 << 15
 
+# Hits closer than this in parameter are dropped (nearby parameters always
+# nearly meet on a continuous curve) or merged as duplicates.
+_SEPARATION = 1e-3
+
 # Largest sample grid self_intersections builds; a finer step is refused
 # before anything is allocated.
 _MAX_SAMPLES = 10**6
@@ -251,22 +255,20 @@ def self_intersections(
     hi: float,
     step: float = 1e-3,
     tolerance: float = 1e-10,
-    separation: float = 1e-3,
 ) -> list[Intersection]:
     """All detected self-intersections of ``curve`` on [lo, hi].
 
     The curve is sampled every ``step`` in parameter, crossing segment
-    pairs seed Newton refinement, and results are deduplicated, filtered by
-    the parameter ``separation`` (nearby parameters always nearly intersect
-    on a continuous curve) and returned sorted by the first parameter.
+    pairs seed Newton refinement, and results closer than ``_SEPARATION``
+    in parameter, to each other or to the diagonal a = b, are merged or
+    dropped; the rest come back sorted by the first parameter.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, or if the curve is
     non-finite anywhere on the sample grid.
     """
-    if not all(map(math.isfinite, (lo, hi, step, tolerance, separation))):
+    if not all(map(math.isfinite, (lo, hi, step, tolerance))):
         raise ValueError(
-            "lo, hi, step, tolerance and separation must be finite, got "
-            f"{lo}, {hi}, {step}, {tolerance}, {separation}"
+            f"lo, hi, step and tolerance must be finite, got {lo}, {hi}, {step}, {tolerance}"
         )
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
@@ -292,11 +294,11 @@ def self_intersections(
         a, b, point, residual = refined
         if a > b:
             a, b = b, a
-        if b - a < separation:
+        if b - a < _SEPARATION:
             continue
         duplicate = False
         for idx, known in enumerate(found):
-            if abs(known.a - a) < separation and abs(known.b - b) < separation:
+            if abs(known.a - a) < _SEPARATION and abs(known.b - b) < _SEPARATION:
                 duplicate = True
                 if residual < known.residual:
                     found[idx] = Intersection(a, b, point, residual)

@@ -3,8 +3,9 @@
 Everything lives in ordinary double precision.  The pieces here are the
 numerical bedrock for the spiral modules: compensated harmonic numbers,
 digamma (and through it the real continuation of harmonic numbers),
-Hurwitz zeta for s > 1, and an Euler transform for alternating complex
-series whose "not converged" outcome is a value, never an exception.
+Hurwitz zeta for s > 1, and the Euler transform, the one accelerator for
+alternating complex series, whose "not converged" outcome is a value,
+never an exception.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -22,9 +22,7 @@ __all__ = [
     "AccelerationSettings",
     "ComplexCompensatedSum",
     "CompensatedSum",
-    "Strategy",
     "SummationResult",
-    "accelerated_alternating_sum",
     "digamma",
     "euler_transform_sum",
     "harmonic_continued",
@@ -39,29 +37,23 @@ EULER_GAMMA = 0.5772156649015328606
 TWO_PI = 2.0 * math.pi
 
 
-class Strategy(Enum):
-    """How an alternating series gets summed."""
-
-    DIRECT_PARTIAL_SUMS = "direct"
-    PAIRED_TERMS = "paired"
-    EULER_TRANSFORM = "euler"
-
-
 @dataclass(frozen=True)
 class AccelerationSettings:
-    """Tolerance, term budget and strategy for series summation.
+    """Tolerance and term budget for the Euler-transformed series tails.
 
     ``target_tolerance`` is absolute, measured on the complex modulus of the
-    correction being monitored.
+    correction being monitored; it must be finite and positive.
+    ``max_terms`` caps the tail terms and must be at least 4.
     """
 
     target_tolerance: float = 1e-10
     max_terms: int = 4000
-    strategy: Strategy = Strategy.EULER_TRANSFORM
 
     def __post_init__(self) -> None:
-        if not self.target_tolerance > 0.0:
-            raise ValueError("target_tolerance must be positive")
+        if not 0.0 < self.target_tolerance < math.inf:
+            raise ValueError(
+                f"target_tolerance must be finite and positive, got {self.target_tolerance}"
+            )
         if self.max_terms < 4:
             raise ValueError("max_terms must be at least 4")
 
@@ -286,45 +278,8 @@ def euler_transform_sum(
     return SummationResult(best, best_err, False, used)
 
 
-def _truncated_sum(
-    items: Iterable[complex], width: int, settings: AccelerationSettings
-) -> SummationResult:
-    """Compensated partial sums of ``items``, each spanning ``width`` series
-    terms of the budget; stops once three items in a row are within tol."""
-    tol = settings.target_tolerance
-    acc = ComplexCompensatedSum()
-    small = 0
-    last = math.inf
-    used = 0
-    for x in islice(items, settings.max_terms // width):
-        acc.add(x)
-        last = abs(x)
-        used += width
-        small = small + 1 if last <= tol else 0
-        if small >= 3:
-            return SummationResult(acc.value, last, True, used)
-    return SummationResult(acc.value, last, False, used)
-
-
-def accelerated_alternating_sum(
-    terms: Iterable[complex], settings: AccelerationSettings
-) -> SummationResult:
-    """Dispatch sum_{j>=0} (-1)^j a_j to the configured strategy.
-
-    Besides the Euler transform, the truncated strategies add up the signed
-    terms (direct) or the pairs a_{2m} - a_{2m+1} (paired) until three in a
-    row are within tolerance.
-    """
-    if settings.strategy is Strategy.EULER_TRANSFORM:
-        return euler_transform_sum(terms, settings)
-    it = (complex(a) for a in terms)
-    if settings.strategy is Strategy.PAIRED_TERMS:
-        return _truncated_sum((a - b for a, b in zip(it, it)), 2, settings)
-    return _truncated_sum((-a if j % 2 else a for j, a in enumerate(it)), 1, settings)
-
-
 # Series over k >= 3 are summed directly below k = _HEAD_STOP, where the
-# phase still swings hard; the smooth tail goes to the acceleration.  Even,
+# phase still swings hard; the smooth tail goes to the Euler transform.  Even,
 # so the tail enters with sign +1.
 _HEAD_STOP = 48
 
@@ -335,21 +290,21 @@ def head_tail_sum(
     """sum_{k>=3} (-1)^k g(k) from the unsigned terms g(3), g(4), ...
 
     The head k < _HEAD_STOP is summed with compensation; the rest goes
-    through accelerated_alternating_sum, whose outcome (error estimate,
-    convergence flag) the result carries.  ``terms_used`` counts both.
+    through euler_transform_sum, whose outcome (error estimate, convergence
+    flag) the result carries.  ``terms_used`` counts both.
     """
     terms = iter(terms)
     acc = ComplexCompensatedSum()
     for k, g in zip(range(3, _HEAD_STOP), terms):
         acc.add(-g if k % 2 else g)
-    tail = accelerated_alternating_sum(terms, settings)
+    tail = euler_transform_sum(terms, settings)
     return replace(
         tail, value=acc.value + tail.value, terms_used=(_HEAD_STOP - 3) + tail.terms_used
     )
 
 
-def richardson(values: Sequence[complex], ratio: float = 10.0) -> complex:
-    """Richardson extrapolation of approximations with step ratio ``ratio``.
+def richardson(values: Sequence[complex]) -> complex:
+    """Richardson extrapolation of approximations whose steps shrink tenfold.
 
     ``values`` are ordered from the coarsest step to the finest; the error
     is assumed to expand in integer powers of the step.  Returns the fully
@@ -360,7 +315,7 @@ def richardson(values: Sequence[complex], ratio: float = 10.0) -> complex:
     v = [complex(x) for x in values]
     stage = 1
     while len(v) > 1:
-        factor = ratio**stage
+        factor = 10.0**stage
         v = [(factor * v[i + 1] - v[i]) / (factor - 1.0) for i in range(len(v) - 1)]
         stage += 1
     return v[0]

@@ -152,4 +152,4 @@ def q_real_limit_estimate() -> float:
     should sit within 1e-3 of the constant 4 (1 - pi^2 / 6).
     """
     values = [q_closed(1.0 + 10.0**-k).real for k in range(3, 7)]
-    return richardson(values, ratio=10.0).real
+    return richardson(values).real

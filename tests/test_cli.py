@@ -88,8 +88,7 @@ class TestLimit:
 
     def test_nonconvergence_exit_code(self, capsys):
         code, out, err = run_cli(
-            capsys, "limit", "--s", "0.5", "--strategy", "paired",
-            "--tol", "1e-13", "--max-terms", "50",
+            capsys, "limit", "--s", "0.5", "--tol", "1e-13", "--max-terms", "4",
         )
         assert code == 2
         assert "not converged" in err
@@ -213,14 +212,40 @@ class TestUsageErrors:
             ["telescope", "--check", "--tol", "1e-30"],
             ["telescope", "--max-terms", "5"],
             ["intersect", "--curve", "centers", "--lo", "1.05", "--hi", "6", "--max-terms", "5"],
+            ["limit", "--s", "0.5", "--strategy", "paired"],
         ],
-        ids=["classify-format", "telescope-tol", "telescope-max-terms", "intersect-max-terms"],
+        ids=[
+            "classify-format", "telescope-tol", "telescope-max-terms", "intersect-max-terms",
+            "limit-strategy",
+        ],
     )
     def test_flags_the_handler_ignores_are_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limit", "--s", "0.5", "--max-terms", "0"],
+            ["telescope", "--check", "--n-max", "0"],
+            ["telescope", "--n-max", "0"],
+            ["limit", "--s", "0.5", "--tol", "inf"],
+            ["limit", "--s", "0.5", "--tol", "nan"],
+            ["interp", "--length", "power:1", "--n", "3.5", "--tol", "inf"],
+            ["interp", "--length", "power:1", "--n", "3.5", "--tol", "nan"],
+        ],
+        ids=[
+            "limit-max-terms-0", "telescope-check-n-max-0", "telescope-n-max-0",
+            "limit-tol-inf", "limit-tol-nan", "interp-tol-inf", "interp-tol-nan",
+        ],
+    )
+    def test_zero_and_non_finite_values_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spiral: error:")
 
 
 class TestSizeCaps:

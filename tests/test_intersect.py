@@ -61,7 +61,7 @@ class TestContracts:
 
     def test_separation_threshold(self):
         step = 5e-3
-        hits = self_intersections(limacon, 0.0, 2.0 * math.pi, step=step, separation=1e-3)
+        hits = self_intersections(limacon, 0.0, 2.0 * math.pi, step=step)
         for h in hits:
             assert h.b - h.a >= 1e-3
 
@@ -181,7 +181,6 @@ class TestGridGuard:
             {"step": float("inf")},
             {"tolerance": float("inf")},
             {"tolerance": float("nan")},
-            {"separation": float("inf")},
         ],
     )
     def test_non_finite_inputs_refused(self, kwargs):

@@ -8,7 +8,6 @@ from ngonspiral.lengthfns import inscribed, power_law, telescoping
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
-    Strategy,
     harmonic_number,
 )
 from ngonspiral.spiral import (
@@ -257,16 +256,6 @@ class TestInterpolatedVertex:
     def test_refuses_divergent_lengths(self):
         with pytest.raises(ValueError):
             interpolated_vertex(power_law(-1.0), 3.5, TIGHT)
-
-    def test_paired_strategy_reports_honestly(self):
-        settings = AccelerationSettings(
-            target_tolerance=1e-12, max_terms=3000, strategy=Strategy.PAIRED_TERMS
-        )
-        res = interpolated_vertex(power_law(1.0), 4.0, settings)
-        # paired truncation cannot certify 1e-12; must not claim success
-        # while being wrong
-        if res.converged:
-            assert abs(res.value - vertex(power_law(1.0), 4)) < 1e-10
 
     def test_inscribed_interpolates(self):
         res = interpolated_vertex(inscribed(0.5), 5.5, TIGHT)

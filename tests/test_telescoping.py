@@ -164,5 +164,5 @@ class TestQLimit:
         vals = [q_closed(1.0 + 10.0**-k).real for k in range(3, 7)]
         errs = [abs(v - CONSTANTS.q_limit_at_1) for v in vals]
         assert all(a > b for a, b in zip(errs, errs[1:]))
-        extrap = richardson(vals, ratio=10.0).real
+        extrap = richardson(vals).real
         assert abs(extrap - CONSTANTS.q_limit_at_1) < 1e-6
