@@ -5,14 +5,11 @@ from .convergence import (
     ConvergenceClass,
     Divergent,
     Point,
-    bound_A,
-    bound_B,
     classify,
     convergence_curve,
     limit_point,
     orbit_center,
     orbit_distance_law,
-    paired_term,
 )
 from .intersect import Intersection, self_intersections
 from .lengthfns import (
@@ -30,7 +27,6 @@ from .numerics import (
     euler_transform_sum,
     harmonic_continued,
     harmonic_number,
-    hurwitz_zeta,
 )
 from .render import Scene, export_table, render_svg
 from .spiral import (
@@ -39,13 +35,11 @@ from .spiral import (
     interpolated_vertex,
     polygon,
     q_term,
-    theta,
     vertex,
 )
 from .telescoping import (
-    CONSTANTS,
     PHI,
-    TelescopingConstants,
+    Q_LIMIT_AT_1,
     center_closed,
     q_closed,
     vertex_closed,
@@ -57,14 +51,11 @@ __all__ = [
     "ConvergenceClass",
     "Divergent",
     "Point",
-    "bound_A",
-    "bound_B",
     "classify",
     "convergence_curve",
     "limit_point",
     "orbit_center",
     "orbit_distance_law",
-    "paired_term",
     "Intersection",
     "self_intersections",
     "LengthFunction",
@@ -79,7 +70,6 @@ __all__ = [
     "euler_transform_sum",
     "harmonic_continued",
     "harmonic_number",
-    "hurwitz_zeta",
     "Scene",
     "export_table",
     "render_svg",
@@ -88,11 +78,9 @@ __all__ = [
     "interpolated_vertex",
     "polygon",
     "q_term",
-    "theta",
     "vertex",
-    "CONSTANTS",
     "PHI",
-    "TelescopingConstants",
+    "Q_LIMIT_AT_1",
     "center_closed",
     "q_closed",
     "vertex_closed",

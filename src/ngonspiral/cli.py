@@ -198,7 +198,7 @@ def _telescope_check(args: argparse.Namespace) -> int:
     print(f"{'PASS' if ok else 'FAIL'} golden intersection: |C(phi)-C(phi+1)| = {golden:.3e} (tol 1e-10)")
 
     est = tele.q_real_limit_estimate()
-    target = tele.CONSTANTS.q_limit_at_1
+    target = tele.Q_LIMIT_AT_1
     ok = abs(est - target) < 1e-3
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} Re Q limit at 1: {est:.9f} vs {target:.9f} (tol 1e-3)")

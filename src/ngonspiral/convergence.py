@@ -8,44 +8,38 @@ sum
 convergent to a point for s > 0, to a circular orbit of diameter 1 for
 s = 0, and divergent for s < 0.  Classification is decided analytically
 from the catalog's asymptotic exponent, never by watching partial sums
-fail.  The bound functions A(j, s) and B(j) and the paired terms F(j)
-underlying the absolute-convergence argument are exposed as testable
-numerics.
+fail.  The paper's absolute-convergence argument (the paired terms F(j)
+and their bounds A(j, s) and B(j)) is checked in the tests, not computed
+here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .lengthfns import LengthFunction, power_law
 from .numerics import (
     TWO_PI,
     AccelerationSettings,
     SummationResult,
-    harmonic_number,
     head_tail_sum,
     richardson,
 )
-from .spiral import harmonic_phases, unit_phase, vertex_at
+from .spiral import harmonic_phases, vertex_at
 
 __all__ = [
     "CircularOrbit",
     "ConvergenceClass",
     "CurveSample",
     "Divergent",
-    "PairedSeriesTerm",
     "Point",
-    "bound_A",
-    "bound_B",
     "classify",
     "convergence_curve",
     "limit_point",
     "orbit_center",
     "orbit_distance_law",
-    "paired_term",
-    "paired_terms",
 ]
 
 # Surrogate grid for the one-sided s -> 0+ limit of W(s).
@@ -81,19 +75,13 @@ class Divergent:
 ConvergenceClass = Union[Point, CircularOrbit, Divergent]
 
 
-class PairedSeriesTerm(NamedTuple):
-    """Consecutive-pair term F(j) of the accelerated power-law series."""
-
-    j: int
-    value: complex
-
-
 def limit_point(
     s: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
     """W(s) for s > 0: a direct head, then the tail by Euler transform.
 
-    The transform reaches ~1e-13.  A tolerance it cannot meet within
+    The transform reaches ~1e-13, the smallest tolerance that
+    AccelerationSettings accepts.  A tolerance it cannot meet within
     ``settings.max_terms`` gives a not-converged result carrying the best
     estimate, which callers must check.
     """
@@ -101,51 +89,6 @@ def limit_point(
         raise ValueError(f"limit_point requires s > 0, got {s}")
     terms = (fk * k ** (-s) for k, _, fk in harmonic_phases())
     return head_tail_sum(terms, settings or AccelerationSettings())
-
-
-def paired_terms(s: float) -> Iterator[PairedSeriesTerm]:
-    """F(j) = f(2j)/(2j)^s - f(2j-1)/(2j-1)^s for j = 2, 3, ...
-
-    Both phases come from the harmonic_phases() stream, so streaming N
-    terms costs O(N), not O(N^2).
-    """
-    phases = harmonic_phases()
-    for j, ((k_odd, _, f_odd), (k_even, _, f_even)) in enumerate(zip(phases, phases), 2):
-        yield PairedSeriesTerm(
-            j, f_even * k_even ** (-s) - f_odd * k_odd ** (-s)
-        )
-
-
-def paired_term(j: int, s: float) -> PairedSeriesTerm:
-    """Single paired term F(j), j >= 2, s >= 0."""
-    if j < 2:
-        raise ValueError(f"paired_term requires j >= 2, got {j}")
-    if s < 0.0:
-        raise ValueError(f"paired_term requires s >= 0, got {s}")
-    h_odd = harmonic_number(2 * j - 1)
-    f_odd = unit_phase(float(2 * j - 1), h_odd)
-    f_even = unit_phase(float(2 * j), h_odd + 1.0 / (2 * j))
-    return PairedSeriesTerm(
-        j, f_even * (2 * j) ** (-s) - f_odd * (2 * j - 1) ** (-s)
-    )
-
-
-def bound_A(j: int, s: float) -> float:
-    """A(j, s) = (2j-1)(1 - (1 - 1/(2j))^s); strictly inside (0, s).
-
-    Written via expm1/log1p so the cancellation at large j costs nothing.
-    """
-    if j < 2:
-        raise ValueError(f"bound_A requires j >= 2, got {j}")
-    return -(2 * j - 1) * math.expm1(s * math.log1p(-1.0 / (2 * j)))
-
-
-def bound_B(j: int) -> float:
-    """B(j) = 2(2j-1) sin(pi (1/(2j-1) + 1/(2j))); increasing toward 4 pi."""
-    if j < 2:
-        raise ValueError(f"bound_B requires j >= 2, got {j}")
-    x = math.pi * (1.0 / (2 * j - 1) + 1.0 / (2 * j))
-    return 2.0 * (2 * j - 1) * math.sin(x)
 
 
 def orbit_center(settings: AccelerationSettings | None = None) -> SummationResult:

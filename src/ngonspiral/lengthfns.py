@@ -63,6 +63,10 @@ class LengthFunction:
     kind: LengthKind
     s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.s):
+            raise ValueError(f"length exponent must be finite, got {self.s}")
+
     def __call__(self, x: float) -> float:
         # one-off evaluations; loops over many x hold on to as_callable()
         if not x > 1.0:

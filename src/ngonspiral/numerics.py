@@ -2,10 +2,9 @@
 
 Everything lives in ordinary double precision.  The pieces here are the
 numerical bedrock for the spiral modules: compensated harmonic numbers,
-digamma (and through it the real continuation of harmonic numbers),
-Hurwitz zeta for s > 1, and the Euler transform, the one accelerator for
-alternating complex series, whose "not converged" outcome is a value,
-never an exception.
+digamma (and through it the real continuation of harmonic numbers), and
+the Euler transform, the one accelerator for alternating complex series,
+whose "not converged" outcome is a value, never an exception.
 """
 
 from __future__ import annotations
@@ -29,12 +28,14 @@ __all__ = [
     "harmonic_number",
     "harmonic_real",
     "head_tail_sum",
-    "hurwitz_zeta",
     "richardson",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
 TWO_PI = 2.0 * math.pi
+# Below this the Euler transform's corrections drown in double rounding
+# and a "converged" flag would mean nothing.
+_MIN_TOLERANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,19 @@ class AccelerationSettings:
     """Tolerance and term budget for the Euler-transformed series tails.
 
     ``target_tolerance`` is absolute, measured on the complex modulus of the
-    correction being monitored; it must be finite and positive.
-    ``max_terms`` caps the tail terms and must be at least 4.
+    correction being monitored; it must be finite and at least
+    ``_MIN_TOLERANCE`` (1e-13).  ``max_terms`` caps the tail terms and must
+    be at least 4.
     """
 
     target_tolerance: float = 1e-10
     max_terms: int = 4000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.target_tolerance < math.inf:
+        if not _MIN_TOLERANCE <= self.target_tolerance < math.inf:
             raise ValueError(
-                f"target_tolerance must be finite and positive, got {self.target_tolerance}"
+                "target_tolerance must be finite and positive, at least "
+                f"{_MIN_TOLERANCE:g}, got {self.target_tolerance}"
             )
         if self.max_terms < 4:
             raise ValueError("max_terms must be at least 4")
@@ -209,31 +212,6 @@ def harmonic_real(x: float) -> float:
     if float(x).is_integer() and 1.0 <= x <= _HARMONIC_TABLE_CAP:
         return harmonic_number(int(x))
     return harmonic_continued(x)
-
-
-def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta(s, a) = sum_{j>=0} (j+a)^-s for s > 1, a > 0.
-
-    Direct summation of an initial block, then an Euler-Maclaurin tail
-    (integral, half term, and three Bernoulli corrections).  Absolute error
-    is comfortably below 1e-10 for moderate s.
-    """
-    if not s > 1.0:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got s={s}")
-    if not a > 0.0:
-        raise ValueError(f"hurwitz_zeta requires a > 0, got a={a}")
-    # Block length keeps the tail expansion point x = N + a at 24 or above.
-    n_block = max(16, int(math.ceil(24.0 - a)) + 1)
-    acc = CompensatedSum()
-    for j in range(n_block):
-        acc.add((j + a) ** (-s))
-    x = n_block + a
-    tail = x ** (1.0 - s) / (s - 1.0)
-    tail += 0.5 * x ** (-s)
-    tail += s * x ** (-s - 1.0) / 12.0
-    tail -= s * (s + 1.0) * (s + 2.0) * x ** (-s - 3.0) / 720.0
-    tail += s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) * x ** (-s - 5.0) / 30240.0
-    return acc.value + tail
 
 
 def euler_transform_sum(

@@ -83,12 +83,6 @@ class ViewTransform:
             self.height - (z.imag - self.y0) * self.scale,
         )
 
-    def to_complex(self, px: float, py: float) -> complex:
-        return complex(
-            self.x0 + px / self.scale,
-            self.y0 + (self.height - py) / self.scale,
-        )
-
 
 def view_transform(scene: Scene) -> ViewTransform:
     """Fit the scene with a 5% margin into the WIDTH x HEIGHT pixel box,

@@ -9,10 +9,10 @@ followed from one shared vertex to the next has the closed form
 and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
 the phase reduces to (-1)^k e^{2 pi i (1/k - 2 H_k)}.  Every series over
-integer k (vertices, limits, paired terms, the interpolant and the
-telescoping check) reads that phase from the one stream harmonic_phases():
-its reduced angle stays O(log k) instead of O(k), dodging the
-argument-reduction error of the raw closed form.
+integer k (vertices, limits, the interpolant and the telescoping check)
+reads that phase from the one stream harmonic_phases(): its reduced angle
+stays O(log k) instead of O(k), dodging the argument-reduction error of
+the raw closed form, so no kernel evaluates theta_n itself.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .lengthfns import LengthFunction
 from .numerics import (
@@ -43,16 +43,13 @@ from .numerics import (
 __all__ = [
     "PolygonGeometry",
     "center",
-    "convex_intersection_area",
     "harmonic_phases",
     "interpolated_vertex",
     "phase_of_turns",
     "polygon",
-    "polygon_area",
     "polygon_from_vertex",
     "q_term",
     "signed_phase",
-    "theta",
     "unit_phase",
     "vertex",
     "vertex_at",
@@ -60,17 +57,6 @@ __all__ = [
 
 # Side lengths at or below this are treated as a degenerate (point) polygon.
 DEGENERATE_SIDE = 1e-13
-
-
-def theta(n: float) -> float:
-    """Heading angle theta_n = 2 pi (n/2 + 1/n - 2 H_n) for real n > 1.
-
-    theta(2) = -3 pi fixes the canonical orientation (no constant net
-    rotation of the whole construction).
-    """
-    if not n > 1.0:
-        raise ValueError(f"theta requires n > 1, got {n}")
-    return TWO_PI * (0.5 * n + 1.0 / n - 2.0 * harmonic_real(n))
 
 
 def phase_of_turns(t: float) -> complex:
@@ -226,56 +212,6 @@ def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometr
         vertices=verts,
         degenerate=abs(side) <= DEGENERATE_SIDE,
     )
-
-
-def polygon_area(vertices: Sequence[complex]) -> float:
-    """Unsigned shoelace area of a simple polygon."""
-    total = 0.0
-    m = len(vertices)
-    for i in range(m):
-        a = vertices[i]
-        b = vertices[(i + 1) % m]
-        total += a.real * b.imag - b.real * a.imag
-    return abs(total) / 2.0
-
-
-def _clip_convex(subject: Sequence[complex], clip: Sequence[complex]) -> list[complex]:
-    """Sutherland-Hodgman clip of ``subject`` by convex ``clip`` (CCW)."""
-    output = list(subject)
-    m = len(clip)
-    for i in range(m):
-        if not output:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % m]
-        edge = b - a
-        inputs = output
-        output = []
-        prev = inputs[-1]
-        prev_in = (edge.real * (prev.imag - a.imag) - edge.imag * (prev.real - a.real)) >= 0.0
-        for cur in inputs:
-            cur_in = (edge.real * (cur.imag - a.imag) - edge.imag * (cur.real - a.real)) >= 0.0
-            if cur_in != prev_in:
-                d = cur - prev
-                denom = edge.real * d.imag - edge.imag * d.real
-                if denom != 0.0:
-                    t = (edge.real * (a.imag - prev.imag) - edge.imag * (a.real - prev.real)) / denom
-                    output.append(prev + t * d)
-            if cur_in:
-                output.append(cur)
-            prev = cur
-            prev_in = cur_in
-    return output
-
-
-def convex_intersection_area(
-    a: Sequence[complex], b: Sequence[complex]
-) -> float:
-    """Area of the intersection of two convex polygons (CCW vertex lists)."""
-    clipped = _clip_convex(a, b)
-    if len(clipped) < 3:
-        return 0.0
-    return polygon_area(clipped)
 
 
 def _interpolant_terms(f: LengthFunction, n: float) -> Iterator[complex]:

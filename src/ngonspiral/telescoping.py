@@ -14,47 +14,26 @@ itself at the golden ratio pair (phi, phi + 1).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from .lengthfns import telescoping
-from .numerics import (
-    EULER_GAMMA,
-    ComplexCompensatedSum,
-    digamma,
-    harmonic_real,
-    richardson,
-)
+from .numerics import ComplexCompensatedSum, harmonic_real, richardson
 from .spiral import half_angle, harmonic_phases, phase_of_turns, signed_phase
 
 __all__ = [
-    "CONSTANTS",
     "PHI",
-    "TelescopingConstants",
+    "Q_LIMIT_AT_1",
     "center_closed",
     "q_closed",
     "q_real_limit_estimate",
-    "golden_intersection_point",
     "vertex_closed",
     "verify_telescoping_identity",
 ]
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-@dataclass(frozen=True)
-class TelescopingConstants:
-    """Landmark values of the telescoping spiral."""
-
-    phi: float = PHI
-    zero_low: float = 4.0 / 3.0
-    zero_high: float = 4.0
-    q_limit_at_1: float = 4.0 * (1.0 - math.pi**2 / 6.0)
-
-
-CONSTANTS = TelescopingConstants()
+# Re Q_L(n) as n -> 1+, the target of q_real_limit_estimate.
+Q_LIMIT_AT_1 = 4.0 * (1.0 - math.pi**2 / 6.0)
 
 # Largest n_max verify_telescoping_identity streams (about 10 s of work).
 _MAX_IDENTITY_N = 10**6
@@ -99,28 +78,16 @@ def center_closed(n: float) -> complex:
     return vertex_closed(n) + q_closed(n)
 
 
-def golden_intersection_point() -> complex:
-    """The self-intersection point of the centers curve in its compact
-    spelling, -i e^{-pi i (4 (gamma + psi(phi)) + phi)} cot(pi phi) - 1.
-
-    Note the inner psi(phi), not psi(phi + 1): the two spellings agree
-    because 1/phi = phi - 1 shifts the phase by a whole number of turns.
-    Evaluated independently of center_closed so tests can report the
-    residual between the two routes.
-    """
-    arg = math.pi * (4.0 * (EULER_GAMMA + digamma(PHI)) + PHI)
-    cot = math.cos(math.pi * PHI) / math.sin(math.pi * PHI)
-    return -1j * cmath.exp(-1j * arg) * cot - 1.0
-
-
 def verify_telescoping_identity(n_max: int) -> float:
     """Largest residual between the direct vertex series and the closed form
     over integer 3 <= n <= n_max.
 
     The same pass also checks the termwise pairing identity
     L(k) e^{i theta_k} = (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k});
-    the returned maximum covers both checks.  The closed-form side goes
-    through digamma, independent of the summation's running harmonic.
+    the returned maximum covers both checks.  The closed-form side reads H_k
+    through harmonic_real: up to k = 100,000 that is the memoized table,
+    which equals the stream's running H_k bit for bit, so only larger k
+    check the digamma continuation against the running harmonic.
     Raises ``ValueError`` unless 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
     if n_max < 3:
@@ -149,7 +116,7 @@ def q_real_limit_estimate() -> float:
     """Re Q_L(n -> 1+) by Richardson extrapolation of n = 1 + 10^-k, k=3..6.
 
     The closed form is singular at n = 1 itself; the extrapolated value
-    should sit within 1e-3 of the constant 4 (1 - pi^2 / 6).
+    should sit within 1e-3 of Q_LIMIT_AT_1 = 4 (1 - pi^2 / 6).
     """
     values = [q_closed(1.0 + 10.0**-k).real for k in range(3, 7)]
     return richardson(values).real

@@ -1,0 +1,151 @@
+"""Test-only oracles for the paper's claims.
+
+These restate what the paper proves with tools that no library path needs:
+the heading theta_n, the paired terms F(j) with their bounds A(j, s) and
+B(j), the compact spelling of the golden intersection point, and the
+convex-clipping area that shows consecutive n-gons do not overlap.  The
+tests check the library against them; the library never calls them.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Iterator, NamedTuple, Sequence
+
+from ngonspiral.numerics import (
+    EULER_GAMMA,
+    TWO_PI,
+    digamma,
+    harmonic_number,
+    harmonic_real,
+)
+from ngonspiral.spiral import harmonic_phases, unit_phase
+from ngonspiral.telescoping import PHI
+
+
+def theta(n: float) -> float:
+    """Heading angle theta_n = 2 pi (n/2 + 1/n - 2 H_n) for real n > 1.
+
+    theta(2) = -3 pi fixes the canonical orientation (no constant net
+    rotation of the whole construction).
+    """
+    if not n > 1.0:
+        raise ValueError(f"theta requires n > 1, got {n}")
+    return TWO_PI * (0.5 * n + 1.0 / n - 2.0 * harmonic_real(n))
+
+
+def polygon_area(vertices: Sequence[complex]) -> float:
+    """Unsigned shoelace area of a simple polygon."""
+    total = 0.0
+    m = len(vertices)
+    for i in range(m):
+        a = vertices[i]
+        b = vertices[(i + 1) % m]
+        total += a.real * b.imag - b.real * a.imag
+    return abs(total) / 2.0
+
+
+def _clip_convex(subject: Sequence[complex], clip: Sequence[complex]) -> list[complex]:
+    """Sutherland-Hodgman clip of ``subject`` by convex ``clip`` (CCW)."""
+    output = list(subject)
+    m = len(clip)
+    for i in range(m):
+        if not output:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % m]
+        edge = b - a
+        inputs = output
+        output = []
+        prev = inputs[-1]
+        prev_in = (edge.real * (prev.imag - a.imag) - edge.imag * (prev.real - a.real)) >= 0.0
+        for cur in inputs:
+            cur_in = (edge.real * (cur.imag - a.imag) - edge.imag * (cur.real - a.real)) >= 0.0
+            if cur_in != prev_in:
+                d = cur - prev
+                denom = edge.real * d.imag - edge.imag * d.real
+                if denom != 0.0:
+                    t = (edge.real * (a.imag - prev.imag) - edge.imag * (a.real - prev.real)) / denom
+                    output.append(prev + t * d)
+            if cur_in:
+                output.append(cur)
+            prev = cur
+            prev_in = cur_in
+    return output
+
+
+def convex_intersection_area(
+    a: Sequence[complex], b: Sequence[complex]
+) -> float:
+    """Area of the intersection of two convex polygons (CCW vertex lists)."""
+    clipped = _clip_convex(a, b)
+    if len(clipped) < 3:
+        return 0.0
+    return polygon_area(clipped)
+
+
+class PairedSeriesTerm(NamedTuple):
+    """Consecutive-pair term F(j) of the power-law series."""
+
+    j: int
+    value: complex
+
+
+def paired_terms(s: float) -> Iterator[PairedSeriesTerm]:
+    """F(j) = f(2j)/(2j)^s - f(2j-1)/(2j-1)^s for j = 2, 3, ...
+
+    Both phases come from the harmonic_phases() stream, so streaming N
+    terms costs O(N), not O(N^2).
+    """
+    phases = harmonic_phases()
+    for j, ((k_odd, _, f_odd), (k_even, _, f_even)) in enumerate(zip(phases, phases), 2):
+        yield PairedSeriesTerm(
+            j, f_even * k_even ** (-s) - f_odd * k_odd ** (-s)
+        )
+
+
+def paired_term(j: int, s: float) -> PairedSeriesTerm:
+    """Single paired term F(j), j >= 2, s >= 0."""
+    if j < 2:
+        raise ValueError(f"paired_term requires j >= 2, got {j}")
+    if s < 0.0:
+        raise ValueError(f"paired_term requires s >= 0, got {s}")
+    h_odd = harmonic_number(2 * j - 1)
+    f_odd = unit_phase(float(2 * j - 1), h_odd)
+    f_even = unit_phase(float(2 * j), h_odd + 1.0 / (2 * j))
+    return PairedSeriesTerm(
+        j, f_even * (2 * j) ** (-s) - f_odd * (2 * j - 1) ** (-s)
+    )
+
+
+def bound_A(j: int, s: float) -> float:
+    """A(j, s) = (2j-1)(1 - (1 - 1/(2j))^s); strictly inside (0, s).
+
+    Written via expm1/log1p so the cancellation at large j costs nothing.
+    """
+    if j < 2:
+        raise ValueError(f"bound_A requires j >= 2, got {j}")
+    return -(2 * j - 1) * math.expm1(s * math.log1p(-1.0 / (2 * j)))
+
+
+def bound_B(j: int) -> float:
+    """B(j) = 2(2j-1) sin(pi (1/(2j-1) + 1/(2j))); increasing toward 4 pi."""
+    if j < 2:
+        raise ValueError(f"bound_B requires j >= 2, got {j}")
+    x = math.pi * (1.0 / (2 * j - 1) + 1.0 / (2 * j))
+    return 2.0 * (2 * j - 1) * math.sin(x)
+
+
+def golden_intersection_point() -> complex:
+    """The self-intersection point of the centers curve in its compact
+    spelling, -i e^{-pi i (4 (gamma + psi(phi)) + phi)} cot(pi phi) - 1.
+
+    Note the inner psi(phi), not psi(phi + 1): the two spellings agree
+    because 1/phi = phi - 1 shifts the phase by a whole number of turns.
+    Evaluated independently of center_closed so tests can report the
+    residual between the two routes.
+    """
+    arg = math.pi * (4.0 * (EULER_GAMMA + digamma(PHI)) + PHI)
+    cot = math.cos(math.pi * PHI) / math.sin(math.pi * PHI)
+    return -1j * cmath.exp(-1j * arg) * cot - 1.0

@@ -235,10 +235,15 @@ class TestUsageErrors:
             ["limit", "--s", "0.5", "--tol", "nan"],
             ["interp", "--length", "power:1", "--n", "3.5", "--tol", "inf"],
             ["interp", "--length", "power:1", "--n", "3.5", "--tol", "nan"],
+            ["limit", "--s", "0.5", "--tol", "1e-14"],
+            ["classify", "--length", "power:nan"],
+            ["classify", "--length", "inscribed:nan"],
+            ["classify", "--length", "power:inf"],
         ],
         ids=[
             "limit-max-terms-0", "telescope-check-n-max-0", "telescope-n-max-0",
             "limit-tol-inf", "limit-tol-nan", "interp-tol-inf", "interp-tol-nan",
+            "limit-tol-below-rounding", "power-nan", "inscribed-nan", "power-inf",
         ],
     )
     def test_zero_and_non_finite_values_are_refused(self, capsys, argv):

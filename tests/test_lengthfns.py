@@ -151,7 +151,10 @@ class TestParse:
         assert parse_length("telescoping").kind is LengthKind.TELESCOPING
 
     def test_bad_specs(self):
-        for bad in ("power", "power:x", "nope:1", "", "telescoping:1"):
+        for bad in (
+            "power", "power:x", "nope:1", "", "telescoping:1",
+            "power:nan", "inscribed:nan", "power:inf", "area:-inf",
+        ):
             with pytest.raises(ValueError):
                 parse_length(bad)
 

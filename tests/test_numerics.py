@@ -12,7 +12,6 @@ from ngonspiral.numerics import (
     harmonic_continued,
     harmonic_number,
     harmonic_real,
-    hurwitz_zeta,
     richardson,
 )
 
@@ -156,40 +155,6 @@ class TestEulerTransform:
         assert abs(res.value - math.pi**2 / 12.0) <= max(res.error_estimate, 1e-12)
 
 
-class TestHurwitzZeta:
-    def test_basel(self):
-        assert abs(hurwitz_zeta(2.0, 1.0) - math.pi**2 / 6.0) < 1e-12
-
-    def test_three_halves_center(self):
-        # brute-force oracle with 1e7 terms plus tail bound agrees with
-        # the closed form pi^2/2 - 4
-        assert abs(hurwitz_zeta(2.0, 1.5) - (math.pi**2 / 2.0 - 4.0)) < 1e-12
-
-    def test_fractional_s_against_brute_force(self):
-        # frozen value from the 1e7-term + Euler-Maclaurin-tail oracle
-        assert abs(hurwitz_zeta(1.5, 1.5) - 1.948110822808643) < 1e-9
-
-    def test_against_scipy(self):
-        for s in (1.1, 1.5, 2.0, 3.7):
-            for a in (0.25, 1.0, 1.5, 9.0):
-                assert abs(hurwitz_zeta(s, a) - sp.zeta(s, a)) < 1e-11
-
-    def test_shift_identity(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            s = rng.uniform(1.05, 4.0)
-            a = rng.uniform(0.1, 10.0)
-            lhs = hurwitz_zeta(s, a) - a ** (-s)
-            rhs = hurwitz_zeta(s, a + 1.0)
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(1.0, 1.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, 0.0)
-
-
 class TestRichardson:
     def test_eliminates_linear_error(self):
         limit = 3.5
@@ -210,3 +175,6 @@ class TestSettings:
         for tol in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite and positive"):
                 AccelerationSettings(target_tolerance=tol)
+        # below double rounding the transform would report false convergence
+        with pytest.raises(ValueError, match="at least 1e-13"):
+            AccelerationSettings(target_tolerance=1e-14)

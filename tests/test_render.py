@@ -54,7 +54,7 @@ class TestRenderSvg:
         for (cx, cy), z in zip(got, points):
             px, py = tr.to_px(z)
             assert math.hypot(cx - px, cy - py) < 0.5
-            back = tr.to_complex(cx, cy)
+            back = complex(tr.x0 + cx / tr.scale, tr.y0 + (tr.height - cy) / tr.scale)
             # inverse mapping recovers the point far below pixel scale
             assert abs(back - z) < 1e-9 * (tr.width / tr.scale)
 

@@ -12,18 +12,16 @@ from ngonspiral.numerics import (
 )
 from ngonspiral.spiral import (
     center,
-    convex_intersection_area,
     harmonic_phases,
     interpolated_vertex,
     phase_of_turns,
     polygon,
-    polygon_area,
     q_term,
-    theta,
     unit_phase,
     vertex,
     vertex_at,
 )
+from oracles import convex_intersection_area, polygon_area, theta
 
 import scipy.special as sp
 

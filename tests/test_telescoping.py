@@ -10,15 +10,15 @@ from ngonspiral.lengthfns import telescoping as telescoping_fn
 from ngonspiral.numerics import EULER_GAMMA, digamma, richardson
 from ngonspiral.spiral import q_term, vertex
 from ngonspiral.telescoping import (
-    CONSTANTS,
     PHI,
+    Q_LIMIT_AT_1,
     center_closed,
     q_closed,
     q_real_limit_estimate,
-    golden_intersection_point,
     vertex_closed,
     verify_telescoping_identity,
 )
+from oracles import golden_intersection_point
 
 # C_L(phi), frozen from a 40-dps evaluation of the closed form
 GOLDEN_POINT = complex(-0.611305553872685466, 0.00909054270848651906)
@@ -27,14 +27,14 @@ GOLDEN_POINT = complex(-0.611305553872685466, 0.00909054270848651906)
 class TestConstants:
     def test_zeros_of_length_function(self):
         f = telescoping_fn()
-        assert abs(f(CONSTANTS.zero_low)) < 1e-14
-        assert abs(f(CONSTANTS.zero_high)) < 1e-14
+        assert abs(f(4.0 / 3.0)) < 1e-14
+        assert abs(f(4.0)) < 1e-14
 
     def test_q_limit_constant(self):
-        assert abs(CONSTANTS.q_limit_at_1 - 4.0 * (1.0 - math.pi**2 / 6.0)) < 1e-15
+        assert abs(Q_LIMIT_AT_1 - 4.0 * (1.0 - math.pi**2 / 6.0)) < 1e-15
 
     def test_phi(self):
-        assert abs(CONSTANTS.phi**2 - CONSTANTS.phi - 1.0) < 1e-15
+        assert abs(PHI**2 - PHI - 1.0) < 1e-15
 
 
 class TestVertexClosed:
@@ -72,7 +72,7 @@ class TestQClosed:
         assert abs(q_closed(4.0 / 3.0)) < 1e-12
 
     def test_real_part_near_one(self):
-        target = CONSTANTS.q_limit_at_1
+        target = Q_LIMIT_AT_1
         assert abs(q_closed(1.0 + 1e-6).real - target) < 1e-2
 
     def test_agrees_with_generic_centers_formula(self):
@@ -149,8 +149,8 @@ class TestWindingRegions:
         x = 1.01
         while x < 20.0:
             v = f(x)
-            inside = CONSTANTS.zero_low < x < CONSTANTS.zero_high
-            if abs(x - CONSTANTS.zero_low) > 1e-6 and abs(x - CONSTANTS.zero_high) > 1e-6:
+            inside = 4.0 / 3.0 < x < 4.0
+            if abs(x - 4.0 / 3.0) > 1e-6 and abs(x - 4.0) > 1e-6:
                 assert (v < 0.0) == inside
             x += 0.0137
 
@@ -158,11 +158,11 @@ class TestWindingRegions:
 class TestQLimit:
     def test_richardson_extrapolation(self):
         est = q_real_limit_estimate()
-        assert abs(est - CONSTANTS.q_limit_at_1) < 1e-3
+        assert abs(est - Q_LIMIT_AT_1) < 1e-3
 
     def test_raw_values_approach(self):
         vals = [q_closed(1.0 + 10.0**-k).real for k in range(3, 7)]
-        errs = [abs(v - CONSTANTS.q_limit_at_1) for v in vals]
+        errs = [abs(v - Q_LIMIT_AT_1) for v in vals]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         extrap = richardson(vals).real
-        assert abs(extrap - CONSTANTS.q_limit_at_1) < 1e-6
+        assert abs(extrap - Q_LIMIT_AT_1) < 1e-6
