@@ -114,6 +114,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
               f"{outcome.center.imag:+.15g}i radius={outcome.radius:.15g}")
     else:
         print(f"Divergent: {outcome.reason}")
+        return 0
+    if not outcome.converged:
+        sys.stderr.write(f"classify: not converged within {args.max_terms} tail terms\n")
+        return NOT_CONVERGED
     return 0
 
 
@@ -125,7 +129,10 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         scene, _ = figures.fig_orbit(settings)
         _write_svg(args.out, scene)
     if not res.converged:
-        sys.stderr.write("orbit: center extrapolation failed its consistency check\n")
+        sys.stderr.write(
+            f"orbit: not converged (error estimate {res.error_estimate:.3e} "
+            f"after {res.terms_used} terms)\n"
+        )
         return NOT_CONVERGED
     return 0
 

@@ -1,16 +1,16 @@
 """Limit behavior of the vertex sequence: point, circular orbit, or divergence.
 
-For the power-law family the limit of V(n) is the alternating exponential
-sum
+Every limit here is one series over a catalog length function f = l,
 
-    W(s) = sum_{k>=3} (-1)^k e^{2 pi i (1/k - 2 H_k)} / k^s,
+    G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)},
 
-convergent to a point for s > 0, to a circular orbit of diameter 1 for
-s = 0, and divergent for s < 0.  Classification is decided analytically
-from the catalog's asymptotic exponent, never by watching partial sums
-fail.  The paper's absolute-convergence argument (the paired terms F(j)
-and their bounds A(j, s) and B(j)) is checked in the tests, not computed
-here.
+a direct head plus an Euler-transformed tail.  For l(k) = k^-s it is W(s),
+a point for s > 0.  For sides tending to a nonzero constant (exponent 0)
+it diverges by oscillation, and its Euler (regularised) sum is the orbit
+center; at s = 0 that is lim_{s->0+} W(s).  Growing sides diverge.  The
+class is decided from the catalog's asymptotic exponent, never by watching
+partial sums fail.  The paper's absolute-convergence argument (the paired
+terms F(j), their bounds A(j, s) and B(j)) is checked in the tests only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     head_tail_sum,
-    richardson,
 )
 from .spiral import harmonic_phases, vertex_at
 
@@ -42,9 +41,6 @@ __all__ = [
     "orbit_distance_law",
 ]
 
-# Surrogate grid for the one-sided s -> 0+ limit of W(s).
-_ORBIT_S_GRID = (1e-6, 1e-7, 1e-8)
-_ORBIT_CONSISTENCY = 1e-7
 # Largest convergence_curve grid (one accelerated limit, ~0.5 ms, per sample).
 _MAX_CURVE_SAMPLES = 10**4
 
@@ -55,6 +51,7 @@ class Point:
 
     value: complex
     error_estimate: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,7 @@ class CircularOrbit:
 
     center: complex
     radius: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -75,54 +73,39 @@ class Divergent:
 ConvergenceClass = Union[Point, CircularOrbit, Divergent]
 
 
+def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
+    """G_f of the module docstring; the one place a limit is summed."""
+    lf = f.as_callable()
+    return head_tail_sum((fk * lf(float(k)) for k, _, fk in harmonic_phases()), settings)
+
+
+def _orbit_settings(settings: AccelerationSettings) -> AccelerationSettings:
+    """``settings`` with the tolerance tightened to 1e-12 (see orbit_center)."""
+    return replace(settings, target_tolerance=min(settings.target_tolerance, 1e-12))
+
+
 def limit_point(
     s: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
-    """W(s) for s > 0: a direct head, then the tail by Euler transform.
+    """W(s) for s > 0, the limit point of the power-law spiral.
 
-    The transform reaches ~1e-13, the smallest tolerance that
-    AccelerationSettings accepts.  A tolerance it cannot meet within
-    ``settings.max_terms`` gives a not-converged result carrying the best
-    estimate, which callers must check.
+    A tolerance not met within ``settings.max_terms`` gives a not-converged
+    result carrying the best estimate, which callers must check.
     """
     if not s > 0.0:
         raise ValueError(f"limit_point requires s > 0, got {s}")
-    terms = (fk * k ** (-s) for k, _, fk in harmonic_phases())
-    return head_tail_sum(terms, settings or AccelerationSettings())
+    return _limit_series(power_law(s), settings or AccelerationSettings())
 
 
 def orbit_center(settings: AccelerationSettings | None = None) -> SummationResult:
-    """Center of the s = 0 circular orbit, lim_{s -> 0+} W(s).
+    """Center of the s = 0 orbit: W(0) summed in the Euler (regularised)
+    sense, which equals lim_{s -> 0+} W(s).
 
-    W(s) is linear in s near zero to very high accuracy (the measured slope
-    is about -1.32 - 3.77i), so the raw surrogate W(1e-8) sits ~4e-8 from
-    the limit.  The limit is therefore realized by Richardson extrapolation
-    over s in {1e-6, 1e-7, 1e-8}, with a consistency check that the
-    stage-one extrapolants and the surrogate all fall within 1e-7 of the
-    extrapolated value.
+    The tolerance is tightened to at least 1e-12: the center is a constant
+    reported to ~13 digits, and 60 terms reach 1e-12, so a looser sum
+    would lose digits for no saving.
     """
-    settings = settings or AccelerationSettings()
-    tight = replace(settings, target_tolerance=min(settings.target_tolerance, 1e-12))
-    results = [limit_point(s, tight) for s in _ORBIT_S_GRID]
-    values = [r.value for r in results]
-    extrapolated = richardson(values)
-    stage_one = [
-        (10.0 * values[i + 1] - values[i]) / 9.0 for i in range(len(values) - 1)
-    ]
-    consistent = all(
-        abs(v - extrapolated) <= _ORBIT_CONSISTENCY for v in stage_one
-    ) and abs(values[-1] - extrapolated) <= _ORBIT_CONSISTENCY
-    converged = consistent and all(r.converged for r in results)
-    err = max(
-        max(r.error_estimate for r in results),
-        max(abs(v - extrapolated) for v in stage_one),
-    )
-    return SummationResult(
-        value=extrapolated,
-        error_estimate=err,
-        converged=converged,
-        terms_used=sum(r.terms_used for r in results),
-    )
+    return _limit_series(power_law(0.0), _orbit_settings(settings or AccelerationSettings()))
 
 
 def classify(
@@ -130,12 +113,12 @@ def classify(
 ) -> ConvergenceClass:
     """Limit behavior of V_f(n) as n grows, decided from the asymptote.
 
-    Positive exponent: the series converges absolutely after pairing, to a
-    point evaluated by acceleration.  Exponent zero (side lengths tending
-    to a nonzero constant c): the even-indexed vertices trace the circle of
-    radius c/2 around c * lim W(s) + p, where p is the convergent limit of
-    the residual series with c subtracted from every side length.  Negative
-    exponent: the terms grow, so the sequence diverges.
+    Positive exponent: the series converges absolutely after pairing, to
+    the point G_f.  Exponent zero (side lengths tending to a nonzero
+    constant c): the even-indexed vertices trace the circle of radius c/2
+    around the regularised G_f, summed at orbit_center's tolerance.
+    Negative exponent: the terms grow, so the sequence diverges.  Point and
+    CircularOrbit carry the sum's convergence flag.
     """
     settings = settings or AccelerationSettings()
     asym = f.asymptote()
@@ -144,16 +127,11 @@ def classify(
             "terms do not approach 0: side lengths grow like "
             f"n^{-asym.exponent:g}"
         )
-    lf = f.as_callable()
     if asym.exponent > 0.0:
-        terms = (fk * lf(float(k)) for k, _, fk in harmonic_phases())
-        res = head_tail_sum(terms, settings)
-        return Point(value=res.value, error_estimate=res.error_estimate)
-    c = asym.scale
-    base = orbit_center(settings)
-    terms = (fk * (lf(float(k)) - c) for k, _, fk in harmonic_phases())
-    residual = head_tail_sum(terms, settings)
-    return CircularOrbit(center=c * base.value + residual.value, radius=0.5 * c)
+        res = _limit_series(f, settings)
+        return Point(res.value, res.error_estimate, res.converged)
+    res = _limit_series(f, _orbit_settings(settings))
+    return CircularOrbit(res.value, 0.5 * asym.scale, res.converged)
 
 
 def orbit_distance_law(

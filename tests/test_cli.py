@@ -112,6 +112,13 @@ class TestClassify:
         assert out.startswith("CircularOrbit")
         assert "radius=0.5" in out
 
+    @pytest.mark.parametrize("spec, kind", [("power:0.5", "Point"), ("power:0", "CircularOrbit")])
+    def test_starved_budget_is_flagged(self, capsys, spec, kind):
+        code, out, err = run_cli(capsys, "classify", "--length", spec, "--max-terms", "4")
+        assert code == 2
+        assert out.startswith(kind)  # best estimate still printed
+        assert "classify: not converged" in err
+
 
 class TestOrbit:
     def test_center_digits(self, capsys):
@@ -119,6 +126,12 @@ class TestOrbit:
         assert code == 0
         (_, _, z), = parse_csv(out)
         assert abs(z - complex(1.2171196025655378, 2.6854140487169539)) < 1e-10
+
+    def test_starved_budget_is_flagged(self, capsys):
+        code, out, err = run_cli(capsys, "orbit", "--max-terms", "4")
+        assert code == 2
+        assert parse_csv(out)
+        assert "orbit: not converged (error estimate" in err
 
 
 class TestCurve:

@@ -21,6 +21,7 @@ from ngonspiral.lengthfns import (
     area_normalized,
     circumscribed,
     inscribed,
+    parse_length,
     power_law,
     telescoping,
 )
@@ -96,10 +97,13 @@ def _cvz_sum(a):
     return total / d
 
 
-def _w_cvz(s):
-    """W(s): direct head k < 48 (even, so the tail enters with sign +1),
-    then a 24-term CVZ tail."""
-    g = [fk * k ** (-s) for k, _, fk in islice(harmonic_phases(), 45 + 24)]
+def _cvz_limit(f):
+    """sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)}: direct head k < 48
+    (even, so the tail enters with sign +1), then a 24-term CVZ tail.  For
+    exponent-0 families CVZ, like the Euler transform, is a regular method,
+    so it gives the same regularised sum."""
+    lf = f.as_callable()
+    g = [fk * lf(float(k)) for k, _, fk in islice(harmonic_phases(), 45 + 24)]
     head = sum(-x if k % 2 else x for k, x in zip(range(3, 48), g))
     return head + _cvz_sum(g[45:])
 
@@ -117,9 +121,28 @@ class TestSecondEstimator:
             s = math.exp(log_s)
             res = limit_point(s, TIGHT)
             assert res.converged
-            assert abs(res.value - _w_cvz(s)) < 1e-13
+            assert abs(res.value - _cvz_limit(power_law(s))) < 1e-13
 
         check()
+
+    # The bound catches a center split into c * orbit_center plus a residual
+    # summed at the CLI tolerance 1e-8: that is 2.1e-10 to 8.5e-10 off for
+    # the non-power families, while the one sum is within 1.4e-13.
+    @pytest.mark.parametrize(
+        "spec", ["power:0", "inscribed:-1", "circumscribed:-1", "area:-2", "telescoping"]
+    )
+    def test_orbit_centers_agree_with_cvz(self, spec):
+        f = parse_length(spec)
+        out = classify(f, AccelerationSettings(1e-8))
+        assert isinstance(out, CircularOrbit) and out.converged
+        assert abs(out.center - _cvz_limit(f)) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["inscribed:0", "circumscribed:1", "area:0", "power:2"])
+    def test_points_agree_with_cvz(self, spec):
+        f = parse_length(spec)
+        out = classify(f, TIGHT)
+        assert isinstance(out, Point) and out.converged
+        assert abs(out.value - _cvz_limit(f)) < 1e-12
 
 
 class TestPairedTerms:
@@ -229,6 +252,11 @@ class TestClassify:
         assert out.radius == 0.5
         assert abs(out.center - ORBIT_CENTER) < 1e-10
 
+    @pytest.mark.parametrize("settings", [None, AccelerationSettings(1e-8)])
+    def test_orbit_is_orbit_center_bit_for_bit(self, settings):
+        # one route: the s = 0 class and orbit_center are the same sum
+        assert classify(power_law(0.0), settings).center == orbit_center(settings).value
+
     def test_divergent_for_negative_exponent(self):
         out = classify(power_law(-1.0))
         assert isinstance(out, Divergent)
@@ -238,12 +266,12 @@ class TestClassify:
         assert isinstance(classify(power_law(-0.5)), Divergent)
 
     def test_telescoping_orbit_matches_closed_form(self):
-        # decomposition route: 2 * orbit_center + lim sum (-1)^k f(k)(L(k)-2)
-        # must land on the closed-form circle center -1, radius 1
+        # the regularised sum must land on the closed-form circle center -1,
+        # radius 1
         out = classify(telescoping())
         assert isinstance(out, CircularOrbit)
         assert out.radius == 1.0
-        assert abs(out.center - (-1.0 + 0j)) < 1e-8
+        assert abs(out.center - (-1.0 + 0j)) < 1e-12
 
     def test_inscribed_boundary_orbit(self):
         out = classify(inscribed(-1.0))

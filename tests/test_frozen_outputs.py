@@ -40,7 +40,7 @@ FROZEN = [
     (
         "orbit --out fig3a.svg",
         0,
-        "3ef084a74936379277b878a9cf7905230aa4e665c39b45b0e55c88be923aaa41",
+        "029d78f8e3b251a2865e676e4a4e7948966e42aa4a42cedb0872c3113e9de2c0",
         {"fig3a.svg": "7a004b3a6242647f7490a7c61cf882fbbb93e5bdf62af32fabfd2b78a54deed3"},
     ),
     (
