@@ -4,13 +4,14 @@ Every limit here is one series over a catalog length function f = l,
 
     G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)},
 
-a direct head plus an Euler-transformed tail.  For l(k) = k^-s it is W(s),
-a point for s > 0.  For sides tending to a nonzero constant (exponent 0)
-it diverges by oscillation, and its Euler (regularised) sum is the orbit
-center; at s = 0 that is lim_{s->0+} W(s).  Growing sides diverge.  The
-class is decided from the catalog's asymptotic exponent, never by watching
-partial sums fail.  The paper's absolute-convergence argument (the paired
-terms F(j), their bounds A(j, s) and B(j)) is checked in the tests only.
+summed by spiral._limit_series as a direct head plus an Euler-transformed
+tail.  For l(k) = k^-s it is W(s), a point for s > 0.  For sides tending
+to a nonzero constant (exponent 0) it diverges by oscillation, and its
+Euler (regularised) sum is the orbit center; at s = 0 that is
+lim_{s->0+} W(s).  Growing sides diverge.  The class is decided from the
+catalog's asymptotic exponent, never by watching partial sums fail.  The
+paper's absolute-convergence argument (the paired terms F(j), their
+bounds A(j, s) and B(j)) is checked in the tests only.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 from .lengthfns import LengthFunction, power_law
-from .numerics import (
-    TWO_PI,
-    AccelerationSettings,
-    SummationResult,
-    head_tail_sum,
-)
-from .spiral import harmonic_phases, vertex_at
+from .numerics import TWO_PI, AccelerationSettings, SummationResult
+from .spiral import _limit_series, vertex_at
 
 __all__ = [
     "CircularOrbit",
@@ -71,12 +67,6 @@ class Divergent:
 
 
 ConvergenceClass = Union[Point, CircularOrbit, Divergent]
-
-
-def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
-    """G_f of the module docstring; the one place a limit is summed."""
-    lf = f.as_callable()
-    return head_tail_sum((fk * lf(float(k)) for k, _, fk in harmonic_phases()), settings)
 
 
 def _orbit_settings(settings: AccelerationSettings) -> AccelerationSettings:
@@ -140,7 +130,8 @@ def orbit_distance_law(
     """Empirical versus predicted distance between orbit points U(nr), U(n).
 
     U(m) = V(PowerLaw{0}, 2m); the prediction is |sin(2 pi ln r)|.  Requires
-    n >= 10 and n*r integral (within 1e-9).
+    n >= 10 and n*r integral (within 1e-9).  Both vertices come from one
+    vertex_at call, so for n above 1,024 each costs O(1), not 2n terms.
     """
     if n < 10:
         raise ValueError(f"orbit_distance_law requires n >= 10, got {n}")

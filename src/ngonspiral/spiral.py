@@ -14,6 +14,12 @@ reads that phase from the one stream harmonic_phases(): its reduced angle
 stays O(log k) instead of O(k), dodging the argument-reduction error of
 the raw closed form, so no kernel evaluates theta_n itself.
 
+A deep vertex costs O(1), not O(n): when the sides do not grow, V(n) is
+the whole series G_f (a point, or the orbit center when the sides tend to
+a constant) minus its tail beyond n, and both are Euler-summed in a
+handful of terms.  vertex_at streams only the short gaps between the
+indices it is asked for, and every index up to 2,048.
+
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
 the telescoping module are smooth.
@@ -21,6 +27,7 @@ the telescoping module are smooth.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -34,6 +41,7 @@ from .numerics import (
     ComplexCompensatedSum,
     CompensatedSum,
     SummationResult,
+    euler_transform_sum,
     harmonic_continued,
     harmonic_number,
     harmonic_real,
@@ -97,15 +105,17 @@ def signed_phase(n: float) -> complex:
     return cmath.exp(1j * math.pi * n)
 
 
-def harmonic_phases() -> Iterator[tuple[int, float, complex]]:
-    """(k, H_k, e^{2 pi i (1/k - 2 H_k)}) for k = 3, 4, 5, ...
+def harmonic_phases(start: int = 3) -> Iterator[tuple[int, float, complex]]:
+    """(k, H_k, e^{2 pi i (1/k - 2 H_k)}) for k = start, start + 1, ...
 
-    H_k advances by compensated increments from the memoized H_2, so
-    streaming N terms costs O(N); the phase equals unit_phase(k, H_k).
+    H_k advances by compensated increments, so streaming N terms costs O(N);
+    the phase equals unit_phase(k, H_k).  From start = 3 the increments
+    begin at the memoized H_2; from any later start, at the digamma
+    continuation of H_{start-1}, so a deep stream starts in O(1).
     """
-    h = CompensatedSum(harmonic_number(2))
+    h = CompensatedSum(harmonic_number(2) if start == 3 else harmonic_continued(start - 1))
     add, cos, sin = h.add, math.cos, math.sin  # locals: this loop is the hot path
-    for k in itertools.count(3):
+    for k in itertools.count(start):
         inv = 1.0 / k
         add(inv)
         hk = h.value
@@ -114,25 +124,130 @@ def harmonic_phases() -> Iterator[tuple[int, float, complex]]:
         yield k, hk, complex(cos(ang), sin(ang))
 
 
-def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
-    """Shared vertices V_f(n) for several indices in one streaming pass.
-
-    V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)},
-    accumulated left to right over harmonic_phases() with compensated
-    complex summation.
-    """
-    wanted = {int(n) for n in indices}
-    if wanted and min(wanted) < 2:
-        raise ValueError(f"vertex indices must be >= 2, got {min(wanted)}")
-    out = {2: 0j} if 2 in wanted else {}
+def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
+    """G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)}, the whole vertex
+    series: a direct head plus an Euler-transformed tail, the regularised
+    sum when the sides tend to a constant.  The one place it is summed: the
+    limits of the convergence module and the deep vertices here."""
     lf = f.as_callable()
-    acc = ComplexCompensatedSum()
-    add = acc.add
-    for k, _, phase in itertools.islice(harmonic_phases(), max(wanted, default=2) - 2):
-        scale = lf(float(k))
-        add(-scale * phase if k % 2 else scale * phase)
-        if k in wanted:
-            out[k] = acc.value
+    return head_tail_sum((fk * lf(float(k)) for k, _, fk in harmonic_phases()), settings)
+
+
+# vertex_at streams from one wanted index to the next, except that an index
+# above _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is
+# read as G_f minus an Euler-summed tail, ~0.1 ms, about the cost of
+# streaming 50 terms.  _TAIL_FROM lies above figures._MAX_POLYGON, so the
+# figures and every shallow index keep their streamed bits.
+_TAIL_FROM = 2048
+_JUMP_GAP = 64
+_TAIL_SETTINGS = AccelerationSettings(1e-13)
+# Work cap of one vertex_at call in streamed terms (~25 s); a jump counts
+# as _JUMP_GAP terms.
+_MAX_STREAM = 10**7
+
+
+def _deep_gaps(order: list[int]) -> dict[int, int]:
+    """{n: gap} over the indices of ascending ``order`` above _TAIL_FROM
+    whose gap to the previous index (2 for the first) exceeds _JUMP_GAP.
+
+    Bisects: the gaps of order[i:j] sum to order[j-1] - order[i-1] and are
+    each >= 1, so a block whose span is at most (j - i - 1) + _JUMP_GAP
+    holds none, and a dense range costs O(1).
+    """
+    out = {}
+    blocks = [(bisect.bisect_right(order, _TAIL_FROM), len(order))]
+    while blocks:
+        i, j = blocks.pop()
+        prev = order[i - 1] if i else 2
+        if i == j or order[j - 1] - prev <= j - i - 1 + _JUMP_GAP:
+            continue
+        if j - i == 1:
+            out[order[i]] = order[i] - prev
+            continue
+        mid = (i + j) // 2
+        blocks += [(mid, j), (i, mid)]  # left block first: ascending output
+    return out
+
+
+def _check_work(deepest: int, jumps: dict[int, int]) -> None:
+    """Refuse a walk to ``deepest`` that costs more than _MAX_STREAM terms.
+
+    Every gap streams except those of ``jumps`` ({n: gap}), which cost
+    _JUMP_GAP each; the streamed gaps telescope to deepest - 2 minus the
+    jumped ones.
+    """
+    cost = deepest - 2 - sum(gap - _JUMP_GAP for gap in jumps.values())
+    if cost > _MAX_STREAM:
+        raise ValueError(
+            f"vertex_at allows {_MAX_STREAM} streamed terms, these indices need {cost}"
+        )
+
+
+def _jump(f: LengthFunction, deep: dict[int, int]) -> dict[int, complex]:
+    """{n: V(n)} with V(n) = G_f - (-1)^{n+1} E(n+1) for the indices n of
+    ``deep`` ({n: gap}), where E(n+1) = sum_{j>=0} (-1)^j l(k) u(k) with
+    k = n+1+j is the Euler-summed tail (4-8 terms).  An index whose tail
+    misses _TAIL_SETTINGS is left out, and all are when G_f misses it.
+    """
+    if not deep:
+        return {}
+    whole = _limit_series(f, _TAIL_SETTINGS)
+    if not whole.converged:
+        return {}
+    lf = f.as_callable()
+    out = {}
+    for n in deep:
+        tail = euler_transform_sum(
+            (lf(float(k)) * phase for k, _, phase in harmonic_phases(n + 1)), _TAIL_SETTINGS
+        )
+        if tail.converged:
+            out[n] = whole.value - tail.value if n % 2 else whole.value + tail.value
+    return out
+
+
+def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
+    """Shared vertices V_f(n) for several indices in one ascending walk.
+
+    V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
+    Each index streams from the previous one (from V(2) for the first)
+    over harmonic_phases() with compensated complex summation, so dense
+    ranges and every index up to 2,048 are direct sums.  An index above
+    2,048 more than 64 past the previous one instead jumps, in O(1):
+    V(n) = G_f - sum_{k>n} (-1)^k l(k) u(k), the whole series (the
+    regularised one for exponent 0) minus its Euler-summed tail, both at
+    tolerance 1e-13.  It streams after all when the family's sides grow,
+    or when G_f or the tail does not converge.
+
+    Raises ``ValueError`` before any streaming when the walk would stream
+    more than 10^7 terms (~25 s), counting each jump as 64.
+    """
+    wanted = set(map(int, indices))
+    order = sorted(wanted)
+    if not order:
+        return {}
+    if order[0] < 2:
+        raise ValueError(f"vertex indices must be >= 2, got {order[0]}")
+    deep = _deep_gaps(order) if f.asymptote().exponent >= 0.0 else {}
+    _check_work(order[-1], deep)
+    jumps = _jump(f, deep)
+    _check_work(order[-1], {n: deep[n] for n in jumps})
+    # runs (start, V(start), end): one stream from each start to the index
+    # before the next start, the last one to the deepest index
+    starts = [(2, 0j), *jumps.items()]
+    ends = [n - deep[n] for n in jumps] + [order[-1]]
+    out = {}
+    lf = f.as_callable()
+    for (start, base), end in zip(starts, ends):
+        if start in wanted:
+            out[start] = base
+        acc = ComplexCompensatedSum()
+        add = acc.add
+        add(base)
+        for k, _, phase in itertools.islice(harmonic_phases(start + 1), end - start):
+            scale = lf(float(k))
+            add(-scale * phase if k % 2 else scale * phase)
+            if k in wanted:
+                out[k] = acc.value
     return out
 
 

@@ -2,8 +2,9 @@
 
 These restate what the paper proves with tools that no library path needs:
 the heading theta_n, the paired terms F(j) with their bounds A(j, s) and
-B(j), the compact spelling of the golden intersection point, and the
-convex-clipping area that shows consecutive n-gons do not overlap.  The
+B(j), the compact spelling of the golden intersection point, the
+convex-clipping area that shows consecutive n-gons do not overlap, and a
+40-digit mpmath value of deep vertices.  The
 tests check the library against them; the library never calls them.
 """
 
@@ -149,3 +150,45 @@ def golden_intersection_point() -> complex:
     arg = math.pi * (4.0 * (EULER_GAMMA + digamma(PHI)) + PHI)
     cot = math.cos(math.pi * PHI) / math.sin(math.pi * PHI)
     return -1j * cmath.exp(-1j * arg) * cot - 1.0
+
+
+def mp_vertices(spec: str, indices: Sequence[int]) -> dict[int, complex]:
+    """V_f(n) at 40 digits for the family of CLI spec ``spec``, rounded to
+    complex doubles: the whole series minus its tail from n + 1, each
+    summed as a direct head (k < 40) and Cohen-Villegas-Zagier tails of 64
+    terms (Algorithm 1 of Cohen, Rodriguez Villegas and Zagier, 2000).
+    Needs mpmath, which the library never imports.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        if spec == "telescoping":
+            def length(x):
+                return 2 * mp.cos(2 * mp.pi / x)
+        else:
+            kind, _, arg = spec.partition(":")
+            s = mp.mpf(arg)
+            length = {
+                "power": lambda x: x ** (-s),
+                "inscribed": lambda x: 2 * x ** (-s) * mp.sin(mp.pi / x),
+                "circumscribed": lambda x: 2 * x ** (-s) * mp.tan(mp.pi / x),
+                "area": lambda x: mp.sqrt(4 * x ** (-s) * mp.tan(mp.pi / x) / x),
+            }[kind]
+
+        def g(k):
+            x = mp.mpf(k)
+            return length(x) * mp.expjpi(2 * (1 / x - 2 * mp.harmonic(x)))
+
+        def tail_from(start, terms=64):
+            # sum_{k>=start} (-1)^k g(k)
+            d = (3 + mp.sqrt(8)) ** terms
+            d = (d + 1 / d) / 2
+            b, c, total = mp.mpf(-1), -d, mp.mpc(0)
+            for j in range(terms):
+                c = b - c
+                total += c * g(start + j)
+                b = b * (j + terms) * (j - terms) / ((j + mp.mpf(1) / 2) * (j + 1))
+            return (-1 if start % 2 else 1) * total / d
+
+        whole = sum((-1) ** k * g(k) for k in range(3, 40)) + tail_from(40)
+        return {n: complex(whole - tail_from(n + 1)) for n in indices}

@@ -300,6 +300,11 @@ class TestDistanceLaw:
         assert abs(pred - abs(math.sin(2.0 * math.pi * math.log(2.0)))) < 1e-15
         assert abs(emp - pred) < 5e-3
 
+    def test_r_two_deep(self):
+        # both vertices jump, so n = 1e7 costs no 4e7-term stream
+        emp, pred = orbit_distance_law(2.0, 10**7)
+        assert abs(emp - abs(math.sin(2.0 * math.pi * math.log(2.0)))) < 10.0 / 10**7
+
     def test_r_near_e_prediction_small(self):
         # 2 pi ln r close to 2 pi: prediction nearly vanishes
         _, pred = orbit_distance_law(2.71828, 25_000)

@@ -1,13 +1,18 @@
 import cmath
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ngonspiral.lengthfns import inscribed, power_law, telescoping
+from ngonspiral import spiral
+from ngonspiral.lengthfns import inscribed, parse_length, power_law, telescoping
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
+    ComplexCompensatedSum,
+    SummationResult,
     harmonic_number,
 )
 from ngonspiral.spiral import (
@@ -21,7 +26,7 @@ from ngonspiral.spiral import (
     vertex,
     vertex_at,
 )
-from oracles import convex_intersection_area, polygon_area, theta
+from oracles import convex_intersection_area, mp_vertices, polygon_area, theta
 
 import scipy.special as sp
 
@@ -107,6 +112,125 @@ class TestVertex:
     def test_domain(self):
         with pytest.raises(ValueError):
             vertex(power_law(1.0), 1)
+
+
+# Catalog families whose sides do not grow, so deep indices jump; the first
+# seven vanish, the last five tend to a constant (exponent 0).
+VANISHING = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0",
+             "circumscribed:1", "area:0")
+CONSTANT = ("power:0", "inscribed:-1", "circumscribed:-1", "area:-2", "telescoping")
+DEEP_N = (2049, 4097, 10**5 + 1, 10**6, 10**7, 10**7 + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _summed_moduli(spec: str, n_max: int) -> tuple[float, ...]:
+    """sum_{k=3}^{n} |l(k)| for n = 2, ..., n_max."""
+    f = parse_length(spec)
+    return (0.0, *itertools.accumulate(abs(f(float(k))) for k in range(3, n_max + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _streamed(spec: str, n_max: int) -> tuple[complex, ...]:
+    """V(2), ..., V(n_max) by the direct streaming loop, the reference that
+    every streamed index must equal bit for bit."""
+    lf = parse_length(spec).as_callable()
+    acc = ComplexCompensatedSum()
+    out = [0j]
+    for k, _, phase in itertools.islice(harmonic_phases(), n_max - 2):
+        scale = lf(float(k))
+        acc.add(-scale * phase if k % 2 else scale * phase)
+        out.append(acc.value)
+    return tuple(out)
+
+
+class TestDeepVertices:
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        # measured worst: 6.1e-14 vanishing (power:1e-3), 3.9e-13 exponent 0
+        # (inscribed:-1, whose sides tend to 2 pi)
+        bound = 1e-13 if spec in VANISHING else 2e-12
+        got = vertex_at(parse_length(spec), DEEP_N)
+        ref = mp_vertices(spec, DEEP_N)
+        for n in DEEP_N:
+            assert abs(got[n] - ref[n]) < bound, (spec, n)
+
+    def test_jump_matches_stream(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # The stream, not the jump, is the inexact side here (it is off by
+        # up to 6e-12 from mpmath at n <= 2e4): its rounding grows with the
+        # summed modulus of its terms, so the bound does too.  Measured
+        # worst over 2,460 draws: 0.36 of it.
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.sampled_from(VANISHING + CONSTANT), st.integers(2049, 20_000))
+        def check(spec, n):
+            gap = abs(vertex_at(parse_length(spec), [n])[n] - _streamed(spec, 20_000)[n - 2])
+            assert gap < 1e-13 + 4.4e-16 * _summed_moduli(spec, 20_000)[n - 2]
+
+        check()
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:0", "telescoping"])
+    def test_shallow_indices_are_streamed_bits(self, spec):
+        ref = _streamed(spec, 6000)
+        f = parse_length(spec)
+        for n, v in vertex_at(f, [2, 3, 100, 777, 2047, 2048]).items():
+            assert v == ref[n - 2], n
+        assert list(vertex_at(f, range(2, 6001)).values()) == list(ref)
+
+    @pytest.mark.parametrize("spec", ["power:-1", "inscribed:-2"])
+    def test_growing_family_streams(self, spec):
+        assert vertex(parse_length(spec), 5000) == _streamed(spec, 5000)[-1]
+
+    @pytest.mark.parametrize(
+        "name, stub",
+        [
+            ("_TAIL_SETTINGS", AccelerationSettings(1e-13, max_terms=4)),
+            ("_limit_series", lambda *args: SummationResult(0j, 1.0, False, 4)),
+            ("euler_transform_sum", lambda *args: SummationResult(0j, 1.0, False, 4)),
+        ],
+    )
+    def test_unconverged_sum_falls_back_to_stream(self, monkeypatch, name, stub):
+        # starved settings, then G_f alone, then the tail alone misses
+        monkeypatch.setattr(spiral, name, stub)
+        assert vertex(power_law(1.0), 5000) == _streamed("power:1", 5000)[-1]
+
+    def test_deep_index_reads_a_few_terms(self, monkeypatch):
+        consumed = []
+        stream = spiral.harmonic_phases
+
+        def counting(start=3):
+            for term in stream(start):
+                consumed.append(term[0])
+                yield term
+
+        monkeypatch.setattr(spiral, "harmonic_phases", counting)
+        v = vertex_at(power_law(0.5), (10**6, 10**6 + 3))
+        assert len(v) == 2
+        # G_f (~65 terms), one tail (4-8 terms) and a 3-term gap
+        assert len(consumed) < 100
+
+    def test_stream_cap_is_exact(self, monkeypatch):
+        # the stream is replaced by a failure, so the cap itself never runs
+        def refuse(*args):
+            raise AssertionError("streamed")
+
+        monkeypatch.setattr(spiral, "harmonic_phases", refuse)
+        cap = spiral._MAX_STREAM
+        growing = power_law(-1.0)
+        with pytest.raises(AssertionError, match="streamed"):
+            vertex(growing, cap + 2)
+        with pytest.raises(ValueError, match="streamed terms"):
+            vertex(growing, cap + 3)
+        # each jump counts as _JUMP_GAP terms
+        step = spiral._JUMP_GAP + 1
+        jumps = cap // spiral._JUMP_GAP
+        first = spiral._TAIL_FROM + 1
+        with pytest.raises(AssertionError, match="streamed"):
+            vertex_at(power_law(1.0), range(first, first + step * jumps, step))
+        with pytest.raises(ValueError, match="streamed terms"):
+            vertex_at(power_law(1.0), range(first, first + step * (jumps + 1), step))
 
 
 class TestQTerm:
@@ -272,6 +396,16 @@ class TestPhaseHelpers:
                 break
             assert hk == harmonic_number(k), k
             assert phase == unit_phase(float(k), hk), k
+
+    def test_deep_start_is_seeded_in_o1(self):
+        deep = harmonic_phases(5001)
+        for (k, hk, phase), (k_ref, hk_ref, phase_ref) in zip(
+            itertools.islice(deep, 50),
+            itertools.islice(harmonic_phases(), 5001 - 3, 5051 - 3),
+        ):
+            assert k == k_ref
+            assert abs(hk - hk_ref) < 1e-14
+            assert abs(phase - phase_ref) < 1e-13
 
     def test_phase_of_turns_reduces_exactly(self):
         for t in (0.25, -12345.75, 1e8 + 0.125):
