@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "harmonic_continued",
     "harmonic_number",
     "harmonic_real",
-    "head_tail_sum",
     "richardson",
 ]
 
@@ -254,31 +253,6 @@ def euler_transform_sum(
         if used >= 4 and last_err <= tol:
             return SummationResult(total, last_err, True, used)
     return SummationResult(best, best_err, False, used)
-
-
-# Series over k >= 3 are summed directly below k = _HEAD_STOP, where the
-# phase still swings hard; the smooth tail goes to the Euler transform.  Even,
-# so the tail enters with sign +1.
-_HEAD_STOP = 48
-
-
-def head_tail_sum(
-    terms: Iterable[complex], settings: AccelerationSettings
-) -> SummationResult:
-    """sum_{k>=3} (-1)^k g(k) from the unsigned terms g(3), g(4), ...
-
-    The head k < _HEAD_STOP is summed with compensation; the rest goes
-    through euler_transform_sum, whose outcome (error estimate, convergence
-    flag) the result carries.  ``terms_used`` counts both.
-    """
-    terms = iter(terms)
-    acc = ComplexCompensatedSum()
-    for k, g in zip(range(3, _HEAD_STOP), terms):
-        acc.add(-g if k % 2 else g)
-    tail = euler_transform_sum(terms, settings)
-    return replace(
-        tail, value=acc.value + tail.value, terms_used=(_HEAD_STOP - 3) + tail.terms_used
-    )
 
 
 def richardson(values: Sequence[complex]) -> complex:

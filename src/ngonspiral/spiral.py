@@ -8,17 +8,17 @@ followed from one shared vertex to the next has the closed form
 
 and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
-the phase reduces to (-1)^k e^{2 pi i (1/k - 2 H_k)}.  Every series over
-integer k (vertices, limits, the interpolant and the telescoping check)
-reads that phase from the one stream harmonic_phases(): its reduced angle
-stays O(log k) instead of O(k), dodging the argument-reduction error of
-the raw closed form, so no kernel evaluates theta_n itself.
+the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, and
+every series reads u from the one stream harmonic_phases(): its reduced
+angle stays O(log x) instead of O(x), dodging the argument-reduction error
+of the raw closed form.  As the whole series minus its tail, the vertices
+and their smooth continuation to real n are one formula,
 
-A deep vertex costs O(1), not O(n): when the sides do not grow, V(n) is
-the whole series G_f (a point, or the orbit center when the sides tend to
-a constant) minus its tail beyond n, and both are Euler-summed in a
-handful of terms.  vertex_at streams only the short gaps between the
-indices it is asked for, and every index up to 2,048.
+    V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
+
+with one kernel for E.  G_f is the limit (a point, or the orbit center when
+the sides tend to a constant); interpolated_vertex reads the formula at real
+n, and vertex_at at deep indices, in O(1), streaming only short gaps.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -31,7 +31,7 @@ import bisect
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .lengthfns import LengthFunction
@@ -45,7 +45,6 @@ from .numerics import (
     harmonic_continued,
     harmonic_number,
     harmonic_real,
-    head_tail_sum,
 )
 
 __all__ = [
@@ -105,17 +104,19 @@ def signed_phase(n: float) -> complex:
     return cmath.exp(1j * math.pi * n)
 
 
-def harmonic_phases(start: int = 3) -> Iterator[tuple[int, float, complex]]:
-    """(k, H_k, e^{2 pi i (1/k - 2 H_k)}) for k = start, start + 1, ...
+def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
+    """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
+    E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)}.
 
-    H_k advances by compensated increments, so streaming N terms costs O(N);
-    the phase equals unit_phase(k, H_k).  From start = 3 the increments
-    begin at the memoized H_2; from any later start, at the digamma
-    continuation of H_{start-1}, so a deep stream starts in O(1).
+    ``start`` may be real; each x is start + j, an int when ``start`` is.
+    H_x advances by compensated increments, so N terms cost O(N), from the
+    memoized H_2 at start = 3 and from the digamma continuation of
+    H_{start-1} at any other start, so a deep or real stream starts in O(1).
     """
     h = CompensatedSum(harmonic_number(2) if start == 3 else harmonic_continued(start - 1))
     add, cos, sin = h.add, math.cos, math.sin  # locals: this loop is the hot path
-    for k in itertools.count(start):
+    for j in itertools.count():
+        k = start + j
         inv = 1.0 / k
         add(inv)
         hk = h.value
@@ -124,18 +125,57 @@ def harmonic_phases(start: int = 3) -> Iterator[tuple[int, float, complex]]:
         yield k, hk, complex(cos(ang), sin(ang))
 
 
-def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
-    """G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)}, the whole vertex
-    series: a direct head plus an Euler-transformed tail, the regularised
-    sum when the sides tend to a constant.  The one place it is summed: the
-    limits of the convergence module and the deep vertices here."""
+# E sums directly while x < _HEAD_STOP, where the phase still swings hard,
+# and hands the smooth rest to the Euler transform.
+_HEAD_STOP = 48
+
+
+def _tail(f: LengthFunction, x: float, settings: AccelerationSettings) -> SummationResult:
+    """E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), the one alternating series
+    behind every limit, deep vertex and interpolated vertex: terms with
+    x + j < _HEAD_STOP summed with compensation, the rest by
+    euler_transform_sum, whose outcome the result carries.
+    """
     lf = f.as_callable()
-    return head_tail_sum((fk * lf(float(k)) for k, _, fk in harmonic_phases()), settings)
+    stream = harmonic_phases(x)
+    head = ComplexCompensatedSum()
+    for j, (k, _, phase) in enumerate(stream):
+        term = lf(float(k)) * phase
+        if k >= _HEAD_STOP:
+            break
+        head.add(-term if j % 2 else term)
+    rest = euler_transform_sum(
+        itertools.chain((term,), (lf(float(k)) * phase for k, _, phase in stream)), settings
+    )
+    value = head.value + (-rest.value if j % 2 else rest.value)
+    return replace(rest, value=value, terms_used=j + rest.terms_used)
+
+
+def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
+    """G_f = -E(3) = sum_{k>=3} (-1)^k l(k) u(k), the whole vertex series
+    (the regularised sum when the sides tend to a constant): the limits of
+    the convergence module and the base of every continued vertex."""
+    whole = _tail(f, 3, settings)
+    return replace(whole, value=-whole.value)
+
+
+def _continued(
+    whole: SummationResult, f: LengthFunction, n: float, settings: AccelerationSettings
+) -> SummationResult:
+    """V(n) = G_f + e^{i pi n} E(n+1) from ``whole`` = G_f; the error
+    estimates add, and it is converged only when both sums are."""
+    tail = _tail(f, n + 1, settings)
+    return SummationResult(
+        whole.value + signed_phase(n) * tail.value,
+        whole.error_estimate + tail.error_estimate,
+        whole.converged and tail.converged,
+        whole.terms_used + tail.terms_used,
+    )
 
 
 # vertex_at streams from one wanted index to the next, except that an index
 # above _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is
-# read as G_f minus an Euler-summed tail, ~0.1 ms, about the cost of
+# read as G_f plus a signed Euler-summed tail, ~0.1 ms, about the cost of
 # streaming 50 terms.  _TAIL_FROM lies above figures._MAX_POLYGON, so the
 # figures and every shallow index keep their streamed bits.
 _TAIL_FROM = 2048
@@ -184,24 +224,21 @@ def _check_work(deepest: int, jumps: dict[int, int]) -> None:
 
 
 def _jump(f: LengthFunction, deep: dict[int, int]) -> dict[int, complex]:
-    """{n: V(n)} with V(n) = G_f - (-1)^{n+1} E(n+1) for the indices n of
-    ``deep`` ({n: gap}), where E(n+1) = sum_{j>=0} (-1)^j l(k) u(k) with
-    k = n+1+j is the Euler-summed tail (4-8 terms).  An index whose tail
-    misses _TAIL_SETTINGS is left out, and all are when G_f misses it.
+    """{n: V(n)} for the indices n of ``deep`` ({n: gap}), each read as
+    G_f + (-1)^n E(n+1) with G_f summed once and E(n+1) all Euler transform
+    (4-8 terms).  An index whose sum misses _TAIL_SETTINGS is left out, and
+    all are when G_f misses it.
     """
     if not deep:
         return {}
     whole = _limit_series(f, _TAIL_SETTINGS)
     if not whole.converged:
         return {}
-    lf = f.as_callable()
     out = {}
     for n in deep:
-        tail = euler_transform_sum(
-            (lf(float(k)) * phase for k, _, phase in harmonic_phases(n + 1)), _TAIL_SETTINGS
-        )
-        if tail.converged:
-            out[n] = whole.value - tail.value if n % 2 else whole.value + tail.value
+        res = _continued(whole, f, n, _TAIL_SETTINGS)
+        if res.converged:
+            out[n] = res.value
     return out
 
 
@@ -212,13 +249,13 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     Each index streams from the previous one (from V(2) for the first)
     over harmonic_phases() with compensated complex summation, so dense
     ranges and every index up to 2,048 are direct sums.  An index above
-    2,048 more than 64 past the previous one instead jumps, in O(1):
-    V(n) = G_f - sum_{k>n} (-1)^k l(k) u(k), the whole series (the
-    regularised one for exponent 0) minus its Euler-summed tail, both at
-    tolerance 1e-13.  It streams after all when the family's sides grow,
-    or when G_f or the tail does not converge.
+    2,048 more than 64 past the previous one instead jumps, in O(1), to
+    V(n) = G_f + (-1)^n E(n+1), G_f = -E(3) (regularised for exponent 0),
+    E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at tolerance 1e-13.  It
+    streams after all when the sides grow or a sum does not converge.
 
-    Raises ``ValueError`` before any streaming when the walk would stream
+    Raises ``ValueError`` before any work for an index whose n + 1 does not
+    fit in a double, and before any streaming when the walk would stream
     more than 10^7 terms (~25 s), counting each jump as 64.
     """
     wanted = set(map(int, indices))
@@ -227,6 +264,10 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         return {}
     if order[0] < 2:
         raise ValueError(f"vertex indices must be >= 2, got {order[0]}")
+    try:
+        float(order[-1] + 1)
+    except OverflowError:
+        raise ValueError(f"vertex index n + 1 must fit in a double, got n = {order[-1]}") from None
     deep = _deep_gaps(order) if f.asymptote().exponent >= 0.0 else {}
     _check_work(order[-1], deep)
     jumps = _jump(f, deep)
@@ -303,16 +344,21 @@ class PolygonGeometry:
         return abs(self.side_length) / (2.0 * math.sin(math.pi / self.n))
 
 
+# Largest polygon enumerated (one complex per vertex, ~0.5 s).
+_MAX_SIDES = 10**6
+
+
 def polygon(f: LengthFunction, n: int) -> PolygonGeometry:
-    """Enumerate the n-gon of the construction, n >= 3."""
+    """Enumerate the n-gon of the construction, 3 <= n <= 10^6."""
     return polygon_from_vertex(f, n, vertex(f, n))
 
 
 def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
     """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
-    a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n)."""
-    if n < 3:
-        raise ValueError(f"polygon requires n >= 3, got {n}")
+    a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
+    Raises ``ValueError`` before any work unless 3 <= n <= 10^6."""
+    if not 3 <= n <= _MAX_SIDES:
+        raise ValueError(f"polygon requires 3 <= n <= {_MAX_SIDES}, got {n}")
     side = f(float(n))
     c = v + q_term(f, n)
     spoke = v - c
@@ -329,43 +375,20 @@ def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometr
     )
 
 
-def _interpolant_terms(f: LengthFunction, n: float) -> Iterator[complex]:
-    """Unsigned magnitudes g(k) of the interpolant series from k = 3.
-
-    The series is sum_{k>=3} (-1)^k g(k) with
-    g(k) = l(k) e^{2 pi i (1/k - 2 H_k)}
-           - e^{i pi (n-2)} l(k-2+n) e^{2 pi i (1/x - 2 H_x)},  x = k-2+n;
-    the integer side reads harmonic_phases(), and the real side starts from
-    one digamma evaluation of H_{n+1} and advances by compensated increments.
-    """
-    lf = f.as_callable()
-    offset_phase = signed_phase(n - 2.0)
-    h_real = CompensatedSum(harmonic_continued(1.0 + n))
-    for k, _, phase in harmonic_phases():
-        x = k - 2.0 + n
-        if k > 3:
-            h_real.add(1.0 / x)
-        a = lf(float(k)) * phase
-        b = offset_phase * lf(x) * unit_phase(x, h_real.value)
-        yield a - b
-
-
 def interpolated_vertex(
-    f: LengthFunction,
-    n: float,
-    settings: AccelerationSettings | None = None,
+    f: LengthFunction, n: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
     """Smooth continuation of the vertex sequence at real n > 1.
 
-    Evaluates sum_{k>=3} [ l(k) e^{i theta_k} - l(k-2+n) e^{i theta_{k-2+n}} ]
-    by the configured acceleration; at integers with vanishing side lengths
-    this reproduces vertex(f, n).  Length functions whose sides grow
-    (negative asymptotic exponent) are refused outright.
+    V(n) = G_f + e^{i pi n} E(n+1), the deep-vertex formula read at real n,
+    with G_f = -E(3) and E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j) both summed
+    at ``settings``; the error estimates add, and it is converged only when
+    both sums are.  n must be finite with n + 1 > 2 in doubles, so the tail
+    never starts at x = 2; growing side lengths are refused outright.
     """
-    if not n > 1.0:
-        raise ValueError(f"interpolated_vertex requires n > 1, got {n}")
+    if not 2.0 < n + 1.0 < math.inf:
+        raise ValueError(f"interpolated_vertex requires a finite n > 1, n + 1 > 2, got n = {n!r}")
     if f.asymptote().exponent < 0.0:
-        raise ValueError(
-            f"interpolant refused: {f} diverges (growing side lengths)"
-        )
-    return head_tail_sum(_interpolant_terms(f, n), settings or AccelerationSettings())
+        raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
+    settings = settings or AccelerationSettings()
+    return _continued(_limit_series(f, settings), f, n, settings)

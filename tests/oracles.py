@@ -3,8 +3,8 @@
 These restate what the paper proves with tools that no library path needs:
 the heading theta_n, the paired terms F(j) with their bounds A(j, s) and
 B(j), the compact spelling of the golden intersection point, the
-convex-clipping area that shows consecutive n-gons do not overlap, and a
-40-digit mpmath value of deep vertices.  The
+convex-clipping area that shows consecutive n-gons do not overlap, and
+40-digit mpmath values of deep vertices and of the interpolant.  The
 tests check the library against them; the library never calls them.
 """
 
@@ -152,43 +152,79 @@ def golden_intersection_point() -> complex:
     return -1j * cmath.exp(-1j * arg) * cot - 1.0
 
 
+def _mp_length(mp, spec: str):
+    """The side length of CLI spec ``spec`` as an mpmath function."""
+    if spec == "telescoping":
+        return lambda x: 2 * mp.cos(2 * mp.pi / x)
+    kind, _, arg = spec.partition(":")
+    s = mp.mpf(arg)
+    return {
+        "power": lambda x: x ** (-s),
+        "inscribed": lambda x: 2 * x ** (-s) * mp.sin(mp.pi / x),
+        "circumscribed": lambda x: 2 * x ** (-s) * mp.tan(mp.pi / x),
+        "area": lambda x: mp.sqrt(4 * x ** (-s) * mp.tan(mp.pi / x) / x),
+    }[kind]
+
+
+def _mp_unit_phase(mp, x):
+    """u(x) = e^{2 pi i (1/x - 2 H_x)} in mpmath."""
+    return mp.expjpi(2 * (1 / x - 2 * mp.harmonic(x)))
+
+
+def _mp_tail_from(mp, g, start: int, terms: int = 64):
+    """sum_{k>=start} (-1)^k g(k) by Cohen-Villegas-Zagier (Algorithm 1 of
+    Cohen, Rodriguez Villegas and Zagier, 2000) with ``terms`` terms."""
+    d = (3 + mp.sqrt(8)) ** terms
+    d = (d + 1 / d) / 2
+    b, c, total = mp.mpf(-1), -d, mp.mpc(0)
+    for j in range(terms):
+        c = b - c
+        total += c * g(start + j)
+        b = b * (j + terms) * (j - terms) / ((j + mp.mpf(1) / 2) * (j + 1))
+    return (-1 if start % 2 else 1) * total / d
+
+
+def _mp_full_sum(mp, g):
+    """sum_{k>=3} (-1)^k g(k): direct head k < 40, 64-term CVZ tail."""
+    return sum((-1) ** k * g(k) for k in range(3, 40)) + _mp_tail_from(mp, g, 40)
+
+
 def mp_vertices(spec: str, indices: Sequence[int]) -> dict[int, complex]:
     """V_f(n) at 40 digits for the family of CLI spec ``spec``, rounded to
     complex doubles: the whole series minus its tail from n + 1, each
     summed as a direct head (k < 40) and Cohen-Villegas-Zagier tails of 64
-    terms (Algorithm 1 of Cohen, Rodriguez Villegas and Zagier, 2000).
-    Needs mpmath, which the library never imports.
+    terms.  Needs mpmath, which the library never imports.
     """
     import mpmath as mp
 
     with mp.workdps(40):
-        if spec == "telescoping":
-            def length(x):
-                return 2 * mp.cos(2 * mp.pi / x)
-        else:
-            kind, _, arg = spec.partition(":")
-            s = mp.mpf(arg)
-            length = {
-                "power": lambda x: x ** (-s),
-                "inscribed": lambda x: 2 * x ** (-s) * mp.sin(mp.pi / x),
-                "circumscribed": lambda x: 2 * x ** (-s) * mp.tan(mp.pi / x),
-                "area": lambda x: mp.sqrt(4 * x ** (-s) * mp.tan(mp.pi / x) / x),
-            }[kind]
+        length = _mp_length(mp, spec)
 
         def g(k):
             x = mp.mpf(k)
-            return length(x) * mp.expjpi(2 * (1 / x - 2 * mp.harmonic(x)))
+            return length(x) * _mp_unit_phase(mp, x)
 
-        def tail_from(start, terms=64):
-            # sum_{k>=start} (-1)^k g(k)
-            d = (3 + mp.sqrt(8)) ** terms
-            d = (d + 1 / d) / 2
-            b, c, total = mp.mpf(-1), -d, mp.mpc(0)
-            for j in range(terms):
-                c = b - c
-                total += c * g(start + j)
-                b = b * (j + terms) * (j - terms) / ((j + mp.mpf(1) / 2) * (j + 1))
-            return (-1 if start % 2 else 1) * total / d
+        whole = _mp_full_sum(mp, g)
+        return {n: complex(whole - _mp_tail_from(mp, g, n + 1)) for n in indices}
 
-        whole = sum((-1) ** k * g(k) for k in range(3, 40)) + tail_from(40)
-        return {n: complex(whole - tail_from(n + 1)) for n in indices}
+
+def mp_interpolant(spec: str, n: float) -> complex:
+    """The interpolant at real n at 40 digits, rounded to a complex double,
+    in its combined-series form
+    sum_{k>=3} (-1)^k [l(k) u(k) - e^{i pi (n-2)} l(k-2+n) u(k-2+n)]
+    (as the benchmark's reference table writes it), summed like
+    mp_vertices.  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        length = _mp_length(mp, spec)
+        n = mp.mpf(n)
+        rot = mp.expjpi(n - 2)
+
+        def g(k):
+            k = mp.mpf(k)
+            x = k - 2 + n
+            return length(k) * _mp_unit_phase(mp, k) - rot * length(x) * _mp_unit_phase(mp, x)
+
+        return complex(_mp_full_sum(mp, g))

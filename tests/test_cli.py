@@ -197,6 +197,17 @@ class TestInterp:
         assert n == 5.0
         assert abs(z - vertex(power_law(1.0), 5)) < 1e-7
 
+    @pytest.mark.parametrize("length", ["circumscribed:1", "area:0"])
+    def test_n_one_ulp_above_one(self, capsys, length):
+        # n + 1 rounds to 2, where both families are singular: refused by
+        # the domain check, with a message that names n
+        code, out, err = run_cli(capsys, "interp", "--length", length, "--n", "1.0000000000000002")
+        assert (code, out) == (1, "")
+        assert "got n = 1.0000000000000002" in err
+        code, out, _ = run_cli(capsys, "interp", "--length", length, "--n", "1.0000000000000004")
+        assert code == 0
+        assert parse_csv(out)[0][1] == 1.0000000000000004
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -8,7 +8,8 @@ The hashes are the bytes of the platform that generated them (x86-64
 Linux, CPython 3.11.7, numpy 2.4.6); another libm or numpy build may round
 a last digit differently.  A change that alters an output byte on purpose
 (ROADMAP items 1-2) updates the table entry here and names the changed
-file in CHANGES.md.
+file in CHANGES.md.  The interp row is also checked by value against
+its 40-digit mpmath oracle, so its hash rests on a checked number.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ FROZEN = [
         "build --length power:1 --max-n 9 --out fig2.svg",
         0,
         "60eabe186790b5b264f9fc51d6e3c1eec6d4f9f0a8e966abd818e5132f75c47d",
-        {"fig2.svg": "69da980b077e3b68f9f41c24da0a01b5effc637171f18c9014917ffcc44e50b4"},
+        {"fig2.svg": "1d9084f4e95938043ccdbbeb5c25a604431f899e59581af231492c193fa098f5"},
     ),
     (
         "limit --s 0.00000001",
@@ -41,7 +42,7 @@ FROZEN = [
         "orbit --out fig3a.svg",
         0,
         "029d78f8e3b251a2865e676e4a4e7948966e42aa4a42cedb0872c3113e9de2c0",
-        {"fig3a.svg": "7a004b3a6242647f7490a7c61cf882fbbb93e5bdf62af32fabfd2b78a54deed3"},
+        {"fig3a.svg": "dca5556e71b52ef309c0f9d14644c045e10552b240ec481dfda000f5047ae107"},
     ),
     (
         "curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg",
@@ -76,7 +77,7 @@ FROZEN = [
     (
         "interp --length power:1 --n 3.5",
         0,
-        "78b9a159c7a876cf82197456d1a2a2d9126b7435350ef4c8d5f317333e47eb45",
+        "109e99913f15a536bca3473e6123372c10659353dc59ef9301534b0f7c5bbb3c",
         {},
     ),
 ]
@@ -94,3 +95,15 @@ def test_readme_command_is_byte_identical(command, code, stdout_sha, svgs, capsy
     assert main(command.split()) == code
     assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
     assert {name: _sha256((tmp_path / name).read_bytes()) for name in svgs} == svgs
+
+
+# The interpolant of power:1 at n = 3.5 at 40 digits (bench/reference.py).
+INTERP_3_5 = complex("0.2814188452308386750871171+0.3553602783116329129811385j")
+
+
+def test_interp_row_is_the_mpmath_value(capsys):
+    assert main("interp --length power:1 --n 3.5".split()) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    name, n, re, im = row.split(",")
+    assert (header, name, float(n)) == ("name,n,re,im", "interp", 3.5)
+    assert abs(complex(float(re), float(im)) - INTERP_3_5) < 1e-8

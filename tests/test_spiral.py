@@ -26,7 +26,13 @@ from ngonspiral.spiral import (
     vertex,
     vertex_at,
 )
-from oracles import convex_intersection_area, mp_vertices, polygon_area, theta
+from oracles import (
+    convex_intersection_area,
+    mp_interpolant,
+    mp_vertices,
+    polygon_area,
+    theta,
+)
 
 import scipy.special as sp
 
@@ -113,6 +119,13 @@ class TestVertex:
         with pytest.raises(ValueError):
             vertex(power_law(1.0), 1)
 
+    def test_index_beyond_the_double_range_is_refused(self):
+        # n + 1 must fit in a double; 2**1023 + 1 does, 2**1024 does not
+        assert cmath.isfinite(vertex(power_law(1.0), 2**1023))
+        for n in (2**1024, 10**400):
+            with pytest.raises(ValueError, match=f"n = {n}"):
+                vertex(power_law(1.0), n)
+
 
 # Catalog families whose sides do not grow, so deep indices jump; the first
 # seven vanish, the last five tend to a constant (exponent 0).
@@ -141,6 +154,11 @@ def _streamed(spec: str, n_max: int) -> tuple[complex, ...]:
         acc.add(-scale * phase if k % 2 else scale * phase)
         out.append(acc.value)
     return tuple(out)
+
+
+def _tails_miss(f, x, settings, tail=spiral._tail):
+    """spiral._tail with every sum but G_f = -E(3) starved."""
+    return tail(f, x, settings) if x == 3 else SummationResult(0j, 1.0, False, 4)
 
 
 class TestDeepVertices:
@@ -189,12 +207,22 @@ class TestDeepVertices:
             ("_TAIL_SETTINGS", AccelerationSettings(1e-13, max_terms=4)),
             ("_limit_series", lambda *args: SummationResult(0j, 1.0, False, 4)),
             ("euler_transform_sum", lambda *args: SummationResult(0j, 1.0, False, 4)),
+            ("_tail", _tails_miss),
         ],
     )
     def test_unconverged_sum_falls_back_to_stream(self, monkeypatch, name, stub):
-        # starved settings, then G_f alone, then the tail alone misses
+        # starved settings, then G_f alone, then every Euler sum the kernel
+        # E(x) runs (it calls euler_transform_sum in spiral), then the deep
+        # tails E(n+1) alone miss
         monkeypatch.setattr(spiral, name, stub)
         assert vertex(power_law(1.0), 5000) == _streamed("power:1", 5000)[-1]
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:0", "inscribed:-1", "telescoping", "area:0"])
+    def test_jump_is_the_interpolant_at_integers(self, spec):
+        # one formula, G_f + e^{i pi n} E(n+1), read at an int and at a float
+        f = parse_length(spec)
+        for n in (2049, 10**5 + 1, 10**6, 10**7 + 1):
+            assert interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value == vertex(f, n), n
 
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
@@ -329,9 +357,26 @@ class TestPolygon:
         far = [z + 10.0 for z in square]
         assert convex_intersection_area(square, far) == 0.0
 
+    def test_size_cap_is_exact(self, monkeypatch):
+        # q_term is replaced by a failure, so no polygon is enumerated
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(spiral, "q_term", refuse)
+        cap = spiral._MAX_SIDES
+        with pytest.raises(AssertionError, match="enumerated"):
+            spiral.polygon_from_vertex(power_law(1.0), cap, 0j)
+        with pytest.raises(ValueError, match=str(cap + 1)):
+            spiral.polygon_from_vertex(power_law(1.0), cap + 1, 0j)
+
     def test_polygon_area_shoelace(self):
         square = [0j, 2 + 0j, 2 + 2j, 0 + 2j]
         assert abs(polygon_area(square) - 4.0) < 1e-14
+
+
+# The interpolant families of the benchmark's pool.
+INTERP_SPECS = ("power:0.5", "power:1", "power:2", "power:0", "inscribed:0", "inscribed:1",
+                "circumscribed:0", "circumscribed:1", "area:0", "area:1", "telescoping")
 
 
 class TestInterpolatedVertex:
@@ -388,6 +433,41 @@ class TestInterpolatedVertex:
         with pytest.raises(ValueError):
             interpolated_vertex(power_law(1.0), 1.0, TIGHT)
 
+    @pytest.mark.parametrize(
+        "name, stub",
+        [
+            ("_limit_series", lambda *args: SummationResult(0j, 1.0, False, 4)),
+            ("_tail", _tails_miss),
+        ],
+    )
+    def test_converged_only_when_both_sums_are(self, monkeypatch, name, stub):
+        # G_f alone, then E(n+1) alone misses: flagged, estimate carried
+        monkeypatch.setattr(spiral, name, stub)
+        res = interpolated_vertex(power_law(1.0), 3.5, TIGHT)
+        assert not res.converged
+        assert res.error_estimate >= 1.0
+
+    @pytest.mark.parametrize("spec", ["power:1", "circumscribed:1", "area:0", "telescoping"])
+    def test_one_ulp_above_one_is_refused_by_every_family(self, spec):
+        # 1.0000000000000002 + 1 rounds to 2, where the tail would start
+        f = parse_length(spec)
+        for n in (1.0000000000000002, math.inf, math.nan):
+            with pytest.raises(ValueError, match="got n = "):
+                interpolated_vertex(f, n, TIGHT)
+        assert cmath.isfinite(interpolated_vertex(f, 1.0000000000000004, TIGHT).value)
+
+    @pytest.mark.parametrize("spec", INTERP_SPECS)
+    def test_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        f = parse_length(spec)
+        for n in (1.05, 3.5, 47.5, 48.5, 140.0, 300.0):
+            ref = mp_interpolant(spec, n)
+            for settings in (TIGHT, AccelerationSettings(1e-8)):
+                res = interpolated_vertex(f, n, settings)
+                assert res.converged, (spec, n)
+                # the benchmark's gate: twice the estimate plus rounding
+                assert abs(res.value - ref) <= 2.0 * res.error_estimate + 1e-13, (spec, n)
+
 
 class TestPhaseHelpers:
     def test_harmonic_phases_stream(self):
@@ -406,6 +486,13 @@ class TestPhaseHelpers:
             assert k == k_ref
             assert abs(hk - hk_ref) < 1e-14
             assert abs(phase - phase_ref) < 1e-13
+
+    def test_real_start_computes_each_x_from_start(self):
+        # x = start + j, not a running sum: from this start a running sum
+        # is one ulp off start + 14 at j = 14
+        start = 2.4030927323372047
+        xs = [x for x, _, _ in itertools.islice(harmonic_phases(start), 40)]
+        assert xs == [start + j for j in range(40)]
 
     def test_phase_of_turns_reduces_exactly(self):
         for t in (0.25, -12345.75, 1e8 + 0.125):
