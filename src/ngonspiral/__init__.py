@@ -26,7 +26,6 @@ from .numerics import (
     digamma,
     euler_transform_sum,
     harmonic_continued,
-    harmonic_number,
 )
 from .render import Scene, export_table, render_svg
 from .spiral import (
@@ -69,7 +68,6 @@ __all__ = [
     "digamma",
     "euler_transform_sum",
     "harmonic_continued",
-    "harmonic_number",
     "Scene",
     "export_table",
     "render_svg",

@@ -39,12 +39,9 @@ from .numerics import (
     TWO_PI,
     AccelerationSettings,
     ComplexCompensatedSum,
-    CompensatedSum,
     SummationResult,
     euler_transform_sum,
     harmonic_continued,
-    harmonic_number,
-    harmonic_real,
 )
 
 __all__ = [
@@ -109,17 +106,22 @@ def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
     E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)}.
 
     ``start`` may be real; each x is start + j, an int when ``start`` is.
-    H_x advances by compensated increments, so N terms cost O(N), from the
-    memoized H_2 at start = 3 and from the digamma continuation of
-    H_{start-1} at any other start, so a deep or real stream starts in O(1).
+    H_x starts from the digamma continuation of H_{start-1}, so a deep or
+    real stream starts in O(1), and advances by Neumaier-compensated
+    increments 1/x, so N terms cost O(N).
     """
-    h = CompensatedSum(harmonic_number(2) if start == 3 else harmonic_continued(start - 1))
-    add, cos, sin = h.add, math.cos, math.sin  # locals: this loop is the hot path
+    s, c = harmonic_continued(start - 1), 0.0
+    cos, sin = math.cos, math.sin  # locals: this loop is the hot path
     for j in itertools.count():
         k = start + j
         inv = 1.0 / k
-        add(inv)
-        hk = h.value
+        t = s + inv
+        if abs(s) >= abs(inv):
+            c += (s - t) + inv
+        else:
+            c += (inv - t) + s
+        s = t
+        hk = s + c
         t = inv - 2.0 * hk
         ang = TWO_PI * (t - round(t))
         yield k, hk, complex(cos(ang), sin(ang))
@@ -306,8 +308,7 @@ def q_term(f: LengthFunction, n: float) -> complex:
     """
     if not n > 1.0:
         raise ValueError(f"q_term requires n > 1, got {n}")
-    h = harmonic_real(n)
-    num = signed_phase(n) * f(n) * unit_phase(n, h)
+    num = signed_phase(n) * f(n) * unit_phase(n, harmonic_continued(n))
     # e^{2 pi i / n} - 1 = 2 sin(pi/n) (-sin(pi/n) + i cos(pi/n)), which
     # avoids the cos - 1 cancellation at both ends of the domain
     s, c = half_angle(n)

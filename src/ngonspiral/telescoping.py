@@ -18,7 +18,7 @@ import math
 from itertools import islice
 
 from .lengthfns import telescoping
-from .numerics import ComplexCompensatedSum, harmonic_real, richardson
+from .numerics import ComplexCompensatedSum, harmonic_continued, richardson
 from .spiral import half_angle, harmonic_phases, phase_of_turns, signed_phase
 
 __all__ = [
@@ -40,12 +40,13 @@ _MAX_IDENTITY_N = 10**6
 
 
 def _rotation(n: float) -> complex:
-    """(-1)^n e^{-4 pi i H_n} with H continued through gamma + psi(n+1).
+    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1) at every real n,
+    integers included.
 
     Computed in reduced turns so that the factor agrees with the phases of
     the generic vertex/center formulas to a few ulps even when n is large.
     """
-    return signed_phase(n) * phase_of_turns(-2.0 * harmonic_real(n))
+    return signed_phase(n) * phase_of_turns(-2.0 * harmonic_continued(n))
 
 
 def vertex_closed(n: float) -> complex:
@@ -84,10 +85,10 @@ def verify_telescoping_identity(n_max: int) -> float:
 
     The same pass also checks the termwise pairing identity
     L(k) e^{i theta_k} = (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k});
-    the returned maximum covers both checks.  The closed-form side reads H_k
-    through harmonic_real: up to k = 100,000 that is the memoized table,
-    which equals the stream's running H_k bit for bit, so only larger k
-    check the digamma continuation against the running harmonic.
+    the returned maximum covers both checks.  The two sides compute H_k
+    independently: the direct side from the running compensated sum of
+    harmonic_phases, the closed form from the digamma continuation, so
+    every k checks one against the other.
     Raises ``ValueError`` unless 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
     if n_max < 3:

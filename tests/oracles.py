@@ -1,10 +1,11 @@
 """Test-only oracles for the paper's claims.
 
 These restate what the paper proves with tools that no library path needs:
-the heading theta_n, the paired terms F(j) with their bounds A(j, s) and
-B(j), the compact spelling of the golden intersection point, the
-convex-clipping area that shows consecutive n-gons do not overlap, and
-40-digit mpmath values of deep vertices and of the interpolant.  The
+the heading theta_n, the harmonic numbers as a compensated running sum,
+the paired terms F(j) with their bounds A(j, s) and B(j), the compact
+spelling of the golden intersection point, the convex-clipping area that
+shows consecutive n-gons do not overlap, and 40-digit mpmath values of
+deep vertices, of the interpolant and of the center offsets Q(n).  The
 tests check the library against them; the library never calls them.
 """
 
@@ -14,13 +15,7 @@ import cmath
 import math
 from typing import Iterator, NamedTuple, Sequence
 
-from ngonspiral.numerics import (
-    EULER_GAMMA,
-    TWO_PI,
-    digamma,
-    harmonic_number,
-    harmonic_real,
-)
+from ngonspiral.numerics import EULER_GAMMA, TWO_PI, digamma, harmonic_continued
 from ngonspiral.spiral import harmonic_phases, unit_phase
 from ngonspiral.telescoping import PHI
 
@@ -33,7 +28,35 @@ def theta(n: float) -> float:
     """
     if not n > 1.0:
         raise ValueError(f"theta requires n > 1, got {n}")
-    return TWO_PI * (0.5 * n + 1.0 / n - 2.0 * harmonic_real(n))
+    return TWO_PI * (0.5 * n + 1.0 / n - 2.0 * harmonic_continued(n))
+
+
+# H_0, H_1, ... so far, and the Neumaier state (sum, correction) after the last
+_harmonic_table = [0.0]
+_harmonic_state = [0.0, 0.0]
+
+
+def harmonic_number(n: int) -> float:
+    """H_n = sum_{k<=n} 1/k by a Neumaier-compensated running sum over 1/k,
+    memoised, for integer n >= 1.
+
+    Built on its own, not from the library's harmonic_phases stream, so the
+    tests can check that stream against it.
+    """
+    if n < 1:
+        raise ValueError(f"harmonic_number requires n >= 1, got {n}")
+    s, c = _harmonic_state
+    for k in range(len(_harmonic_table), n + 1):
+        x = 1.0 / k
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        _harmonic_table.append(s + c)
+    _harmonic_state[:] = s, c
+    return _harmonic_table[n]
 
 
 def polygon_area(vertices: Sequence[complex]) -> float:
@@ -228,3 +251,16 @@ def mp_interpolant(spec: str, n: float) -> complex:
             return length(k) * _mp_unit_phase(mp, k) - rot * length(x) * _mp_unit_phase(mp, x)
 
         return complex(_mp_full_sum(mp, g))
+
+
+def mp_q(spec: str, n: float) -> complex:
+    """The center offset Q_f(n) = e^{i pi n} l(n) u(n) / (e^{2 pi i / n} - 1)
+    at real n > 1 at 40 digits, rounded to a complex double (as the
+    benchmark's reference table writes it).  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(n)
+        num = mp.expjpi(x) * _mp_length(mp, spec)(x) * _mp_unit_phase(mp, x)
+        return complex(num / (mp.expjpi(2 / x) - 1))

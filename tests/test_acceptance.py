@@ -33,12 +33,12 @@ from ngonspiral.telescoping import (
     vertex_closed,
     verify_telescoping_identity,
 )
-from ngonspiral.numerics import harmonic_number
 from oracles import (
     bound_A,
     bound_B,
     convex_intersection_area,
     golden_intersection_point,
+    harmonic_number,
     paired_terms,
     theta,
 )

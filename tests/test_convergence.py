@@ -27,7 +27,7 @@ from ngonspiral.lengthfns import (
 )
 from ngonspiral.numerics import AccelerationSettings
 from ngonspiral.spiral import harmonic_phases, vertex, vertex_at
-from oracles import bound_A, bound_B, paired_term, paired_terms
+from oracles import bound_A, bound_B, harmonic_number, paired_term, paired_terms
 
 TIGHT = AccelerationSettings(target_tolerance=1e-13, max_terms=600)
 
@@ -147,7 +147,6 @@ class TestSecondEstimator:
 
 class TestPairedTerms:
     def test_first_term_is_f4_minus_f3(self):
-        from ngonspiral.numerics import harmonic_number
         from ngonspiral.spiral import unit_phase
 
         f3 = unit_phase(3.0, harmonic_number(3))

@@ -8,8 +8,9 @@ The hashes are the bytes of the platform that generated them (x86-64
 Linux, CPython 3.11.7, numpy 2.4.6); another libm or numpy build may round
 a last digit differently.  A change that alters an output byte on purpose
 (ROADMAP items 1-2) updates the table entry here and names the changed
-file in CHANGES.md.  The interp row is also checked by value against
-its 40-digit mpmath oracle, so its hash rests on a checked number.
+file in CHANGES.md.  The interp, centers and q rows are also checked by
+value against their 40-digit mpmath oracles, so their hashes rest on
+checked numbers.
 """
 
 import hashlib
@@ -17,13 +18,14 @@ import hashlib
 import pytest
 
 from ngonspiral.cli import main
+from oracles import mp_q, mp_vertices
 
 # (argv, exit code, sha256 of stdout, {svg name: sha256 of its bytes})
 FROZEN = [
     (
         "build --length power:1 --max-n 9 --out fig2.svg",
         0,
-        "60eabe186790b5b264f9fc51d6e3c1eec6d4f9f0a8e966abd818e5132f75c47d",
+        "bceaa0547aaf797bfd318465ce619a4172872051526886d0fec2d4830ccabea5",
         {"fig2.svg": "1d9084f4e95938043ccdbbeb5c25a604431f899e59581af231492c193fa098f5"},
     ),
     (
@@ -53,19 +55,19 @@ FROZEN = [
     (
         "telescope --check --n-max 2000",
         0,
-        "305aaa4fdab835b07eec5af37069ad8b6f3dbc3faa2c138a39f8f476de8fe028",
+        "c77c6c82b57ab74a54bfa5e59736800cc677b2a4cc7496c5350fb40797711452",
         {},
     ),
     (
         "telescope --out fig4a.svg",
         0,
-        "6f2a125943f8921e1130cb0da7bfad7740540f397c957ff826fd83bbed6ddc9b",
+        "7a0c33ffa3635c8a86abf90ad4e802950b684e3b75f344eee0dcf62744fb9988",
         {"fig4a.svg": "5dde8c9fccc63528a00a263ac2960a38d9282853b13082a86408987eff765831"},
     ),
     (
         "telescope --fig q --out fig4b.svg",
         0,
-        "8e0dec3864760a1f7a2eff5a95b981cbab07246f376e6b328e6cb7e6028078b6",
+        "3a2956a575b6a18c5ee0ea17bf7f57a747ac28ea1e776cd8bf9078b6fdc09481",
         {"fig4b.svg": "bf15a29e55858f4e8776b465d16a35faaa52b0a21cf04e342564b1b985bcccb0"},
     ),
     (
@@ -107,3 +109,32 @@ def test_interp_row_is_the_mpmath_value(capsys):
     name, n, re, im = row.split(",")
     assert (header, name, float(n)) == ("name,n,re,im", "interp", 3.5)
     assert abs(complex(float(re), float(im)) - INTERP_3_5) < 1e-8
+
+
+def _rows(out: str, name: str) -> dict[float, complex]:
+    """{n: value} of the ``name`` rows of a CSV table."""
+    rows = {}
+    for line in out.splitlines()[1:]:
+        kind, n, re, im = line.split(",")
+        if kind == name:
+            rows[float(n)] = complex(float(re), float(im))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "command, spec, name",
+    [
+        ("build --length power:1 --max-n 9", "power:1", "centers"),
+        ("telescope", "telescoping", "centers"),
+        ("telescope --fig q", "telescoping", "q"),
+    ],
+)
+def test_center_rows_are_the_mpmath_values(command, spec, name, capsys):
+    # a center is V(n) + Q(n), a q row Q(n) alone
+    pytest.importorskip("mpmath")
+    assert main(command.split()) == 0
+    rows = _rows(capsys.readouterr().out, name)
+    assert len(rows) >= 7
+    vertices = mp_vertices(spec, [int(n) for n in rows]) if name == "centers" else {}
+    for n, z in rows.items():
+        assert abs(z - (vertices.get(int(n), 0j) + mp_q(spec, n))) < 1e-13, n

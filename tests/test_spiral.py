@@ -13,7 +13,6 @@ from ngonspiral.numerics import (
     AccelerationSettings,
     ComplexCompensatedSum,
     SummationResult,
-    harmonic_number,
 )
 from ngonspiral.spiral import (
     center,
@@ -28,6 +27,7 @@ from ngonspiral.spiral import (
 )
 from oracles import (
     convex_intersection_area,
+    harmonic_number,
     mp_interpolant,
     mp_vertices,
     polygon_area,

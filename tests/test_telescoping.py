@@ -6,6 +6,7 @@ import pytest
 
 import ngonspiral
 import ngonspiral.telescoping as telescoping_mod
+from ngonspiral import numerics
 from ngonspiral.lengthfns import telescoping as telescoping_fn
 from ngonspiral.numerics import EULER_GAMMA, digamma, richardson
 from ngonspiral.spiral import q_term, vertex
@@ -129,6 +130,13 @@ class TestTelescopingIdentity:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_telescoping_identity(2)
+
+    def test_closed_form_side_reads_the_continuation(self, monkeypatch):
+        # the closed side reads H_k through digamma, the direct side the
+        # running sum, so a digamma off by 1e-9 past 100 must show
+        exact = numerics.digamma
+        monkeypatch.setattr(numerics, "digamma", lambda x: exact(x) + (1e-9 if x > 100.0 else 0.0))
+        assert verify_telescoping_identity(3000) > 1e-10
 
     def test_size_cap_is_exact(self, monkeypatch):
         # the stream is replaced by a failure, so the cap itself never runs
