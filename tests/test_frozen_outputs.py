@@ -44,7 +44,7 @@ FROZEN = [
         "orbit --out fig3a.svg",
         0,
         "029d78f8e3b251a2865e676e4a4e7948966e42aa4a42cedb0872c3113e9de2c0",
-        {"fig3a.svg": "dca5556e71b52ef309c0f9d14644c045e10552b240ec481dfda000f5047ae107"},
+        {"fig3a.svg": "c5bf0cb5313709db5823b1b7285984f470d739c2ff9c0c5a765a579e4403a9ce"},
     ),
     (
         "curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg",
@@ -55,7 +55,7 @@ FROZEN = [
     (
         "telescope --check --n-max 2000",
         0,
-        "c77c6c82b57ab74a54bfa5e59736800cc677b2a4cc7496c5350fb40797711452",
+        "348afb34da63e746fd2f4b8c4e30178da140ffc8eed54e352e711e85fede7236",
         {},
     ),
     (
@@ -68,18 +68,18 @@ FROZEN = [
         "telescope --fig q --out fig4b.svg",
         0,
         "3a2956a575b6a18c5ee0ea17bf7f57a747ac28ea1e776cd8bf9078b6fdc09481",
-        {"fig4b.svg": "bf15a29e55858f4e8776b465d16a35faaa52b0a21cf04e342564b1b985bcccb0"},
+        {"fig4b.svg": "a48f6fa387eb4c7b11cdfbc2ce27ad0361d83577d80d50b4f8e6e6f3b1571b85"},
     ),
     (
         "intersect --curve centers --lo 1.05 --hi 6",
         0,
-        "43fa1ae2896ef867eb79a88df82835f37f42852cad60303403740b90be6fbceb",
+        "ce13f3868e4d15835b8941ef1f339986efea59878ada8f9e216de2af09f12c9c",
         {},
     ),
     (
         "interp --length power:1 --n 3.5",
         0,
-        "109e99913f15a536bca3473e6123372c10659353dc59ef9301534b0f7c5bbb3c",
+        "21ea6192a387b84c913b18e1d6b27b9d7e06d825d0f8e19ee9046e65673f69a4",
         {},
     ),
 ]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ngonspiral import spiral
+from ngonspiral.convergence import limit_point
 from ngonspiral.lengthfns import inscribed, parse_length, power_law, telescoping
 from ngonspiral.numerics import (
     EULER_GAMMA,
@@ -467,6 +468,23 @@ class TestInterpolatedVertex:
                 assert res.converged, (spec, n)
                 # the benchmark's gate: twice the estimate plus rounding
                 assert abs(res.value - ref) <= 2.0 * res.error_estimate + 1e-13, (spec, n)
+
+
+    @pytest.mark.parametrize("spec", ["power:0", "telescoping", "inscribed:-1"])
+    def test_large_real_n_against_mpmath(self, spec):
+        # e^{i pi n} reduced in turns: rounding pi n first was 1.3e-4 off
+        # for power:0 at 10^12 + 0.5, under a 2.5e-13 estimate
+        pytest.importorskip("mpmath")
+        f = parse_length(spec)
+        for n in (1e4 + 0.5, 1e8 + 0.5, 1e12 + 0.5):
+            res = interpolated_vertex(f, n, AccelerationSettings(1e-12))
+            assert res.converged, n
+            assert abs(res.value - mp_interpolant(spec, n)) <= 2.0 * res.error_estimate + 1e-13, n
+
+    def test_far_n_is_the_limit(self):
+        # V(n) -> G_f, and at n = 1e300 the tail E(n + 1) is ~1e-300
+        far = interpolated_vertex(power_law(1.0), 1e300)
+        assert far.value == limit_point(1.0).value
 
 
 class TestPhaseHelpers:
