@@ -2,9 +2,9 @@
 
 Everything lives in ordinary double precision.  The pieces here are the
 numerical bedrock for the spiral modules: a compensated complex
-accumulator, digamma (and through it the harmonic numbers H_x at every
-real x > -1), and the Euler transform, the one accelerator for alternating complex series,
-whose "not converged" outcome is a value, never an exception.
+accumulator, digamma (and through it H_x for real x > -1), and the Euler
+transform, the one accelerator for alternating complex series, whose
+"not converged" outcome is a value, never an exception.
 """
 
 from __future__ import annotations

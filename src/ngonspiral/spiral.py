@@ -95,8 +95,7 @@ def half_angle(n: float) -> tuple[float, float]:
 
 
 def signed_phase(n: float) -> complex:
-    """(-1)^n on the continuous branch e^{i pi n}: exact +-1 at integers,
-    and n/2 turns reduced exactly off them, so large n keeps full precision."""
+    """(-1)^n = e^{i pi n}: exact +-1 at integers, else n/2 turns reduced exactly."""
     if float(n).is_integer():
         return complex(-1.0 if int(n) % 2 else 1.0, 0.0)
     return phase_of_turns(0.5 * n)

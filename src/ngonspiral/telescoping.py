@@ -40,8 +40,7 @@ _MAX_IDENTITY_N = 10**6
 
 
 def _rotation(n: float) -> complex:
-    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1) at every real n,
-    integers included.
+    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1) at every real n > 1.
 
     Computed in reduced turns so that the factor agrees with the phases of
     the generic vertex/center formulas to a few ulps even when n is large.
