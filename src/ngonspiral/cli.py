@@ -191,13 +191,14 @@ def _telescope_check(args: argparse.Namespace) -> int:
     failures += not ok
     print(f"{'PASS' if ok else 'FAIL'} unit-circle law: max deviation {worst:.3e} (tol 1e-12)")
 
-    worst = max(
-        abs(tele.q_closed(float(m)) - q_term(telescoping_fn(), float(m)))
-        for m in range(3, min(n_max, 2000) + 1)
-    )
-    ok = worst < 1e-11
+    # relative to max(1, |Q|): |Q(m)| ~ m / pi, so rounding grows with m
+    worst = 0.0
+    for m in range(3, min(n_max, 2000) + 1):
+        q = tele.q_closed(float(m))
+        worst = max(worst, abs(q - q_term(telescoping_fn(), float(m))) / max(1.0, abs(q)))
+    ok = worst < 1e-13
     failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} Q closed form vs centers formula: max {worst:.3e} (tol 1e-11)")
+    print(f"{'PASS' if ok else 'FAIL'} Q closed form vs centers formula: max relative {worst:.3e} (tol 1e-13)")
 
     golden = abs(tele.center_closed(tele.PHI) - tele.center_closed(tele.PHI + 1.0))
     ok = golden < 1e-10

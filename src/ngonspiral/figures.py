@@ -14,7 +14,7 @@ from .convergence import CurveSample, convergence_curve, orbit_center
 from .lengthfns import LengthFunction, power_law, telescoping as telescoping_fn
 from .numerics import AccelerationSettings
 from .render import WIDTH, Scene, sample_curve_adaptive
-from .spiral import PolygonGeometry, interpolated_vertex, polygon_from_vertex, vertex_at
+from .spiral import PolygonGeometry, continuation, polygon_from_vertex, vertex_at
 
 __all__ = [
     "fig_orbit",
@@ -54,7 +54,9 @@ def _spiral(
 
 
 def _interpolant(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], complex]:
-    return lambda t: interpolated_vertex(f, t, settings).value
+    """The smooth spiral t -> V(t), with G_f summed once for the whole curve."""
+    v = continuation(f, settings)
+    return lambda t: v(t).value
 
 
 def fig_spiral(

@@ -155,6 +155,13 @@ def _segment_params(
     return min(max(t, 0.0), 1.0), min(max(u, 0.0), 1.0)
 
 
+def _hit(curve: Callable[[float], complex], a: float, b: float) -> tuple[float, float, complex, float]:
+    """(a, b, midpoint, residual) of a refined crossing, from one fresh
+    evaluation at each parameter."""
+    pa, pb = curve(a), curve(b)
+    return a, b, 0.5 * (pa + pb), abs(pa - pb)
+
+
 def _newton_refine(
     curve: Callable[[float], complex],
     a: float,
@@ -172,9 +179,7 @@ def _newton_refine(
     g = gap(a, b)
     for _ in range(_NEWTON_ITERS):
         if abs(g) <= tolerance:
-            pa = curve(a)
-            pb = curve(b)
-            return a, b, 0.5 * (pa + pb), abs(pa - pb)
+            break
         da = (curve(min(a + h, hi)) - curve(max(a - h, lo))) / (
             min(a + h, hi) - max(a - h, lo)
         )
@@ -186,10 +191,9 @@ def _newton_refine(
         j12, j22 = -db.real, -db.imag
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
-            return None
+            break
         sa = (-g.real * j22 + g.imag * j12) / det
         sb = (-j11 * g.imag + j21 * g.real) / det
-        stepped = False
         damp = 1.0
         for _ in range(20):
             na = min(max(a + damp * sa, lo), hi)
@@ -197,16 +201,11 @@ def _newton_refine(
             ng = gap(na, nb)
             if abs(ng) < abs(g):
                 a, b, g = na, nb, ng
-                stepped = True
                 break
             damp *= 0.5
-        if not stepped:
-            return None
-    if abs(g) <= tolerance:
-        pa = curve(a)
-        pb = curve(b)
-        return a, b, 0.5 * (pa + pb), abs(pa - pb)
-    return None
+        else:
+            break  # no damped step reduced the gap
+    return _hit(curve, a, b) if abs(g) <= tolerance else None
 
 
 def _subdivide_refine(
@@ -240,13 +239,8 @@ def _subdivide_refine(
             return None
         if ta1 - ta0 < 1e-15 and tb1 - tb0 < 1e-15:
             break
-    a = 0.5 * (ta0 + ta1)
-    b = 0.5 * (tb0 + tb1)
-    pa, pb = curve(a), curve(b)
-    res = abs(pa - pb)
-    if res <= tolerance:
-        return a, b, 0.5 * (pa + pb), res
-    return None
+    hit = _hit(curve, 0.5 * (ta0 + ta1), 0.5 * (tb0 + tb1))
+    return hit if hit[3] <= tolerance else None
 
 
 def self_intersections(

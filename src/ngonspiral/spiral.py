@@ -17,8 +17,10 @@ and their smooth continuation to real n are one formula,
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
 with one kernel for E.  G_f is the limit (a point, or the orbit center when
-the sides tend to a constant); interpolated_vertex reads the formula at real
-n, and vertex_at at deep indices, in O(1), streaming only short gaps.
+the sides tend to a constant) and depends only on the family and the
+settings, so continuation() sums it once and returns n -> V(n), one tail
+per point: interpolated_vertex reads it at one real n, the figures along a
+curve, and vertex_at at deep indices, in O(1), streaming only short gaps.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -32,7 +34,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .lengthfns import LengthFunction
 from .numerics import (
@@ -47,6 +49,7 @@ from .numerics import (
 __all__ = [
     "PolygonGeometry",
     "center",
+    "continuation",
     "harmonic_phases",
     "interpolated_vertex",
     "phase_of_turns",
@@ -161,18 +164,26 @@ def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> Summatio
     return replace(whole, value=-whole.value)
 
 
-def _continued(
-    whole: SummationResult, f: LengthFunction, n: float, settings: AccelerationSettings
-) -> SummationResult:
-    """V(n) = G_f + e^{i pi n} E(n+1) from ``whole`` = G_f; the error
-    estimates add, and it is converged only when both sums are."""
-    tail = _tail(f, n + 1, settings)
-    return SummationResult(
-        whole.value + signed_phase(n) * tail.value,
-        whole.error_estimate + tail.error_estimate,
-        whole.converged and tail.converged,
-        whole.terms_used + tail.terms_used,
-    )
+def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], SummationResult]:
+    """n -> V(n) = G_f + e^{i pi n} E(n+1) for real n > 1, with G_f summed
+    here, once, and each call summing only its tail E(n+1), both at
+    ``settings``.  The error estimates add, and a value is converged only
+    when both sums are.  Growing side lengths are refused before any sum.
+    """
+    if f.asymptote().exponent < 0.0:
+        raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
+    whole = _limit_series(f, settings)
+
+    def at(n: float) -> SummationResult:
+        tail = _tail(f, n + 1, settings)
+        return SummationResult(
+            whole.value + signed_phase(n) * tail.value,
+            whole.error_estimate + tail.error_estimate,
+            whole.converged and tail.converged,
+            whole.terms_used + tail.terms_used,
+        )
+
+    return at
 
 
 # vertex_at streams from one wanted index to the next, except that an index
@@ -226,22 +237,15 @@ def _check_work(deepest: int, jumps: dict[int, int]) -> None:
 
 
 def _jump(f: LengthFunction, deep: dict[int, int]) -> dict[int, complex]:
-    """{n: V(n)} for the indices n of ``deep`` ({n: gap}), each read as
-    G_f + (-1)^n E(n+1) with G_f summed once and E(n+1) all Euler transform
-    (4-8 terms).  An index whose sum misses _TAIL_SETTINGS is left out, and
-    all are when G_f misses it.
+    """{n: V(n)} for the indices n of ``deep`` ({n: gap}), read off one
+    continuation at _TAIL_SETTINGS: G_f summed once, and each E(n+1) all
+    Euler transform (4-8 terms).  An index whose value is not converged
+    (its tail or G_f missed) is left out.
     """
     if not deep:
         return {}
-    whole = _limit_series(f, _TAIL_SETTINGS)
-    if not whole.converged:
-        return {}
-    out = {}
-    for n in deep:
-        res = _continued(whole, f, n, _TAIL_SETTINGS)
-        if res.converged:
-            out[n] = res.value
-    return out
+    v = continuation(f, _TAIL_SETTINGS)
+    return {n: res.value for n in deep if (res := v(n)).converged}
 
 
 def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
@@ -379,17 +383,13 @@ def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometr
 def interpolated_vertex(
     f: LengthFunction, n: float, settings: AccelerationSettings | None = None
 ) -> SummationResult:
-    """Smooth continuation of the vertex sequence at real n > 1.
+    """Smooth continuation of the vertex sequence at real n > 1: the one
+    point continuation(f, settings)(n), V(n) = G_f + e^{i pi n} E(n+1).
 
-    V(n) = G_f + e^{i pi n} E(n+1), the deep-vertex formula read at real n,
-    with G_f = -E(3) and E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j) both summed
-    at ``settings``; the error estimates add, and it is converged only when
-    both sums are.  n must be finite with n + 1 > 2 in doubles, so the tail
-    never starts at x = 2; growing side lengths are refused outright.
+    n must be finite with n + 1 > 2 in doubles, so the tail never starts
+    at x = 2; it is checked first, then growing side lengths are refused,
+    both before any sum runs.
     """
     if not 2.0 < n + 1.0 < math.inf:
         raise ValueError(f"interpolated_vertex requires a finite n > 1, n + 1 > 2, got n = {n!r}")
-    if f.asymptote().exponent < 0.0:
-        raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
-    settings = settings or AccelerationSettings()
-    return _continued(_limit_series(f, settings), f, n, settings)
+    return continuation(f, settings or AccelerationSettings())(n)

@@ -158,6 +158,18 @@ class TestTelescope:
         assert "FAIL" not in out
         assert out.count("PASS") == 5
 
+    @pytest.mark.parametrize("scale, verdict", [(1 + 4e-14, "PASS"), (1 + 1e-12, "FAIL")])
+    def test_q_line_is_relative(self, capsys, monkeypatch, scale, verdict):
+        # |Q(m)| reaches ~630 by m = 2,000, so a relative error of 4e-14
+        # reads 2.5e-11 in absolute terms; 1e-12 relative is a real fault
+        import ngonspiral.cli as cli_mod
+
+        q_term = cli_mod.q_term
+        monkeypatch.setattr(cli_mod, "q_term", lambda f, n: q_term(f, n) * scale)
+        _, out, _ = run_cli(capsys, "telescope", "--check", "--n-max", "2000")
+        (line,) = [row for row in out.splitlines() if "Q closed form" in row]
+        assert line.startswith(verdict), line
+
     def test_figure(self, capsys, tmp_path):
         out_file = tmp_path / "fig4a.svg"
         code, out, _ = run_cli(capsys, "telescope", "--out", str(out_file))

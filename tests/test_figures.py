@@ -1,8 +1,9 @@
 import pytest
 
-from ngonspiral import convergence, figures
+from ngonspiral import convergence, figures, spiral
 from ngonspiral.figures import fig_orbit, fig_spiral, fig_telescope, fig_wcurve
 from ngonspiral.lengthfns import power_law, telescoping
+from ngonspiral.numerics import AccelerationSettings
 from ngonspiral.spiral import polygon
 
 
@@ -53,3 +54,29 @@ class TestSizeCaps:
             fig_wcurve(0.5, 1.0, cap)
         with pytest.raises(ValueError, match="samples"):
             fig_wcurve(0.5, 1.0, cap + 1)
+
+
+class TestOneGfPerCurve:
+    """G_f depends only on the family and the settings: a curve sums it once."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        calls = []
+        limit_series = spiral._limit_series
+
+        def counting(*args):
+            calls.append(args)
+            return limit_series(*args)
+
+        monkeypatch.setattr(spiral, "_limit_series", counting)
+        monkeypatch.setattr(convergence, "_limit_series", counting)
+        return calls
+
+    def test_orbit(self, sums):
+        # the orbit center, then the whole interpolant curve
+        fig_orbit(AccelerationSettings(1e-8))
+        assert len(sums) <= 2
+
+    def test_spiral(self, sums):
+        fig_spiral(power_law(1.0), 9)
+        assert len(sums) == 1

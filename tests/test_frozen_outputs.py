@@ -11,11 +11,24 @@ a last digit differently.  A change that alters an output byte on purpose
 file in CHANGES.md.  The interp, centers and q rows are also checked by
 value against their 40-digit mpmath oracles, so their hashes rest on
 checked numbers.
+
+``python tests/test_frozen_outputs.py`` prints the table as the program
+writes it now, to paste over ``FROZEN`` after a deliberate change and
+review in the diff.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # run as a script: use the package beside tests/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ngonspiral.cli import main
 from oracles import mp_q, mp_vertices
@@ -55,7 +68,7 @@ FROZEN = [
     (
         "telescope --check --n-max 2000",
         0,
-        "348afb34da63e746fd2f4b8c4e30178da140ffc8eed54e352e711e85fede7236",
+        "f21f40b87ee59304af21eade53fd39819c923e07b3fe46105f17b08250f1b6f2",
         {},
     ),
     (
@@ -138,3 +151,28 @@ def test_center_rows_are_the_mpmath_values(command, spec, name, capsys):
     vertices = mp_vertices(spec, [int(n) for n in rows]) if name == "centers" else {}
     for n, z in rows.items():
         assert abs(z - (vertices.get(int(n), 0j) + mp_q(spec, n))) < 1e-13, n
+
+
+def _current(command: str) -> tuple[int, str, dict[str, str]]:
+    """(exit code, stdout sha256, {svg name: sha256}) of one command run now."""
+    cwd = os.getcwd()
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(command.split())
+        finally:
+            os.chdir(cwd)
+        svgs = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(tmp).glob("*.svg"))}
+    return code, _sha256(out.getvalue().encode()), svgs
+
+
+if __name__ == "__main__":
+    print("FROZEN = [")
+    for command, *_ in FROZEN:
+        code, stdout_sha, svgs = _current(command)
+        svg_items = ", ".join(f'"{name}": "{sha}"' for name, sha in svgs.items())
+        print(f'    (\n        "{command}",\n        {code},\n        "{stdout_sha}",')
+        print(f"        {{{svg_items}}},\n    ),")
+    print("]")

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ class TestDeepVertices:
         for n in (2049, 10**5 + 1, 10**6, 10**7 + 1):
             assert interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value == vertex(f, n), n
 
+    def test_one_g_f_for_every_deep_index(self, monkeypatch):
+        calls = []
+        limit_series = spiral._limit_series
+
+        def counting(*args):
+            calls.append(args)
+            return limit_series(*args)
+
+        monkeypatch.setattr(spiral, "_limit_series", counting)
+        vertex_at(power_law(1.0), [5000, 10**5, 10**6, 10**7])
+        assert len(calls) == 1
+
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
         stream = spiral.harmonic_phases
@@ -447,6 +460,20 @@ class TestInterpolatedVertex:
         res = interpolated_vertex(power_law(1.0), 3.5, TIGHT)
         assert not res.converged
         assert res.error_estimate >= 1.0
+
+    def test_refused_before_any_sum(self, monkeypatch):
+        # n first, then the family, and neither G_f nor a tail is summed
+        def no_sum(*args):
+            raise AssertionError("a sum was started")
+
+        monkeypatch.setattr(spiral, "_limit_series", no_sum)
+        monkeypatch.setattr(spiral, "_tail", no_sum)
+        for spec in ("power:1", "power:-1"):
+            for n in (1.0000000000000002, math.inf, math.nan):
+                with pytest.raises(ValueError, match=re.escape(f"got n = {n!r}")):
+                    interpolated_vertex(parse_length(spec), n, TIGHT)
+        with pytest.raises(ValueError, match="diverges"):
+            interpolated_vertex(power_law(-1.0), 3.5, TIGHT)
 
     @pytest.mark.parametrize("spec", ["power:1", "circumscribed:1", "area:0", "telescoping"])
     def test_one_ulp_above_one_is_refused_by_every_family(self, spec):
