@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Intersection", "self_intersections"]
 
@@ -56,6 +57,8 @@ class Intersection:
 def _sample(
     curve: Callable[[float], complex], lo: float, hi: float, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, count)
     pts = np.empty(count, dtype=complex)
@@ -69,6 +72,8 @@ def _sample(
 
 def _overlap(a0, a1, b0, b1):
     """Whether the intervals [a0, a1] and [b0, b1] (either order) meet."""
+    import numpy as np
+
     return (np.minimum(a0, a1) <= np.maximum(b0, b1)) & (
         np.minimum(b0, b1) <= np.maximum(a0, a1)
     )
@@ -107,6 +112,8 @@ def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
     expanded at most ``_PAIR_BUDGET`` at a time, and ``_segments_cross``
     decides.  Duplicates are cleaned up after refinement.
     """
+    import numpy as np
+
     p0, p1 = pts[:-1], pts[1:]
     axis = np.real if np.ptp(pts.real) >= np.ptp(pts.imag) else np.imag
     a0, a1 = axis(p0), axis(p1)

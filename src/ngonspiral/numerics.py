@@ -119,6 +119,13 @@ _DIGAMMA_ASYMPTOTIC = (
 )
 
 
+def _bernoulli_tail(u):
+    """sum_k B_{2k}/(2k) u^(k-1), k = 1..7, at u = x^{-2} (Horner): a float
+    or a numpy array."""
+    c0, c1, c2, c3, c4, c5, c6 = _DIGAMMA_ASYMPTOTIC
+    return c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * c6)))))
+
+
 def digamma(x: float) -> float:
     """psi(x) for x > 0, absolute error below 1e-13.
 
@@ -132,10 +139,20 @@ def digamma(x: float) -> float:
         shift -= 1.0 / x
         x += 1.0
     u = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_ASYMPTOTIC):
-        tail = tail * u + c
-    return shift + math.log(x) - 0.5 / x - u * tail
+    return shift + math.log(x) - 0.5 / x - u * _bernoulli_tail(u)
+
+
+def _digamma_array(x):
+    """digamma at each entry of a float numpy array x > 0: the asymptotic
+    series at once, then the scalar digamma at each entry below 12."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):  # x^2 -> inf, u -> 0 past 1e154, as in digamma
+        u = 1.0 / (x * x)
+    out = np.log(x) - 0.5 / x - u * _bernoulli_tail(u)
+    for i in np.flatnonzero(x < _DIGAMMA_SHIFT).tolist():
+        out[i] = digamma(float(x[i]))
+    return out
 
 
 def harmonic_continued(x: float) -> float:
@@ -147,6 +164,12 @@ def harmonic_continued(x: float) -> float:
     if not x > -1.0:
         raise ValueError(f"harmonic_continued requires x > -1, got {x}")
     return EULER_GAMMA + digamma(x + 1.0)
+
+
+def harmonic_array(x):
+    """harmonic_continued at each entry of a float numpy array x > -1,
+    through the vectorised digamma: the dense kernels' H_x."""
+    return EULER_GAMMA + _digamma_array(x + 1.0)
 
 
 def euler_transform_sum(

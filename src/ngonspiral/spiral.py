@@ -8,11 +8,13 @@ followed from one shared vertex to the next has the closed form
 
 and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
-the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, and
-every series reads u from the one stream harmonic_phases(): its reduced
-angle stays O(log x) instead of O(x), dodging the argument-reduction error
-of the raw closed form.  As the whole series minus its tail, the vertices
-and their smooth continuation to real n are one formula,
+the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
+reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
+error of the raw closed form.  Dense runs of the series (vertex_at, and the
+telescoping identity check) read u from one numpy kernel, _dense_series(),
+in blocks; the tails below read it term by term from harmonic_phases().
+As the whole series minus its tail, the vertices and their smooth
+continuation to real n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
@@ -20,7 +22,7 @@ with one kernel for E.  G_f is the limit (a point, or the orbit center when
 the sides tend to a constant) and depends only on the family and the
 settings, so continuation() sums it once and returns n -> V(n), one tail
 per point: interpolated_vertex reads it at one real n, the figures along a
-curve, and vertex_at at deep indices, in O(1), streaming only short gaps.
+curve, and vertex_at at deep indices, in O(1), summing only short gaps.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -34,7 +36,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .lengthfns import LengthFunction
 from .numerics import (
@@ -43,14 +45,17 @@ from .numerics import (
     ComplexCompensatedSum,
     SummationResult,
     euler_transform_sum,
+    harmonic_array,
     harmonic_continued,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PolygonGeometry",
     "center",
     "continuation",
-    "harmonic_phases",
     "interpolated_vertex",
     "phase_of_turns",
     "polygon",
@@ -186,16 +191,127 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
     return at
 
 
-# vertex_at streams from one wanted index to the next, except that an index
-# above _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is
-# read as G_f plus a signed Euler-summed tail, ~0.1 ms, about the cost of
-# streaming 50 terms.  _TAIL_FROM lies above figures._MAX_POLYGON, so the
-# figures and every shallow index keep their streamed bits.
+# The dense kernel sums in blocks of _BLOCK terms and works in chunks of
+# _CHUNK terms, so its working set stays near 0.6 MB however long the run
+# (chunks of 2^12 would double it).
+_BLOCK = 256
+_CHUNK = 1 << 11
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b, its exact rounding error) elementwise (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+class _RunningSum:
+    """Compensated running sums of a long real or complex series fed in
+    chunks, after Ogita, Rump and Oishi ("Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005): a numpy cumulative sum inside blocks
+    of _BLOCK terms with the exact error of each of its additions beside it,
+    and a Neumaier sum of the block totals carried from block to block, so
+    no run of terms is added naively and each sum is rounded once.  Each
+    part of a complex sum carries its own correction.
+    """
+
+    def __init__(self, start: float | complex) -> None:
+        parts = [start.real, start.imag] if isinstance(start, complex) else [start]
+        self._s, self._c = parts, [0.0] * len(parts)
+
+    def extend(self, terms: np.ndarray) -> np.ndarray:
+        """The running sums, continued from the last, after each entry of
+        the numpy array ``terms`` (float or complex, as at the start)."""
+        import numpy as np
+
+        n, d = len(terms), len(self._s)
+        size = min(n, _BLOCK)
+        nb = -(-n // size)
+        # parts x blocks x terms, so every sum runs along contiguous memory
+        x = np.zeros((d, nb * size))
+        x[:, :n] = terms.view(np.float64).reshape(n, d).T
+        x = x.reshape(d, nb, size)
+        p = np.add.accumulate(x, axis=2)
+        prev = np.zeros_like(p)
+        prev[:, :, 1:] = p[:, :, :-1]
+        fix = np.add.accumulate(_two_sum(prev, x)[1], axis=2)
+        heads, tails = [], []
+        s, c = self._s, self._c
+        for total, lost in zip(p[:, :, -1].T.tolist(), fix[:, :, -1].T.tolist()):
+            heads.append(s)
+            tails.append(c)
+            nxt = [a + b for a, b in zip(s, total)]
+            c = [
+                e + f + ((a - t) + b if abs(a) >= abs(b) else (b - t) + a)
+                for a, b, t, e, f in zip(s, total, nxt, c, lost)
+            ]
+            s = nxt
+        self._s, self._c = s, c
+        head, err = _two_sum(np.array(heads).T[:, :, None], p)
+        sums = head + ((np.array(tails).T[:, :, None] + fix) + err)
+        out = np.empty_like(terms)
+        out.view(np.float64).reshape(n, d)[:] = sums.reshape(d, nb * size)[:, :n].T
+        return out
+
+
+def _turns(t: np.ndarray) -> np.ndarray:
+    """e^{2 pi i t} at each entry of the float array t, reduced mod 1 in
+    turns as phase_of_turns does."""
+    import numpy as np
+
+    ang = TWO_PI * (t - np.rint(t))
+    out = np.empty(len(t), dtype=complex)
+    out.real = np.cos(ang)
+    out.imag = np.sin(ang)
+    return out
+
+
+def _alternate(k0: int, z: np.ndarray) -> np.ndarray:
+    """(-1)^k z for k = k0, k0 + 1, ...: z with the entries at odd k
+    negated in place."""
+    import numpy as np
+
+    odd = z[1 - k0 % 2 :: 2]
+    np.negative(odd, out=odd)
+    return z
+
+
+def _dense_series(
+    lf: Callable[[float], float],
+    start: int,
+    base: complex,
+    end: int,
+    harmonic: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The vertex series over k = start+1..end in chunks of _CHUNK terms:
+    (first k, k as floats, H_k, (-1)^k l(k) u(k), V(k)) per chunk,
+    V(start) = base, with u(k) = e^{2 pi i (1/k - 2 H_k)} reduced in
+    turns, H_k = harmonic(ks), l(k) from scalar calls of ``lf``, and V
+    from one _RunningSum whose blocks count from start + 1.  The signs
+    come from the int k, so they hold past 2^53, where the floats of
+    consecutive k coincide.
+    """
+    import numpy as np
+
+    acc = _RunningSum(base)
+    for lo in range(start + 1, end + 1, _CHUNK):
+        ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
+        hs = harmonic(ks)
+        lengths = np.fromiter(map(lf, ks.tolist()), float, len(ks))
+        terms = _alternate(lo, lengths * _turns(1.0 / ks - 2.0 * hs))
+        yield lo, ks, hs, terms, acc.extend(terms)
+
+
+# vertex_at sums runs of consecutive indices, except that an index above
+# _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is read
+# as G_f plus a signed Euler-summed tail, ~36 us, about the cost of summing
+# 130 terms of a run.  _TAIL_FROM lies above figures._MAX_POLYGON, so the
+# figures and every shallow index keep the bits of one run from V(2).
 _TAIL_FROM = 2048
 _JUMP_GAP = 64
 _TAIL_SETTINGS = AccelerationSettings(1e-13)
-# Work cap of one vertex_at call in streamed terms (~25 s); a jump counts
-# as _JUMP_GAP terms.
+# Work cap of one vertex_at call in summed terms (~4 s for power:-1 on a
+# shared 2-vCPU x86-64 VM); a jump counts as _JUMP_GAP terms.
 _MAX_STREAM = 10**7
 
 
@@ -225,8 +341,8 @@ def _deep_gaps(order: list[int]) -> dict[int, int]:
 def _check_work(deepest: int, jumps: dict[int, int]) -> None:
     """Refuse a walk to ``deepest`` that costs more than _MAX_STREAM terms.
 
-    Every gap streams except those of ``jumps`` ({n: gap}), which cost
-    _JUMP_GAP each; the streamed gaps telescope to deepest - 2 minus the
+    Every gap is summed except those of ``jumps`` ({n: gap}), which cost
+    _JUMP_GAP each; the summed gaps telescope to deepest - 2 minus the
     jumped ones.
     """
     cost = deepest - 2 - sum(gap - _JUMP_GAP for gap in jumps.values())
@@ -252,17 +368,20 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     """Shared vertices V_f(n) for several indices in one ascending walk.
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
-    Each index streams from the previous one (from V(2) for the first)
-    over harmonic_phases() with compensated complex summation, so dense
-    ranges and every index up to 2,048 are direct sums.  An index above
+    Each run of indices is summed by one numpy kernel from V(2) (or from a
+    jump): H_k from the vectorised digamma, l(k) from scalar calls, phases
+    reduced in turns, and compensated running sums in blocks of 256 terms
+    counted from the run's start, so dense ranges and every index up to
+    2,048 are direct sums whose bits do not depend on the other indices
+    asked for.  An index above
     2,048 more than 64 past the previous one instead jumps, in O(1), to
     V(n) = G_f + (-1)^n E(n+1), G_f = -E(3) (regularised for exponent 0),
     E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at tolerance 1e-13.  It
-    streams after all when the sides grow or a sum does not converge.
+    sums the run after all when the sides grow or a sum does not converge.
 
     Raises ``ValueError`` before any work for an index whose n + 1 does not
-    fit in a double, and before any streaming when the walk would stream
-    more than 10^7 terms (~25 s), counting each jump as 64.
+    fit in a double, and before any run when the walk would sum more than
+    10^7 terms (~4 s), counting each jump as 64.
     """
     wanted = set(map(int, indices))
     order = sorted(wanted)
@@ -278,8 +397,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     _check_work(order[-1], deep)
     jumps = _jump(f, deep)
     _check_work(order[-1], {n: deep[n] for n in jumps})
-    # runs (start, V(start), end): one stream from each start to the index
-    # before the next start, the last one to the deepest index
+    # runs (start, V(start), end): one from each start to the index before
+    # the next start, the last one to the deepest index
     starts = [(2, 0j), *jumps.items()]
     ends = [n - deep[n] for n in jumps] + [order[-1]]
     out = {}
@@ -287,14 +406,12 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     for (start, base), end in zip(starts, ends):
         if start in wanted:
             out[start] = base
-        acc = ComplexCompensatedSum()
-        add = acc.add
-        add(base)
-        for k, _, phase in itertools.islice(harmonic_phases(start + 1), end - start):
-            scale = lf(float(k))
-            add(-scale * phase if k % 2 else scale * phase)
-            if k in wanted:
-                out[k] = acc.value
+        i = bisect.bisect_right(order, start)
+        for lo, ks, _, _, sums in _dense_series(lf, start, base, end, harmonic_array):
+            j = bisect.bisect_right(order, lo + len(ks) - 1, i)
+            values = sums.tolist()
+            out.update((n, values[n - lo]) for n in order[i:j])
+            i = j
     return out
 
 

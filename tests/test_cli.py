@@ -298,7 +298,7 @@ class TestSizeCaps:
 
         monkeypatch.setattr(figures, "vertex_at", refuse)
         monkeypatch.setattr(convergence, "limit_point", refuse)
-        monkeypatch.setattr(telescoping, "harmonic_phases", refuse)
+        monkeypatch.setattr(telescoping, "_dense_series", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ The hashes are the bytes of the platform that generated them (x86-64
 Linux, CPython 3.11.7, numpy 2.4.6); another libm or numpy build may round
 a last digit differently.  A change that alters an output byte on purpose
 (ROADMAP items 1-2) updates the table entry here and names the changed
-file in CHANGES.md.  The interp, centers and q rows are also checked by
+file in CHANGES.md.  The interp, vertices, centers and q rows are also checked by
 value against their 40-digit mpmath oracles, so their hashes rest on
 checked numbers.
 
@@ -38,7 +38,7 @@ FROZEN = [
     (
         "build --length power:1 --max-n 9 --out fig2.svg",
         0,
-        "bceaa0547aaf797bfd318465ce619a4172872051526886d0fec2d4830ccabea5",
+        "80210fe9570f82aefd933624fac30ce949ee41b83a3f7a7ca78219d7d743a5b3",
         {"fig2.svg": "1d9084f4e95938043ccdbbeb5c25a604431f899e59581af231492c193fa098f5"},
     ),
     (
@@ -57,7 +57,7 @@ FROZEN = [
         "orbit --out fig3a.svg",
         0,
         "029d78f8e3b251a2865e676e4a4e7948966e42aa4a42cedb0872c3113e9de2c0",
-        {"fig3a.svg": "c5bf0cb5313709db5823b1b7285984f470d739c2ff9c0c5a765a579e4403a9ce"},
+        {"fig3a.svg": "c47461b7256daf5183441688cf3f057ec232c60b7d4524f0f5bd361170963701"},
     ),
     (
         "curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg",
@@ -74,8 +74,8 @@ FROZEN = [
     (
         "telescope --out fig4a.svg",
         0,
-        "7a0c33ffa3635c8a86abf90ad4e802950b684e3b75f344eee0dcf62744fb9988",
-        {"fig4a.svg": "5dde8c9fccc63528a00a263ac2960a38d9282853b13082a86408987eff765831"},
+        "2f27ab27b8f781572bbe1b75d348c7f6681fc4bf8ac3668a642e0818ddaed37a",
+        {"fig4a.svg": "ecaf6cb5237b0a6b6eff74c0ab673d0f7bd06e8196689b3c2c26333d51f1fc77"},
     ),
     (
         "telescope --fig q --out fig4b.svg",
@@ -140,17 +140,20 @@ def _rows(out: str, name: str) -> dict[float, complex]:
         ("build --length power:1 --max-n 9", "power:1", "centers"),
         ("telescope", "telescoping", "centers"),
         ("telescope --fig q", "telescoping", "q"),
+        ("build --length power:1 --max-n 9", "power:1", "vertices"),
+        ("telescope", "telescoping", "vertices"),
     ],
 )
 def test_center_rows_are_the_mpmath_values(command, spec, name, capsys):
-    # a center is V(n) + Q(n), a q row Q(n) alone
+    # a center is V(n) + Q(n), a q row Q(n) alone, a vertices row V(n) alone
     pytest.importorskip("mpmath")
     assert main(command.split()) == 0
     rows = _rows(capsys.readouterr().out, name)
     assert len(rows) >= 7
-    vertices = mp_vertices(spec, [int(n) for n in rows]) if name == "centers" else {}
+    vertices = mp_vertices(spec, [int(n) for n in rows]) if name != "q" else {}
     for n, z in rows.items():
-        assert abs(z - (vertices.get(int(n), 0j) + mp_q(spec, n))) < 1e-13, n
+        q = mp_q(spec, n) if name != "vertices" else 0j
+        assert abs(z - (vertices.get(int(n), 0j) + q)) < 1e-13, n
 
 
 def _current(command: str) -> tuple[int, str, dict[str, str]]:

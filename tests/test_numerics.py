@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
+from ngonspiral import numerics
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
     digamma,
     euler_transform_sum,
+    harmonic_array,
     harmonic_continued,
     richardson,
 )
@@ -62,8 +65,11 @@ class TestDigamma:
         assert worst < 1e-12
 
     def test_against_scipy(self):
-        for x in [0.1, 0.37, 1.0, 2.5, 7.3, 11.99, 12.01, 55.5, 4000.0]:
+        xs = [0.1, 0.37, 1.0, 2.5, 7.3, 11.99, 12.01, 55.5, 4000.0]
+        for x, y in zip(xs, numerics._digamma_array(np.array(xs)).tolist()):
             assert abs(digamma(x) - sp.digamma(x)) < 1e-13
+            # the array path: the scalar values below 12, the same series above
+            assert abs(y - digamma(x)) <= 2.0 * math.ulp(digamma(x)), x
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -74,12 +80,15 @@ class TestDigamma:
 
 class TestHarmonicContinued:
     def test_integer_agreement(self):
-        # against the exact rational H_k, 1 <= k <= 3000 (measured 2.6e-15)
+        # against the exact rational H_k, 1 <= k <= 3000, scalar and array
+        # (measured 2.6e-15 for both)
         exact = Fraction(0)
         worst = 0.0
+        dense = harmonic_array(np.arange(1.0, 3001.0)).tolist()
         for k in range(1, 3001):
             exact += Fraction(1, k)
             worst = max(worst, abs(Fraction(harmonic_continued(float(k))) - exact))
+            worst = max(worst, abs(Fraction(dense[k - 1]) - exact))
         assert worst < 5e-15
         # the seed of every harmonic_phases stream from 3
         assert harmonic_continued(2.0) == 1.5

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import types
 
 import ngonspiral
@@ -11,3 +13,17 @@ def test_every_exported_name_resolves():
         assert namespace[name] is getattr(ngonspiral, name)
         # no submodule shadows an exported function of the same name
         assert not isinstance(namespace[name], types.ModuleType)
+
+
+def test_numpy_is_imported_lazily():
+    # numpy is most of the import time; only the dense kernels and the
+    # crossing scan need it, so the import and a scalar command skip it
+    code = (
+        "import sys, ngonspiral\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from ngonspiral.cli import main\n"
+        "assert main(['limit', '--s', '0.5']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

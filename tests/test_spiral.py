@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,7 @@ import pytest
 from ngonspiral import spiral
 from ngonspiral.convergence import limit_point
 from ngonspiral.lengthfns import inscribed, parse_length, power_law, telescoping
-from ngonspiral.numerics import (
-    EULER_GAMMA,
-    AccelerationSettings,
-    ComplexCompensatedSum,
-    SummationResult,
-)
+from ngonspiral.numerics import EULER_GAMMA, AccelerationSettings, SummationResult
 from ngonspiral.spiral import (
     center,
     harmonic_phases,
@@ -121,6 +117,16 @@ class TestVertex:
         with pytest.raises(ValueError):
             vertex(power_law(1.0), 1)
 
+    @pytest.mark.parametrize("n", [2**53, 10**17, 10**20, 10**200])
+    def test_short_run_past_exact_floats(self, n):
+        # k + 1 and k round to one float there (and k^2 overflows at
+        # 1e200); the sign of each term still follows the int k: a run of
+        # 3 from a jump lands where the jump to n + 3 does
+        f = power_law(0.0)
+        both = vertex_at(f, [n, n + 1, n + 3])
+        assert len(both) == 3
+        assert abs(both[n + 3] - vertex(f, n + 3)) < 1e-9
+
     def test_index_beyond_the_double_range_is_refused(self):
         # n + 1 must fit in a double; 2**1023 + 1 does, 2**1024 does not
         assert cmath.isfinite(vertex(power_law(1.0), 2**1023))
@@ -145,17 +151,27 @@ def _summed_moduli(spec: str, n_max: int) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _streamed(spec: str, n_max: int) -> tuple[complex, ...]:
-    """V(2), ..., V(n_max) by the direct streaming loop, the reference that
-    every streamed index must equal bit for bit."""
-    lf = parse_length(spec).as_callable()
-    acc = ComplexCompensatedSum()
-    out = [0j]
-    for k, _, phase in itertools.islice(harmonic_phases(), n_max - 2):
-        scale = lf(float(k))
-        acc.add(-scale * phase if k % 2 else scale * phase)
-        out.append(acc.value)
-    return tuple(out)
+def _dense(spec: str, n_max: int) -> tuple[complex, ...]:
+    """V(2), ..., V(n_max) from one dense vertex_at run, the reference that
+    every summed index must equal bit for bit."""
+    v = vertex_at(parse_length(spec), range(2, n_max + 1))
+    return tuple(v[n] for n in range(2, n_max + 1))
+
+
+# The block (256 terms) and chunk (2048 terms) edges of a run from V(2),
+# whose first term is k = 3, and a dense sample of n <= 2e4.
+EDGES = (258, 259, 2050, 2051, 4098, 4099, 4100, 8195)
+DENSE_N = sorted({3, 4, 12, 50, 257, 260, 513, 2047, 2048, 4097, 8196, 12291, *EDGES,
+                  *range(1000, 20_001, 1000)})
+# Largest error of the scalar streaming loop this kernel replaced, from mpmath,
+# over DENSE_N (measured, rounded up at the third digit): the kernel may be
+# no worse.
+STREAM_ERROR = {
+    "power:1": 2.63e-15, "power:0.5": 2.38e-14, "power:2": 2.56e-16,
+    "power:1e-3": 1.02e-12, "inscribed:0": 1.65e-14, "circumscribed:1": 2.71e-15,
+    "area:0": 9.86e-15, "power:0": 1.03e-12, "inscribed:-1": 6.43e-12,
+    "circumscribed:-1": 6.46e-12, "area:-2": 3.61e-12, "telescoping": 2.06e-12,
+}
 
 
 def _tails_miss(f, x, settings, tail=spiral._tail):
@@ -175,33 +191,43 @@ class TestDeepVertices:
         for n in DEEP_N:
             assert abs(got[n] - ref[n]) < bound, (spec, n)
 
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_dense_range_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        got = _dense(spec, 20_000)
+        ref = mp_vertices(spec, DENSE_N)
+        assert max(abs(got[n - 2] - ref[n]) for n in DENSE_N) <= STREAM_ERROR[spec]
+
     def test_jump_matches_stream(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
-        # The stream, not the jump, is the inexact side here (it is off by
-        # up to 6e-12 from mpmath at n <= 2e4): its rounding grows with the
-        # summed modulus of its terms, so the bound does too.  Measured
-        # worst over 2,460 draws: 0.36 of it.
+        # The dense run, not the jump, is the inexact side here (it is off
+        # by up to 6e-12 from mpmath at n <= 2e4): its rounding grows with
+        # the summed modulus of its terms, so the bound does too.
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(st.sampled_from(VANISHING + CONSTANT), st.integers(2049, 20_000))
         def check(spec, n):
-            gap = abs(vertex_at(parse_length(spec), [n])[n] - _streamed(spec, 20_000)[n - 2])
+            gap = abs(vertex_at(parse_length(spec), [n])[n] - _dense(spec, 20_000)[n - 2])
             assert gap < 1e-13 + 4.4e-16 * _summed_moduli(spec, 20_000)[n - 2]
 
         check()
 
     @pytest.mark.parametrize("spec", ["power:1", "power:0", "telescoping"])
     def test_shallow_indices_are_streamed_bits(self, spec):
-        ref = _streamed(spec, 6000)
+        # the blocks of a run count from its start, so a value does not
+        # depend on the other indices asked for or on where the run ends
+        ref = _dense(spec, 6000)
         f = parse_length(spec)
         for n, v in vertex_at(f, [2, 3, 100, 777, 2047, 2048]).items():
             assert v == ref[n - 2], n
-        assert list(vertex_at(f, range(2, 6001)).values()) == list(ref)
+        for n in (3, 4, 100, 257, *EDGES[:2], 2047):
+            assert vertex(f, n) == ref[n - 2], n
+        assert ref == _dense(spec, 20_000)[: len(ref)]
 
     @pytest.mark.parametrize("spec", ["power:-1", "inscribed:-2"])
     def test_growing_family_streams(self, spec):
-        assert vertex(parse_length(spec), 5000) == _streamed(spec, 5000)[-1]
+        assert vertex(parse_length(spec), 5000) == _dense(spec, 5000)[-1]
 
     @pytest.mark.parametrize(
         "name, stub",
@@ -216,8 +242,9 @@ class TestDeepVertices:
         # starved settings, then G_f alone, then every Euler sum the kernel
         # E(x) runs (it calls euler_transform_sum in spiral), then the deep
         # tails E(n+1) alone miss
+        ref = _dense("power:1", 5000)[-1]
         monkeypatch.setattr(spiral, name, stub)
-        assert vertex(power_law(1.0), 5000) == _streamed("power:1", 5000)[-1]
+        assert vertex(power_law(1.0), 5000) == ref
 
     @pytest.mark.parametrize("spec", ["power:1", "power:0", "inscribed:-1", "telescoping", "area:0"])
     def test_jump_is_the_interpolant_at_integers(self, spec):
@@ -240,24 +267,32 @@ class TestDeepVertices:
 
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
-        stream = spiral.harmonic_phases
+        stream, dense = spiral.harmonic_phases, spiral._dense_series
 
-        def counting(start=3):
+        def counting_stream(start=3):
             for term in stream(start):
                 consumed.append(term[0])
                 yield term
 
-        monkeypatch.setattr(spiral, "harmonic_phases", counting)
+        def counting_dense(*args):
+            for chunk in dense(*args):
+                consumed.extend(chunk[1].tolist())
+                yield chunk
+
+        monkeypatch.setattr(spiral, "harmonic_phases", counting_stream)
+        monkeypatch.setattr(spiral, "_dense_series", counting_dense)
         v = vertex_at(power_law(0.5), (10**6, 10**6 + 3))
         assert len(v) == 2
         # G_f (~65 terms), one tail (4-8 terms) and a 3-term gap
         assert len(consumed) < 100
 
     def test_stream_cap_is_exact(self, monkeypatch):
-        # the stream is replaced by a failure, so the cap itself never runs
+        # every sum (the dense kernel and the tails' stream) is replaced by
+        # a failure, so the cap itself never runs
         def refuse(*args):
             raise AssertionError("streamed")
 
+        monkeypatch.setattr(spiral, "_dense_series", refuse)
         monkeypatch.setattr(spiral, "harmonic_phases", refuse)
         cap = spiral._MAX_STREAM
         growing = power_law(-1.0)
@@ -273,6 +308,34 @@ class TestDeepVertices:
             vertex_at(power_law(1.0), range(first, first + step * jumps, step))
         with pytest.raises(ValueError, match="streamed terms"):
             vertex_at(power_law(1.0), range(first, first + step * (jumps + 1), step))
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 4096, 4097, 9000])
+    def test_running_sums_are_rounded_once(self, n):
+        # complex terms fed in two chunks, against the exact prefix sums
+        rng = np.random.default_rng(n)
+        terms = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.standard_normal(n)
+        acc = spiral._RunningSum(0.5 + 0.25j)
+        half = n // 2
+        got = np.concatenate([acc.extend(terms[:half]), acc.extend(terms[half:])])
+        re = [Fraction(0.5)]
+        im = [Fraction(0.25)]
+        for z in terms.tolist():
+            re.append(re[-1] + Fraction(z.real))
+            im.append(im[-1] + Fraction(z.imag))
+        for j, z in enumerate(got.tolist()):
+            # each sum rounded once (measured: within half an ulp)
+            assert abs(Fraction(z.real) - re[j + 1]) <= math.ulp(float(re[j + 1])), j
+            assert abs(Fraction(z.imag) - im[j + 1]) <= math.ulp(float(im[j + 1])), j
+
+    def test_running_harmonic_numbers(self):
+        # the identity's direct H_k: 1/k summed from H_2 = 3/2, within an ulp
+        acc = spiral._RunningSum(1.5)
+        ks = np.arange(3.0, 10_001.0)
+        hs = np.concatenate([acc.extend(1.0 / ks[:5000]), acc.extend(1.0 / ks[5000:])])
+        for k, h in zip(range(3, 10_001), hs.tolist()):
+            assert abs(h - harmonic_number(k)) <= math.ulp(h), k
 
 
 class TestQTerm:

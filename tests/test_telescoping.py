@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,19 +132,36 @@ class TestTelescopingIdentity:
         with pytest.raises(ValueError):
             verify_telescoping_identity(2)
 
+    @pytest.mark.parametrize("n_max", [258, 259, 2050, 2051, 4098, 4099, 4100, 8195])
+    def test_block_and_chunk_edges(self, n_max):
+        # the first and last terms of the kernel's blocks (256) and chunks
+        # (2048); measured 2.6e-13 to 1.5e-12
+        assert verify_telescoping_identity(n_max) < 1e-11
+
     def test_closed_form_side_reads_the_continuation(self, monkeypatch):
-        # the closed side reads H_k through digamma, the direct side the
-        # running sum, so a digamma off by 1e-9 past 100 must show
-        exact = numerics.digamma
-        monkeypatch.setattr(numerics, "digamma", lambda x: exact(x) + (1e-9 if x > 100.0 else 0.0))
+        # the closed side reads H_k through the vectorised digamma, the
+        # direct side the running sum, so a digamma off by 1e-9 past 100
+        # must show
+        exact = numerics._digamma_array
+        monkeypatch.setattr(numerics, "_digamma_array", lambda x: exact(x) + 1e-9 * (x > 100.0))
         assert verify_telescoping_identity(3000) > 1e-10
 
+    def test_memory_is_bounded_by_the_chunk(self):
+        # numpy reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            verify_telescoping_identity(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_size_cap_is_exact(self, monkeypatch):
-        # the stream is replaced by a failure, so the cap itself never runs
-        def refuse():
+        # the kernel is replaced by a failure, so the cap itself never runs
+        def refuse(*args):
             raise AssertionError("the series was streamed")
 
-        monkeypatch.setattr(telescoping_mod, "harmonic_phases", refuse)
+        monkeypatch.setattr(telescoping_mod, "_dense_series", refuse)
         cap = telescoping_mod._MAX_IDENTITY_N
         with pytest.raises(AssertionError, match="streamed"):
             verify_telescoping_identity(cap)
