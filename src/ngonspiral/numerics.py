@@ -22,6 +22,7 @@ __all__ = [
     "SummationResult",
     "digamma",
     "euler_transform_sum",
+    "harmonic_array",
     "harmonic_continued",
     "richardson",
 ]
