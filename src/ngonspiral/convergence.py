@@ -130,13 +130,13 @@ def orbit_distance_law(
     """Empirical versus predicted distance between orbit points U(nr), U(n).
 
     U(m) = V(PowerLaw{0}, 2m); the prediction is |sin(2 pi ln r)|.  Requires
-    n >= 10 and n*r integral (within 1e-9).  Both vertices come from one
-    vertex_at call, so for n above 1,024 each costs O(1), not 2n terms.
+    finite n >= 10 and r >= 1 with n*r integral (within 1e-9).  One
+    vertex_at call reads both vertices, each in O(1) for n above 1,024.
     """
-    if n < 10:
-        raise ValueError(f"orbit_distance_law requires n >= 10, got {n}")
-    if r < 1.0:
-        raise ValueError(f"orbit_distance_law requires r >= 1, got {r}")
+    if not 10 <= n < math.inf:
+        raise ValueError(f"orbit_distance_law requires a finite n >= 10, got {n}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"orbit_distance_law requires a finite r >= 1, got {r}")
     nr = n * r
     if abs(nr - round(nr)) > 1e-9:
         raise ValueError(f"n*r must be integral, got {nr}")
@@ -168,8 +168,8 @@ def convergence_curve(
     dropped.  A single sample degenerates to limit_point at s_min.  More
     than ``_MAX_CURVE_SAMPLES`` samples raise ``ValueError`` before any work.
     """
-    if not 0.0 < s_min <= s_max:
-        raise ValueError(f"need 0 < s_min <= s_max, got [{s_min}, {s_max}]")
+    if not 0.0 < s_min <= s_max < math.inf:
+        raise ValueError(f"need 0 < s_min <= s_max with s_max finite, got [{s_min}, {s_max}]")
     if not 1 <= samples <= _MAX_CURVE_SAMPLES:
         raise ValueError(f"samples must be in [1, {_MAX_CURVE_SAMPLES}], got {samples}")
     settings = settings or AccelerationSettings()

@@ -1,10 +1,11 @@
 """Special functions and series acceleration kernels.
 
 Everything lives in ordinary double precision.  The pieces here are the
-numerical bedrock for the spiral modules: a compensated complex
-accumulator, digamma (and through it H_x for real x > -1), and the Euler
-transform, the one accelerator for alternating complex series, whose
-"not converged" outcome is a value, never an exception.
+numerical bedrock for the spiral modules: the error-free addition two_sum
+that every compensated sum is built on, digamma (and through it H_x for
+real x > -1), and the Euler transform, the one accelerator for
+alternating complex series, whose "not converged" outcome is a value,
+never an exception.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ __all__ = [
     "EULER_GAMMA",
     "TWO_PI",
     "AccelerationSettings",
-    "ComplexCompensatedSum",
     "SummationResult",
     "digamma",
     "euler_transform_sum",
     "harmonic_array",
     "harmonic_continued",
     "richardson",
+    "two_sum",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -72,39 +73,13 @@ class SummationResult:
     terms_used: int
 
 
-class ComplexCompensatedSum:
-    """Neumaier compensated accumulator for long complex sums.
-
-    Each part carries its own Neumaier correction; one call per term
-    instead of two keeps the streaming loops cheap.
-    """
-
-    __slots__ = ("_re", "_im", "_c_re", "_c_im")
-
-    def __init__(self) -> None:
-        self._re = self._im = self._c_re = self._c_im = 0.0
-
-    def add(self, z: complex) -> None:
-        x = z.real
-        s = self._re
-        t = s + x
-        if abs(s) >= abs(x):
-            self._c_re += (s - t) + x
-        else:
-            self._c_re += (x - t) + s
-        self._re = t
-        x = z.imag
-        s = self._im
-        t = s + x
-        if abs(s) >= abs(x):
-            self._c_im += (s - t) + x
-        else:
-            self._c_im += (x - t) + s
-        self._im = t
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re + self._c_re, self._im + self._c_im)
+def two_sum(a, b):
+    """(a + b, its exact rounding error), Knuth's TwoSum: the one error-free
+    addition behind every compensated sum here.  Floats, complex numbers
+    (each part rounds separately) and numpy arrays of either."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
 
 # psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}); coefficients of u = x^{-2}.

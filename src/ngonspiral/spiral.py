@@ -12,7 +12,7 @@ the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
 error of the raw closed form.  Dense runs of the series (vertex_at, and the
 telescoping identity check) read u from one numpy kernel, _dense_series(),
-in blocks; the tails below read it term by term from harmonic_phases().
+in chunks; the tails below read it term by term from harmonic_phases().
 As the whole series minus its tail, the vertices and their smooth
 continuation to real n are one formula,
 
@@ -42,11 +42,11 @@ from .lengthfns import LengthFunction
 from .numerics import (
     TWO_PI,
     AccelerationSettings,
-    ComplexCompensatedSum,
     SummationResult,
     euler_transform_sum,
     harmonic_array,
     harmonic_continued,
+    two_sum,
 )
 
 if TYPE_CHECKING:
@@ -115,20 +115,18 @@ def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
 
     ``start`` may be real; each x is start + j, an int when ``start`` is.
     H_x starts from the digamma continuation of H_{start-1}, so a deep or
-    real stream starts in O(1), and advances by Neumaier-compensated
-    increments 1/x, so N terms cost O(N).
+    real stream starts in O(1), and advances by compensated increments 1/x
+    (two_sum), so N terms cost O(N).
     """
     s, c = harmonic_continued(start - 1), 0.0
     cos, sin = math.cos, math.sin  # locals: this loop is the hot path
     for j in itertools.count():
         k = start + j
         inv = 1.0 / k
+        # two_sum(s, inv) inlined: the call made a term 10-30 % slower (2-vCPU x86-64 VM)
         t = s + inv
-        if abs(s) >= abs(inv):
-            c += (s - t) + inv
-        else:
-            c += (inv - t) + s
-        s = t
+        v = t - s
+        s, c = t, c + ((s - (t - v)) + (inv - v))
         hk = s + c
         t = inv - 2.0 * hk
         ang = TWO_PI * (t - round(t))
@@ -148,16 +146,17 @@ def _tail(f: LengthFunction, x: float, settings: AccelerationSettings) -> Summat
     """
     lf = f.as_callable()
     stream = harmonic_phases(x)
-    head = ComplexCompensatedSum()
+    s = c = 0j
     for j, (k, _, phase) in enumerate(stream):
         term = lf(float(k)) * phase
         if k >= _HEAD_STOP:
             break
-        head.add(-term if j % 2 else term)
+        s, e = two_sum(s, -term if j % 2 else term)
+        c += e
     rest = euler_transform_sum(
         itertools.chain((term,), (lf(float(k)) * phase for k, _, phase in stream)), settings
     )
-    value = head.value + (-rest.value if j % 2 else rest.value)
+    value = (s + c) + (-rest.value if j % 2 else rest.value)
     return replace(rest, value=value, terms_used=j + rest.terms_used)
 
 
@@ -191,67 +190,35 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
     return at
 
 
-# The dense kernel sums in blocks of _BLOCK terms and works in chunks of
-# _CHUNK terms, so its working set stays near 0.6 MB however long the run
-# (chunks of 2^12 would double it).
-_BLOCK = 256
+# The dense kernel works in chunks of _CHUNK terms, so its working set
+# stays near 0.6 MB however long the run (chunks of 2^12 would double it).
 _CHUNK = 1 << 11
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a + b, its exact rounding error) elementwise (Knuth's TwoSum)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
 
 
 class _RunningSum:
     """Compensated running sums of a long real or complex series fed in
-    chunks, after Ogita, Rump and Oishi ("Accurate sum and dot product",
-    SIAM J. Sci. Comput. 26(6), 2005): a numpy cumulative sum inside blocks
-    of _BLOCK terms with the exact error of each of its additions beside it,
-    and a Neumaier sum of the block totals carried from block to block, so
-    no run of terms is added naively and each sum is rounded once.  Each
-    part of a complex sum carries its own correction.
+    chunks: Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005) over each chunk, a numpy cumulative
+    sum with the two_sum error of each of its additions summed beside it,
+    continued from a carried two_sum head and correction, so no run of
+    terms is added naively and each sum is rounded once.
     """
 
     def __init__(self, start: float | complex) -> None:
-        parts = [start.real, start.imag] if isinstance(start, complex) else [start]
-        self._s, self._c = parts, [0.0] * len(parts)
+        self._s, self._c = start, 0.0
 
     def extend(self, terms: np.ndarray) -> np.ndarray:
         """The running sums, continued from the last, after each entry of
         the numpy array ``terms`` (float or complex, as at the start)."""
         import numpy as np
 
-        n, d = len(terms), len(self._s)
-        size = min(n, _BLOCK)
-        nb = -(-n // size)
-        # parts x blocks x terms, so every sum runs along contiguous memory
-        x = np.zeros((d, nb * size))
-        x[:, :n] = terms.view(np.float64).reshape(n, d).T
-        x = x.reshape(d, nb, size)
-        p = np.add.accumulate(x, axis=2)
-        prev = np.zeros_like(p)
-        prev[:, :, 1:] = p[:, :, :-1]
-        fix = np.add.accumulate(_two_sum(prev, x)[1], axis=2)
-        heads, tails = [], []
-        s, c = self._s, self._c
-        for total, lost in zip(p[:, :, -1].T.tolist(), fix[:, :, -1].T.tolist()):
-            heads.append(s)
-            tails.append(c)
-            nxt = [a + b for a, b in zip(s, total)]
-            c = [
-                e + f + ((a - t) + b if abs(a) >= abs(b) else (b - t) + a)
-                for a, b, t, e, f in zip(s, total, nxt, c, lost)
-            ]
-            s = nxt
-        self._s, self._c = s, c
-        head, err = _two_sum(np.array(heads).T[:, :, None], p)
-        sums = head + ((np.array(tails).T[:, :, None] + fix) + err)
-        out = np.empty_like(terms)
-        out.view(np.float64).reshape(n, d)[:] = sums.reshape(d, nb * size)[:, :n].T
-        return out
+        p = np.add.accumulate(terms)
+        fix = np.add.accumulate(two_sum(np.concatenate(([0.0], p[:-1])), terms)[1])
+        head, err = two_sum(self._s, p)
+        sums = head + ((self._c + fix) + err)
+        self._s, e = two_sum(self._s, p[-1].item())
+        self._c = self._c + fix[-1].item() + e
+        return sums
 
 
 def _turns(t: np.ndarray) -> np.ndarray:
@@ -287,7 +254,7 @@ def _dense_series(
     (first k, k as floats, H_k, (-1)^k l(k) u(k), V(k)) per chunk,
     V(start) = base, with u(k) = e^{2 pi i (1/k - 2 H_k)} reduced in
     turns, H_k = harmonic(ks), l(k) from scalar calls of ``lf``, and V
-    from one _RunningSum whose blocks count from start + 1.  The signs
+    from one _RunningSum whose chunks count from start + 1.  The signs
     come from the int k, so they hold past 2^53, where the floats of
     consecutive k coincide.
     """
@@ -313,6 +280,13 @@ _TAIL_SETTINGS = AccelerationSettings(1e-13)
 # Work cap of one vertex_at call in summed terms (~4 s for power:-1 on a
 # shared 2-vCPU x86-64 VM); a jump counts as _JUMP_GAP terms.
 _MAX_STREAM = 10**7
+
+
+def _index(n: float) -> int:
+    """A vertex or polygon index as an int; 3.0 passes, 3.5, inf and nan raise."""
+    if not (isinstance(n, int) or float(n).is_integer()):
+        raise ValueError(f"indices must be integers, got {n!r}")
+    return int(n)
 
 
 def _deep_gaps(order: list[int]) -> dict[int, int]:
@@ -370,20 +344,20 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
     Each run of indices is summed by one numpy kernel from V(2) (or from a
     jump): H_k from the vectorised digamma, l(k) from scalar calls, phases
-    reduced in turns, and compensated running sums in blocks of 256 terms
-    counted from the run's start, so dense ranges and every index up to
-    2,048 are direct sums whose bits do not depend on the other indices
-    asked for.  An index above
-    2,048 more than 64 past the previous one instead jumps, in O(1), to
-    V(n) = G_f + (-1)^n E(n+1), G_f = -E(3) (regularised for exponent 0),
+    reduced in turns, and compensated running sums over chunks of 2,048
+    terms counted from the run's start, so dense ranges and every index up
+    to 2,048 are direct sums whose bits do not depend on the other indices
+    asked for.  An index above 2,048 more than 64 past the previous one
+    instead jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1), G_f = -E(3)
+    (regularised for exponent 0),
     E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at tolerance 1e-13.  It
     sums the run after all when the sides grow or a sum does not converge.
 
-    Raises ``ValueError`` before any work for an index whose n + 1 does not
-    fit in a double, and before any run when the walk would sum more than
-    10^7 terms (~4 s), counting each jump as 64.
+    Raises ``ValueError`` before any work for an index that is not integral
+    or whose n + 1 does not fit in a double, and before any run when the
+    walk would sum more than 10^7 terms (~4 s), counting each jump as 64.
     """
-    wanted = set(map(int, indices))
+    wanted = set(map(_index, indices))
     order = sorted(wanted)
     if not order:
         return {}
@@ -427,8 +401,8 @@ def q_term(f: LengthFunction, n: float) -> complex:
     with (-1)^n = e^{i pi n} off the integers.  Its modulus is the
     circumradius |l(n)| / (2 sin(pi/n)).
     """
-    if not n > 1.0:
-        raise ValueError(f"q_term requires n > 1, got {n}")
+    if not 1.0 < n < math.inf:
+        raise ValueError(f"q_term requires a finite n > 1, got {n}")
     num = signed_phase(n) * f(n) * unit_phase(n, harmonic_continued(n))
     # e^{2 pi i / n} - 1 = 2 sin(pi/n) (-sin(pi/n) + i cos(pi/n)), which
     # avoids the cos - 1 cancellation at both ends of the domain
@@ -478,7 +452,8 @@ def polygon(f: LengthFunction, n: int) -> PolygonGeometry:
 def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
     """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
     a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
-    Raises ``ValueError`` before any work unless 3 <= n <= 10^6."""
+    Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6."""
+    n = _index(n)
     if not 3 <= n <= _MAX_SIDES:
         raise ValueError(f"polygon requires 3 <= n <= {_MAX_SIDES}, got {n}")
     side = f(float(n))

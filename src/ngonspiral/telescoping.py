@@ -62,8 +62,8 @@ def vertex_closed(n: float) -> complex:
 
     Equals the direct series sum at integers; |V_L(n) + 1| = 1 identically.
     """
-    if not n > 1.0:
-        raise ValueError(f"vertex_closed requires n > 1, got {n}")
+    if not 1.0 < n < math.inf:
+        raise ValueError(f"vertex_closed requires a finite n > 1, got {n}")
     return -1.0 + _rotation(n)
 
 
@@ -73,8 +73,8 @@ def q_closed(n: float) -> complex:
     Vanishes at n = 4/3 and n = 4; as n -> 1+ the real part tends to
     4 (1 - pi^2 / 6) while the imaginary part runs off to -infinity.
     """
-    if not n > 1.0:
-        raise ValueError(f"q_closed requires n > 1, got {n}")
+    if not 1.0 < n < math.inf:
+        raise ValueError(f"q_closed requires a finite n > 1, got {n}")
     z = phase_of_turns(1.0 / n)
     # (z+1)/(z-1) = -i cot(pi/n) exactly; the explicit quotient squanders
     # the real part near n = 1 where z - 1 is almost purely imaginary

@@ -275,11 +275,14 @@ class TestUsageErrors:
             ["classify", "--length", "power:nan"],
             ["classify", "--length", "inscribed:nan"],
             ["classify", "--length", "power:inf"],
+            ["curve", "--s-min", "1", "--s-max", "inf", "--samples", "3"],
+            ["curve", "--s-min", "1", "--s-max", "nan", "--samples", "3"],
         ],
         ids=[
             "limit-max-terms-0", "telescope-check-n-max-0", "telescope-n-max-0",
             "limit-tol-inf", "limit-tol-nan", "interp-tol-inf", "interp-tol-nan",
             "limit-tol-below-rounding", "power-nan", "inscribed-nan", "power-inf",
+            "curve-s-max-inf", "curve-s-max-nan",
         ],
     )
     def test_zero_and_non_finite_values_are_refused(self, capsys, argv):

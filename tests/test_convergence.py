@@ -314,6 +314,11 @@ class TestDistanceLaw:
             orbit_distance_law(2.0, 5)
         with pytest.raises(ValueError):
             orbit_distance_law(1.5, 11)  # 16.5 not integral
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite r"):
+                orbit_distance_law(bad, 10)
+            with pytest.raises(ValueError, match="finite n"):
+                orbit_distance_law(2.0, bad)
 
 
 class TestConvergenceCurve:
@@ -347,6 +352,9 @@ class TestConvergenceCurve:
             convergence_curve(0.0, 1.0, 3, TIGHT)
         with pytest.raises(ValueError):
             convergence_curve(0.5, 1.0, 0, TIGHT)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="s_max finite"):
+                convergence_curve(1.0, bad, 3, TIGHT)
 
     def test_size_cap_is_exact(self, monkeypatch):
         # samples are replaced by a failure, so the cap itself never runs

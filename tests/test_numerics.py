@@ -15,6 +15,7 @@ from ngonspiral.numerics import (
     harmonic_array,
     harmonic_continued,
     richardson,
+    two_sum,
 )
 from oracles import harmonic_number
 
@@ -107,6 +108,35 @@ class TestHarmonicContinued:
     def test_domain(self):
         with pytest.raises(ValueError):
             harmonic_continued(-1.0)
+
+
+class TestTwoSum:
+    def test_error_is_exact(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        finite = st.floats(-1e300, 1e300)  # a + b stays finite
+
+        def exact(s, e, a, b):
+            assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(finite, finite, finite, finite)
+        def scalars(a, b, c, d):
+            exact(*two_sum(a, b), a, b)
+            # complex parts round separately, so each part is exact
+            s, e = two_sum(complex(a, b), complex(c, d))
+            exact(s.real, e.real, a, c)
+            exact(s.imag, e.imag, b, d)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.lists(st.tuples(finite, finite), min_size=1, max_size=32))
+        def arrays(pairs):
+            a, b = np.array(pairs).T
+            for args in zip(*two_sum(a, b), a.tolist(), b.tolist()):
+                exact(*map(float, args))
+
+        scalars()
+        arrays()
 
 
 class TestEulerTransform:

@@ -1,8 +1,12 @@
+import importlib
 import subprocess
 import sys
 import types
 
 import ngonspiral
+
+SUBMODULES = ("numerics", "spiral", "convergence", "lengthfns", "telescoping",
+              "intersect", "render", "figures", "cli")
 
 
 def test_every_exported_name_resolves():
@@ -13,6 +17,12 @@ def test_every_exported_name_resolves():
         assert namespace[name] is getattr(ngonspiral, name)
         # no submodule shadows an exported function of the same name
         assert not isinstance(namespace[name], types.ModuleType)
+    # nor does a submodule export a name twice, or one it no longer defines
+    for sub in SUBMODULES:
+        module = importlib.import_module(f"ngonspiral.{sub}")
+        assert len(set(module.__all__)) == len(module.__all__), sub
+        for name in module.__all__:
+            assert hasattr(module, name), (sub, name)
 
 
 def test_numpy_is_imported_lazily():

@@ -113,9 +113,32 @@ class TestVertex:
         for n, value in got.items():
             assert value == vertex(f, n)
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
         with pytest.raises(ValueError):
             vertex(power_law(1.0), 1)
+        # an integral float is its int; 3.5, inf and nan are refused by
+        # every function that takes an index, before any work
+        f = power_law(1.0)
+        assert vertex(f, 3.0) == vertex(f, 3)
+        assert center(f, 4.0) == center(f, 4)
+        assert polygon(f, 3.0) == polygon(f, 3)
+        assert spiral.polygon_from_vertex(f, 5.0, 1j) == spiral.polygon_from_vertex(f, 5, 1j)
+
+        def refuse(*args):
+            raise AssertionError("the work was started")
+
+        monkeypatch.setattr(spiral, "_dense_series", refuse)
+        monkeypatch.setattr(spiral, "q_term", refuse)
+        for n in (3.5, math.inf, math.nan):
+            for call in (
+                lambda: vertex_at(f, [3, n]),
+                lambda: vertex(f, n),
+                lambda: polygon(f, n),
+                lambda: center(f, n),
+                lambda: spiral.polygon_from_vertex(f, n, 0j),
+            ):
+                with pytest.raises(ValueError, match="integers"):
+                    call()
 
     @pytest.mark.parametrize("n", [2**53, 10**17, 10**20, 10**200])
     def test_short_run_past_exact_floats(self, n):
@@ -158,8 +181,8 @@ def _dense(spec: str, n_max: int) -> tuple[complex, ...]:
     return tuple(v[n] for n in range(2, n_max + 1))
 
 
-# The block (256 terms) and chunk (2048 terms) edges of a run from V(2),
-# whose first term is k = 3, and a dense sample of n <= 2e4.
+# The chunk (2048 terms) edges of a run from V(2), whose first term is
+# k = 3, n = 258 and 259 (kept as inputs), and a dense sample of n <= 2e4.
 EDGES = (258, 259, 2050, 2051, 4098, 4099, 4100, 8195)
 DENSE_N = sorted({3, 4, 12, 50, 257, 260, 513, 2047, 2048, 4097, 8196, 12291, *EDGES,
                   *range(1000, 20_001, 1000)})
@@ -215,7 +238,7 @@ class TestDeepVertices:
 
     @pytest.mark.parametrize("spec", ["power:1", "power:0", "telescoping"])
     def test_shallow_indices_are_streamed_bits(self, spec):
-        # the blocks of a run count from its start, so a value does not
+        # the chunks of a run count from its start, so a value does not
         # depend on the other indices asked for or on where the run ends
         ref = _dense(spec, 6000)
         f = parse_length(spec)
@@ -310,24 +333,40 @@ class TestDeepVertices:
             vertex_at(power_law(1.0), range(first, first + step * (jumps + 1), step))
 
 
+def _rounded_once(start, chunks):
+    """Feed the complex arrays ``chunks`` to one _RunningSum from ``start``
+    and hold each running sum, part by part, within half an ulp of the
+    exact Fraction sum (measured: half an ulp at worst)."""
+    acc = spiral._RunningSum(start)
+    got = np.concatenate([acc.extend(c) for c in chunks])
+    re, im = Fraction(start.real), Fraction(start.imag)
+    for j, (z, w) in enumerate(zip(np.concatenate(chunks).tolist(), got.tolist())):
+        re += Fraction(z.real)
+        im += Fraction(z.imag)
+        assert abs(Fraction(w.real) - re) <= Fraction(math.ulp(float(re))) / 2, j
+        assert abs(Fraction(w.imag) - im) <= Fraction(math.ulp(float(im))) / 2, j
+
+
 class TestDenseKernel:
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 4096, 4097, 9000])
     def test_running_sums_are_rounded_once(self, n):
         # complex terms fed in two chunks, against the exact prefix sums
         rng = np.random.default_rng(n)
         terms = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.standard_normal(n)
-        acc = spiral._RunningSum(0.5 + 0.25j)
-        half = n // 2
-        got = np.concatenate([acc.extend(terms[:half]), acc.extend(terms[half:])])
-        re = [Fraction(0.5)]
-        im = [Fraction(0.25)]
-        for z in terms.tolist():
-            re.append(re[-1] + Fraction(z.real))
-            im.append(im[-1] + Fraction(z.imag))
-        for j, z in enumerate(got.tolist()):
-            # each sum rounded once (measured: within half an ulp)
-            assert abs(Fraction(z.real) - re[j + 1]) <= math.ulp(float(re[j + 1])), j
-            assert abs(Fraction(z.imag) - im[j + 1]) <= math.ulp(float(im[j + 1])), j
+        _rounded_once(0.5 + 0.25j, [terms[: n // 2], terms[n // 2 :]])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_running_sums_are_rounded_once_under_cancellation(self, seed):
+        # pairs x, -x + d with |x| up to 1e8 and |d| ~ 1e-3, so every other
+        # prefix sum cancels to noise, fed in chunks of 2,100 and 2,900
+        rng = np.random.default_rng(seed)
+
+        def parts(n):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 8, n)
+            return np.stack([x, 1e-3 * rng.standard_normal(n) - x], axis=1).ravel()
+
+        terms = parts(2500) + 1j * parts(2500)
+        _rounded_once(0j, [terms[:2100], terms[2100:]])
 
     def test_running_harmonic_numbers(self):
         # the identity's direct H_k: 1/k summed from H_2 = 3/2, within an ulp
@@ -362,8 +401,9 @@ class TestQTerm:
         assert math.isfinite(abs(q))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            q_term(power_law(1.0), 1.0)
+        for n in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                q_term(power_law(1.0), n)
 
 
 class TestCenter:

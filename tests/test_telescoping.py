@@ -61,8 +61,10 @@ class TestVertexClosed:
         assert worst < 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            vertex_closed(1.0)
+        for n in (1.0, math.inf, math.nan):
+            for closed in (vertex_closed, q_closed, center_closed):
+                with pytest.raises(ValueError):
+                    closed(n)
 
 
 class TestQClosed:
@@ -92,8 +94,9 @@ class TestQClosed:
             assert abs(q_closed(n) - q_term(f, n)) < 1e-11
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            q_closed(0.5)
+        for n in (0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                q_closed(n)
 
 
 class TestCenterClosed:
@@ -134,8 +137,8 @@ class TestTelescopingIdentity:
 
     @pytest.mark.parametrize("n_max", [258, 259, 2050, 2051, 4098, 4099, 4100, 8195])
     def test_block_and_chunk_edges(self, n_max):
-        # the first and last terms of the kernel's blocks (256) and chunks
-        # (2048); measured 2.6e-13 to 1.5e-12
+        # the first and last terms of the kernel's chunks (2048), and
+        # n_max = 258, 259; measured 2.6e-13 to 1.5e-12
         assert verify_telescoping_identity(n_max) < 1e-11
 
     def test_closed_form_side_reads_the_continuation(self, monkeypatch):
