@@ -27,7 +27,7 @@ from .convergence import (
 )
 from .intersect import self_intersections
 from .lengthfns import parse_length, telescoping as telescoping_fn
-from .numerics import AccelerationSettings
+from .numerics import AccelerationSettings, SummationResult
 from .render import export_table, render_svg
 from .spiral import interpolated_vertex, q_term
 
@@ -66,6 +66,17 @@ def _write_svg(path: str, scene) -> None:
     Path(path).write_text(render_svg(scene), encoding="utf-8")
 
 
+def _report(cmd: str, res: SummationResult) -> int:
+    """The exit code of a command whose answer is the sum ``res``: 0, or
+    NOT_CONVERGED after saying so on stderr."""
+    if res.converged:
+        return 0
+    sys.stderr.write(
+        f"{cmd}: not converged (error estimate {res.error_estimate:.3e} after {res.terms_used} terms)\n"
+    )
+    return NOT_CONVERGED
+
+
 # Flags several subcommands share; each registers only those its handler reads.
 _SHARED_FLAGS = {
     "--length": dict(required=True, help="power:S | inscribed:S | circumscribed:S | area:S | telescoping"),
@@ -94,13 +105,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_limit(args: argparse.Namespace) -> int:
     res = limit_point(args.s, _settings(args, TOL_ACCELERATED))
     _emit({"limit": [(args.s, res.value)]}, args.format)
-    if not res.converged:
-        sys.stderr.write(
-            f"limit: not converged (error estimate {res.error_estimate:.3e} "
-            f"after {res.terms_used} terms)\n"
-        )
-        return NOT_CONVERGED
-    return 0
+    return _report("limit", res)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -128,13 +133,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.out:
         scene, _ = figures.fig_orbit(settings)
         _write_svg(args.out, scene)
-    if not res.converged:
-        sys.stderr.write(
-            f"orbit: not converged (error estimate {res.error_estimate:.3e} "
-            f"after {res.terms_used} terms)\n"
-        )
-        return NOT_CONVERGED
-    return 0
+    return _report("orbit", res)
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -238,12 +237,7 @@ def _cmd_interp(args: argparse.Namespace) -> int:
     f = parse_length(args.length)
     res = interpolated_vertex(f, args.n, _settings(args, TOL_ACCELERATED))
     _emit({"interp": [(args.n, res.value)]}, args.format)
-    if not res.converged:
-        sys.stderr.write(
-            f"interp: not converged (error estimate {res.error_estimate:.3e})\n"
-        )
-        return NOT_CONVERGED
-    return 0
+    return _report("interp", res)
 
 
 def build_parser() -> argparse.ArgumentParser:

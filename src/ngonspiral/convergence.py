@@ -17,6 +17,7 @@ bounds A(j, s) and B(j)) is checked in the tests only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
@@ -130,14 +131,16 @@ def orbit_distance_law(
     """Empirical versus predicted distance between orbit points U(nr), U(n).
 
     U(m) = V(PowerLaw{0}, 2m); the prediction is |sin(2 pi ln r)|.  Requires
-    finite n >= 10 and r >= 1 with n*r integral (within 1e-9).  One
+    finite n >= 10 and r >= 1 with n*r finite and integral (within 1e-9).  One
     vertex_at call reads both vertices, each in O(1) for n above 1,024.
     """
     if not 10 <= n < math.inf:
         raise ValueError(f"orbit_distance_law requires a finite n >= 10, got {n}")
     if not 1.0 <= r < math.inf:
         raise ValueError(f"orbit_distance_law requires a finite r >= 1, got {r}")
-    nr = n * r
+    nr = n * r if n <= sys.float_info.max else math.inf  # a larger int n raises in n * r
+    if not nr < math.inf:
+        raise ValueError(f"orbit_distance_law requires a finite n*r, got n = {n}, r = {r}")
     if abs(nr - round(nr)) > 1e-9:
         raise ValueError(f"n*r must be integral, got {nr}")
     m = int(round(nr))

@@ -289,29 +289,6 @@ def _index(n: float) -> int:
     return int(n)
 
 
-def _deep_gaps(order: list[int]) -> dict[int, int]:
-    """{n: gap} over the indices of ascending ``order`` above _TAIL_FROM
-    whose gap to the previous index (2 for the first) exceeds _JUMP_GAP.
-
-    Bisects: the gaps of order[i:j] sum to order[j-1] - order[i-1] and are
-    each >= 1, so a block whose span is at most (j - i - 1) + _JUMP_GAP
-    holds none, and a dense range costs O(1).
-    """
-    out = {}
-    blocks = [(bisect.bisect_right(order, _TAIL_FROM), len(order))]
-    while blocks:
-        i, j = blocks.pop()
-        prev = order[i - 1] if i else 2
-        if i == j or order[j - 1] - prev <= j - i - 1 + _JUMP_GAP:
-            continue
-        if j - i == 1:
-            out[order[i]] = order[i] - prev
-            continue
-        mid = (i + j) // 2
-        blocks += [(mid, j), (i, mid)]  # left block first: ascending output
-    return out
-
-
 def _check_work(deepest: int, jumps: dict[int, int]) -> None:
     """Refuse a walk to ``deepest`` that costs more than _MAX_STREAM terms.
 
@@ -324,18 +301,6 @@ def _check_work(deepest: int, jumps: dict[int, int]) -> None:
         raise ValueError(
             f"vertex_at allows {_MAX_STREAM} streamed terms, these indices need {cost}"
         )
-
-
-def _jump(f: LengthFunction, deep: dict[int, int]) -> dict[int, complex]:
-    """{n: V(n)} for the indices n of ``deep`` ({n: gap}), read off one
-    continuation at _TAIL_SETTINGS: G_f summed once, and each E(n+1) all
-    Euler transform (4-8 terms).  An index whose value is not converged
-    (its tail or G_f missed) is left out.
-    """
-    if not deep:
-        return {}
-    v = continuation(f, _TAIL_SETTINGS)
-    return {n: res.value for n in deep if (res := v(n)).converged}
 
 
 def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
@@ -367,9 +332,18 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         float(order[-1] + 1)
     except OverflowError:
         raise ValueError(f"vertex index n + 1 must fit in a double, got n = {order[-1]}") from None
-    deep = _deep_gaps(order) if f.asymptote().exponent >= 0.0 else {}
+    # deep: {n: gap} for the indices above _TAIL_FROM more than _JUMP_GAP past
+    # the previous one (or 2); gaps are >= 1, so a dense range skips the scan
+    i = bisect.bisect_right(order, _TAIL_FROM)
+    prev = order[i - 1] if i else 2
+    deep = {}
+    if f.asymptote().exponent >= 0.0 and order[-1] - prev > len(order) - i - 1 + _JUMP_GAP:
+        deep = {n: n - p for p, n in zip([prev, *order[i:]], order[i:]) if n - p > _JUMP_GAP}
     _check_work(order[-1], deep)
-    jumps = _jump(f, deep)
+    jumps = {}
+    if deep:
+        v = continuation(f, _TAIL_SETTINGS)  # G_f summed once for every jump
+        jumps = {n: res.value for n in deep if (res := v(n)).converged}
     _check_work(order[-1], {n: deep[n] for n in jumps})
     # runs (start, V(start), end): one from each start to the index before
     # the next start, the last one to the deepest index
@@ -444,18 +418,24 @@ class PolygonGeometry:
 _MAX_SIDES = 10**6
 
 
+def _sides(n: int) -> int:
+    """A polygon index as an int; ``ValueError`` unless integral, 3 <= n <= 10^6."""
+    n = _index(n)
+    if not 3 <= n <= _MAX_SIDES:
+        raise ValueError(f"polygon requires 3 <= n <= {_MAX_SIDES}, got {n}")
+    return n
+
+
 def polygon(f: LengthFunction, n: int) -> PolygonGeometry:
-    """Enumerate the n-gon of the construction, 3 <= n <= 10^6."""
-    return polygon_from_vertex(f, n, vertex(f, n))
+    """Enumerate the n-gon of the construction, 3 <= n <= 10^6 (checked first)."""
+    return polygon_from_vertex(f, n, vertex(f, _sides(n)))
 
 
 def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
     """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
     a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
     Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6."""
-    n = _index(n)
-    if not 3 <= n <= _MAX_SIDES:
-        raise ValueError(f"polygon requires 3 <= n <= {_MAX_SIDES}, got {n}")
+    n = _sides(n)
     side = f(float(n))
     c = v + q_term(f, n)
     spoke = v - c

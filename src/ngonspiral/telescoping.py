@@ -48,13 +48,23 @@ Q_LIMIT_AT_1 = 4.0 * (1.0 - math.pi**2 / 6.0)
 _MAX_IDENTITY_N = 10**6
 
 
-def _rotation(n: float) -> complex:
-    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1) at every real n > 1.
+def _rotation(n: float, name: str) -> complex:
+    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1), at real n > 1 (checked for ``name``).
 
     Computed in reduced turns so that the factor agrees with the phases of
     the generic vertex/center formulas to a few ulps even when n is large.
     """
+    if not 1.0 < n < math.inf:
+        raise ValueError(f"{name} requires a finite n > 1, got {n}")
     return signed_phase(n) * phase_of_turns(-2.0 * harmonic_continued(n))
+
+
+def _offset(n: float) -> complex:
+    """Q_L(n) over the rotation, z + (z+1)/(z-1) = z - i cot(pi/n) exactly,
+    z = e^{2 pi i / n}; the explicit quotient squanders the real part near
+    n = 1 where z - 1 is almost purely imaginary."""
+    s, c = half_angle(n)
+    return phase_of_turns(1.0 / n) - 1j * (c / s)
 
 
 def vertex_closed(n: float) -> complex:
@@ -62,9 +72,7 @@ def vertex_closed(n: float) -> complex:
 
     Equals the direct series sum at integers; |V_L(n) + 1| = 1 identically.
     """
-    if not 1.0 < n < math.inf:
-        raise ValueError(f"vertex_closed requires a finite n > 1, got {n}")
-    return -1.0 + _rotation(n)
+    return -1.0 + _rotation(n, "vertex_closed")
 
 
 def q_closed(n: float) -> complex:
@@ -73,18 +81,13 @@ def q_closed(n: float) -> complex:
     Vanishes at n = 4/3 and n = 4; as n -> 1+ the real part tends to
     4 (1 - pi^2 / 6) while the imaginary part runs off to -infinity.
     """
-    if not 1.0 < n < math.inf:
-        raise ValueError(f"q_closed requires a finite n > 1, got {n}")
-    z = phase_of_turns(1.0 / n)
-    # (z+1)/(z-1) = -i cot(pi/n) exactly; the explicit quotient squanders
-    # the real part near n = 1 where z - 1 is almost purely imaginary
-    s, c = half_angle(n)
-    return _rotation(n) * (z - 1j * (c / s))
+    return _rotation(n, "q_closed") * _offset(n)
 
 
 def center_closed(n: float) -> complex:
     """Continuation of the polygon centers, C_L(n) = V_L(n) + Q_L(n)."""
-    return vertex_closed(n) + q_closed(n)
+    r = _rotation(n, "center_closed")
+    return (-1.0 + r) + r * _offset(n)
 
 
 def verify_telescoping_identity(n_max: int) -> float:

@@ -1,0 +1,115 @@
+"""Print the library's numbers, one repr per line, to compare two checkouts
+bit for bit.
+
+    PYTHONPATH=src python tests/dump_values.py > values.txt
+
+Run it on both sides of a change that must keep every output's bits and
+diff the two files; an empty diff is the check.  It reads only long-standing
+public names (and the module constants of the vertex walk), so it runs on
+older checkouts too.  A refused input prints the repr of its ValueError.
+About 2 s on a 2-vCPU x86-64 VM.  Not a test module: pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+from ngonspiral import spiral
+from ngonspiral.convergence import classify, limit_point, orbit_center, orbit_distance_law
+from ngonspiral.intersect import self_intersections
+from ngonspiral.lengthfns import parse_length
+from ngonspiral.numerics import AccelerationSettings
+from ngonspiral.spiral import interpolated_vertex, polygon, vertex_at
+from ngonspiral.telescoping import (
+    PHI,
+    center_closed,
+    q_closed,
+    vertex_closed,
+    verify_telescoping_identity,
+)
+
+# The catalog families the deep-vertex tests check against mpmath: seven
+# vanishing, five tending to a constant; then two growing ones.
+FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0",
+            "circumscribed:1", "area:0", "power:0", "inscribed:-1",
+            "circumscribed:-1", "area:-2", "telescoping")
+GROWING = ("power:-1", "inscribed:-2")
+TOLERANCES = (1e-8, 1e-10, 1e-13)
+
+
+def show(label: str, thunk) -> None:
+    try:
+        value = thunk()
+    except ValueError as exc:
+        value = exc
+    print(label, repr(value))
+
+
+def show_vertices(spec: str, indices, above: int = 0) -> None:
+    """V(n) for the indices n > ``above`` of one vertex_at call."""
+    indices = list(indices)
+    try:
+        got = vertex_at(parse_length(spec), indices)
+    except ValueError as exc:
+        print(spec, indices[-3:], repr(exc))
+        return
+    for n in sorted(got):
+        if n > above:
+            print(spec, n, repr(got[n]))
+
+
+def vertices() -> None:
+    top, gap = spiral._TAIL_FROM, spiral._JUMP_GAP
+    singles = (2, 3, 257, 258, 2047, top, top + 1, top + gap, top + gap + 1, 4097,
+               10**5 + 1, 10**6, 10**7 + 1, 2**53, 2**60)
+    for spec in FAMILIES + GROWING:
+        show_vertices(spec, range(2, 3001))
+        for n in singles if spec in FAMILIES else singles[:11]:
+            show_vertices(spec, [n])
+        for g in (gap - 1, gap, gap + 1, gap + 2):
+            # a dense range (its head is printed above), then steps of g,
+            # then a far index and its neighbours
+            mixed = [*range(2, 2100), *range(2100, 2100 + 6 * g, g), 5000, 5000 + g, 5001 + g]
+            show_vertices(spec, mixed, above=2000)
+            show_vertices(spec, [top + 1, top + 1 + g, top + 1 + 2 * g, 30_000, 30_000 + g])
+        show_vertices(spec, [3, 100, 2049, 5000, 20_000, 80_000, 160_000])
+
+
+def sums() -> None:
+    for tol in TOLERANCES:
+        settings = AccelerationSettings(tol)
+        for spec in FAMILIES + GROWING:
+            f = parse_length(spec)
+            show(f"classify {spec} {tol}", lambda: classify(f, settings))
+            for n in (1.5, 2.5, 3.25, 3.5, 10.5, 100.5, 2048.5, 1e6 + 0.5):
+                show(f"interpolated_vertex {spec} {n!r} {tol}", lambda: interpolated_vertex(f, n, settings))
+        for s in (1e-8, 1e-3, 0.5, 1.0, 2.0, 5.0):
+            show(f"limit_point {s!r} {tol}", lambda: limit_point(s, settings))
+        show(f"orbit_center {tol}", lambda: orbit_center(settings))
+    for r, n in ((2.0, 2000), (2.0, 10**7), (2.71828, 25_000)):
+        show(f"orbit_distance_law {r!r} {n}", lambda: orbit_distance_law(r, n))
+
+
+def polygons() -> None:
+    for spec in ("power:1", "power:0", "telescoping", "power:-1"):
+        for n in (2, 3, 4, 5, 12, 300):
+            show(f"polygon {spec} {n}", lambda: polygon(parse_length(spec), n))
+
+
+def telescoping() -> None:
+    for n_max in (3, 258, 2050, 4100, 20_000):
+        show(f"verify_telescoping_identity {n_max}", lambda: verify_telescoping_identity(n_max))
+    grid = [1.0001 + 0.0137 * k for k in range(3600)]
+    for n in grid + [PHI, PHI + 1.0, 4.0 / 3.0, 4.0, 1e6 + 0.5]:
+        for closed in (vertex_closed, q_closed, center_closed):
+            show(f"{closed.__name__} {n!r}", lambda: closed(n))
+    for curve, lo, hi, step in ((center_closed, 1.05, 6.0, 1e-3), (center_closed, 1.05, 6.0, 3e-3),
+                                (q_closed, 1.02, 35.0, 1e-3)):
+        for hit in self_intersections(curve, lo, hi, step=step):
+            print(f"self_intersections {curve.__name__} {lo} {hi} {step}", repr(hit))
+
+
+if __name__ == "__main__":
+    vertices()
+    sums()
+    polygons()
+    telescoping()

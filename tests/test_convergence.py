@@ -309,7 +309,11 @@ class TestDistanceLaw:
         _, pred = orbit_distance_law(2.71828, 25_000)
         assert pred < 1e-4
 
-    def test_preconditions(self):
+    def test_preconditions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(convergence, "vertex_at", refuse)
         with pytest.raises(ValueError):
             orbit_distance_law(2.0, 5)
         with pytest.raises(ValueError):
@@ -319,6 +323,11 @@ class TestDistanceLaw:
                 orbit_distance_law(bad, 10)
             with pytest.raises(ValueError, match="finite n"):
                 orbit_distance_law(2.0, bad)
+        # finite inputs whose product overflows, as a float or from an int
+        # past the doubles: refused, not an OverflowError
+        for r, n in ((1e300, 10**10), (2.0, 10**308), (1.0, 10**400)):
+            with pytest.raises(ValueError, match=r"finite n\*r"):
+                orbit_distance_law(r, n)
 
 
 class TestConvergenceCurve:

@@ -139,6 +139,10 @@ class TestVertex:
             ):
                 with pytest.raises(ValueError, match="integers"):
                     call()
+        # a polygon's size is checked before V(n) is summed
+        for call in (lambda: polygon(power_law(-1.0), 5 * 10**6), lambda: polygon(f, 2)):
+            with pytest.raises(ValueError, match="3 <= n"):
+                call()
 
     @pytest.mark.parametrize("n", [2**53, 10**17, 10**20, 10**200])
     def test_short_run_past_exact_floats(self, n):
@@ -275,6 +279,32 @@ class TestDeepVertices:
         f = parse_length(spec)
         for n in (2049, 10**5 + 1, 10**6, 10**7 + 1):
             assert interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value == vertex(f, n), n
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:0"])
+    def test_jump_plan_edges(self, spec):
+        # an index jumps when it is above _TAIL_FROM and more than _JUMP_GAP
+        # past the previous one, the first counted from 2; at these indices a
+        # jump and the run differ in the last bits, so each value shows its path
+        f = parse_length(spec)
+        top, gap = spiral._TAIL_FROM, spiral._JUMP_GAP
+        below = top - 48
+        cases = [
+            ([top - gap, top], ()),  # top is not above _TAIL_FROM
+            ([top], ()),  # nor with its gap from 2
+            ([below, below + gap], ()),  # a gap of exactly _JUMP_GAP
+            ([below, below + gap + 1], (below + gap + 1,)),
+            ([below, below + gap, below + 2 * gap + 1], (below + 2 * gap + 1,)),
+            ([top + 1], (top + 1,)),  # the gap from 2
+            ([*range(2, 5000), 60_000], (60_000,)),
+        ]
+        ref = _dense(spec, 6000)
+        for indices, jumped in cases:
+            got = vertex_at(f, indices)
+            for n in indices:
+                if n in jumped:
+                    assert got[n] == interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value, n
+                else:
+                    assert got[n] == ref[n - 2], n
 
     def test_one_g_f_for_every_deep_index(self, monkeypatch):
         calls = []
