@@ -13,7 +13,7 @@ from . import telescoping as tele
 from .convergence import CurveSample, convergence_curve, orbit_center
 from .lengthfns import LengthFunction, power_law, telescoping as telescoping_fn
 from .numerics import AccelerationSettings
-from .render import WIDTH, Scene, sample_curve_adaptive
+from .render import WIDTH, Scene, _sample_levels, sample_curve_adaptive
 from .spiral import PolygonGeometry, continuation, polygon_from_vertex, vertex_at
 
 __all__ = [
@@ -53,10 +53,13 @@ def _spiral(
     return polys, vert_rows, _px_scale_guess([z for _, z in vert_rows])
 
 
-def _interpolant(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], complex]:
-    """The smooth spiral t -> V(t), with G_f summed once for the whole curve."""
+def _interpolant(
+    f: LengthFunction, settings: AccelerationSettings
+) -> Callable[[list[float]], list[complex]]:
+    """The smooth spiral read a list at a time, ts -> [V(t) for t in ts],
+    with G_f summed once for the whole curve and the tails column-wise."""
     v = continuation(f, settings)
-    return lambda t: v(t).value
+    return lambda ts: v(ts).value.tolist()
 
 
 def fig_spiral(
@@ -70,7 +73,7 @@ def fig_spiral(
     settings = settings or AccelerationSettings(target_tolerance=1e-9)
     curves = {}
     if with_interpolant:
-        curves["interpolant"] = sample_curve_adaptive(
+        curves["interpolant"] = _sample_levels(
             _interpolant(f, settings), 2.0, float(max_n), scale, initial=16 * (max_n - 1)
         )
     scene = Scene(
@@ -99,7 +102,7 @@ def fig_orbit(settings: AccelerationSettings | None = None) -> tuple[Scene, Tabl
             "orbit-center": [oc.value],
         },
         curves={
-            "interpolant": sample_curve_adaptive(
+            "interpolant": _sample_levels(
                 _interpolant(f, settings), 2.0, 140.0, scale, initial=8 * 140
             ),
             "orbit-circle": circle,

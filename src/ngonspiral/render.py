@@ -187,28 +187,65 @@ def sample_curve_adaptive(
 ) -> list[complex]:
     """Sample fn on [lo, hi], subdividing until the midpoint of every
     parameter interval deviates from its chord by under ``_MAX_DEVIATION_PX``
-    at the given pixels-per-unit scale, or ``_MAX_DEPTH`` bisections."""
+    at the given pixels-per-unit scale, or ``_MAX_DEPTH`` bisections.
+
+    The intervals are refined breadth-first, one level at a time, and each
+    level's points are read in one call; the output is the points in
+    parameter order, as a depth-first walk emits them.
+    """
+    return _sample_levels(lambda ts: [fn(t) for t in ts], lo, hi, px_scale, initial)
+
+
+def _sample_levels(
+    batch: Callable[[list[float]], list[complex]],
+    lo: float,
+    hi: float,
+    px_scale: float,
+    initial: int,
+) -> list[complex]:
+    """sample_curve_adaptive over a curve read a list of parameters at a
+    time, ``batch(ts) -> [fn(t) for t in ts]``: at most _MAX_DEPTH calls,
+    the first for the initial samples and their midpoints."""
     if initial < 2:
         raise ValueError("need at least two initial samples")
     tol = _MAX_DEVIATION_PX / px_scale
 
     params = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
-    values = [fn(t) for t in params]
+    # the pending intervals of a level, as parallel lists: ends, values at
+    # the ends and the midpoint, and the position of t0 in units of an
+    # interval bisected _MAX_DEPTH times, which orders the output
+    t0s, t1s = params[:-1], params[1:]
+    tms = [0.5 * (t0 + t1) for t0, t1 in zip(t0s, t1s)]
+    values = batch(params + tms)
+    z0s, z1s, zms = values[: initial - 1], values[1:initial], values[initial:]
+    width = 1 << _MAX_DEPTH
+    keys = [i * width for i in range(initial - 1)]
+    out_keys: list[int] = []
     out_z: list[complex] = []
-
-    def refine(t0: float, z0: complex, t1: float, z1: complex, depth: int) -> None:
-        tm = 0.5 * (t0 + t1)
-        zm = fn(tm)
-        if depth >= _MAX_DEPTH or abs(zm - 0.5 * (z0 + z1)) <= tol:
-            out_z.append(z1)
-            return
-        refine(t0, z0, tm, zm, depth + 1)
-        refine(tm, zm, t1, z1, depth + 1)
-
-    out_z.append(values[0])
-    for i in range(len(params) - 1):
-        refine(params[i], values[i], params[i + 1], values[i + 1], 0)
-    return out_z
+    for depth in range(_MAX_DEPTH):
+        half = width >> (depth + 1)
+        nt0, nz0, nt1, nz1, nkeys = [], [], [], [], []
+        for t0, z0, t1, z1, tm, zm, key in zip(t0s, z0s, t1s, z1s, tms, zms, keys):
+            if abs(zm - 0.5 * (z0 + z1)) <= tol:
+                out_keys.append(key)
+                out_z.append(z1)
+            else:  # the two halves, left first
+                nt0 += (t0, tm)
+                nz0 += (z0, zm)
+                nt1 += (tm, t1)
+                nz1 += (zm, z1)
+                nkeys += (key, key + half)
+        t0s, z0s, t1s, z1s, keys = nt0, nz0, nt1, nz1, nkeys
+        if not t0s:
+            break
+        if depth + 1 < _MAX_DEPTH:
+            tms = [0.5 * (t0 + t1) for t0, t1 in zip(t0s, t1s)]
+            zms = batch(tms)
+    # intervals bisected _MAX_DEPTH times end there, without a midpoint
+    out_keys += keys
+    out_z += z1s
+    order = sorted(range(len(out_keys)), key=out_keys.__getitem__)
+    return [values[0], *(out_z[i] for i in order)]
 
 
 def export_table(

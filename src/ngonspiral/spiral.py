@@ -12,17 +12,21 @@ the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
 error of the raw closed form.  Dense runs of the series (vertex_at, and the
 telescoping identity check) read u from one numpy kernel, _dense_series(),
-in chunks; the tails below read it term by term from harmonic_phases().
-As the whole series minus its tail, the vertices and their smooth
-continuation to real n are one formula,
+in chunks; the scalar tail below reads it term by term from
+harmonic_phases(), and the batched tails column by column.  As the whole
+series minus its tail, the vertices and their smooth continuation to real
+n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
 with one kernel for E.  G_f is the limit (a point, or the orbit center when
 the sides tend to a constant) and depends only on the family and the
-settings, so continuation() sums it once and returns n -> V(n), one tail
-per point: interpolated_vertex reads it at one real n, the figures along a
-curve, and vertex_at at deep indices, in O(1), summing only short gaps.
+settings, so continuation() sums it once and returns n -> V(n).  At one n
+it sums one tail, in Python: interpolated_vertex reads it at one real n,
+and vertex_at at deep indices, in O(1), summing only short gaps.  At an
+array of n, the points of a figure's curve, it sums all their tails at
+once, column by column in numpy (_tails), with the scalar tail's steps
+and bits.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -160,6 +164,111 @@ def _tail(f: LengthFunction, x: float, settings: AccelerationSettings) -> Summat
     return replace(rest, value=value, terms_used=j + rest.terms_used)
 
 
+# _tails sums this many columns at a time, so its working set stays flat
+# however many points a curve asks for.
+_COLUMNS = 256
+
+
+def _tails(f: LengthFunction, xs: np.ndarray, settings: AccelerationSettings) -> SummationResult:
+    """_tail(f, x, settings) at each x of the 1-D float array xs, summed
+    column by column in chunks of _COLUMNS: a SummationResult of arrays
+    whose entries carry the bits of the scalar results."""
+    import numpy as np
+
+    lf = f.as_callable()
+    # an empty xs is one empty chunk, so the fields are empty arrays
+    starts = range(0, len(xs) or 1, _COLUMNS)
+    chunks = [_tail_columns(lf, xs[i : i + _COLUMNS], settings) for i in starts]
+    return SummationResult(*(np.concatenate(field) for field in zip(*chunks)))
+
+
+def _tail_columns(
+    lf: Callable[[float], float], x: np.ndarray, settings: AccelerationSettings
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of _tail over the columns x, each an elementwise copy of
+    its scalar expression: (value, error estimate, converged, terms used).
+
+    H_{x-1} is seeded by harmonic_continued, as harmonic_phases seeds it
+    (harmonic_array's np.log is an ulp off math.log on ~1e-4 of arguments),
+    and complex products and moduli are formed as CPython forms them.  The
+    head runs in lockstep over j; the Euler transform then aligns every
+    column at its first Euler term, keeps one difference row per column,
+    and drops each column once it stops.
+    """
+    import numpy as np
+
+    m = len(x)
+    h = np.fromiter(map(harmonic_continued, (x - 1.0).tolist()), float, m)
+    hc = np.zeros(m)
+
+    def terms(k, h, hc):
+        """harmonic_phases' step from H_{k-1} to H_k, and l(k) u(k)."""
+        inv = 1.0 / k
+        t = h + inv
+        v = t - h
+        hc = hc + ((h - (t - v)) + (inv - v))
+        lu = _turns(inv - 2.0 * (t + hc))
+        lengths = np.fromiter(map(lf, k.tolist()), float, len(k))
+        lu.real *= lengths
+        lu.imag *= lengths
+        return t, hc, lu
+
+    # the head, x + j < _HEAD_STOP; heads ends as each column's j of its first Euler term
+    s = np.zeros(m, dtype=complex)
+    c = np.zeros(m, dtype=complex)
+    heads = np.zeros(m, dtype=int)
+    for j in range(_HEAD_STOP):
+        i = np.flatnonzero(x + j < _HEAD_STOP)
+        if not len(i):
+            break
+        h[i], hc[i], term = terms(x[i] + j, h[i], hc[i])
+        s[i], e = two_sum(s[i], -term if j % 2 else term)
+        c[i] += e
+        heads[i] += 1
+    # euler_transform_sum per column: rest (value, estimate, converged, used)
+    value = np.empty(m, dtype=complex)
+    err = np.empty(m)
+    done = np.zeros(m, dtype=bool)
+    used = np.empty(m, dtype=int)
+    col, first = np.arange(m), heads
+    diag = np.empty((m, 0), dtype=complex)
+    total = np.zeros(m, dtype=complex)
+    best = np.zeros(m, dtype=complex)
+    best_err = np.full(m, math.inf)
+    tol = settings.target_tolerance
+    for j in range(settings.max_terms):
+        if not len(col):
+            break
+        h, hc, a = terms(x + (first + j), h, hc)
+        # new_diag[p] = new_diag[p - 1] - diag[p - 1], left to right
+        diag = np.subtract.accumulate(np.column_stack((a, diag)), axis=1)
+        head = diag[:, j]
+        w = math.ldexp(1.0, -(j + 1))
+        correction = np.empty_like(head)
+        correction.real = head.real * w
+        correction.imag = head.imag * w
+        if j % 2:
+            correction = -correction
+        total = total + correction
+        last_err = np.hypot(correction.real, correction.imag)  # abs() of a Python complex
+        better = last_err < best_err
+        best = np.where(better, total, best)
+        best_err = np.where(better, last_err, best_err)
+        broken = ~np.isfinite(head)
+        met = (last_err <= tol) & (j >= 3)
+        if broken.any() or met.any():
+            value[col[broken]], err[col[broken]], used[col[broken]] = best[broken], best_err[broken], j
+            value[col[met]], err[col[met]], used[col[met]] = total[met], last_err[met], j + 1
+            done[col[met]] = True
+            keep = ~(broken | met)
+            col, x, first, h, hc = col[keep], x[keep], first[keep], h[keep], hc[keep]
+            diag, total, best, best_err = diag[keep], total[keep], best[keep], best_err[keep]
+    # the term budget is spent: the best estimate seen, not converged
+    value[col], err[col], used[col] = best, best_err, settings.max_terms
+    odd = heads % 2 == 1
+    return (s + c) + np.where(odd, -value, value), err, done, heads + used
+
+
 def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
     """G_f = -E(3) = sum_{k>=3} (-1)^k l(k) u(k), the whole vertex series
     (the regularised sum when the sides tend to a constant): the limits of
@@ -170,21 +279,48 @@ def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> Summatio
 
 def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], SummationResult]:
     """n -> V(n) = G_f + e^{i pi n} E(n+1) for real n > 1, with G_f summed
-    here, once, and each call summing only its tail E(n+1), both at
+    here, once, and each point summing only its tail E(n+1), both at
     ``settings``.  The error estimates add, and a value is converged only
     when both sums are.  Growing side lengths are refused before any sum.
+
+    A single n (an int or a float) is summed by the scalar _tail, without
+    numpy.  A sequence or array of n is summed column-wise by _tails, and
+    the result then holds arrays of n's shape, entry for entry the bits
+    of the scalar results; such n must all be finite with n + 1 > 2.
     """
     if f.asymptote().exponent < 0.0:
         raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
     whole = _limit_series(f, settings)
 
     def at(n: float) -> SummationResult:
-        tail = _tail(f, n + 1, settings)
+        if isinstance(n, (int, float)):
+            tail = _tail(f, n + 1, settings)
+            return SummationResult(
+                whole.value + signed_phase(n) * tail.value,
+                whole.error_estimate + tail.error_estimate,
+                whole.converged and tail.converged,
+                whole.terms_used + tail.terms_used,
+            )
+        import numpy as np
+
+        n = np.asarray(n, dtype=float)
+        ns = n.ravel()
+        if not np.all((ns + 1.0 > 2.0) & (ns < math.inf)):
+            raise ValueError("continuation requires finite n > 1 with n + 1 > 2")
+        tail = _tails(f, ns + 1.0, settings)
+        sign = _turns(0.5 * ns)  # signed_phase(n), exact +-1 at the integers
+        ints = np.floor(ns) == ns
+        sign[ints] = np.where(np.fmod(ns[ints], 2.0) != 0.0, -1.0, 1.0)
+        # the product as CPython forms it: numpy's complex multiply differs in the last bits
+        sr, si, tr, ti = sign.real, sign.imag, tail.value.real, tail.value.imag
+        value = np.empty_like(sign)
+        value.real = whole.value.real + (sr * tr - si * ti)
+        value.imag = whole.value.imag + (sr * ti + si * tr)
         return SummationResult(
-            whole.value + signed_phase(n) * tail.value,
-            whole.error_estimate + tail.error_estimate,
-            whole.converged and tail.converged,
-            whole.terms_used + tail.terms_used,
+            value.reshape(n.shape),
+            (whole.error_estimate + tail.error_estimate).reshape(n.shape),
+            (tail.converged & whole.converged).reshape(n.shape),
+            (whole.terms_used + tail.terms_used).reshape(n.shape),
         )
 
     return at
@@ -244,7 +380,7 @@ def _alternate(k0: int, z: np.ndarray) -> np.ndarray:
 
 
 def _dense_series(
-    lf: Callable[[float], float],
+    f: LengthFunction,
     start: int,
     base: complex,
     end: int,
@@ -253,18 +389,25 @@ def _dense_series(
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
     (first k, k as floats, H_k, (-1)^k l(k) u(k), V(k)) per chunk,
     V(start) = base, with u(k) = e^{2 pi i (1/k - 2 H_k)} reduced in
-    turns, H_k = harmonic(ks), l(k) from scalar calls of ``lf``, and V
-    from one _RunningSum whose chunks count from start + 1.  The signs
+    turns, H_k = harmonic(ks), l(k) from scalar calls of f's evaluator, and
+    V from one _RunningSum whose chunks count from start + 1.  The signs
     come from the int k, so they hold past 2^53, where the floats of
-    consecutive k coincide.
+    consecutive k coincide.  A side length past the doubles raises
+    ``ValueError``, naming f and its k.
     """
     import numpy as np
 
+    lf = f.as_callable()
     acc = _RunningSum(base)
     for lo in range(start + 1, end + 1, _CHUNK):
         ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
         hs = harmonic(ks)
-        lengths = np.fromiter(map(lf, ks.tolist()), float, len(ks))
+        try:
+            lengths = np.fromiter(map(lf, ks.tolist()), float, len(ks))
+        except OverflowError:
+            for k in ks.tolist():
+                _side(f, k)  # raises at the first length past the doubles
+            raise
         terms = _alternate(lo, lengths * _turns(1.0 / ks - 2.0 * hs))
         yield lo, ks, hs, terms, acc.extend(terms)
 
@@ -350,12 +493,11 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     starts = [(2, 0j), *jumps.items()]
     ends = [n - deep[n] for n in jumps] + [order[-1]]
     out = {}
-    lf = f.as_callable()
     for (start, base), end in zip(starts, ends):
         if start in wanted:
             out[start] = base
         i = bisect.bisect_right(order, start)
-        for lo, ks, _, _, sums in _dense_series(lf, start, base, end, harmonic_array):
+        for lo, ks, _, _, sums in _dense_series(f, start, base, end, harmonic_array):
             j = bisect.bisect_right(order, lo + len(ks) - 1, i)
             values = sums.tolist()
             out.update((n, values[n - lo]) for n in order[i:j])
@@ -368,21 +510,35 @@ def vertex(f: LengthFunction, n: int) -> complex:
     return vertex_at(f, (n,))[n]
 
 
+def _side(f: LengthFunction, x: float) -> float:
+    """f(x), with a length past the doubles refused as a ``ValueError``."""
+    try:
+        return f(x)
+    except OverflowError:
+        raise ValueError(
+            f"the side length of {f} at n = {x!r} is non-finite (overflows a double)"
+        ) from None
+
+
 def q_term(f: LengthFunction, n: float) -> complex:
     """Center-minus-vertex offset Q_f(n) of the n-gon, for real n > 1.
 
     Q_f(n) = (-1)^n l(n) e^{2 pi i (1/n - 2 H_n)} / (e^{2 pi i / n} - 1),
     with (-1)^n = e^{i pi n} off the integers.  Its modulus is the
-    circumradius |l(n)| / (2 sin(pi/n)).
+    circumradius |l(n)| / (2 sin(pi/n)).  A side length or an offset
+    past the doubles raises ``ValueError``.
     """
     if not 1.0 < n < math.inf:
         raise ValueError(f"q_term requires a finite n > 1, got {n}")
-    num = signed_phase(n) * f(n) * unit_phase(n, harmonic_continued(n))
+    num = signed_phase(n) * _side(f, n) * unit_phase(n, harmonic_continued(n))
     # e^{2 pi i / n} - 1 = 2 sin(pi/n) (-sin(pi/n) + i cos(pi/n)), which
     # avoids the cos - 1 cancellation at both ends of the domain
     s, c = half_angle(n)
     den = (2.0 * s) * complex(-s, c)
-    return num / den
+    q = num / den
+    if not cmath.isfinite(q):
+        raise ValueError(f"the offset Q(n) of {f} at n = {n!r} is non-finite (overflows a double)")
+    return q
 
 
 def center(f: LengthFunction, n: int) -> complex:
@@ -436,7 +592,7 @@ def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometr
     a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
     Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6."""
     n = _sides(n)
-    side = f(float(n))
+    side = _side(f, float(n))
     c = v + q_term(f, n)
     spoke = v - c
     verts = tuple(

@@ -114,8 +114,9 @@ def verify_telescoping_identity(n_max: int) -> float:
     direct = _RunningSum(1.5)  # H_2
     h_prev = 1.5
     worst = 0.0
-    lf = telescoping().as_callable()
-    for k0, ks, hs, terms, sums in _dense_series(lf, 2, 0j, n_max, lambda ks: direct.extend(1.0 / ks)):
+    for k0, ks, hs, terms, sums in _dense_series(
+        telescoping(), 2, 0j, n_max, lambda ks: direct.extend(1.0 / ks)
+    ):
         rot = _turns(-2.0 * np.concatenate(([h_prev], hs)))  # e^{-4 pi i H_{k-1}}, then H_k
         h_prev = hs[-1]
         pairs = _alternate(k0, rot[:-1] + rot[1:])

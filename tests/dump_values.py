@@ -7,16 +7,17 @@ Run it on both sides of a change that must keep every output's bits and
 diff the two files; an empty diff is the check.  It reads only long-standing
 public names (and the module constants of the vertex walk), so it runs on
 older checkouts too.  A refused input prints the repr of its ValueError.
-About 2 s on a 2-vCPU x86-64 VM.  Not a test module: pytest does not
+About 3 s on a 2-vCPU x86-64 VM.  Not a test module: pytest does not
 collect it.
 """
 
 from __future__ import annotations
 
 from ngonspiral import spiral
+from ngonspiral.figures import fig_orbit, fig_q, fig_spiral, fig_telescope
 from ngonspiral.convergence import classify, limit_point, orbit_center, orbit_distance_law
 from ngonspiral.intersect import self_intersections
-from ngonspiral.lengthfns import parse_length
+from ngonspiral.lengthfns import parse_length, power_law
 from ngonspiral.numerics import AccelerationSettings
 from ngonspiral.spiral import interpolated_vertex, polygon, vertex_at
 from ngonspiral.telescoping import (
@@ -108,8 +109,20 @@ def telescoping() -> None:
             print(f"self_intersections {curve.__name__} {lo} {hi} {step}", repr(hit))
 
 
+def curves() -> None:
+    """Every point of the sampled curves of four figures."""
+    for label, build in (("fig_spiral power:1 9", lambda: fig_spiral(power_law(1.0), 9)),
+                         ("fig_orbit", fig_orbit), ("fig_telescope 12", lambda: fig_telescope(12)),
+                         ("fig_q", fig_q)):
+        scene = build()[0]
+        for name, points in scene.curves.items():
+            for i, z in enumerate(points):
+                print(label, name, i, repr(z))
+
+
 if __name__ == "__main__":
     vertices()
     sums()
     polygons()
     telescoping()
+    curves()

@@ -4,16 +4,17 @@ These restate what the paper proves with tools that no library path needs:
 the heading theta_n, the harmonic numbers as a compensated running sum,
 the paired terms F(j) with their bounds A(j, s) and B(j), the compact
 spelling of the golden intersection point, the convex-clipping area that
-shows consecutive n-gons do not overlap, and 40-digit mpmath values of
-deep vertices, of the interpolant and of the center offsets Q(n).  The
-tests check the library against them; the library never calls them.
+shows consecutive n-gons do not overlap, 40-digit mpmath values of deep
+vertices, of the interpolant and of the center offsets Q(n), and the
+adaptive curve sampler as a recursive depth-first walk.  The tests check
+the library against them; the library never calls them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ngonspiral.numerics import EULER_GAMMA, TWO_PI, digamma, harmonic_continued
 from ngonspiral.spiral import harmonic_phases, unit_phase
@@ -264,3 +265,36 @@ def mp_q(spec: str, n: float) -> complex:
         x = mp.mpf(n)
         num = mp.expjpi(x) * _mp_length(mp, spec)(x) * _mp_unit_phase(mp, x)
         return complex(num / (mp.expjpi(2 / x) - 1))
+
+
+def sample_depth_first(
+    fn: Callable[[float], complex],
+    lo: float,
+    hi: float,
+    px_scale: float,
+    initial: int = 64,
+    max_deviation_px: float = 0.2,
+    max_depth: int = 12,
+) -> list[complex]:
+    """render.sample_curve_adaptive as a recursive walk, one point at a
+    time: bisect each interval depth first until its midpoint is within
+    max_deviation_px of the chord at px_scale pixels per unit, or after
+    max_depth bisections, and emit each accepted interval's right end.
+    """
+    tol = max_deviation_px / px_scale
+    params = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
+    values = [fn(t) for t in params]
+    out = [values[0]]
+
+    def refine(t0: float, z0: complex, t1: float, z1: complex, depth: int) -> None:
+        tm = 0.5 * (t0 + t1)
+        zm = fn(tm)
+        if depth >= max_depth or abs(zm - 0.5 * (z0 + z1)) <= tol:
+            out.append(z1)
+            return
+        refine(t0, z0, tm, zm, depth + 1)
+        refine(tm, zm, t1, z1, depth + 1)
+
+    for i in range(initial - 1):
+        refine(params[i], values[i], params[i + 1], values[i + 1], 0)
+    return out

@@ -292,6 +292,13 @@ class TestUsageErrors:
         assert err.startswith("spiral: error:")
 
 
+def test_overflowing_side_length_names_the_family(capsys):
+    code, out, err = run_cli(capsys, "build", "--length", "inscribed:-300", "--max-n", "250", "--no-interp")
+    assert (code, out) == (1, "")
+    assert err.startswith("spiral: error:")
+    assert "inscribed:-300 at n = 11.0 is non-finite" in err
+
+
 class TestSizeCaps:
     @pytest.fixture(autouse=True)
     def _no_work(self, monkeypatch):

@@ -98,6 +98,26 @@ class TestHarmonicContinued:
         assert abs(harmonic_continued(1.0) - 1.0) < 1e-14
         assert abs(harmonic_continued(3.0) - 11.0 / 6.0) < 1e-14
 
+    def test_array_of_any_shape(self):
+        # 0-D and 2-D arrays, entry for entry the 1-D result; below 11 each
+        # entry is harmonic_continued's bits (the scalar digamma), above it
+        # np.log may be an ulp off math.log, so H_x too
+        for x in (5.0, 0.5, 10.75, 11.0, 40.0, 2999.0):
+            got = harmonic_array(np.array(x))
+            assert got.shape == ()
+            ref = harmonic_continued(x)
+            if x < 11.0:
+                assert float(got) == ref, x
+            assert abs(float(got) - ref) <= math.ulp(ref), x
+        assert harmonic_array(np.full((2, 3), 5.0)).tolist() == [[harmonic_continued(5.0)] * 3] * 2
+        grid = np.linspace(-0.5, 40.0, 24).reshape(4, 6)
+        got = harmonic_array(grid)
+        assert got.shape == (4, 6)
+        assert got.ravel().tolist() == harmonic_array(grid.ravel()).tolist()
+        for x, h in zip(grid.ravel().tolist(), got.ravel().tolist()):
+            if x < 11.0:
+                assert h == harmonic_continued(x), x
+
     def test_golden_ratio_dual_path(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         mine = harmonic_continued(phi)

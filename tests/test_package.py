@@ -25,15 +25,23 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), (sub, name)
 
 
-def test_numpy_is_imported_lazily():
-    # numpy is most of the import time; only the dense kernels and the
-    # crossing scan need it, so the import and a scalar command skip it
+def test_numpy_is_imported_lazily(tmp_path):
+    # numpy is most of the import time; only the dense kernels, the batched
+    # curve tails and the crossing scan need it, so the import, the scalar
+    # commands and a single interpolated vertex skip it
+    svg = tmp_path / "fig3b.svg"
     code = (
         "import sys, ngonspiral\n"
         "assert 'numpy' not in sys.modules\n"
         "from ngonspiral.cli import main\n"
         "assert main(['limit', '--s', '0.5']) == 0\n"
+        "assert main(['classify', '--length', 'power:-1']) == 0\n"
+        "assert main(['curve', '--s-min', '0.0000726', '--s-max', '1.77', '--samples', '10',\n"
+        f"             '--out', {str(svg)!r}]) == 0\n"
+        "assert main(['interp', '--length', 'power:1', '--n', '3.5']) == 0\n"
+        "ngonspiral.interpolated_vertex(ngonspiral.power_law(0.0), 50.5)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert svg.stat().st_size > 0

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from ngonspiral import render
 from ngonspiral.lengthfns import power_law
 from ngonspiral.render import (
     Scene,
@@ -14,6 +15,8 @@ from ngonspiral.render import (
     view_transform,
 )
 from ngonspiral.spiral import polygon, vertex_at
+from ngonspiral.telescoping import center_closed
+from oracles import sample_depth_first
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -112,6 +115,31 @@ class TestAdaptiveSampling:
     def test_line_needs_no_refinement(self):
         pts = sample_curve_adaptive(lambda t: complex(t, 0.0), 0.0, 1.0, 100.0, initial=8)
         assert len(pts) == 8
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi, px_scale, initial",
+        [
+            (lambda t: complex(math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, 100.0, 64),
+            (lambda t: complex(math.sin(2.0 * t), math.sin(t)), 0.0, 2.0 * math.pi, 400.0, 64),
+            (center_closed, 1.05, 12.0, 150.0, 48 * 12),
+            # the oscillation outruns every bisection near 0: intervals end at _MAX_DEPTH
+            (lambda t: complex(t, math.sin(1.0 / t)), 1e-3, 1.0, 900.0, 64),
+            (lambda t: complex(math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, 100.0, 2),
+        ],
+        ids=["circle", "figure-eight", "center-closed", "sin-inverse", "initial-2"],
+    )
+    def test_levels_emit_the_depth_first_walk(self, fn, lo, hi, px_scale, initial):
+        # breadth first, one batch call per level, the same points in the same order
+        calls = []
+
+        def batch(ts):
+            calls.append(len(ts))
+            return [fn(t) for t in ts]
+
+        ref = sample_depth_first(fn, lo, hi, px_scale, initial)
+        assert render._sample_levels(batch, lo, hi, px_scale, initial) == ref
+        assert sample_curve_adaptive(fn, lo, hi, px_scale, initial) == ref
+        assert len(calls) <= render._MAX_DEPTH + 1
 
 
 class TestExportTable:

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -10,7 +11,14 @@ import pytest
 
 from ngonspiral import spiral
 from ngonspiral.convergence import limit_point
-from ngonspiral.lengthfns import inscribed, parse_length, power_law, telescoping
+from ngonspiral.lengthfns import (
+    area_normalized,
+    circumscribed,
+    inscribed,
+    parse_length,
+    power_law,
+    telescoping,
+)
 from ngonspiral.numerics import EULER_GAMMA, AccelerationSettings, SummationResult
 from ngonspiral.spiral import (
     center,
@@ -153,6 +161,23 @@ class TestVertex:
         both = vertex_at(f, [n, n + 1, n + 3])
         assert len(both) == 3
         assert abs(both[n + 3] - vertex(f, n + 3)) < 1e-9
+
+    def test_side_lengths_past_the_doubles_are_refused(self):
+        # x ** 300 overflows at n = 11: a ValueError naming the family and
+        # n, not an OverflowError
+        for call, name in (
+            (lambda: vertex(inscribed(-300), 200), "inscribed:-300"),
+            (lambda: vertex(power_law(-300), 20), "power:-300"),
+            (lambda: center(circumscribed(-300), 300), "circumscribed:-300"),
+            (lambda: vertex_at(circumscribed(-300), [5, 300]), "circumscribed:-300"),
+            (lambda: polygon(circumscribed(-300), 300), "circumscribed:-300"),
+            (lambda: spiral.polygon_from_vertex(power_law(-300), 300, 0j), "power:-300"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} at n = .* is non-finite"):
+                call()
+        with pytest.raises(ValueError, match=re.escape("inscribed:-300 at n = 11.0 is non-finite")):
+            vertex(inscribed(-300), 200)
+        assert cmath.isfinite(vertex(power_law(-300), 10))
 
     def test_index_beyond_the_double_range_is_refused(self):
         # n + 1 must fit in a double; 2**1023 + 1 does, 2**1024 does not
@@ -435,6 +460,15 @@ class TestQTerm:
             with pytest.raises(ValueError):
                 q_term(power_law(1.0), n)
 
+    def test_overflow_is_refused(self):
+        # a side length past the doubles, then a finite one over a vanishing
+        # denominator: each a ValueError naming the family and n
+        with pytest.raises(ValueError, match=re.escape("area:-300 at n = 1000000.0 is non-finite")):
+            q_term(area_normalized(-300), 1e6)
+        with pytest.raises(ValueError, match=re.escape("Q(n) of power:-1 at n = 1e+300 is non-finite")):
+            q_term(power_law(-1.0), 1e300)
+        assert cmath.isfinite(q_term(power_law(-1.0), 1e150))
+
 
 class TestCenter:
     def test_triangle_circumcenter(self):
@@ -645,6 +679,70 @@ class TestInterpolatedVertex:
         # V(n) -> G_f, and at n = 1e300 the tail E(n + 1) is ~1e-300
         far = interpolated_vertex(power_law(1.0), 1e300)
         assert far.value == limit_point(1.0).value
+
+
+def _batch_n() -> list[float]:
+    """n for the batched continuation: the head boundary (x = n + 1 = 48),
+    integers (the sign exactly +-1), far points, two n whose H_n from
+    harmonic_array is an ulp off harmonic_continued's (so the tails must
+    not be seeded from it), and seeded draws, 400 uniform in (1.05, 300]
+    and 100 log-uniform up to 10^6."""
+    rng = random.Random(20001)
+    return [1.05, 1.5, 2.0, 2.5, 3.0, 3.5, 10.0, 46.5, 47.0, 47.5, 48.0, 100.0, 1e4, 1e4 + 0.5,
+            1e8 + 0.5, 14.772940852857289, 42.7468991877322,
+            *(rng.uniform(1.05, 300.0) for _ in range(400)),
+            *(math.exp(rng.uniform(0.05, math.log(1e6))) for _ in range(100))]
+
+
+def _rows(res: SummationResult) -> list[SummationResult]:
+    """A SummationResult of arrays as one SummationResult per entry."""
+    fields = (res.value, res.error_estimate, res.converged, res.terms_used)
+    return [SummationResult(*row) for row in zip(*(a.ravel().tolist() for a in fields))]
+
+
+class TestBatchedContinuation:
+    """An array of n is summed column-wise, by _tails; every field of every
+    entry is the bits of the scalar continuation at that n."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+    @pytest.mark.parametrize("spec", INTERP_SPECS)
+    def test_batch_is_the_scalar_bits(self, spec, tol):
+        v = spiral.continuation(parse_length(spec), AccelerationSettings(tol))
+        ns = _batch_n()
+        for n, row in zip(ns, _rows(v(ns))):
+            assert repr(row) == repr(v(n)), (spec, tol, n)
+
+    @pytest.mark.parametrize("spec", ["power:1", "power:0", "inscribed:0", "telescoping"])
+    def test_starved_columns_end_not_converged(self, spec):
+        v = spiral.continuation(parse_length(spec), AccelerationSettings(1e-13, 4))
+        ns = _batch_n()
+        rows = _rows(v(np.array(ns)))
+        assert not any(row.converged for row in rows)
+        for n, row in zip(ns, rows):
+            assert repr(row) == repr(v(n)), (spec, n)
+
+    def test_a_batch_one_column_longer_than_a_chunk(self, monkeypatch):
+        chunks = []
+        tail_columns = spiral._tail_columns
+
+        def counting(lf, x, settings):
+            chunks.append(len(x))
+            return tail_columns(lf, x, settings)
+
+        monkeypatch.setattr(spiral, "_tail_columns", counting)
+        v = spiral.continuation(power_law(1.0), AccelerationSettings(1e-10))
+        ns = np.linspace(1.05, 140.0, spiral._COLUMNS + 1)
+        res = v(ns.reshape(1, -1))
+        assert chunks == [spiral._COLUMNS, 1]
+        assert res.value.shape == res.converged.shape == (1, spiral._COLUMNS + 1)
+        for n, row in zip(ns.tolist(), _rows(res)):
+            assert repr(row) == repr(v(n)), n
+
+    def test_domain(self):
+        v = spiral.continuation(power_law(1.0), AccelerationSettings(1e-10))
+        for n in (1.0, 1.0000000000000002, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite n > 1"):
+                v([3.5, n])
 
 
 class TestPhaseHelpers:
