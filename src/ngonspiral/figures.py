@@ -134,8 +134,8 @@ def fig_telescope(max_n: int = 12) -> tuple[Scene, Tables]:
     """The telescoping spiral up to max_n with the continued centers curve."""
     polys, vert_rows, scale = _spiral(telescoping_fn(), max_n, max_n)
     center_rows = [(float(p.n), p.center) for p in polys]
-    centers_curve = sample_curve_adaptive(
-        tele.center_closed, 1.05, float(max_n), scale, initial=48 * max_n
+    centers_curve = _sample_levels(
+        lambda ts: tele.center_closed(ts).tolist(), 1.05, float(max_n), scale, initial=48 * max_n
     )
     scene = Scene(
         polygons=polys,
@@ -149,7 +149,8 @@ def fig_telescope(max_n: int = 12) -> tuple[Scene, Tables]:
 
 
 def fig_q() -> tuple[Scene, Tables]:
-    """The center-offset spiral Q_L(n) on [1.02, 35]."""
+    """The center-offset spiral Q_L(n) on [1.02, 35], read one float at a
+    time: `spiral telescope --fig q` never imports numpy."""
     marker_rows = [(float(n), tele.q_closed(float(n))) for n in range(2, 36)]
     scale = _px_scale_guess([z for _, z in marker_rows])
     curve = sample_curve_adaptive(tele.q_closed, 1.02, 35.0, scale, initial=2048)

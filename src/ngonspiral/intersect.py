@@ -7,8 +7,15 @@ a polyline, find the segment pairs that may cross with a sort-and-sweep
 over their bounding boxes (the Shamos-Hoey / Bentley-Ottmann sweep, here
 only as a box filter) and one segment predicate, then polish each
 candidate with a damped two-variable Newton iteration using a central
-finite-difference Jacobian, falling back to subdivision of the bracketing
-segments when Newton misbehaves.
+finite-difference Jacobian.  A candidate Newton cannot close to the
+tolerance is dropped.
+
+A curve maps a float parameter to a complex point.  It may also map a
+float array to a complex array of the same shape, as the closed forms of
+the telescoping module do; the sample grid is then read in one call.  A
+curve that raises TypeError or ValueError on an array, or returns
+anything else for it, is read one point at a time.  Refinement always
+calls the curve at single floats.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ __all__ = ["Intersection", "self_intersections"]
 # Newton finite-difference step and iteration limits.
 _FD_STEP = 1e-6
 _NEWTON_ITERS = 60
-_SUBDIVIDE_ROUNDS = 80
 
 # Segment pairs the sweep expands and tests per numpy block, so the scan's
 # memory stays bounded however many pairs overlap.
@@ -57,16 +63,25 @@ class Intersection:
 def _sample(
     curve: Callable[[float], complex], lo: float, hi: float, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ts on [lo, hi] and the curve there, read in one call
+    ``curve(ts)`` when that gives an array of the grid's shape, else one
+    point at a time."""
     import numpy as np
 
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, count)
-    pts = np.empty(count, dtype=complex)
-    for i, t in enumerate(ts):
-        z = curve(float(t))
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"curve is not finite at parameter {t!r}: {z!r}")
-        pts[i] = z
+    try:
+        pts = curve(ts)
+    except (TypeError, ValueError):  # scalar-only, or a real error the loop raises again
+        pts = None
+    if isinstance(pts, np.ndarray) and pts.shape == ts.shape:
+        pts = pts.astype(complex, copy=False)
+    else:
+        pts = np.array([curve(t) for t in ts.tolist()], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(pts))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"curve is not finite at parameter {ts[i]!r}: {complex(pts[i])!r}")
     return ts, pts
 
 
@@ -215,41 +230,6 @@ def _newton_refine(
     return _hit(curve, a, b) if abs(g) <= tolerance else None
 
 
-def _subdivide_refine(
-    curve: Callable[[float], complex],
-    ta0: float,
-    ta1: float,
-    tb0: float,
-    tb1: float,
-    tolerance: float,
-) -> tuple[float, float, complex, float] | None:
-    """Bisection fallback: repeatedly split both bracketing segments and
-    keep the sub-pair that still crosses."""
-    pa0, pa1 = curve(ta0), curve(ta1)
-    pb0, pb1 = curve(tb0), curve(tb1)
-    for _ in range(_SUBDIVIDE_ROUNDS):
-        tam = 0.5 * (ta0 + ta1)
-        tbm = 0.5 * (tb0 + tb1)
-        pam = curve(tam)
-        pbm = curve(tbm)
-        found = False
-        for a0, a1, qa0, qa1 in ((ta0, tam, pa0, pam), (tam, ta1, pam, pa1)):
-            for b0, b1, qb0, qb1 in ((tb0, tbm, pb0, pbm), (tbm, tb1, pbm, pb1)):
-                if _segments_cross(qa0, qa1, qb0, qb1):
-                    ta0, ta1, pa0, pa1 = a0, a1, qa0, qa1
-                    tb0, tb1, pb0, pb1 = b0, b1, qb0, qb1
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return None
-        if ta1 - ta0 < 1e-15 and tb1 - tb0 < 1e-15:
-            break
-    hit = _hit(curve, 0.5 * (ta0 + ta1), 0.5 * (tb0 + tb1))
-    return hit if hit[3] <= tolerance else None
-
-
 def self_intersections(
     curve: Callable[[float], complex],
     lo: float,
@@ -259,9 +239,10 @@ def self_intersections(
 ) -> list[Intersection]:
     """All detected self-intersections of ``curve`` on [lo, hi].
 
-    The curve is sampled every ``step`` in parameter, crossing segment
-    pairs seed Newton refinement, and results closer than ``_SEPARATION``
-    in parameter, to each other or to the diagonal a = b, are merged or
+    The curve is sampled every ``step`` in parameter (in one call if it
+    takes an array, see the module docstring), crossing segment pairs seed
+    Newton refinement, and results closer than ``_SEPARATION`` in
+    parameter, to each other or to the diagonal a = b, are merged or
     dropped; the rest come back sorted by the first parameter.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, or if the curve is
@@ -286,10 +267,6 @@ def self_intersections(
         a0 = float(ts[i] + t0 * (ts[i + 1] - ts[i]))
         b0 = float(ts[j] + u0 * (ts[j + 1] - ts[j]))
         refined = _newton_refine(curve, a0, b0, lo, hi, tolerance)
-        if refined is None:
-            refined = _subdivide_refine(
-                curve, float(ts[i]), float(ts[i + 1]), float(ts[j]), float(ts[j + 1]), tolerance
-            )
         if refined is None:
             continue
         a, b, point, residual = refined

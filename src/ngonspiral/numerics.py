@@ -152,6 +152,26 @@ def harmonic_array(x):
     return EULER_GAMMA + _digamma_array(x + 1.0)
 
 
+def _harmonic_exact(x):
+    """harmonic_continued at each entry of a float numpy array x > -1, of
+    any shape, bit for bit: digamma's upward recurrence as masked array
+    steps, then math.log at each entry, where harmonic_array's np.log may
+    be an ulp off."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float) + 1.0
+    shift = np.zeros_like(x)
+    small = x < _DIGAMMA_SHIFT
+    while small.any():
+        shift -= np.where(small, 1.0 / x, 0.0)
+        x += small
+        small = x < _DIGAMMA_SHIFT
+    with np.errstate(over="ignore"):  # as in _digamma_array
+        u = 1.0 / (x * x)
+    log = np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return EULER_GAMMA + (shift + log - 0.5 / x - u * _bernoulli_tail(u))
+
+
 def euler_transform_sum(
     terms: Iterable[complex], settings: AccelerationSettings
 ) -> SummationResult:

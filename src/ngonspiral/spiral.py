@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from .lengthfns import LengthFunction
 from .numerics import (
     TWO_PI,
+    _harmonic_exact,
     AccelerationSettings,
     SummationResult,
     euler_transform_sum,
@@ -188,17 +189,17 @@ def _tail_columns(
     """The steps of _tail over the columns x, each an elementwise copy of
     its scalar expression: (value, error estimate, converged, terms used).
 
-    H_{x-1} is seeded by harmonic_continued, as harmonic_phases seeds it
-    (harmonic_array's np.log is an ulp off math.log on ~1e-4 of arguments),
-    and complex products and moduli are formed as CPython forms them.  The
-    head runs in lockstep over j; the Euler transform then aligns every
-    column at its first Euler term, keeps one difference row per column,
-    and drops each column once it stops.
+    H_{x-1} is seeded with harmonic_continued's bits, as harmonic_phases
+    seeds it (harmonic_array's np.log is an ulp off math.log on ~1e-4 of
+    arguments), and complex products and moduli are formed as CPython
+    forms them.  The head runs in lockstep over j; the Euler transform then
+    aligns every column at its first Euler term, keeps one difference row
+    per column, and drops each column once it stops.
     """
     import numpy as np
 
     m = len(x)
-    h = np.fromiter(map(harmonic_continued, (x - 1.0).tolist()), float, m)
+    h = _harmonic_exact(x - 1.0)
     hc = np.zeros(m)
 
     def terms(k, h, hc):
@@ -308,14 +309,7 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
         if not np.all((ns + 1.0 > 2.0) & (ns < math.inf)):
             raise ValueError("continuation requires finite n > 1 with n + 1 > 2")
         tail = _tails(f, ns + 1.0, settings)
-        sign = _turns(0.5 * ns)  # signed_phase(n), exact +-1 at the integers
-        ints = np.floor(ns) == ns
-        sign[ints] = np.where(np.fmod(ns[ints], 2.0) != 0.0, -1.0, 1.0)
-        # the product as CPython forms it: numpy's complex multiply differs in the last bits
-        sr, si, tr, ti = sign.real, sign.imag, tail.value.real, tail.value.imag
-        value = np.empty_like(sign)
-        value.real = whole.value.real + (sr * tr - si * ti)
-        value.imag = whole.value.imag + (sr * ti + si * tr)
+        value = whole.value + _product(_signed_phases(ns), tail.value)
         return SummationResult(
             value.reshape(n.shape),
             (whole.error_estimate + tail.error_estimate).reshape(n.shape),
@@ -366,6 +360,28 @@ def _turns(t: np.ndarray) -> np.ndarray:
     out = np.empty(len(t), dtype=complex)
     out.real = np.cos(ang)
     out.imag = np.sin(ang)
+    return out
+
+
+def _signed_phases(n: np.ndarray) -> np.ndarray:
+    """signed_phase at each entry of the float array n: e^{i pi n} through
+    _turns, exact +-1 at the integers."""
+    import numpy as np
+
+    sign = _turns(0.5 * n)
+    ints = np.floor(n) == n
+    sign[ints] = np.where(np.fmod(n[ints], 2.0) != 0.0, -1.0, 1.0)
+    return sign
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, as CPython forms each product: numpy's
+    complex multiply differs in the last bits."""
+    import numpy as np
+
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 

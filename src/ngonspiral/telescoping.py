@@ -10,6 +10,10 @@ a telescoping sum with the closed-form continuation
 valid for real n > 1 with (-1)^n = e^{i pi n}.  The vertices live on the
 unit circle centered at -1; the centers curve C_L = V_L + Q_L crosses
 itself at the golden ratio pair (phi, phi + 1).
+
+Each closed form takes a float, read without numpy, or an array of n,
+read in one pass of array steps into a complex array of n's shape whose
+entries carry the bits of the float calls.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from __future__ import annotations
 import math
 
 from .lengthfns import telescoping
-from .numerics import harmonic_array, harmonic_continued, richardson
+from .numerics import _harmonic_exact, harmonic_array, harmonic_continued, richardson
 from .spiral import (
     _alternate,
     _dense_series,
+    _product,
     _RunningSum,
+    _signed_phases,
     _turns,
     half_angle,
     phase_of_turns,
@@ -72,7 +78,9 @@ def vertex_closed(n: float) -> complex:
 
     Equals the direct series sum at integers; |V_L(n) + 1| = 1 identically.
     """
-    return -1.0 + _rotation(n, "vertex_closed")
+    if isinstance(n, (int, float)):
+        return -1.0 + _rotation(n, "vertex_closed")
+    return _closed_array(n, "vertex_closed")
 
 
 def q_closed(n: float) -> complex:
@@ -81,13 +89,38 @@ def q_closed(n: float) -> complex:
     Vanishes at n = 4/3 and n = 4; as n -> 1+ the real part tends to
     4 (1 - pi^2 / 6) while the imaginary part runs off to -infinity.
     """
-    return _rotation(n, "q_closed") * _offset(n)
+    if isinstance(n, (int, float)):
+        return _rotation(n, "q_closed") * _offset(n)
+    return _closed_array(n, "q_closed")
 
 
 def center_closed(n: float) -> complex:
     """Continuation of the polygon centers, C_L(n) = V_L(n) + Q_L(n)."""
-    r = _rotation(n, "center_closed")
-    return (-1.0 + r) + r * _offset(n)
+    if isinstance(n, (int, float)):
+        r = _rotation(n, "center_closed")
+        return (-1.0 + r) + r * _offset(n)
+    return _closed_array(n, "center_closed")
+
+
+def _closed_array(n, name: str):
+    """The closed form ``name`` at each entry of an array of n, by the steps
+    of the float path as array steps: H_n with digamma's bits, the phases
+    through _turns and every complex product as CPython forms it."""
+    import numpy as np
+
+    n = np.asarray(n, dtype=float)
+    ns = n.ravel()
+    bad = ~((1.0 < ns) & (ns < math.inf))
+    if bad.any():
+        raise ValueError(f"{name} requires a finite n > 1, got {ns[bad][0].item()}")
+    r = _product(_signed_phases(ns), _turns(-2.0 * _harmonic_exact(ns)))
+    if name == "vertex_closed":
+        return (-1.0 + r).reshape(n.shape)
+    below = ns < 2.0  # half_angle's two branches
+    y = np.where(below, math.pi * (ns - 1.0) / ns, math.pi / ns)
+    cot = np.where(below, -np.cos(y), np.cos(y)) / np.sin(y)
+    q = _product(r, _turns(1.0 / ns) - 1j * cot)  # 1j * cot multiplies by 0 and 1 only: exact
+    return (q if name == "q_closed" else (-1.0 + r) + q).reshape(n.shape)
 
 
 def verify_telescoping_identity(n_max: int) -> float:

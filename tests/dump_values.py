@@ -35,6 +35,12 @@ FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0",
             "circumscribed:-1", "area:-2", "telescoping")
 GROWING = ("power:-1", "inscribed:-2")
 TOLERANCES = (1e-8, 1e-10, 1e-13)
+# The crossing benchmark's grids: the centers and Q starts and widths and
+# the coarse and fine steps of bench/pools.py, copied rather than imported
+# so that checkouts without the benchmark run this too.
+CROSSING_GRIDS = ((center_closed, tuple(1.05 + 0.02 * j for j in range(16)), 4.5),
+                  (q_closed, tuple(1.10 + 0.01 * j for j in range(9)), 4.6))
+CROSSING_STEPS = (1e-2, 3e-3)
 
 
 def show(label: str, thunk) -> None:
@@ -107,6 +113,11 @@ def telescoping() -> None:
                                 (q_closed, 1.02, 35.0, 1e-3)):
         for hit in self_intersections(curve, lo, hi, step=step):
             print(f"self_intersections {curve.__name__} {lo} {hi} {step}", repr(hit))
+    for curve, starts, width in CROSSING_GRIDS:
+        for lo in starts:
+            for step in CROSSING_STEPS:
+                for hit in self_intersections(curve, lo, lo + width, step=step):
+                    print(f"self_intersections {curve.__name__} {lo!r} {lo + width!r} {step}", repr(hit))
 
 
 def curves() -> None:

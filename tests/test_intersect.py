@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -9,7 +10,6 @@ from ngonspiral.cli import main
 from ngonspiral.intersect import (
     _crossing_candidates,
     _segments_cross,
-    _subdivide_refine,
     self_intersections,
 )
 from ngonspiral.telescoping import PHI, center_closed, q_closed
@@ -84,11 +84,98 @@ class TestContracts:
         with pytest.raises(ValueError, match="not finite"):
             self_intersections(bad, 1.0, 3.0, step=0.1)
 
+    def test_near_miss_candidates_are_dropped(self, monkeypatch):
+        # A circle inside the unit circle, 1e-4 from touching it: at this
+        # step chords of the unit circle cut the inner polygon, and Newton
+        # cannot close those candidates, so nothing is reported.
+        def nested(t: float) -> complex:
+            if t <= 2.0 * math.pi:
+                return cmath.exp(1j * t)
+            return 0.4999 + 0.5 * cmath.exp(1j * (t - 2.0 * math.pi))
+
+        outcomes = []
+        newton = intersect._newton_refine
+
+        def recorded(*args):
+            outcomes.append(newton(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(intersect, "_newton_refine", recorded)
+        assert self_intersections(nested, 0.0, 4.0 * math.pi, step=0.2) == []
+        assert None in outcomes
+
     def test_bad_domain(self):
         with pytest.raises(ValueError):
             self_intersections(limacon, 2.0, 1.0)
         with pytest.raises(ValueError):
             self_intersections(limacon, 0.0, 1.0, step=-1.0)
+
+
+def _cmath_limacon(t: float) -> complex:
+    return (1.0 + 2.0 * math.cos(t)) * cmath.exp(1j * t)
+
+
+def _piecewise_limacon(t: float) -> complex:
+    """The limacon, its second half as the mirror image of the first."""
+    if t > math.pi:
+        return limacon(2.0 * math.pi - t).conjugate()
+    return limacon(t)
+
+
+def _averaging_limacon(t) -> complex:
+    """Takes an array, but returns one point for it, at its mean."""
+    return limacon(float(np.mean(t)))
+
+
+class TestCurveProtocol:
+    """A curve that maps an array to an array of its shape has its grid read
+    in one call; any other curve is read one float at a time."""
+
+    @pytest.mark.parametrize("closed", [center_closed, q_closed])
+    def test_closed_form_grid_is_one_call(self, closed):
+        calls = []
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return closed(t)
+
+        lo, hi, step = 1.05, 6.0, 3e-3
+        hits = self_intersections(counted, lo, hi, step=step)
+        grid = math.ceil((hi - lo) / step) + 1
+        assert calls[0] == (grid,)
+        assert all(shape == () for shape in calls[1:])
+        assert hits
+
+    @pytest.mark.parametrize("curve", [limacon, _cmath_limacon, _piecewise_limacon, _averaging_limacon])
+    def test_scalar_only_curves_are_read_point_by_point(self, curve):
+        ts, pts = intersect._sample(curve, 0.0, 6.0, 5e-3)
+        assert pts.tolist() == [curve(t) for t in ts.tolist()]
+        [hit] = self_intersections(curve, 0.0, 6.0, step=5e-3)
+        assert abs(hit.a - 2.0 * math.pi / 3.0) < 1e-9
+        assert abs(hit.b - 4.0 * math.pi / 3.0) < 1e-9
+        assert hit.residual <= 1e-10
+
+    @pytest.mark.parametrize("closed, lo, hi", [(center_closed, 1.05, 6.0), (q_closed, 1.05, 6.0),
+                                                (q_closed, 1.02, 35.0)])
+    def test_array_curve_and_its_scalar_wrapper_agree(self, closed, lo, hi):
+        def scalar_only(t: float) -> complex:
+            return closed(float(t))
+
+        for step in (1e-2, 3e-3):
+            assert self_intersections(closed, lo, hi, step=step) == self_intersections(
+                scalar_only, lo, hi, step=step
+            )
+
+    def test_non_finite_array_sample_identified(self):
+        def bad(t):
+            return np.where(np.asarray(t) > 2.0, np.nan, t) + 0j
+
+        with pytest.raises(ValueError, match="not finite at parameter"):
+            self_intersections(bad, 1.0, 3.0, step=0.1)
+
+    def test_error_on_the_array_comes_back_on_the_loop(self):
+        with pytest.raises(ValueError, match="center_closed requires a finite n > 1"):
+            self_intersections(center_closed, 0.5, 3.0, step=0.1)
 
 
 def _brute_force_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
@@ -138,17 +225,6 @@ class TestSweepScan:
         start = time.perf_counter()
         assert _crossing_candidates(pts) == []
         assert time.perf_counter() - start < 1.0
-
-    def test_subdivision_fallback_recovers_limacon_crossing(self):
-        ts, pts = intersect._sample(limacon, 0.0, 2.0 * math.pi, 5e-3)
-        [(i, j)] = _crossing_candidates(pts)
-        refined = _subdivide_refine(limacon, ts[i], ts[i + 1], ts[j], ts[j + 1], 1e-10)
-        assert refined is not None
-        a, b, point, residual = refined
-        assert abs(a - 2.0 * math.pi / 3.0) < 1e-9
-        assert abs(b - 4.0 * math.pi / 3.0) < 1e-9
-        assert abs(point) < 1e-9
-        assert residual <= 1e-10
 
 
 class TestGridGuard:

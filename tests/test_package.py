@@ -27,9 +27,12 @@ def test_every_exported_name_resolves():
 
 def test_numpy_is_imported_lazily(tmp_path):
     # numpy is most of the import time; only the dense kernels, the batched
-    # curve tails and the crossing scan need it, so the import, the scalar
-    # commands and a single interpolated vertex skip it
+    # curve tails, the closed forms at an array and the crossing scan need
+    # it, so the import, the scalar commands (fig_q reads q_closed one float
+    # at a time), a single interpolated vertex and a closed form at a float
+    # skip it
     svg = tmp_path / "fig3b.svg"
+    q_svg = tmp_path / "fig4b.svg"
     code = (
         "import sys, ngonspiral\n"
         "assert 'numpy' not in sys.modules\n"
@@ -39,9 +42,12 @@ def test_numpy_is_imported_lazily(tmp_path):
         "assert main(['curve', '--s-min', '0.0000726', '--s-max', '1.77', '--samples', '10',\n"
         f"             '--out', {str(svg)!r}]) == 0\n"
         "assert main(['interp', '--length', 'power:1', '--n', '3.5']) == 0\n"
+        f"assert main(['telescope', '--fig', 'q', '--out', {str(q_svg)!r}]) == 0\n"
         "ngonspiral.interpolated_vertex(ngonspiral.power_law(0.0), 50.5)\n"
+        "ngonspiral.telescoping.center_closed(2.5)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert svg.stat().st_size > 0
+    assert q_svg.stat().st_size > 0

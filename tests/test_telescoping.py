@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import ngonspiral
@@ -119,6 +120,48 @@ class TestCenterClosed:
         cot = math.cos(math.pi * PHI) / math.sin(math.pi * PHI)
         rebuilt = -1j * cmath.exp(-1j * arg) * cot - 1.0
         assert abs(point - rebuilt) < 1e-15
+
+
+def _array_n() -> np.ndarray:
+    """n where an array path may part from the float path: just above 1,
+    both sides of 2 (half_angle's branch), the integers (exact +-1 signs),
+    digamma's shift boundary (n + 1 = 12), large n and seeded draws."""
+    edges = [1.0 + 2.0**-52, 1.0 + 1e-12, 1.0001, 1.02, math.nextafter(2.0, 0.0), 2.0,
+             math.nextafter(2.0, 3.0), math.nextafter(11.0, 0.0), math.nextafter(11.0, 12.0),
+             1e4 + 0.5, 1e8 + 0.5]
+    rng = np.random.default_rng(20221111)
+    return np.concatenate((edges, np.arange(2.0, 3001.0), np.linspace(10.5, 13.0, 2001),
+                           rng.uniform(1.02, 300.0, 200_000)))
+
+
+class TestArrayClosedForms:
+    """An array of n is read by array steps; every entry is the bits of the
+    float call at that n."""
+
+    @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+    def test_entries_are_the_float_bits(self, closed):
+        ns = _array_n()
+        got = closed(ns)
+        assert got.dtype == complex and got.shape == ns.shape
+        for n, z in zip(ns.tolist(), got.tolist()):
+            assert repr(z) == repr(closed(n)), n
+
+    @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+    def test_any_shape(self, closed):
+        ns = np.linspace(1.05, 40.0, 12).reshape(3, 4)
+        got = closed(ns)
+        assert got.shape == (3, 4)
+        assert [repr(z) for z in got.ravel().tolist()] == [repr(closed(n)) for n in ns.ravel().tolist()]
+        assert repr(closed([2.5]).tolist()) == repr([closed(2.5)])
+        assert closed(np.array(2.5)).shape == ()
+        # a float is read without numpy, into a Python complex
+        assert type(closed(2.5)) is complex
+
+    @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+    def test_domain(self, closed):
+        for bad in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{closed.__name__} requires a finite n > 1"):
+                closed(np.array([3.0, bad, 2.5]))
 
 
 class TestTelescopingIdentity:
