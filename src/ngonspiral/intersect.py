@@ -12,9 +12,9 @@ tolerance is dropped.
 
 A curve maps a float parameter to a complex point.  It may also map a
 float array to a complex array of the same shape, as the closed forms of
-the telescoping module do; the sample grid is then read in one call.  A
-curve that raises TypeError or ValueError on an array, or returns
-anything else for it, is read one point at a time.  Refinement always
+the telescoping module do; the sample grid, read-only, is then read in
+one call.  A curve that raises on the array, or returns anything else for
+it, is read one point at a time.  Refinement always
 calls the curve at single floats.
 """
 
@@ -70,9 +70,10 @@ def _sample(
 
     count = max(2, int(math.ceil((hi - lo) / step)) + 1)
     ts = np.linspace(lo, hi, count)
+    ts.flags.writeable = False  # a curve that shifts its parameter in place refuses the array
     try:
         pts = curve(ts)
-    except (TypeError, ValueError):  # scalar-only, or a real error the loop raises again
+    except Exception:  # scalar-only, or a real error the loop raises again
         pts = None
     if isinstance(pts, np.ndarray) and pts.shape == ts.shape:
         pts = pts.astype(complex, copy=False)

@@ -11,14 +11,16 @@ valid for real n > 1 with (-1)^n = e^{i pi n}.  The vertices live on the
 unit circle centered at -1; the centers curve C_L = V_L + Q_L crosses
 itself at the golden ratio pair (phi, phi + 1).
 
-Each closed form takes a float, read without numpy, or an array of n,
-read in one pass of array steps into a complex array of n's shape whose
-entries carry the bits of the float calls.
+Each closed form takes one number (a Python or numpy scalar), read
+without numpy, or an array or sequence of n, read in one pass of array
+steps into a complex array of n's shape whose entries carry the bits of
+the float calls.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .lengthfns import telescoping
 from .numerics import _harmonic_exact, harmonic_array, harmonic_continued, richardson
@@ -33,6 +35,9 @@ from .spiral import (
     phase_of_turns,
     signed_phase,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PHI",
@@ -73,14 +78,44 @@ def _offset(n: float) -> complex:
     return phase_of_turns(1.0 / n) - 1j * (c / s)
 
 
+def _rotations(n: np.ndarray, name: str) -> np.ndarray:
+    """_rotation at each entry of the flat float array n, checked for
+    ``name``: H_n with digamma's bits, the phases through _turns and the
+    product as CPython forms it."""
+    bad = ~((1.0 < n) & (n < math.inf))
+    if bad.any():
+        raise ValueError(f"{name} requires a finite n > 1, got {n[bad][0].item()}")
+    return _product(_signed_phases(n), _turns(-2.0 * _harmonic_exact(n)))
+
+
+def _offsets(n: np.ndarray) -> np.ndarray:
+    """_offset at each entry of the flat float array n, half_angle's two
+    branches as masks."""
+    import numpy as np
+
+    below = n < 2.0
+    y = np.where(below, math.pi * (n - 1.0) / n, math.pi / n)
+    cot = np.where(below, -np.cos(y), np.cos(y)) / np.sin(y)
+    return _turns(1.0 / n) - 1j * cot  # 1j * cot multiplies by 0 and 1 only: exact
+
+
+def _flat(n) -> tuple[np.ndarray, tuple[int, ...]]:
+    """An array or sequence of n as a flat float array, and its shape."""
+    import numpy as np
+
+    n = np.asarray(n, dtype=float)
+    return n.ravel(), n.shape
+
+
 def vertex_closed(n: float) -> complex:
     """Analytic continuation of the telescoping vertices, real n > 1.
 
     Equals the direct series sum at integers; |V_L(n) + 1| = 1 identically.
     """
-    if isinstance(n, (int, float)):
+    if not hasattr(n, "__len__"):
         return -1.0 + _rotation(n, "vertex_closed")
-    return _closed_array(n, "vertex_closed")
+    ns, shape = _flat(n)
+    return (-1.0 + _rotations(ns, "vertex_closed")).reshape(shape)
 
 
 def q_closed(n: float) -> complex:
@@ -89,38 +124,20 @@ def q_closed(n: float) -> complex:
     Vanishes at n = 4/3 and n = 4; as n -> 1+ the real part tends to
     4 (1 - pi^2 / 6) while the imaginary part runs off to -infinity.
     """
-    if isinstance(n, (int, float)):
+    if not hasattr(n, "__len__"):
         return _rotation(n, "q_closed") * _offset(n)
-    return _closed_array(n, "q_closed")
+    ns, shape = _flat(n)
+    return _product(_rotations(ns, "q_closed"), _offsets(ns)).reshape(shape)
 
 
 def center_closed(n: float) -> complex:
     """Continuation of the polygon centers, C_L(n) = V_L(n) + Q_L(n)."""
-    if isinstance(n, (int, float)):
+    if not hasattr(n, "__len__"):
         r = _rotation(n, "center_closed")
         return (-1.0 + r) + r * _offset(n)
-    return _closed_array(n, "center_closed")
-
-
-def _closed_array(n, name: str):
-    """The closed form ``name`` at each entry of an array of n, by the steps
-    of the float path as array steps: H_n with digamma's bits, the phases
-    through _turns and every complex product as CPython forms it."""
-    import numpy as np
-
-    n = np.asarray(n, dtype=float)
-    ns = n.ravel()
-    bad = ~((1.0 < ns) & (ns < math.inf))
-    if bad.any():
-        raise ValueError(f"{name} requires a finite n > 1, got {ns[bad][0].item()}")
-    r = _product(_signed_phases(ns), _turns(-2.0 * _harmonic_exact(ns)))
-    if name == "vertex_closed":
-        return (-1.0 + r).reshape(n.shape)
-    below = ns < 2.0  # half_angle's two branches
-    y = np.where(below, math.pi * (ns - 1.0) / ns, math.pi / ns)
-    cot = np.where(below, -np.cos(y), np.cos(y)) / np.sin(y)
-    q = _product(r, _turns(1.0 / ns) - 1j * cot)  # 1j * cot multiplies by 0 and 1 only: exact
-    return (q if name == "q_closed" else (-1.0 + r) + q).reshape(n.shape)
+    ns, shape = _flat(n)
+    r = _rotations(ns, "center_closed")
+    return ((-1.0 + r) + _product(r, _offsets(ns))).reshape(shape)
 
 
 def verify_telescoping_identity(n_max: int) -> float:

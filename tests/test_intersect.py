@@ -122,6 +122,22 @@ def _piecewise_limacon(t: float) -> complex:
     return limacon(t)
 
 
+def _shifting_limacon(t: float) -> complex:
+    """Shifts its parameter in place, harmless on a float, by one turn."""
+    t -= 2.0 * math.pi
+    return limacon(t)
+
+
+def _integer_checking_limacon(t: float) -> complex:
+    """Calls a float method that arrays lack."""
+    return 3.0 + 0j if t.is_integer() and t == 0.0 else limacon(t)
+
+
+def _asserting_limacon(t: float) -> complex:
+    assert isinstance(t, float)
+    return limacon(t)
+
+
 def _averaging_limacon(t) -> complex:
     """Takes an array, but returns one point for it, at its mean."""
     return limacon(float(np.mean(t)))
@@ -146,9 +162,11 @@ class TestCurveProtocol:
         assert all(shape == () for shape in calls[1:])
         assert hits
 
-    @pytest.mark.parametrize("curve", [limacon, _cmath_limacon, _piecewise_limacon, _averaging_limacon])
+    @pytest.mark.parametrize("curve", [limacon, _cmath_limacon, _piecewise_limacon, _averaging_limacon,
+                                       _shifting_limacon, _integer_checking_limacon, _asserting_limacon])
     def test_scalar_only_curves_are_read_point_by_point(self, curve):
         ts, pts = intersect._sample(curve, 0.0, 6.0, 5e-3)
+        assert ts.tolist() == np.linspace(0.0, 6.0, len(ts)).tolist()
         assert pts.tolist() == [curve(t) for t in ts.tolist()]
         [hit] = self_intersections(curve, 0.0, 6.0, step=5e-3)
         assert abs(hit.a - 2.0 * math.pi / 3.0) < 1e-9

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestArrayClosedForms:
         assert closed(np.array(2.5)).shape == ()
         # a float is read without numpy, into a Python complex
         assert type(closed(2.5)) is complex
+
+    @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+    def test_any_scalar_takes_the_float_path(self, closed):
+        # numpy scalars and fractions are one number, not an array; a
+        # float32 keeps some steps in single precision, as it always did
+        for n in (np.float64(2.5), np.float32(2.5), np.int64(3), Fraction(5, 2)):
+            z = closed(n)
+            assert type(z) is complex
+            assert abs(z - closed(float(n))) < 1e-5
+        assert repr(closed(np.int64(3))) == repr(closed(3))
+        assert repr(closed(np.float64(2.5))) == repr(closed(2.5))
 
     @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
     def test_domain(self, closed):
