@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 from .lengthfns import LengthFunction, power_law
-from .numerics import TWO_PI, AccelerationSettings, SummationResult
+from .numerics import TWO_PI, AccelerationSettings, SummationResult, _number
 from .spiral import _limit_series, vertex_at
 
 __all__ = [
@@ -134,6 +134,7 @@ def orbit_distance_law(
     finite n >= 10 and r >= 1 with n*r finite and integral (within 1e-9).  One
     vertex_at call reads both vertices, each in O(1) for n above 1,024.
     """
+    r, n = _number(r), _number(n)
     if not 10 <= n < math.inf:
         raise ValueError(f"orbit_distance_law requires a finite n >= 10, got {n}")
     if not 1.0 <= r < math.inf:
@@ -171,10 +172,12 @@ def convergence_curve(
     dropped.  A single sample degenerates to limit_point at s_min.  More
     than ``_MAX_CURVE_SAMPLES`` samples raise ``ValueError`` before any work.
     """
+    s_min, s_max = float(s_min), float(s_max)
     if not 0.0 < s_min <= s_max < math.inf:
         raise ValueError(f"need 0 < s_min <= s_max with s_max finite, got [{s_min}, {s_max}]")
-    if not 1 <= samples <= _MAX_CURVE_SAMPLES:
-        raise ValueError(f"samples must be in [1, {_MAX_CURVE_SAMPLES}], got {samples}")
+    if not (1 <= samples <= _MAX_CURVE_SAMPLES and float(samples).is_integer()):
+        raise ValueError(f"samples must be an integer in [1, {_MAX_CURVE_SAMPLES}], got {samples}")
+    samples = int(samples)
     settings = settings or AccelerationSettings()
     step = (s_max - s_min) / (samples - 1) if samples > 1 else 0.0
     grid = (s_min + i * step for i in range(samples))

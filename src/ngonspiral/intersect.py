@@ -45,6 +45,10 @@ _SEPARATION = 1e-3
 # before anything is allocated.
 _MAX_SAMPLES = 10**6
 
+# Most crossing segment pairs (~1 ms of Newton each) a grid may have; Q_L
+# at step 1, whose sign flips at every integer, has ~2e6 and is refused.
+_MAX_CANDIDATES = 2048
+
 
 @dataclass(frozen=True)
 class Intersection:
@@ -126,7 +130,8 @@ def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
     length.  Each segment is paired with the later ones whose extents
     overlap it on that axis (found by binary search), those pairs are
     expanded at most ``_PAIR_BUDGET`` at a time, and ``_segments_cross``
-    decides.  Duplicates are cleaned up after refinement.
+    decides.  Duplicates are cleaned up after refinement.  More than
+    ``_MAX_CANDIDATES`` crossing pairs raise ``ValueError``.
     """
     import numpy as np
 
@@ -142,6 +147,7 @@ def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
     ends = np.cumsum(counts)
     starts = ends - counts
     firsts, seconds = [], []
+    found = 0
     r0 = 0
     while r0 < len(order):
         r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PAIR_BUDGET, side="right")))
@@ -155,6 +161,9 @@ def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
         hit = _segments_cross(p0[i], p1[i], p0[j], p1[j])
         firsts.append(i[hit])
         seconds.append(j[hit])
+        found += len(firsts[-1])
+        if found > _MAX_CANDIDATES:
+            raise ValueError(f"the grid crosses itself at more than {_MAX_CANDIDATES} segment pairs: too coarse")
         r0 = r1
     i = np.concatenate(firsts)
     j = np.concatenate(seconds)
@@ -246,9 +255,11 @@ def self_intersections(
     parameter, to each other or to the diagonal a = b, are merged or
     dropped; the rest come back sorted by the first parameter.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
-    if the grid would exceed ``_MAX_SAMPLES`` samples, or if the curve is
-    non-finite anywhere on the sample grid.
+    if the grid would exceed ``_MAX_SAMPLES`` samples, if the curve is
+    non-finite anywhere on the sample grid, or if the grid crosses itself
+    at more than ``_MAX_CANDIDATES`` segment pairs.
     """
+    lo, hi, step, tolerance = (float(x) for x in (lo, hi, step, tolerance))
     if not all(map(math.isfinite, (lo, hi, step, tolerance))):
         raise ValueError(
             f"lo, hi, step and tolerance must be finite, got {lo}, {hi}, {step}, {tolerance}"

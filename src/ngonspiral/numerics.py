@@ -22,7 +22,6 @@ __all__ = [
     "SummationResult",
     "digamma",
     "euler_transform_sum",
-    "harmonic_array",
     "harmonic_continued",
     "richardson",
     "two_sum",
@@ -82,6 +81,14 @@ def two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
+def _number(n):
+    """One number as the scalar paths read it: a Python int if it has
+    __index__, else a float, so a numpy scalar takes the Python steps."""
+    if type(n) in (int, float):  # the common case, ~0.1 us sooner
+        return n
+    return int(n) if hasattr(n, "__index__") else float(n)
+
+
 # psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}); coefficients of u = x^{-2}.
 _DIGAMMA_SHIFT = 12.0
 _DIGAMMA_ASYMPTOTIC = (
@@ -103,14 +110,14 @@ def _bernoulli_tail(u):
 
 
 def digamma(x: float) -> float:
-    """psi(x) for x > 0, absolute error below 1e-13.
+    """psi(x) for finite x > 0, absolute error below 1e-13.
 
     Upward recurrence psi(x+1) = psi(x) + 1/x shifts the argument to at
     least 12, after which a seven-term Bernoulli asymptotic series applies.
     """
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    shift = 0.0
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"digamma requires a finite x > 0, got {x}")
+    x, shift = float(x), 0.0
     while x < _DIGAMMA_SHIFT:
         shift -= 1.0 / x
         x += 1.0
@@ -118,58 +125,15 @@ def digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - u * _bernoulli_tail(u)
 
 
-def _digamma_array(x):
-    """digamma at each entry of a float numpy array x > 0, of any shape: the
-    asymptotic series at once, then the scalar digamma at each entry below
-    12, which it matches bit for bit there."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # x^2 -> inf, u -> 0 past 1e154, as in digamma
-        u = 1.0 / (x * x)
-    out = np.asarray(np.log(x) - 0.5 / x - u * _bernoulli_tail(u))
-    small = x < _DIGAMMA_SHIFT
-    out[small] = [digamma(v) for v in x[small].tolist()]
-    return out
-
-
 def harmonic_continued(x: float) -> float:
-    """H_x = gamma + psi(x+1) for real x > -1, the continuation of the
+    """H_x = gamma + psi(x+1) for finite real x > -1, the continuation of the
     harmonic numbers and the library's one H_x outside a running stream.
 
     At the integers k <= 3,000 it is within 3e-15 of the exact H_k.
     """
-    if not x > -1.0:
-        raise ValueError(f"harmonic_continued requires x > -1, got {x}")
+    if not -1.0 < x < math.inf:
+        raise ValueError(f"harmonic_continued requires a finite x > -1, got {x}")
     return EULER_GAMMA + digamma(x + 1.0)
-
-
-def harmonic_array(x):
-    """harmonic_continued at each entry of a float numpy array x > -1, of
-    any shape, through the vectorised digamma: the dense kernels' H_x.
-    Below x = 11 it is harmonic_continued's bits; above, np.log is an ulp
-    off math.log on ~1e-4 of arguments, and so is H_x."""
-    return EULER_GAMMA + _digamma_array(x + 1.0)
-
-
-def _harmonic_exact(x):
-    """harmonic_continued at each entry of a float numpy array x > -1, of
-    any shape, bit for bit: digamma's upward recurrence as masked array
-    steps, then math.log at each entry, where harmonic_array's np.log may
-    be an ulp off."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float) + 1.0
-    shift = np.zeros_like(x)
-    small = x < _DIGAMMA_SHIFT
-    while small.any():
-        shift -= np.where(small, 1.0 / x, 0.0)
-        x += small
-        small = x < _DIGAMMA_SHIFT
-    with np.errstate(over="ignore"):  # as in _digamma_array
-        u = 1.0 / (x * x)
-    log = np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return EULER_GAMMA + (shift + log - 0.5 / x - u * _bernoulli_tail(u))
 
 
 def euler_transform_sum(

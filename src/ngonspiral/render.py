@@ -210,42 +210,28 @@ def _sample_levels(
         raise ValueError("need at least two initial samples")
     tol = _MAX_DEVIATION_PX / px_scale
 
-    params = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
-    # the pending intervals of a level, as parallel lists: ends, values at
-    # the ends and the midpoint, and the position of t0 in units of an
-    # interval bisected _MAX_DEPTH times, which orders the output
-    t0s, t1s = params[:-1], params[1:]
-    tms = [0.5 * (t0 + t1) for t0, t1 in zip(t0s, t1s)]
-    values = batch(params + tms)
-    z0s, z1s, zms = values[: initial - 1], values[1:initial], values[initial:]
-    width = 1 << _MAX_DEPTH
-    keys = [i * width for i in range(initial - 1)]
-    out_keys: list[int] = []
-    out_z: list[complex] = []
+    ts = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
+    mids = [0.5 * (t0 + t1) for t0, t1 in zip(ts, ts[1:])]
+    zs = batch(ts + mids)
+    ends = list(zip(ts, zs))
+    # the pending intervals of a level: its two ends and its midpoint, each (t, z)
+    level = list(zip(ends, ends[1:], zip(mids, zs[initial:])))
+    out = ends[:1]
     for depth in range(_MAX_DEPTH):
-        half = width >> (depth + 1)
-        nt0, nz0, nt1, nz1, nkeys = [], [], [], [], []
-        for t0, z0, t1, z1, tm, zm, key in zip(t0s, z0s, t1s, z1s, tms, zms, keys):
-            if abs(zm - 0.5 * (z0 + z1)) <= tol:
-                out_keys.append(key)
-                out_z.append(z1)
-            else:  # the two halves, left first
-                nt0 += (t0, tm)
-                nz0 += (z0, zm)
-                nt1 += (tm, t1)
-                nz1 += (zm, z1)
-                nkeys += (key, key + half)
-        t0s, z0s, t1s, z1s, keys = nt0, nz0, nt1, nz1, nkeys
-        if not t0s:
+        halves = []
+        for a, b, m in level:
+            if abs(m[1] - 0.5 * (a[1] + b[1])) <= tol:
+                out.append(b)
+            else:  # a NaN deviation splits too
+                halves += ((a, m), (m, b))
+        if not halves or depth + 1 == _MAX_DEPTH:
+            out += [b for _, b in halves]  # bisected _MAX_DEPTH times: no midpoint read
             break
-        if depth + 1 < _MAX_DEPTH:
-            tms = [0.5 * (t0 + t1) for t0, t1 in zip(t0s, t1s)]
-            zms = batch(tms)
-    # intervals bisected _MAX_DEPTH times end there, without a midpoint
-    out_keys += keys
-    out_z += z1s
-    order = sorted(range(len(out_keys)), key=out_keys.__getitem__)
-    return [values[0], *(out_z[i] for i in order)]
+        mids = [0.5 * (a[0] + b[0]) for a, b in halves]
+        level = [(a, b, m) for (a, b), m in zip(halves, zip(mids, batch(mids)))]
+    # the points in parameter order, lo to hi
+    out.sort(key=lambda p: p[0], reverse=hi < lo)
+    return [z for _, z in out]
 
 
 def export_table(

@@ -10,11 +10,10 @@ and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
 the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
-error of the raw closed form.  Dense runs of the series (vertex_at, and the
-telescoping identity check) read u from one numpy kernel, _dense_series(),
-in chunks; the scalar tail below reads it term by term from
-harmonic_phases(), and the batched tails column by column.  As the whole
-series minus its tail, the vertices and their smooth continuation to real
+error of the raw closed form.  The scalar tail below reads u term by term
+from harmonic_phases(); dense runs (vertex_at, the telescoping identity
+check) and batched tails read it in the numpy kernels of _arrays.  As the
+whole series minus its tail, the vertices and their smooth continuation to real
 n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
@@ -25,8 +24,7 @@ settings, so continuation() sums it once and returns n -> V(n).  At one n
 it sums one tail, in Python: interpolated_vertex reads it at one real n,
 and vertex_at at deep indices, in O(1), summing only short gaps.  At an
 array of n, the points of a figure's curve, it sums all their tails at
-once, column by column in numpy (_tails), with the scalar tail's steps
-and bits.
+once, column by column, with the scalar tail's steps and bits.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -40,22 +38,18 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .lengthfns import LengthFunction
 from .numerics import (
     TWO_PI,
-    _harmonic_exact,
     AccelerationSettings,
     SummationResult,
+    _number,
     euler_transform_sum,
-    harmonic_array,
     harmonic_continued,
     two_sum,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PolygonGeometry",
@@ -165,111 +159,6 @@ def _tail(f: LengthFunction, x: float, settings: AccelerationSettings) -> Summat
     return replace(rest, value=value, terms_used=j + rest.terms_used)
 
 
-# _tails sums this many columns at a time, so its working set stays flat
-# however many points a curve asks for.
-_COLUMNS = 256
-
-
-def _tails(f: LengthFunction, xs: np.ndarray, settings: AccelerationSettings) -> SummationResult:
-    """_tail(f, x, settings) at each x of the 1-D float array xs, summed
-    column by column in chunks of _COLUMNS: a SummationResult of arrays
-    whose entries carry the bits of the scalar results."""
-    import numpy as np
-
-    lf = f.as_callable()
-    # an empty xs is one empty chunk, so the fields are empty arrays
-    starts = range(0, len(xs) or 1, _COLUMNS)
-    chunks = [_tail_columns(lf, xs[i : i + _COLUMNS], settings) for i in starts]
-    return SummationResult(*(np.concatenate(field) for field in zip(*chunks)))
-
-
-def _tail_columns(
-    lf: Callable[[float], float], x: np.ndarray, settings: AccelerationSettings
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The steps of _tail over the columns x, each an elementwise copy of
-    its scalar expression: (value, error estimate, converged, terms used).
-
-    H_{x-1} is seeded with harmonic_continued's bits, as harmonic_phases
-    seeds it (harmonic_array's np.log is an ulp off math.log on ~1e-4 of
-    arguments), and complex products and moduli are formed as CPython
-    forms them.  The head runs in lockstep over j; the Euler transform then
-    aligns every column at its first Euler term, keeps one difference row
-    per column, and drops each column once it stops.
-    """
-    import numpy as np
-
-    m = len(x)
-    h = _harmonic_exact(x - 1.0)
-    hc = np.zeros(m)
-
-    def terms(k, h, hc):
-        """harmonic_phases' step from H_{k-1} to H_k, and l(k) u(k)."""
-        inv = 1.0 / k
-        t = h + inv
-        v = t - h
-        hc = hc + ((h - (t - v)) + (inv - v))
-        lu = _turns(inv - 2.0 * (t + hc))
-        lengths = np.fromiter(map(lf, k.tolist()), float, len(k))
-        lu.real *= lengths
-        lu.imag *= lengths
-        return t, hc, lu
-
-    # the head, x + j < _HEAD_STOP; heads ends as each column's j of its first Euler term
-    s = np.zeros(m, dtype=complex)
-    c = np.zeros(m, dtype=complex)
-    heads = np.zeros(m, dtype=int)
-    for j in range(_HEAD_STOP):
-        i = np.flatnonzero(x + j < _HEAD_STOP)
-        if not len(i):
-            break
-        h[i], hc[i], term = terms(x[i] + j, h[i], hc[i])
-        s[i], e = two_sum(s[i], -term if j % 2 else term)
-        c[i] += e
-        heads[i] += 1
-    # euler_transform_sum per column: rest (value, estimate, converged, used)
-    value = np.empty(m, dtype=complex)
-    err = np.empty(m)
-    done = np.zeros(m, dtype=bool)
-    used = np.empty(m, dtype=int)
-    col, first = np.arange(m), heads
-    diag = np.empty((m, 0), dtype=complex)
-    total = np.zeros(m, dtype=complex)
-    best = np.zeros(m, dtype=complex)
-    best_err = np.full(m, math.inf)
-    tol = settings.target_tolerance
-    for j in range(settings.max_terms):
-        if not len(col):
-            break
-        h, hc, a = terms(x + (first + j), h, hc)
-        # new_diag[p] = new_diag[p - 1] - diag[p - 1], left to right
-        diag = np.subtract.accumulate(np.column_stack((a, diag)), axis=1)
-        head = diag[:, j]
-        w = math.ldexp(1.0, -(j + 1))
-        correction = np.empty_like(head)
-        correction.real = head.real * w
-        correction.imag = head.imag * w
-        if j % 2:
-            correction = -correction
-        total = total + correction
-        last_err = np.hypot(correction.real, correction.imag)  # abs() of a Python complex
-        better = last_err < best_err
-        best = np.where(better, total, best)
-        best_err = np.where(better, last_err, best_err)
-        broken = ~np.isfinite(head)
-        met = (last_err <= tol) & (j >= 3)
-        if broken.any() or met.any():
-            value[col[broken]], err[col[broken]], used[col[broken]] = best[broken], best_err[broken], j
-            value[col[met]], err[col[met]], used[col[met]] = total[met], last_err[met], j + 1
-            done[col[met]] = True
-            keep = ~(broken | met)
-            col, x, first, h, hc = col[keep], x[keep], first[keep], h[keep], hc[keep]
-            diag, total, best, best_err = diag[keep], total[keep], best[keep], best_err[keep]
-    # the term budget is spent: the best estimate seen, not converged
-    value[col], err[col], used[col] = best, best_err, settings.max_terms
-    odd = heads % 2 == 1
-    return (s + c) + np.where(odd, -value, value), err, done, heads + used
-
-
 def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
     """G_f = -E(3) = sum_{k>=3} (-1)^k l(k) u(k), the whole vertex series
     (the regularised sum when the sides tend to a constant): the limits of
@@ -284,148 +173,33 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
     ``settings``.  The error estimates add, and a value is converged only
     when both sums are.  Growing side lengths are refused before any sum.
 
-    A single n (an int or a float) is summed by the scalar _tail, without
-    numpy.  A sequence or array of n is summed column-wise by _tails, and
-    the result then holds arrays of n's shape, entry for entry the bits
-    of the scalar results; such n must all be finite with n + 1 > 2.
+    A single number (anything without a length, read as a Python int or
+    float) is summed by the scalar _tail, without numpy.  A sequence or
+    array of n is summed column-wise by _arrays._tails, and the result
+    then holds arrays of n's shape, entry for entry the bits of the scalar
+    results; such n must all be finite with n + 1 > 2.
     """
     if f.asymptote().exponent < 0.0:
         raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
     whole = _limit_series(f, settings)
 
     def at(n: float) -> SummationResult:
-        if isinstance(n, (int, float)):
-            tail = _tail(f, n + 1, settings)
-            return SummationResult(
-                whole.value + signed_phase(n) * tail.value,
-                whole.error_estimate + tail.error_estimate,
-                whole.converged and tail.converged,
-                whole.terms_used + tail.terms_used,
-            )
-        import numpy as np
+        if hasattr(n, "__len__"):
+            from ._arrays import _signed_tails
 
-        n = np.asarray(n, dtype=float)
-        ns = n.ravel()
-        if not np.all((ns + 1.0 > 2.0) & (ns < math.inf)):
-            raise ValueError("continuation requires finite n > 1 with n + 1 > 2")
-        tail = _tails(f, ns + 1.0, settings)
-        value = whole.value + _product(_signed_phases(ns), tail.value)
+            signed, tail = _signed_tails(f, n, settings)
+        else:
+            n = _number(n)
+            tail = _tail(f, n + 1, settings)
+            signed = signed_phase(n) * tail.value
         return SummationResult(
-            value.reshape(n.shape),
-            (whole.error_estimate + tail.error_estimate).reshape(n.shape),
-            (tail.converged & whole.converged).reshape(n.shape),
-            (whole.terms_used + tail.terms_used).reshape(n.shape),
+            whole.value + signed,
+            whole.error_estimate + tail.error_estimate,
+            tail.converged & whole.converged,
+            whole.terms_used + tail.terms_used,
         )
 
     return at
-
-
-# The dense kernel works in chunks of _CHUNK terms, so its working set
-# stays near 0.6 MB however long the run (chunks of 2^12 would double it).
-_CHUNK = 1 << 11
-
-
-class _RunningSum:
-    """Compensated running sums of a long real or complex series fed in
-    chunks: Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product",
-    SIAM J. Sci. Comput. 26(6), 2005) over each chunk, a numpy cumulative
-    sum with the two_sum error of each of its additions summed beside it,
-    continued from a carried two_sum head and correction, so no run of
-    terms is added naively and each sum is rounded once.
-    """
-
-    def __init__(self, start: float | complex) -> None:
-        self._s, self._c = start, 0.0
-
-    def extend(self, terms: np.ndarray) -> np.ndarray:
-        """The running sums, continued from the last, after each entry of
-        the numpy array ``terms`` (float or complex, as at the start)."""
-        import numpy as np
-
-        p = np.add.accumulate(terms)
-        fix = np.add.accumulate(two_sum(np.concatenate(([0.0], p[:-1])), terms)[1])
-        head, err = two_sum(self._s, p)
-        sums = head + ((self._c + fix) + err)
-        self._s, e = two_sum(self._s, p[-1].item())
-        self._c = self._c + fix[-1].item() + e
-        return sums
-
-
-def _turns(t: np.ndarray) -> np.ndarray:
-    """e^{2 pi i t} at each entry of the float array t, reduced mod 1 in
-    turns as phase_of_turns does."""
-    import numpy as np
-
-    ang = TWO_PI * (t - np.rint(t))
-    out = np.empty(len(t), dtype=complex)
-    out.real = np.cos(ang)
-    out.imag = np.sin(ang)
-    return out
-
-
-def _signed_phases(n: np.ndarray) -> np.ndarray:
-    """signed_phase at each entry of the float array n: e^{i pi n} through
-    _turns, exact +-1 at the integers."""
-    import numpy as np
-
-    sign = _turns(0.5 * n)
-    ints = np.floor(n) == n
-    sign[ints] = np.where(np.fmod(n[ints], 2.0) != 0.0, -1.0, 1.0)
-    return sign
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, as CPython forms each product: numpy's
-    complex multiply differs in the last bits."""
-    import numpy as np
-
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _alternate(k0: int, z: np.ndarray) -> np.ndarray:
-    """(-1)^k z for k = k0, k0 + 1, ...: z with the entries at odd k
-    negated in place."""
-    import numpy as np
-
-    odd = z[1 - k0 % 2 :: 2]
-    np.negative(odd, out=odd)
-    return z
-
-
-def _dense_series(
-    f: LengthFunction,
-    start: int,
-    base: complex,
-    end: int,
-    harmonic: Callable[[np.ndarray], np.ndarray],
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The vertex series over k = start+1..end in chunks of _CHUNK terms:
-    (first k, k as floats, H_k, (-1)^k l(k) u(k), V(k)) per chunk,
-    V(start) = base, with u(k) = e^{2 pi i (1/k - 2 H_k)} reduced in
-    turns, H_k = harmonic(ks), l(k) from scalar calls of f's evaluator, and
-    V from one _RunningSum whose chunks count from start + 1.  The signs
-    come from the int k, so they hold past 2^53, where the floats of
-    consecutive k coincide.  A side length past the doubles raises
-    ``ValueError``, naming f and its k.
-    """
-    import numpy as np
-
-    lf = f.as_callable()
-    acc = _RunningSum(base)
-    for lo in range(start + 1, end + 1, _CHUNK):
-        ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
-        hs = harmonic(ks)
-        try:
-            lengths = np.fromiter(map(lf, ks.tolist()), float, len(ks))
-        except OverflowError:
-            for k in ks.tolist():
-                _side(f, k)  # raises at the first length past the doubles
-            raise
-        terms = _alternate(lo, lengths * _turns(1.0 / ks - 2.0 * hs))
-        yield lo, ks, hs, terms, acc.extend(terms)
 
 
 # vertex_at sums runs of consecutive indices, except that an index above
@@ -508,6 +282,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     # the next start, the last one to the deepest index
     starts = [(2, 0j), *jumps.items()]
     ends = [n - deep[n] for n in jumps] + [order[-1]]
+    from ._arrays import _dense_series, harmonic_array
+
     out = {}
     for (start, base), end in zip(starts, ends):
         if start in wanted:
@@ -544,6 +320,7 @@ def q_term(f: LengthFunction, n: float) -> complex:
     circumradius |l(n)| / (2 sin(pi/n)).  A side length or an offset
     past the doubles raises ``ValueError``.
     """
+    n = _number(n)
     if not 1.0 < n < math.inf:
         raise ValueError(f"q_term requires a finite n > 1, got {n}")
     num = signed_phase(n) * _side(f, n) * unit_phase(n, harmonic_continued(n))

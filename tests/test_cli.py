@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ngonspiral import convergence, figures, telescoping
+from ngonspiral import _arrays, convergence, figures, telescoping
 from ngonspiral.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -308,7 +308,7 @@ class TestSizeCaps:
 
         monkeypatch.setattr(figures, "vertex_at", refuse)
         monkeypatch.setattr(convergence, "limit_point", refuse)
-        monkeypatch.setattr(telescoping, "_dense_series", refuse)
+        monkeypatch.setattr(_arrays, "_dense_series", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -309,6 +309,11 @@ class TestDistanceLaw:
         _, pred = orbit_distance_law(2.71828, 25_000)
         assert pred < 1e-4
 
+    def test_numpy_scalars_are_python_numbers(self):
+        # a float32 n compared with the largest double overflowed in numpy
+        assert orbit_distance_law(np.float32(2.0), np.int64(2000)) == orbit_distance_law(2.0, 2000)
+        assert orbit_distance_law(1.0, np.float32(2.0**53)) == (0.0, 0.0)
+
     def test_preconditions(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("summed")
@@ -364,6 +369,9 @@ class TestConvergenceCurve:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="s_max finite"):
                 convergence_curve(1.0, bad, 3, TIGHT)
+        with pytest.raises(ValueError, match="an integer"):
+            convergence_curve(0.5, 1.0, 2.5, TIGHT)
+        assert convergence_curve(0.5, 1.0, 3.0, TIGHT) == convergence_curve(0.5, 1.0, 3, TIGHT)
 
     def test_size_cap_is_exact(self, monkeypatch):
         # samples are replaced by a failure, so the cap itself never runs

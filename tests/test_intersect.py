@@ -235,6 +235,25 @@ class TestSweepScan:
         overlap = np.array([0, 2, 2 + 1j, 1 + 1j, 1, 3], dtype=complex)
         assert _crossing_candidates(overlap) == [(0, 3), (0, 4), (1, 4)]
 
+    def test_candidate_cap_is_exact(self, monkeypatch):
+        overlap = np.array([0, 2, 2 + 1j, 1 + 1j, 1, 3], dtype=complex)
+        monkeypatch.setattr(intersect, "_MAX_CANDIDATES", 3)
+        assert len(_crossing_candidates(overlap)) == 3
+        monkeypatch.setattr(intersect, "_MAX_CANDIDATES", 2)
+        with pytest.raises(ValueError, match="more than 2 segment pairs"):
+            _crossing_candidates(overlap)
+
+    def test_a_grid_crossing_itself_everywhere_is_refused(self, monkeypatch):
+        # Q_L flips sign at every integer, so at step 1 nearly all of the
+        # ~2e6 segment pairs cross (~1 ms of Newton each); the scan refuses
+        # the grid before any refinement
+        def refuse(*args):
+            raise AssertionError("a candidate was refined")
+
+        monkeypatch.setattr(intersect, "_newton_refine", refuse)
+        with pytest.raises(ValueError, match="too coarse"):
+            self_intersections(q_closed, 2.0, 2049.0, step=1.0)
+
     def test_vertical_straight_run_has_no_intersections(self):
         assert self_intersections(lambda t: complex(0.3, -1.2 + t), 0.0, 1.0, step=0.01) == []
 

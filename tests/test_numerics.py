@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from ngonspiral import numerics
+from ngonspiral import _arrays
+from ngonspiral._arrays import harmonic_array
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
     digamma,
     euler_transform_sum,
-    harmonic_array,
     harmonic_continued,
     richardson,
     two_sum,
@@ -67,16 +67,18 @@ class TestDigamma:
 
     def test_against_scipy(self):
         xs = [0.1, 0.37, 1.0, 2.5, 7.3, 11.99, 12.01, 55.5, 4000.0]
-        for x, y in zip(xs, numerics._digamma_array(np.array(xs)).tolist()):
+        for x, y in zip(xs, _arrays._digamma_array(np.array(xs)).tolist()):
             assert abs(digamma(x) - sp.digamma(x)) < 1e-13
             # the array path: the scalar values below 12, the same series above
             assert abs(y - digamma(x)) <= 2.0 * math.ulp(digamma(x)), x
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-2.5)
+        for bad in (0.0, -2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite x > 0"):
+                digamma(bad)
+        # a numpy scalar is read as a float, not in single precision
+        assert repr(digamma(np.float32(2.5))) == repr(digamma(2.5))
+        assert repr(digamma(np.int64(10**12))) == repr(digamma(1e12))
 
 
 class TestHarmonicContinued:
@@ -126,8 +128,9 @@ class TestHarmonicContinued:
         assert abs(mine - independent) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            harmonic_continued(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite x > -1"):
+                harmonic_continued(bad)
 
 
 class TestTwoSum:

@@ -27,26 +27,26 @@ def test_every_exported_name_resolves():
 
 def test_numpy_is_imported_lazily(tmp_path):
     # numpy is most of the import time; only the dense kernels, the batched
-    # curve tails, the closed forms at an array and the crossing scan need
-    # it, so the import, the scalar commands (fig_q reads q_closed one float
-    # at a time), a single interpolated vertex and a closed form at a float
-    # skip it
+    # curve tails, the closed forms at an array (all in _arrays) and the
+    # crossing scan need it, so the import, the scalar commands (fig_q
+    # reads q_closed one float at a time), a single interpolated vertex and
+    # a closed form at a float skip it, and _arrays with it, after each
     svg = tmp_path / "fig3b.svg"
     q_svg = tmp_path / "fig4b.svg"
-    code = (
-        "import sys, ngonspiral\n"
-        "assert 'numpy' not in sys.modules\n"
-        "from ngonspiral.cli import main\n"
-        "assert main(['limit', '--s', '0.5']) == 0\n"
-        "assert main(['classify', '--length', 'power:-1']) == 0\n"
-        "assert main(['curve', '--s-min', '0.0000726', '--s-max', '1.77', '--samples', '10',\n"
-        f"             '--out', {str(svg)!r}]) == 0\n"
-        "assert main(['interp', '--length', 'power:1', '--n', '3.5']) == 0\n"
-        f"assert main(['telescope', '--fig', 'q', '--out', {str(q_svg)!r}]) == 0\n"
-        "ngonspiral.interpolated_vertex(ngonspiral.power_law(0.0), 50.5)\n"
-        "ngonspiral.telescoping.center_closed(2.5)\n"
-        "assert 'numpy' not in sys.modules\n"
-    )
+    calls = [
+        "main(['limit', '--s', '0.5']) == 0",
+        "main(['classify', '--length', 'power:-1']) == 0",
+        "main(['curve', '--s-min', '0.0000726', '--s-max', '1.77', '--samples', '10',"
+        f" '--out', {str(svg)!r}]) == 0",
+        "main(['interp', '--length', 'power:1', '--n', '3.5']) == 0",
+        f"main(['telescope', '--fig', 'q', '--out', {str(q_svg)!r}]) == 0",
+        "ngonspiral.interpolated_vertex(ngonspiral.power_law(0.0), 50.5)",
+        "ngonspiral.telescoping.center_closed(2.5)",
+    ]
+    loaded = "assert not {'numpy', 'ngonspiral._arrays'} & set(sys.modules), %r\n"
+    code = "import sys, ngonspiral\n" + loaded % "import"
+    code += "from ngonspiral.cli import main\n"
+    code += "".join(f"assert {call}\n" + loaded % call for call in calls)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert svg.stat().st_size > 0

@@ -125,8 +125,12 @@ class TestAdaptiveSampling:
             # the oscillation outruns every bisection near 0: intervals end at _MAX_DEPTH
             (lambda t: complex(t, math.sin(1.0 / t)), 1e-3, 1.0, 900.0, 64),
             (lambda t: complex(math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, 100.0, 2),
+            # hi < lo: the points still run from lo to hi
+            (lambda t: complex(math.cos(t), math.sin(t)), 2.0 * math.pi, 0.0, 100.0, 16),
+            # a NaN deviation splits its interval, down to _MAX_DEPTH
+            (lambda t: complex(t, math.nan if 0.07 < t < 0.072 else 0.0), 0.0, 1.0, 100.0, 8),
         ],
-        ids=["circle", "figure-eight", "center-closed", "sin-inverse", "initial-2"],
+        ids=["circle", "figure-eight", "center-closed", "sin-inverse", "initial-2", "reversed", "nan"],
     )
     def test_levels_emit_the_depth_first_walk(self, fn, lo, hi, px_scale, initial):
         # breadth first, one batch call per level, the same points in the same order
@@ -136,9 +140,9 @@ class TestAdaptiveSampling:
             calls.append(len(ts))
             return [fn(t) for t in ts]
 
-        ref = sample_depth_first(fn, lo, hi, px_scale, initial)
-        assert render._sample_levels(batch, lo, hi, px_scale, initial) == ref
-        assert sample_curve_adaptive(fn, lo, hi, px_scale, initial) == ref
+        ref = repr(sample_depth_first(fn, lo, hi, px_scale, initial))
+        assert repr(render._sample_levels(batch, lo, hi, px_scale, initial)) == ref
+        assert repr(sample_curve_adaptive(fn, lo, hi, px_scale, initial)) == ref
         assert len(calls) <= render._MAX_DEPTH + 1
 
 

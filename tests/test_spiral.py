@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngonspiral import spiral
+from ngonspiral import _arrays, spiral
 from ngonspiral.convergence import limit_point
 from ngonspiral.lengthfns import (
     area_normalized,
@@ -135,7 +135,7 @@ class TestVertex:
         def refuse(*args):
             raise AssertionError("the work was started")
 
-        monkeypatch.setattr(spiral, "_dense_series", refuse)
+        monkeypatch.setattr(_arrays, "_dense_series", refuse)
         monkeypatch.setattr(spiral, "q_term", refuse)
         for n in (3.5, math.inf, math.nan):
             for call in (
@@ -345,7 +345,7 @@ class TestDeepVertices:
 
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
-        stream, dense = spiral.harmonic_phases, spiral._dense_series
+        stream, dense = spiral.harmonic_phases, _arrays._dense_series
 
         def counting_stream(start=3):
             for term in stream(start):
@@ -358,7 +358,7 @@ class TestDeepVertices:
                 yield chunk
 
         monkeypatch.setattr(spiral, "harmonic_phases", counting_stream)
-        monkeypatch.setattr(spiral, "_dense_series", counting_dense)
+        monkeypatch.setattr(_arrays, "_dense_series", counting_dense)
         v = vertex_at(power_law(0.5), (10**6, 10**6 + 3))
         assert len(v) == 2
         # G_f (~65 terms), one tail (4-8 terms) and a 3-term gap
@@ -370,7 +370,7 @@ class TestDeepVertices:
         def refuse(*args):
             raise AssertionError("streamed")
 
-        monkeypatch.setattr(spiral, "_dense_series", refuse)
+        monkeypatch.setattr(_arrays, "_dense_series", refuse)
         monkeypatch.setattr(spiral, "harmonic_phases", refuse)
         cap = spiral._MAX_STREAM
         growing = power_law(-1.0)
@@ -392,7 +392,7 @@ def _rounded_once(start, chunks):
     """Feed the complex arrays ``chunks`` to one _RunningSum from ``start``
     and hold each running sum, part by part, within half an ulp of the
     exact Fraction sum (measured: half an ulp at worst)."""
-    acc = spiral._RunningSum(start)
+    acc = _arrays._RunningSum(start)
     got = np.concatenate([acc.extend(c) for c in chunks])
     re, im = Fraction(start.real), Fraction(start.imag)
     for j, (z, w) in enumerate(zip(np.concatenate(chunks).tolist(), got.tolist())):
@@ -425,7 +425,7 @@ class TestDenseKernel:
 
     def test_running_harmonic_numbers(self):
         # the identity's direct H_k: 1/k summed from H_2 = 3/2, within an ulp
-        acc = spiral._RunningSum(1.5)
+        acc = _arrays._RunningSum(1.5)
         ks = np.arange(3.0, 10_001.0)
         hs = np.concatenate([acc.extend(1.0 / ks[:5000]), acc.extend(1.0 / ks[5000:])])
         for k, h in zip(range(3, 10_001), hs.tolist()):
@@ -468,6 +468,28 @@ class TestQTerm:
         with pytest.raises(ValueError, match=re.escape("Q(n) of power:-1 at n = 1e+300 is non-finite")):
             q_term(power_law(-1.0), 1e300)
         assert cmath.isfinite(q_term(power_law(-1.0), 1e150))
+
+
+# numpy scalars and fractions, each with the Python number it stands for
+ONE_NUMBERS = ((np.float32(5.5), 5.5), (np.float64(5.5), 5.5), (np.int64(5), 5), (Fraction(11, 2), 5.5))
+
+
+class TestOneNumber:
+    """Anything without a length is one number, read as a Python int or
+    float: the result is the Python call's, bit for bit."""
+
+    @pytest.mark.parametrize("n, same", ONE_NUMBERS)
+    def test_q_term(self, n, same):
+        z = q_term(power_law(1.0), n)
+        assert type(z) is complex
+        assert repr(z) == repr(q_term(power_law(1.0), same))
+
+    @pytest.mark.parametrize("n, same", ONE_NUMBERS)
+    def test_continuation(self, n, same):
+        res = interpolated_vertex(power_law(1.0), n)
+        assert type(res.value) is complex and type(res.converged) is bool
+        # a float32 summed in single precision took 417 terms, not 108
+        assert repr(res) == repr(interpolated_vertex(power_law(1.0), same))
 
 
 class TestCenter:
@@ -723,18 +745,18 @@ class TestBatchedContinuation:
 
     def test_a_batch_one_column_longer_than_a_chunk(self, monkeypatch):
         chunks = []
-        tail_columns = spiral._tail_columns
+        tail_columns = _arrays._tail_columns
 
-        def counting(lf, x, settings):
+        def counting(f, x, settings):
             chunks.append(len(x))
-            return tail_columns(lf, x, settings)
+            return tail_columns(f, x, settings)
 
-        monkeypatch.setattr(spiral, "_tail_columns", counting)
+        monkeypatch.setattr(_arrays, "_tail_columns", counting)
         v = spiral.continuation(power_law(1.0), AccelerationSettings(1e-10))
-        ns = np.linspace(1.05, 140.0, spiral._COLUMNS + 1)
+        ns = np.linspace(1.05, 140.0, _arrays._COLUMNS + 1)
         res = v(ns.reshape(1, -1))
-        assert chunks == [spiral._COLUMNS, 1]
-        assert res.value.shape == res.converged.shape == (1, spiral._COLUMNS + 1)
+        assert chunks == [_arrays._COLUMNS, 1]
+        assert res.value.shape == res.converged.shape == (1, _arrays._COLUMNS + 1)
         for n, row in zip(ns.tolist(), _rows(res)):
             assert repr(row) == repr(v(n)), n
 
