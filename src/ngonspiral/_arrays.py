@@ -3,23 +3,27 @@ scalar formulas: the one module that imports numpy, which the scalar
 modules import only inside their array branches.
 
 A mirror reads n of any shape, and each entry carries the bits of the
-scalar formula at that n, because four rules hold throughout:
+scalar formula at that n, because five rules hold throughout:
 - phases are reduced in turns, as phase_of_turns does (_turns);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
   an ulp off on ~1e-4 of arguments; only the dense runs read the faster
   harmonic_array, whose bits are their own;
 - complex products are formed as CPython forms them (_product);
-- moduli come from np.hypot, as abs() of a Python complex does.
+- moduli come from np.hypot, as abs() of a Python complex does;
+- side lengths use a numpy ufunc only where it has math's bits (cos, sin
+  and sqrt), and math per entry elsewhere (tan and pow): _MATH.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from types import SimpleNamespace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .lengthfns import LengthFunction, telescoping
+from .lengthfns import LengthFunction, _formula, telescoping
 from .numerics import (
     _DIGAMMA_SHIFT,
     EULER_GAMMA,
@@ -27,6 +31,7 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _bernoulli_tail,
+    _refuse,
     digamma,
     two_sum,
 )
@@ -95,19 +100,27 @@ def _harmonic_exact(x):
         small = x < _DIGAMMA_SHIFT
     with np.errstate(over="ignore"):  # as in _digamma_array
         u = 1.0 / (x * x)
-    log = np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return EULER_GAMMA + (shift + log - 0.5 / x - u * _bernoulli_tail(u))
+    return EULER_GAMMA + (shift + _each(math.log, x) - 0.5 / x - u * _bernoulli_tail(u))
+
+
+def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """fn(entry, *args) at each entry of the float array x, one call per entry."""
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
+
+
+# lengthfns._formula's namespace at an array: the fifth rule (tests/test_lengthfns.py checks it).
+_MATH = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt, tan=lambda x: _each(math.tan, x),
+                        pow=lambda x, y: _each(math.pow, x, y))
 
 
 def _terms(f: LengthFunction, k: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """l(k) u(k) at each entry of the 1-D float array k given H_k, with l from
-    scalar calls of f's evaluator; a side length past the doubles raises
+    """l(k) u(k) at each entry of the float array k given H_k, with l from
+    f's formula at the whole array; a side length past the doubles raises
     ``ValueError``, naming f and its k."""
-    ks = k.tolist()
     try:
-        lengths = np.fromiter(map(f.as_callable(), ks), float, len(ks))
+        lengths = _formula(f.kind, f.s, _MATH)(k)
     except OverflowError:
-        for x in ks:
+        for x in k.tolist():
             _side(f, x)  # raises at the first length past the doubles
         raise
     return lengths * _turns(1.0 / k - 2.0 * h)  # l promoted to complex(l, 0), as CPython < 3.14 does
@@ -198,8 +211,7 @@ def _signed_tails(f: LengthFunction, n, settings: AccelerationSettings) -> tuple
     """(e^{i pi n} E(n+1), E(n+1)) at an array or sequence of finite n with
     n + 1 > 2: the array branch of spiral.continuation."""
     n = np.asarray(n, dtype=float)
-    if not np.all((n + 1.0 > 2.0) & (n < math.inf)):
-        raise ValueError("continuation requires finite n > 1 with n + 1 > 2")
+    _refuse(~((n + 1.0 > 2.0) & (n < math.inf)), n, "continuation requires finite n > 1 with n + 1 > 2")
     tail = _tails(f, n + 1.0, settings)
     return _product(_signed_phases(n), tail.value), tail
 
@@ -265,9 +277,7 @@ def _identity_residual(n_max: int) -> float:
 def _rotations(n, name: str) -> np.ndarray:
     """telescoping._rotation at an array or sequence of n, checked for ``name``."""
     n = np.asarray(n, dtype=float)
-    bad = ~((1.0 < n) & (n < math.inf))
-    if bad.any():
-        raise ValueError(f"{name} requires a finite n > 1, got {n[bad][0].item()}")
+    _refuse(~((1.0 < n) & (n < math.inf)), n, f"{name} requires a finite n > 1, got {{}}")
     return _product(_signed_phases(n), _turns(-2.0 * _harmonic_exact(n)))
 
 

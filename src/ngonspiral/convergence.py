@@ -134,7 +134,7 @@ def orbit_distance_law(
     finite n >= 10 and r >= 1 with n*r finite and integral (within 1e-9).  One
     vertex_at call reads both vertices, each in O(1) for n above 1,024.
     """
-    r, n = _number(r), _number(n)
+    r, n = _number(r, "r"), n if isinstance(n, int) else _number(n)  # a larger int n: see n*r
     if not 10 <= n < math.inf:
         raise ValueError(f"orbit_distance_law requires a finite n >= 10, got {n}")
     if not 1.0 <= r < math.inf:
@@ -172,7 +172,7 @@ def convergence_curve(
     dropped.  A single sample degenerates to limit_point at s_min.  More
     than ``_MAX_CURVE_SAMPLES`` samples raise ``ValueError`` before any work.
     """
-    s_min, s_max = float(s_min), float(s_max)
+    s_min, s_max = float(_number(s_min, "s_min")), float(_number(s_max, "s_max"))
     if not 0.0 < s_min <= s_max < math.inf:
         raise ValueError(f"need 0 < s_min <= s_max with s_max finite, got [{s_min}, {s_max}]")
     if not (1 <= samples <= _MAX_CURVE_SAMPLES and float(samples).is_integer()):

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from .numerics import _number
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -259,7 +261,9 @@ def self_intersections(
     non-finite anywhere on the sample grid, or if the grid crosses itself
     at more than ``_MAX_CANDIDATES`` segment pairs.
     """
-    lo, hi, step, tolerance = (float(x) for x in (lo, hi, step, tolerance))
+    lo, hi, step, tolerance = (
+        float(_number(x, "lo, hi, step and tolerance")) for x in (lo, hi, step, tolerance)
+    )
     if not all(map(math.isfinite, (lo, hi, step, tolerance))):
         raise ValueError(
             f"lo, hi, step and tolerance must be finite, got {lo}, {hi}, {step}, {tolerance}"

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from .numerics import _number, _refuse
+
 __all__ = [
     "Asymptote",
     "LengthFunction",
@@ -64,11 +66,12 @@ class LengthFunction:
     s: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s", float(_number(self.s, "s")))
         if not math.isfinite(self.s):
             raise ValueError(f"length exponent must be finite, got {self.s}")
 
     def __call__(self, x: float) -> float:
-        # one-off evaluations; loops over many x hold on to as_callable()
+        # one-off evaluations; the scalar tail's loop holds on to as_callable()
         if not x > 1.0:
             raise ValueError(f"length functions require x > 1, got {x}")
         return _formula(self.kind, self.s)(x)
@@ -87,7 +90,7 @@ class LengthFunction:
         return Asymptote(0.0, False, 2.0)
 
     def as_callable(self) -> Callable[[float], float]:
-        """Specialized evaluator without per-call dispatch, for hot loops.
+        """The float formula without per-call dispatch, for the scalar tail's loop.
 
         It skips the x > 1 check; the family's own singularities still raise.
         """
@@ -103,48 +106,48 @@ class LengthFunction:
         return self.spec()
 
 
-def _formula(kind: LengthKind, s: float) -> Callable[[float], float]:
-    """The side-length formula of one family at exponent s."""
+def _formula(kind: LengthKind, s: float, xp=math) -> Callable:
+    """The side-length formula of one family at exponent s, written once for a
+    float (xp = math) and a float array (xp = _arrays._MATH, entry for entry
+    the float's bits); power:0 is 1.0 at both, a singular x raises at both."""
     if kind is LengthKind.POWER:
         if s == 0.0:
             return lambda x: 1.0
-        return lambda x: x ** (-s)
+        return lambda x: xp.pow(x, -s)
     if kind is LengthKind.INSCRIBED:
-        return lambda x: 2.0 * x ** (-s) * math.sin(math.pi / x)
+        return lambda x: 2.0 * xp.pow(x, -s) * xp.sin(math.pi / x)
     if kind is LengthKind.CIRCUMSCRIBED:
 
-        def circumscribed_side(x: float) -> float:
-            if x == 2.0:
-                raise ValueError("circumscribed length is singular at x = 2")
-            return 2.0 * x ** (-s) * math.tan(math.pi / x)
+        def circumscribed_side(x):
+            _refuse(x == 2.0, x, "circumscribed length is singular at x = 2")
+            return 2.0 * xp.pow(x, -s) * xp.tan(math.pi / x)
 
         return circumscribed_side
     if kind is LengthKind.AREA:
 
-        def area_side(x: float) -> float:
+        def area_side(x):
             # tan(pi/x) < 0 on (1, 2): no regular polygon of positive area.
-            if x <= 2.0:
-                raise ValueError(f"area-normalized length requires x > 2, got {x}")
-            return math.sqrt(4.0 * x ** (-s) * math.tan(math.pi / x) / x)
+            _refuse(x <= 2.0, x, "area-normalized length requires x > 2, got {}")
+            return xp.sqrt(4.0 * xp.pow(x, -s) * xp.tan(math.pi / x) / x)
 
         return area_side
-    return lambda x: 2.0 * math.cos(_TWO_PI / x)
+    return lambda x: 2.0 * xp.cos(_TWO_PI / x)
 
 
 def power_law(s: float) -> LengthFunction:
-    return LengthFunction(LengthKind.POWER, float(s))
+    return LengthFunction(LengthKind.POWER, s)
 
 
 def inscribed(s: float) -> LengthFunction:
-    return LengthFunction(LengthKind.INSCRIBED, float(s))
+    return LengthFunction(LengthKind.INSCRIBED, s)
 
 
 def circumscribed(s: float) -> LengthFunction:
-    return LengthFunction(LengthKind.CIRCUMSCRIBED, float(s))
+    return LengthFunction(LengthKind.CIRCUMSCRIBED, s)
 
 
 def area_normalized(s: float) -> LengthFunction:
-    return LengthFunction(LengthKind.AREA, float(s))
+    return LengthFunction(LengthKind.AREA, s)
 
 
 def telescoping() -> LengthFunction:

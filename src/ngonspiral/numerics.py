@@ -81,12 +81,22 @@ def two_sum(a, b):
     return s, (a - (s - v)) + (b - v)
 
 
-def _number(n):
-    """One number as the scalar paths read it: a Python int if it has
-    __index__, else a float, so a numpy scalar takes the Python steps."""
-    if type(n) in (int, float):  # the common case, ~0.1 us sooner
+def _number(n, name: str = "n"):
+    """One number as the scalar paths read it: a Python int if it has __index__, else
+    a float (a numpy scalar takes the Python steps); ``ValueError`` past the doubles."""
+    if type(n) is float:  # the common case, ~0.1 us sooner
         return n
-    return int(n) if hasattr(n, "__index__") else float(n)
+    try:
+        x = float(n)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in a double (magnitude at most 1.8e308)") from None
+    return int(n) if hasattr(n, "__index__") else x
+
+
+def _refuse(bad, x, message: str) -> None:
+    """ValueError(message) at the first x where ``bad`` holds: a bool and a number, or arrays."""
+    if bad is True or (bad is not False and bad.any()):
+        raise ValueError(message.format(x[bad][0] if hasattr(x, "__len__") else x))
 
 
 # psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}); coefficients of u = x^{-2}.
@@ -115,9 +125,9 @@ def digamma(x: float) -> float:
     Upward recurrence psi(x+1) = psi(x) + 1/x shifts the argument to at
     least 12, after which a seven-term Bernoulli asymptotic series applies.
     """
+    x, shift = float(_number(x, "x")), 0.0
     if not 0.0 < x < math.inf:
         raise ValueError(f"digamma requires a finite x > 0, got {x}")
-    x, shift = float(x), 0.0
     while x < _DIGAMMA_SHIFT:
         shift -= 1.0 / x
         x += 1.0
@@ -133,7 +143,7 @@ def harmonic_continued(x: float) -> float:
     """
     if not -1.0 < x < math.inf:
         raise ValueError(f"harmonic_continued requires a finite x > -1, got {x}")
-    return EULER_GAMMA + digamma(x + 1.0)
+    return EULER_GAMMA + digamma(_number(x, "x") + 1.0)
 
 
 def euler_transform_sum(

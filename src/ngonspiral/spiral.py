@@ -46,6 +46,7 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _number,
+    _refuse,
     euler_transform_sum,
     harmonic_continued,
     two_sum,
@@ -56,12 +57,9 @@ __all__ = [
     "center",
     "continuation",
     "interpolated_vertex",
-    "phase_of_turns",
     "polygon",
     "polygon_from_vertex",
     "q_term",
-    "signed_phase",
-    "unit_phase",
     "vertex",
     "vertex_at",
 ]
@@ -241,7 +239,7 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
     Each run of indices is summed by one numpy kernel from V(2) (or from a
-    jump): H_k from the vectorised digamma, l(k) from scalar calls, phases
+    jump): H_k from the vectorised digamma, l(k) from the array formula, phases
     reduced in turns, and compensated running sums over chunks of 2,048
     terms counted from the run's start, so dense ranges and every index up
     to 2,048 are direct sums whose bits do not depend on the other indices
@@ -259,12 +257,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     order = sorted(wanted)
     if not order:
         return {}
-    if order[0] < 2:
-        raise ValueError(f"vertex indices must be >= 2, got {order[0]}")
-    try:
-        float(order[-1] + 1)
-    except OverflowError:
-        raise ValueError(f"vertex index n + 1 must fit in a double, got n = {order[-1]}") from None
+    _refuse(order[0] < 2, order[0], "vertex indices must be >= 2, got {}")
+    _number(order[-1] + 1, f"vertex index n + 1, n = {order[-1]},")
     # deep: {n: gap} for the indices above _TAIL_FROM more than _JUMP_GAP past
     # the previous one (or 2); gaps are >= 1, so a dense range skips the scan
     i = bisect.bisect_right(order, _TAIL_FROM)
@@ -321,8 +315,7 @@ def q_term(f: LengthFunction, n: float) -> complex:
     past the doubles raises ``ValueError``.
     """
     n = _number(n)
-    if not 1.0 < n < math.inf:
-        raise ValueError(f"q_term requires a finite n > 1, got {n}")
+    _refuse(not 1.0 < n < math.inf, n, "q_term requires a finite n > 1, got {}")
     num = signed_phase(n) * _side(f, n) * unit_phase(n, harmonic_continued(n))
     # e^{2 pi i / n} - 1 = 2 sin(pi/n) (-sin(pi/n) + i cos(pi/n)), which
     # avoids the cos - 1 cancellation at both ends of the domain
@@ -411,6 +404,6 @@ def interpolated_vertex(
     at x = 2; it is checked first, then growing side lengths are refused,
     both before any sum runs.
     """
-    if not 2.0 < n + 1.0 < math.inf:
+    if not 2.0 < _number(n) + 1.0 < math.inf:
         raise ValueError(f"interpolated_vertex requires a finite n > 1, n + 1 > 2, got n = {n!r}")
     return continuation(f, settings or AccelerationSettings())(n)

@@ -44,7 +44,7 @@ from ngonspiral.lengthfns import LengthFunction, LengthKind
 from ngonspiral.spiral import vertex_at
 
 EDGES = (0.0, -0.0, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 3.5, 47.0, 48.0, 2048.0, 2049.0,
-         2.0**53, 2**53 + 1, 1e12, 1e300, 10**300, math.inf, -math.inf, math.nan)
+         2.0**53, 2**53 + 1, 1e12, 1e300, 10**300, 10**400, math.inf, -math.inf, math.nan)
 # exponents of the side lengths, up to +-300
 EXPONENTS = EDGES + (-1.0, -2.0, 0.5, 1e-3, 300.0, -300.0)
 
@@ -52,9 +52,9 @@ EXPONENTS = EDGES + (-1.0, -2.0, 0.5, 1e-3, 300.0, -300.0)
 def _copies(x):
     """x, and its numpy float32 and int64 copies where they hold it."""
     out = [x]
-    if not math.isfinite(x) or abs(x) < 1e38:
+    if abs(x) < 1e38 or x in (math.inf, -math.inf) or x != x:
         out.append(np.float32(x))
-    if float(x).is_integer() and abs(x) < 2**63:
+    if (isinstance(x, int) or x.is_integer()) and abs(x) < 2**63:
         out.append(np.int64(x))
     return out
 

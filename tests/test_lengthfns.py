@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from ngonspiral._arrays import _MATH
 from ngonspiral.lengthfns import (
     LengthKind,
+    _formula,
     area_normalized,
     circumscribed,
     inscribed,
@@ -11,6 +14,7 @@ from ngonspiral.lengthfns import (
     power_law,
     telescoping,
 )
+from ngonspiral.spiral import _side, vertex_at
 
 
 class TestEval:
@@ -54,6 +58,56 @@ class TestEval:
                 a = area_normalized(s)(x)
                 area = x * a * a / (4.0 * math.tan(math.pi / x))
                 assert abs(area - x ** (-s)) < 1e-14
+
+
+# The families of tests/dump_values.py, whose printed bits the dense kernel
+# and the batched tails keep only while the array formula keeps them.
+FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0",
+            "circumscribed:1", "area:0", "power:0", "inscribed:-1",
+            "circumscribed:-1", "area:-2", "telescoping")
+
+
+def _array_form(f, x):
+    return np.broadcast_to(_formula(f.kind, f.s, _MATH)(x), x.shape)
+
+
+class TestArrayForm:
+    """The formula at an array (numpy ufuncs where they carry math's bits,
+    math per entry elsewhere) against the float formula, bit for bit: a
+    numpy build whose cos, sin or sqrt drifts from math fails here."""
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_array_form_is_the_float_bits(self, spec):
+        rng = np.random.default_rng(20221111)
+        reals = np.exp(rng.uniform(math.log(2.05), math.log(1e7), 200_000))
+        x = np.concatenate((np.arange(3.0, 200_001.0), reals))
+        f = parse_length(spec)
+        scalar = np.array(list(map(f.as_callable(), x.tolist())))
+        got = _array_form(f, x)
+        differ = np.flatnonzero(got.view(np.uint64) != scalar.view(np.uint64))
+        assert not len(differ), (spec, len(differ), x[differ[:5]])
+
+    def test_singularities_raise_the_float_errors(self):
+        for f, bad in ((circumscribed(1.0), 2.0), (area_normalized(0.0), 2.0),
+                       (area_normalized(-2.0), 1.5)):
+            with pytest.raises(ValueError) as scalar:
+                f.as_callable()(bad)
+            with pytest.raises(ValueError) as array:
+                _array_form(f, np.array([3.0, bad, 5.0, bad]))
+            assert str(array.value) == str(scalar.value)
+
+    def test_dense_overflow_raises_the_float_error(self):
+        # the first k whose side length overflows: the float path's refusal
+        f = inscribed(-300.0)
+        for k in range(3, 200):
+            try:
+                _side(f, float(k))
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        with pytest.raises(ValueError) as array:
+            vertex_at(f, [200])
+        assert str(array.value) == expected
 
 
 class TestAsymptote:
