@@ -1,9 +1,10 @@
-"""The array kernels of the vertex series and the array mirrors of the
-scalar formulas: the one module that imports numpy, which the scalar
-modules import only inside their array branches.
+"""The array kernels of the vertex series and _ARRAY, the array steps of
+spiral._space: the one module that imports numpy, which the scalar modules
+import only for array work (the dense runs, and _space at an array).
 
-A mirror reads n of any shape, and each entry carries the bits of the
-scalar formula at that n, because five rules hold throughout:
+_ARRAY mirrors each float step of _space, and math's cos, sin, sqrt, tan
+and pow, at a float array of any shape, each entry with the float step's
+bits at that entry, because five rules hold throughout:
 - phases are reduced in turns, as phase_of_turns does (_turns);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
   an ulp off on ~1e-4 of arguments; only the dense runs read the faster
@@ -11,7 +12,7 @@ scalar formula at that n, because five rules hold throughout:
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
-  and sqrt), and math per entry elsewhere (tan and pow): _MATH.
+  and sqrt), and math per entry elsewhere (tan and pow).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _bernoulli_tail,
-    _refuse,
     digamma,
     two_sum,
 )
@@ -61,6 +61,13 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _half_angles(n: np.ndarray) -> tuple:
+    """half_angle at each entry of the float array n > 1, its two branches as masks."""
+    below = n < 2.0
+    y = np.where(below, math.pi * (n - 1.0) / n, math.pi / n)
+    return np.sin(y), np.where(below, -np.cos(y), np.cos(y))
 
 
 def _alternate(k0: int, z: np.ndarray) -> np.ndarray:
@@ -108,17 +115,12 @@ def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
-# lengthfns._formula's namespace at an array: the fifth rule (tests/test_lengthfns.py checks it).
-_MATH = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt, tan=lambda x: _each(math.tan, x),
-                        pow=lambda x, y: _each(math.pow, x, y))
-
-
 def _terms(f: LengthFunction, k: np.ndarray, h: np.ndarray) -> np.ndarray:
     """l(k) u(k) at each entry of the float array k given H_k, with l from
     f's formula at the whole array; a side length past the doubles raises
     ``ValueError``, naming f and its k."""
     try:
-        lengths = _formula(f.kind, f.s, _MATH)(k)
+        lengths = _formula(f.kind, f.s, _ARRAY)(k)
     except OverflowError:
         for x in k.tolist():
             _side(f, x)  # raises at the first length past the doubles
@@ -207,13 +209,11 @@ def _tail_columns(f: LengthFunction, x: np.ndarray, settings: AccelerationSettin
     return (s + c) + np.where(odd, -value, value), err, done, heads + used
 
 
-def _signed_tails(f: LengthFunction, n, settings: AccelerationSettings) -> tuple:
-    """(e^{i pi n} E(n+1), E(n+1)) at an array or sequence of finite n with
-    n + 1 > 2: the array branch of spiral.continuation."""
-    n = np.asarray(n, dtype=float)
-    _refuse(~((n + 1.0 > 2.0) & (n < math.inf)), n, "continuation requires finite n > 1 with n + 1 > 2")
-    tail = _tails(f, n + 1.0, settings)
-    return _product(_signed_phases(n), tail.value), tail
+# The array steps of spiral._space, under the float steps' names, and the namespace
+# lengthfns._formula reads l with at an array (tests/test_lengthfns.py checks the fifth rule).
+_ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=_harmonic_exact, mul=_product,
+                         half_angle=_half_angles, tail=_tails, cos=np.cos, sin=np.sin, sqrt=np.sqrt,
+                         tan=lambda x: _each(math.tan, x), pow=lambda x, y: _each(math.pow, x, y))
 
 
 # The dense kernel works in chunks of _CHUNK terms, so its working set
@@ -272,19 +272,3 @@ def _identity_residual(n_max: int) -> float:
         closed = _alternate(k0, _turns(-2.0 * harmonic_array(ks))) - 1.0
         worst = max(worst, np.abs(terms - pairs).max(), np.abs(sums - closed).max())
     return float(worst)
-
-
-def _rotations(n, name: str) -> np.ndarray:
-    """telescoping._rotation at an array or sequence of n, checked for ``name``."""
-    n = np.asarray(n, dtype=float)
-    _refuse(~((1.0 < n) & (n < math.inf)), n, f"{name} requires a finite n > 1, got {{}}")
-    return _product(_signed_phases(n), _turns(-2.0 * _harmonic_exact(n)))
-
-
-def _offsets(n) -> np.ndarray:
-    """telescoping._offset at an array or sequence of n, half_angle's branches as masks."""
-    n = np.asarray(n, dtype=float)
-    below = n < 2.0
-    y = np.where(below, math.pi * (n - 1.0) / n, math.pi / n)
-    cot = np.where(below, -np.cos(y), np.cos(y)) / np.sin(y)
-    return _turns(1.0 / n) - 1j * cot  # 1j * cot multiplies by 0 and 1 only: exact

@@ -108,7 +108,7 @@ class LengthFunction:
 
 def _formula(kind: LengthKind, s: float, xp=math) -> Callable:
     """The side-length formula of one family at exponent s, written once for a
-    float (xp = math) and a float array (xp = _arrays._MATH, entry for entry
+    float (xp = math) and a float array (xp = _arrays._ARRAY, entry for entry
     the float's bits); power:0 is 1.0 at both, a singular x raises at both."""
     if kind is LengthKind.POWER:
         if s == 0.0:

@@ -11,6 +11,7 @@ never an exception.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -40,8 +41,9 @@ class AccelerationSettings:
 
     ``target_tolerance`` is absolute, measured on the complex modulus of the
     correction being monitored; it must be finite and at least
-    ``_MIN_TOLERANCE`` (1e-13).  ``max_terms`` caps the tail terms and must
-    be at least 4.
+    ``_MIN_TOLERANCE`` (1e-13).  ``max_terms`` caps the tail terms: read as
+    an index (an int, a numpy integer or an integral float, stored as an
+    int), from 4 to ``sys.maxsize``.
     """
 
     target_tolerance: float = 1e-10
@@ -53,8 +55,10 @@ class AccelerationSettings:
                 "target_tolerance must be finite and positive, at least "
                 f"{_MIN_TOLERANCE:g}, got {self.target_tolerance}"
             )
-        if self.max_terms < 4:
-            raise ValueError("max_terms must be at least 4")
+        max_terms = _index(self.max_terms, "max_terms must be an integer, got {!r}")
+        if not 4 <= max_terms <= sys.maxsize:
+            raise ValueError(f"max_terms must be an integer from 4 to {sys.maxsize}")
+        object.__setattr__(self, "max_terms", max_terms)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,14 @@ def _number(n, name: str = "n"):
     except OverflowError:
         raise ValueError(f"{name} must fit in a double (magnitude at most 1.8e308)") from None
     return int(n) if hasattr(n, "__index__") else x
+
+
+def _index(n, message: str = "indices must be integers, got {!r}") -> int:
+    """An index or a count as an int: an int, a numpy integer or an integral
+    float; 3.5, inf, nan and a string raise ``ValueError(message)``."""
+    if not (isinstance(n, int) or (hasattr(n, "__float__") and float(n).is_integer())):
+        raise ValueError(message.format(n))
+    return int(n)
 
 
 def _refuse(bad, x, message: str) -> None:

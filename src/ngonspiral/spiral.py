@@ -37,7 +37,9 @@ import bisect
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from .lengthfns import LengthFunction
@@ -45,6 +47,7 @@ from .numerics import (
     TWO_PI,
     AccelerationSettings,
     SummationResult,
+    _index,
     _number,
     _refuse,
     euler_transform_sum,
@@ -165,33 +168,51 @@ def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> Summatio
     return replace(whole, value=-whole.value)
 
 
+# The float steps of the formulas written once for one number or many,
+# without numpy; _arrays._ARRAY holds their array mirrors under these names.
+# The tail looks _tail up per call, so a replaced spiral._tail serves it too.
+_FLOAT = SimpleNamespace(turns=phase_of_turns, signed=signed_phase, harmonic=harmonic_continued,
+                         mul=operator.mul, half_angle=half_angle, tail=lambda *args: _tail(*args))
+
+
+def _space(n) -> tuple:
+    """(n, steps) for a formula written once for one number or many: one
+    number (anything without a length) read by _number, with the float
+    steps; a sequence or array read as a float array, with _arrays' array
+    steps, whose entries carry the float steps' bits.  A domain check on such
+    n joins comparisons with |, which reads a number and an array alike (~ would not: ~True is -2)."""
+    if type(n) is float:  # the common case, ~0.1 us sooner
+        return n, _FLOAT
+    if hasattr(n, "__len__"):
+        from ._arrays import _ARRAY, np
+
+        return np.asarray(n, dtype=float), _ARRAY
+    return _number(n), _FLOAT
+
+
 def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], SummationResult]:
     """n -> V(n) = G_f + e^{i pi n} E(n+1) for real n > 1, with G_f summed
     here, once, and each point summing only its tail E(n+1), both at
     ``settings``.  The error estimates add, and a value is converged only
     when both sums are.  Growing side lengths are refused before any sum.
 
-    A single number (anything without a length, read as a Python int or
-    float) is summed by the scalar _tail, without numpy.  A sequence or
-    array of n is summed column-wise by _arrays._tails, and the result
-    then holds arrays of n's shape, entry for entry the bits of the scalar
-    results; such n must all be finite with n + 1 > 2.
+    n is read by _space: one number is summed by the scalar _tail, without
+    numpy; a sequence or array of n is summed column-wise by _arrays._tails,
+    and the result then holds arrays of n's shape, entry for entry the bits
+    of the scalar results.  One check, for both, refuses n unless it is
+    finite with n + 1 > 2, so a tail never starts at x = 2.
     """
     if f.asymptote().exponent < 0.0:
         raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
     whole = _limit_series(f, settings)
 
     def at(n: float) -> SummationResult:
-        if hasattr(n, "__len__"):
-            from ._arrays import _signed_tails
-
-            signed, tail = _signed_tails(f, n, settings)
-        else:
-            n = _number(n)
-            tail = _tail(f, n + 1, settings)
-            signed = signed_phase(n) * tail.value
+        n, xp = _space(n)
+        _refuse((n + 1.0 <= 2.0) | (n >= math.inf) | (n != n), n,
+                "continuation requires finite n > 1 with n + 1 > 2")
+        tail = xp.tail(f, n + 1, settings)
         return SummationResult(
-            whole.value + signed,
+            whole.value + xp.mul(xp.signed(n), tail.value),
             whole.error_estimate + tail.error_estimate,
             tail.converged & whole.converged,
             whole.terms_used + tail.terms_used,
@@ -211,13 +232,6 @@ _TAIL_SETTINGS = AccelerationSettings(1e-13)
 # Work cap of one vertex_at call in summed terms (~4 s for power:-1 on a
 # shared 2-vCPU x86-64 VM); a jump counts as _JUMP_GAP terms.
 _MAX_STREAM = 10**7
-
-
-def _index(n: float) -> int:
-    """A vertex or polygon index as an int; 3.0 passes, 3.5, inf and nan raise."""
-    if not (isinstance(n, int) or float(n).is_integer()):
-        raise ValueError(f"indices must be integers, got {n!r}")
-    return int(n)
 
 
 def _check_work(deepest: int, jumps: dict[int, int]) -> None:

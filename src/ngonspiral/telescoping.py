@@ -11,18 +11,19 @@ valid for real n > 1 with (-1)^n = e^{i pi n}.  The vertices live on the
 unit circle centered at -1; the centers curve C_L = V_L + Q_L crosses
 itself at the golden ratio pair (phi, phi + 1).
 
-Each closed form takes one number (anything without a length), read as a
-Python int or float without numpy, or an array or sequence of n, read by
-the array steps of _arrays into a complex array of n's shape whose
-entries carry the bits of the float calls.
+Each closed form is written once and reads n through spiral._space: one
+number (anything without a length) as a Python int or float, with the float
+steps and without numpy, or an array or sequence of n as a float array,
+with the array steps of _arrays, into a complex array of n's shape whose
+entries carry the bits of the float calls.  One domain check serves both.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import _number, harmonic_continued, richardson
-from .spiral import _index, half_angle, phase_of_turns, signed_phase
+from .numerics import _index, _refuse, richardson
+from .spiral import _space
 
 __all__ = [
     "PHI",
@@ -44,23 +45,23 @@ Q_LIMIT_AT_1 = 4.0 * (1.0 - math.pi**2 / 6.0)
 _MAX_IDENTITY_N = 10**6
 
 
-def _rotation(n: float, name: str) -> complex:
-    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1), at real n > 1 (checked for ``name``).
+def _rotation(n, xp, name: str):
+    """(-1)^n e^{-4 pi i H_n}, H_n = gamma + psi(n+1), at real n > 1 (checked
+    for ``name``), with the steps xp of _space.
 
     Computed in reduced turns so that the factor agrees with the phases of
     the generic vertex/center formulas to a few ulps even when n is large.
     """
-    if not 1.0 < n < math.inf:
-        raise ValueError(f"{name} requires a finite n > 1, got {n}")
-    return signed_phase(n) * phase_of_turns(-2.0 * harmonic_continued(n))
+    _refuse((n <= 1.0) | (n >= math.inf) | (n != n), n, f"{name} requires a finite n > 1, got {{}}")
+    return xp.mul(xp.signed(n), xp.turns(-2.0 * xp.harmonic(n)))
 
 
-def _offset(n: float) -> complex:
+def _offset(n, xp):
     """Q_L(n) over the rotation, z + (z+1)/(z-1) = z - i cot(pi/n) exactly,
     z = e^{2 pi i / n}; the explicit quotient squanders the real part near
     n = 1 where z - 1 is almost purely imaginary."""
-    s, c = half_angle(n)
-    return phase_of_turns(1.0 / n) - 1j * (c / s)
+    s, c = xp.half_angle(n)
+    return xp.turns(1.0 / n) - 1j * (c / s)  # 1j * cot multiplies by 0 and 1 only: exact
 
 
 def vertex_closed(n: float) -> complex:
@@ -68,11 +69,8 @@ def vertex_closed(n: float) -> complex:
 
     Equals the direct series sum at integers; |V_L(n) + 1| = 1 identically.
     """
-    if hasattr(n, "__len__"):
-        from ._arrays import _rotations
-
-        return -1.0 + _rotations(n, "vertex_closed")
-    return -1.0 + _rotation(_number(n), "vertex_closed")
+    n, xp = _space(n)
+    return -1.0 + _rotation(n, xp, "vertex_closed")
 
 
 def q_closed(n: float) -> complex:
@@ -81,24 +79,15 @@ def q_closed(n: float) -> complex:
     Vanishes at n = 4/3 and n = 4; as n -> 1+ the real part tends to
     4 (1 - pi^2 / 6) while the imaginary part runs off to -infinity.
     """
-    if hasattr(n, "__len__"):
-        from ._arrays import _offsets, _product, _rotations
-
-        return _product(_rotations(n, "q_closed"), _offsets(n))
-    n = _number(n)
-    return _rotation(n, "q_closed") * _offset(n)
+    n, xp = _space(n)
+    return xp.mul(_rotation(n, xp, "q_closed"), _offset(n, xp))
 
 
 def center_closed(n: float) -> complex:
     """Continuation of the polygon centers, C_L(n) = V_L(n) + Q_L(n)."""
-    if hasattr(n, "__len__"):
-        from ._arrays import _offsets, _product, _rotations
-
-        r = _rotations(n, "center_closed")
-        return (-1.0 + r) + _product(r, _offsets(n))
-    n = _number(n)
-    r = _rotation(n, "center_closed")
-    return (-1.0 + r) + r * _offset(n)
+    n, xp = _space(n)
+    r = _rotation(n, xp, "center_closed")
+    return (-1.0 + r) + xp.mul(r, _offset(n, xp))
 
 
 def verify_telescoping_identity(n_max: int) -> float:

@@ -6,12 +6,17 @@ bit for bit.
 Run it on both sides of a change that must keep every output's bits and
 diff the two files; an empty diff is the check.  It reads only long-standing
 public names (and the module constants of the vertex walk), so it runs on
-older checkouts too.  A refused input prints the repr of its ValueError.
+older checkouts too, back to those whose closed forms and continuation
+take arrays.  A refused input prints the repr of its ValueError.
 About 3 s on a 2-vCPU x86-64 VM.  Not a test module: pytest does not
 collect it.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from ngonspiral import spiral
 from ngonspiral.figures import fig_orbit, fig_q, fig_spiral, fig_telescope
@@ -41,6 +46,14 @@ TOLERANCES = (1e-8, 1e-10, 1e-13)
 CROSSING_GRIDS = ((center_closed, tuple(1.05 + 0.02 * j for j in range(16)), 4.5),
                   (q_closed, tuple(1.10 + 0.01 * j for j in range(9)), 4.6))
 CROSSING_STEPS = (1e-2, 3e-3)
+# The closed forms' 3,605 points, read one at a time and as one array.
+CLOSED_GRID = (*(1.0001 + 0.0137 * k for k in range(3600)), PHI, PHI + 1.0, 4.0 / 3.0, 4.0, 1e6 + 0.5)
+# The batched continuation's 64 points: the head boundary (x = n + 1 = 48),
+# integers, a deep point, then an even spread to 270.
+BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in range(56)))
+# Out of the domain of the closed forms or of the continuation (1 + 2^-52
+# only of the continuation's: n + 1 rounds to 2).
+OUTSIDE = (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan)
 
 
 def show(label: str, thunk) -> None:
@@ -106,8 +119,7 @@ def telescoping() -> None:
     # 25,000 and 26,455 bound the benchmark's n_max pool; 10**6 is the largest n_max allowed
     for n_max in (3, 258, 2050, 4100, 20_000, 25_000, 26_455, 10**6):
         show(f"verify_telescoping_identity {n_max}", lambda: verify_telescoping_identity(n_max))
-    grid = [1.0001 + 0.0137 * k for k in range(3600)]
-    for n in grid + [PHI, PHI + 1.0, 4.0 / 3.0, 4.0, 1e6 + 0.5]:
+    for n in CLOSED_GRID:
         for closed in (vertex_closed, q_closed, center_closed):
             show(f"{closed.__name__} {n!r}", lambda: closed(n))
     for curve, lo, hi, step in ((center_closed, 1.05, 6.0, 1e-3), (center_closed, 1.05, 6.0, 3e-3),
@@ -119,6 +131,29 @@ def telescoping() -> None:
             for step in CROSSING_STEPS:
                 for hit in self_intersections(curve, lo, lo + width, step=step):
                     print(f"self_intersections {curve.__name__} {lo!r} {lo + width!r} {step}", repr(hit))
+
+
+def arrays() -> None:
+    """The array steps: each closed form read at CLOSED_GRID in one call, the
+    continuation at BATCH in one call, and the refusals at one number and
+    at an array of each out-of-domain n."""
+    grid = np.array(CLOSED_GRID)
+    for closed in (vertex_closed, q_closed, center_closed):
+        for n, z in zip(CLOSED_GRID, closed(grid).tolist()):
+            print(f"{closed.__name__} array {n!r}", repr(z))
+    for spec in ("power:1", "power:0", "circumscribed:1", "telescoping"):
+        v = spiral.continuation(parse_length(spec), AccelerationSettings(1e-10))
+        res = v(np.array(BATCH))
+        fields = (res.value, res.error_estimate, res.converged, res.terms_used)
+        for n, *row in zip(BATCH, *(a.tolist() for a in fields)):
+            print(f"continuation {spec} array {n!r}", *map(repr, row))
+        for n in OUTSIDE:
+            show(f"continuation {spec} {n!r}", lambda: v(n))
+            show(f"continuation {spec} array {n!r}", lambda: v([3.5, n]))
+    for closed in (vertex_closed, q_closed, center_closed):
+        for n in OUTSIDE:
+            show(f"{closed.__name__} {n!r}", lambda: closed(n))
+            show(f"{closed.__name__} array {n!r}", lambda: closed([3.5, n]))
 
 
 def curves() -> None:
@@ -137,4 +172,5 @@ if __name__ == "__main__":
     sums()
     polygons()
     telescoping()
+    arrays()
     curves()

@@ -292,6 +292,13 @@ class TestUsageErrors:
         assert err.startswith("spiral: error:")
 
 
+def test_max_terms_past_an_index_is_refused_by_name(capsys):
+    code, out, err = run_cli(capsys, "limit", "--s", "0.5", "--max-terms", str(10**400))
+    assert (code, out) == (1, "")
+    assert err.startswith("spiral: error:")
+    assert "max_terms" in err
+
+
 def test_overflowing_side_length_names_the_family(capsys):
     code, out, err = run_cli(capsys, "build", "--length", "inscribed:-300", "--max-n", "250", "--no-interp")
     assert (code, out) == (1, "")

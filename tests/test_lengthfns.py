@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngonspiral._arrays import _MATH
+from ngonspiral._arrays import _ARRAY
 from ngonspiral.lengthfns import (
     LengthKind,
     _formula,
@@ -68,7 +68,7 @@ FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0",
 
 
 def _array_form(f, x):
-    return np.broadcast_to(_formula(f.kind, f.s, _MATH)(x), x.shape)
+    return np.broadcast_to(_formula(f.kind, f.s, _ARRAY)(x), x.shape)
 
 
 class TestArrayForm:

@@ -232,6 +232,14 @@ class TestSettings:
             AccelerationSettings(target_tolerance=0.0)
         with pytest.raises(ValueError):
             AccelerationSettings(max_terms=3)
+        # max_terms is read as an index, refused by name before any sum
+        for bad in (4.5, 2**63, 10**400, math.inf, math.nan, "50"):
+            with pytest.raises(ValueError, match="max_terms"):
+                AccelerationSettings(1e-8, bad)
+        for integral in (1e6, np.int64(10**6)):
+            settings = AccelerationSettings(1e-8, integral)
+            assert type(settings.max_terms) is int and settings.max_terms == 10**6
+            assert euler_transform_sum(iter([1.0, 0.5, 0.25, 0.125, 0.0625]), settings).terms_used == 5
         for tol in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite and positive"):
                 AccelerationSettings(target_tolerance=tol)

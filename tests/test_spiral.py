@@ -765,6 +765,13 @@ class TestBatchedContinuation:
         for n in (1.0, 1.0000000000000002, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite n > 1"):
                 v([3.5, n])
+        # one number takes the same check: no "converged" value below n = 1
+        # and no message naming another function's x
+        for spec in ("power:1", "circumscribed:1"):
+            v = spiral.continuation(parse_length(spec), AccelerationSettings(1e-10))
+            for n in (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan):
+                with pytest.raises(ValueError, match="continuation requires finite n > 1"):
+                    v(n)
 
 
 class TestPhaseHelpers:
