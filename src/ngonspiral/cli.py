@@ -176,42 +176,36 @@ def _telescope_check(args: argparse.Namespace) -> int:
     import numpy as np
 
     n_max = 2000 if args.max_n is None else args.max_n
-    failures = 0
+    oks = []
+
+    def verdict(ok: bool, text: str) -> None:
+        oks.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'} {text}")
 
     residual = tele.verify_telescoping_identity(n_max)
-    ok = residual < 1e-10
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} telescoping identity n<={n_max}: max residual {residual:.3e} (tol 1e-10)")
+    verdict(residual < 1e-10, f"telescoping identity n<={n_max}: max residual {residual:.3e} (tol 1e-10)")
 
     rng = random.Random(20221111)
     v = tele.vertex_closed(np.array([1.01 + rng.random() * 98.99 for _ in range(10_000)]))
     # abs(complex) is hypot; np.abs of a complex array differs in the last bits
     worst = float(np.abs(np.hypot(v.real + 1.0, v.imag) - 1.0).max())
-    ok = worst < 1e-12
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} unit-circle law: max deviation {worst:.3e} (tol 1e-12)")
+    verdict(worst < 1e-12, f"unit-circle law: max deviation {worst:.3e} (tol 1e-12)")
 
     # relative to max(1, |Q|): |Q(m)| ~ m / pi, so rounding grows with m
     worst = 0.0
     for m in range(3, min(n_max, 2000) + 1):
         q = tele.q_closed(float(m))
         worst = max(worst, abs(q - q_term(telescoping_fn(), float(m))) / max(1.0, abs(q)))
-    ok = worst < 1e-13
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} Q closed form vs centers formula: max relative {worst:.3e} (tol 1e-13)")
+    verdict(worst < 1e-13, f"Q closed form vs centers formula: max relative {worst:.3e} (tol 1e-13)")
 
     golden = abs(tele.center_closed(tele.PHI) - tele.center_closed(tele.PHI + 1.0))
-    ok = golden < 1e-10
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} golden intersection: |C(phi)-C(phi+1)| = {golden:.3e} (tol 1e-10)")
+    verdict(golden < 1e-10, f"golden intersection: |C(phi)-C(phi+1)| = {golden:.3e} (tol 1e-10)")
 
     est = tele.q_real_limit_estimate()
     target = tele.Q_LIMIT_AT_1
-    ok = abs(est - target) < 1e-3
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} Re Q limit at 1: {est:.9f} vs {target:.9f} (tol 1e-3)")
+    verdict(abs(est - target) < 1e-3, f"Re Q limit at 1: {est:.9f} vs {target:.9f} (tol 1e-3)")
 
-    return 0 if failures == 0 else NOT_CONVERGED
+    return 0 if all(oks) else NOT_CONVERGED
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:

@@ -189,13 +189,6 @@ def _segment_params(
     return min(max(t, 0.0), 1.0), min(max(u, 0.0), 1.0)
 
 
-def _hit(curve: Callable[[float], complex], a: float, b: float) -> tuple[float, float, complex, float]:
-    """(a, b, midpoint, residual) of a refined crossing, from one fresh
-    evaluation at each parameter."""
-    pa, pb = curve(a), curve(b)
-    return a, b, 0.5 * (pa + pb), abs(pa - pb)
-
-
 def _newton_refine(
     curve: Callable[[float], complex],
     a: float,
@@ -204,22 +197,22 @@ def _newton_refine(
     hi: float,
     tolerance: float,
 ) -> tuple[float, float, complex, float] | None:
-    """Drive curve(a) - curve(b) to zero by damped Newton; None on failure."""
-    h = _FD_STEP
+    """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, midpoint,
+    residual) from one fresh evaluation at each parameter, or None on failure."""
 
     def gap(u: float, v: float) -> complex:
         return curve(u) - curve(v)
+
+    def slope(t: float) -> complex:
+        """curve'(t) as a central difference of step _FD_STEP, clamped to [lo, hi]."""
+        up, down = min(t + _FD_STEP, hi), max(t - _FD_STEP, lo)
+        return (curve(up) - curve(down)) / (up - down)
 
     g = gap(a, b)
     for _ in range(_NEWTON_ITERS):
         if abs(g) <= tolerance:
             break
-        da = (curve(min(a + h, hi)) - curve(max(a - h, lo))) / (
-            min(a + h, hi) - max(a - h, lo)
-        )
-        db = (curve(min(b + h, hi)) - curve(max(b - h, lo))) / (
-            min(b + h, hi) - max(b - h, lo)
-        )
+        da, db = slope(a), slope(b)
         # solve [da, -db] [sa, sb]^T = -g as a real 2x2 system
         j11, j21 = da.real, da.imag
         j12, j22 = -db.real, -db.imag
@@ -239,7 +232,10 @@ def _newton_refine(
             damp *= 0.5
         else:
             break  # no damped step reduced the gap
-    return _hit(curve, a, b) if abs(g) <= tolerance else None
+    if not abs(g) <= tolerance:  # a nan gap fails too
+        return None
+    pa, pb = curve(a), curve(b)
+    return a, b, 0.5 * (pa + pb), abs(pa - pb)
 
 
 def self_intersections(

@@ -40,14 +40,11 @@ class LengthKind(Enum):
 
 
 class Asymptote(NamedTuple):
-    """Leading behavior f(x) ~ scale * x**(-exponent) as x -> infinity.
-
-    ``vanishing`` is True exactly when the exponent is positive; when it is
-    False the side lengths tend to the nonzero constant ``scale``.
-    """
+    """Leading behavior f(x) ~ scale * x**(-exponent) as x -> infinity: the
+    side lengths vanish when the exponent is positive, and tend to the
+    nonzero constant ``scale`` when it is 0."""
 
     exponent: float
-    vanishing: bool
     scale: float
 
 
@@ -80,14 +77,14 @@ class LengthFunction:
         """Large-x power law used for convergence classification."""
         kind = self.kind
         if kind is LengthKind.POWER:
-            return Asymptote(self.s, self.s > 0.0, 1.0)
+            return Asymptote(self.s, 1.0)
         if kind in (LengthKind.INSCRIBED, LengthKind.CIRCUMSCRIBED):
             e = 1.0 + self.s
-            return Asymptote(e, e > 0.0, _TWO_PI)
+            return Asymptote(e, _TWO_PI)
         if kind is LengthKind.AREA:
             e = 1.0 + 0.5 * self.s
-            return Asymptote(e, e > 0.0, 2.0 * _SQRT_PI)
-        return Asymptote(0.0, False, 2.0)
+            return Asymptote(e, 2.0 * _SQRT_PI)
+        return Asymptote(0.0, 2.0)
 
     def as_callable(self) -> Callable[[float], float]:
         """The float formula without per-call dispatch, for the scalar tail's loop.

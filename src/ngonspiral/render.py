@@ -74,13 +74,11 @@ class ViewTransform:
     x0: float
     y0: float
     scale: float
-    width: int
-    height: int
 
     def to_px(self, z: complex) -> tuple[float, float]:
         return (
             (z.real - self.x0) * self.scale,
-            self.height - (z.imag - self.y0) * self.scale,
+            HEIGHT - (z.imag - self.y0) * self.scale,
         )
 
 
@@ -114,8 +112,6 @@ def view_transform(scene: Scene) -> ViewTransform:
         x0=x_min - extra_x / 2.0,
         y0=y_min - extra_y / 2.0,
         scale=scale,
-        width=WIDTH,
-        height=HEIGHT,
     )
 
 

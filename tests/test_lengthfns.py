@@ -113,11 +113,11 @@ class TestArrayForm:
 class TestAsymptote:
     def test_power_law(self):
         asym = power_law(0.5).asymptote()
-        assert asym.exponent == 0.5 and asym.vanishing
+        assert asym.exponent == 0.5 and asym.scale == 1.0
 
     def test_inscribed_boundary(self):
         asym = inscribed(-1.0).asymptote()
-        assert asym.exponent == 0.0 and not asym.vanishing
+        assert asym.exponent == 0.0 and asym.scale == 2.0 * math.pi
 
     def test_area_normalized(self):
         # sqrt(4 x^-2 tan(pi/x)/x) ~ 2 sqrt(pi) x^-2
@@ -128,7 +128,6 @@ class TestAsymptote:
     def test_telescoping_non_vanishing(self):
         asym = telescoping().asymptote()
         assert asym.exponent == 0.0
-        assert not asym.vanishing
         assert asym.scale == 2.0
 
     def test_leading_coefficient_numerically(self):

@@ -8,6 +8,8 @@ import pytest
 from ngonspiral import render
 from ngonspiral.lengthfns import power_law
 from ngonspiral.render import (
+    HEIGHT,
+    WIDTH,
     Scene,
     export_table,
     render_svg,
@@ -57,9 +59,9 @@ class TestRenderSvg:
         for (cx, cy), z in zip(got, points):
             px, py = tr.to_px(z)
             assert math.hypot(cx - px, cy - py) < 0.5
-            back = complex(tr.x0 + cx / tr.scale, tr.y0 + (tr.height - cy) / tr.scale)
+            back = complex(tr.x0 + cx / tr.scale, tr.y0 + (HEIGHT - cy) / tr.scale)
             # inverse mapping recovers the point far below pixel scale
-            assert abs(back - z) < 1e-9 * (tr.width / tr.scale)
+            assert abs(back - z) < 1e-9 * (WIDTH / tr.scale)
 
     def test_viewport_margin(self):
         scene, points = _demo_scene()
@@ -85,8 +87,8 @@ class TestRenderSvg:
         svg = render_svg(Scene(point_sequences={"p": [1 + 2j]}))
         (coords,) = _marker_coords(svg, "points-p")
         tr = view_transform(Scene(point_sequences={"p": [1 + 2j]}))
-        assert abs(coords[0] - tr.width / 2.0) < 1.0
-        assert abs(coords[1] - tr.height / 2.0) < 1.0
+        assert abs(coords[0] - WIDTH / 2.0) < 1.0
+        assert abs(coords[1] - HEIGHT / 2.0) < 1.0
 
     def test_degenerate_polygon_rendered_as_marker(self):
         from ngonspiral.lengthfns import telescoping

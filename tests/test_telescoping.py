@@ -199,10 +199,10 @@ class TestTelescopingIdentity:
 
     def test_closed_form_side_reads_the_continuation(self, monkeypatch):
         # the closed side reads H_k through the vectorised digamma, the
-        # direct side the running sum, so a digamma off by 1e-9 past 100
+        # direct side the running sum, so an H_x off by 1e-9 past 99
         # must show
-        exact = _arrays._digamma_array
-        monkeypatch.setattr(_arrays, "_digamma_array", lambda x: exact(x) + 1e-9 * (x > 100.0))
+        exact = _arrays.harmonic_array
+        monkeypatch.setattr(_arrays, "harmonic_array", lambda x: exact(x) + 1e-9 * (x > 99.0))
         assert verify_telescoping_identity(3000) > 1e-10
 
     def test_memory_is_bounded_by_the_chunk(self):
