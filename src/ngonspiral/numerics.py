@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -41,22 +42,23 @@ class AccelerationSettings:
     """Tolerance and term budget for the Euler-transformed series tails.
 
     ``target_tolerance`` is absolute, measured on the complex modulus of the
-    correction being monitored; it must be finite and at least
-    ``_MIN_TOLERANCE`` (1e-13).  ``max_terms`` caps the tail terms: read as
-    an index (an int, a numpy integer or an integral float, stored as an
-    int), from 4 to ``sys.maxsize``.
+    correction being monitored; read as one number and stored as a float,
+    it must be finite and at least ``_MIN_TOLERANCE`` (1e-13).
+    ``max_terms`` caps the tail terms: read as an index (an int, a numpy
+    integer or an integral float, stored as an int), from 4 to ``sys.maxsize``.
     """
 
     target_tolerance: float = 1e-10
     max_terms: int = 4000
 
     def __post_init__(self) -> None:
-        if not _MIN_TOLERANCE <= self.target_tolerance < math.inf:
+        tol = float(_number(self.target_tolerance, "target_tolerance"))
+        if not _MIN_TOLERANCE <= tol < math.inf:
             raise ValueError(
-                "target_tolerance must be finite and positive, at least "
-                f"{_MIN_TOLERANCE:g}, got {self.target_tolerance}"
+                f"target_tolerance must be finite and positive, at least {_MIN_TOLERANCE:g}, got {tol}"
             )
-        max_terms = _index(self.max_terms, "max_terms must be an integer, got {!r}")
+        object.__setattr__(self, "target_tolerance", tol)
+        max_terms = _index(self.max_terms, "max_terms must be an integer, got {}")
         if not 4 <= max_terms <= sys.maxsize:
             raise ValueError(f"max_terms must be an integer from 4 to {sys.maxsize}")
         object.__setattr__(self, "max_terms", max_terms)
@@ -88,21 +90,30 @@ def two_sum(a, b):
 
 def _number(n, name: str = "n"):
     """One number as the scalar paths read it: a Python int if it has __index__, else
-    a float (a numpy scalar takes the Python steps); ``ValueError`` past the doubles."""
+    a float (a numpy scalar takes the Python steps).  ``ValueError`` names it past
+    the doubles, and for anything float() refuses or has a length: a complex
+    number, a str, bytes, a sequence or an array, even a 0-d one."""
     if type(n) is float:  # the common case: q_closed(2.5) takes 0.2-0.5 us (~10 %) longer without it
         return n
-    try:
-        x = float(n)
-    except OverflowError:
-        raise ValueError(f"{name} must fit in a double (magnitude at most 1.8e308)") from None
-    return int(n) if hasattr(n, "__index__") else x
+    if not hasattr(n, "__len__"):  # float('2.5') parses it; int(np.array(5.5)), below, is 5
+        try:
+            x = float(n)
+        except OverflowError:
+            raise ValueError(f"{name} must fit in a double (magnitude at most 1.8e308)") from None
+        except TypeError:
+            pass
+        else:
+            return int(n) if hasattr(n, "__index__") else x
+    raise ValueError(f"{name} must be one real number, got type {type(n).__name__}")
 
 
-def _index(n, message: str = "indices must be integers, got {!r}") -> int:
-    """An index or a count as an int: an int, a numpy integer or an integral
-    float; 3.5, inf, nan and a string raise ``ValueError(message)``."""
-    if not (isinstance(n, int) or (hasattr(n, "__float__") and float(n).is_integer())):
-        raise ValueError(message.format(n))
+def _index(n, message: str = "indices must be integers, got n = {}") -> int:
+    """An index or a count as an int: an int, a numpy integer, an integral
+    float or a 0-d array of one; 3.5, inf, nan, a string and a 1-d array
+    raise ``ValueError(message)``, formatted with n's repr, abridged."""
+    if not (isinstance(n, int) or (hasattr(n, "__float__") and not getattr(n, "shape", ())
+                                   and float(n).is_integer())):
+        raise ValueError(message.format(reprlib.repr(n)))
     return int(n)
 
 
@@ -154,9 +165,10 @@ def harmonic_continued(x: float) -> float:
 
     At the integers k <= 3,000 it is within 3e-15 of the exact H_k.
     """
+    x = _number(x, "x")
     if not -1.0 < x < math.inf:
         raise ValueError(f"harmonic_continued requires a finite x > -1, got {x}")
-    return EULER_GAMMA + digamma(_number(x, "x") + 1.0)
+    return EULER_GAMMA + digamma(x + 1.0)
 
 
 def euler_transform_sum(

@@ -177,17 +177,24 @@ _FLOAT = SimpleNamespace(turns=phase_of_turns, signed=signed_phase, harmonic=har
 
 def _space(n) -> tuple:
     """(n, steps) for a formula written once for one number or many: one
-    number (anything without a length) read by _number, with the float
-    steps; a sequence or array read as a float array, with _arrays' array
-    steps, whose entries carry the float steps' bits.  A domain check on such
-    n joins comparisons with |, which reads a number and an array alike (~ would not: ~True is -2)."""
+    number (anything without a length, and a str or bytes, which it refuses)
+    read by _number, with the float steps; a sequence or array read as a float
+    array, with _arrays' array steps, whose entries carry the float steps' bits.
+    ``ValueError`` names n for an array of other than bools, integers and floats,
+    or for an entry past the doubles.  A domain check on such n joins
+    comparisons with |, which reads a number and an array alike (~ would not: ~True is -2)."""
     if type(n) is float:  # the common case: q_closed(2.5) takes 0.2-0.5 us (~10 %) longer without it
         return n, _FLOAT
-    if hasattr(n, "__len__"):
-        from ._arrays import _ARRAY, np
+    if not hasattr(n, "__len__") or isinstance(n, (str, bytes)):
+        return _number(n), _FLOAT
+    from ._arrays import _ARRAY, np
 
-        return np.asarray(n, dtype=float), _ARRAY
-    return _number(n), _FLOAT
+    x = np.asarray(n)
+    if x.dtype.kind == "O" and not isinstance(n, np.ndarray):  # a sequence with ints past int64
+        x = np.array([_number(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"n must hold bools, integers or floats, got an array of {x.dtype}")
+    return np.asarray(x, dtype=float), _ARRAY
 
 
 def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], SummationResult]:
@@ -223,8 +230,8 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
 
 # vertex_at sums runs of consecutive indices, except that an index above
 # _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is read
-# as G_f plus a signed Euler-summed tail, ~36 us, about the cost of summing
-# 130 terms of a run.  _TAIL_FROM lies above figures._MAX_POLYGON, so the
+# as G_f plus a signed Euler-summed tail, ~22-32 us, the cost of summing 100-250
+# terms of a run (2-vCPU x86-64 VM).  _TAIL_FROM lies above figures._MAX_POLYGON, so the
 # figures and every shallow index keep the bits of one run from V(2).
 _TAIL_FROM = 2048
 _JUMP_GAP = 64
@@ -306,7 +313,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
 
 
 def vertex(f: LengthFunction, n: int) -> complex:
-    """Shared vertex V_f(n) of the n-gon and (n+1)-gon, n >= 2."""
+    """Shared vertex V_f(n) of the n-gon and (n+1)-gon, integral n >= 2."""
+    n = _index(n)
     return vertex_at(f, (n,))[n]
 
 
@@ -342,7 +350,8 @@ def q_term(f: LengthFunction, n: float) -> complex:
 
 
 def center(f: LengthFunction, n: int) -> complex:
-    """Center C_f(n) = V_f(n) + Q_f(n) of the n-gon, n >= 3."""
+    """Center C_f(n) = V_f(n) + Q_f(n) of the n-gon, integral n >= 3."""
+    n = _index(n)
     if n < 3:
         raise ValueError(f"center requires n >= 3, got {n}")
     return vertex(f, n) + q_term(f, n)

@@ -103,7 +103,7 @@ def verify_telescoping_identity(n_max: int) -> float:
     every k checks one against the other.
     Raises ``ValueError`` unless n_max is integral, 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
-    n_max = _index(n_max)
+    n_max = _index(n_max, "n_max must be an integer, got {}")
     if n_max < 3:
         raise ValueError(f"verify_telescoping_identity requires n_max >= 3, got {n_max}")
     if n_max > _MAX_IDENTITY_N:

@@ -7,7 +7,8 @@ Run it on both sides of a change that must keep every output's bits and
 diff the two files; an empty diff is the check.  It reads only long-standing
 public names (and the module constants of the vertex walk), so it runs on
 older checkouts too, back to those whose closed forms and continuation
-take arrays.  A refused input prints the repr of its ValueError.
+take arrays.  A refused input prints the repr of its ValueError (or of
+the TypeError or OverflowError an older checkout raised instead).
 About 3 s on a 2-vCPU x86-64 VM.  Not a test module: pytest does not
 collect it.
 """
@@ -20,10 +21,10 @@ import numpy as np
 
 from ngonspiral import spiral
 from ngonspiral.figures import fig_orbit, fig_q, fig_spiral, fig_telescope
-from ngonspiral.convergence import classify, limit_point, orbit_center, orbit_distance_law
+from ngonspiral.convergence import classify, convergence_curve, limit_point, orbit_center, orbit_distance_law
 from ngonspiral.intersect import self_intersections
 from ngonspiral.lengthfns import parse_length, power_law
-from ngonspiral.numerics import AccelerationSettings
+from ngonspiral.numerics import AccelerationSettings, digamma, harmonic_continued
 from ngonspiral.spiral import interpolated_vertex, polygon, vertex_at
 from ngonspiral.telescoping import (
     PHI,
@@ -54,12 +55,16 @@ BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in
 # Out of the domain of the closed forms or of the continuation (1 + 2^-52
 # only of the continuation's: n + 1 rounds to 2).
 OUTSIDE = (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan)
+# Arguments that are no number, or no array of real numbers that fit the doubles.
+UNREAD = {"'2.5'": "2.5", "b'25'": b"25", "[5.0]": [5.0], "array(5.5)": np.array(5.5),
+          "array([2.5+1j])": np.array([2.5 + 1j]), "array([2.5], dtype=object)": np.array([2.5], dtype=object),
+          "[10**400]": [10**400], "[3.5, 10**400]": [3.5, 10**400]}
 
 
 def show(label: str, thunk) -> None:
     try:
         value = thunk()
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         value = exc
     print(label, repr(value))
 
@@ -156,6 +161,25 @@ def arrays() -> None:
             show(f"{closed.__name__} array {n!r}", lambda: closed([3.5, n]))
 
 
+def refusals() -> None:
+    """Each one-number function at each UNREAD argument, the closed forms and
+    the continuation too, which read [5.0] and a 0-d array as arrays."""
+    f, settings = power_law(1.0), AccelerationSettings()
+    v = spiral.continuation(f, settings)
+    calls = {"digamma": digamma, "harmonic_continued": harmonic_continued, "limit_point": limit_point,
+             "AccelerationSettings": AccelerationSettings, "continuation power:1": v,
+             "vertex_closed": vertex_closed, "q_closed": q_closed, "center_closed": center_closed,
+             "vertex power:1": lambda n: spiral.vertex(f, n), "center power:1": lambda n: spiral.center(f, n),
+             "q_term power:1": lambda n: spiral.q_term(f, n),
+             "interpolated_vertex power:1": lambda n: interpolated_vertex(f, n, settings),
+             "orbit_distance_law r": lambda r: orbit_distance_law(r, 10),
+             "convergence_curve samples": lambda k: convergence_curve(0.5, 1.0, k),
+             "self_intersections lo": lambda lo: self_intersections(center_closed, lo, 6.0)}
+    for name, call in calls.items():
+        for label, n in UNREAD.items():
+            show(f"{name} {label}", lambda: call(n))
+
+
 def curves() -> None:
     """Every point of the sampled curves of four figures."""
     for label, build in (("fig_spiral power:1 9", lambda: fig_spiral(power_law(1.0), 9)),
@@ -173,4 +197,5 @@ if __name__ == "__main__":
     polygons()
     telescoping()
     arrays()
+    refusals()
     curves()

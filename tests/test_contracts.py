@@ -1,15 +1,19 @@
 """The three endings of every public numeric call, as a hypothesis property.
 
 Each call draws its numbers from one edge pool (plus numpy float32 and
-int64 copies of them) and must end in a finite result, in a result
-flagged ``converged=False``, or in ``ValueError``, within a time bound.
-The CLI, run in-process, must end in exit code 0 (finite output), 1
-(usage error) or 2 (not converged), never in a traceback.  The seed is
-fixed and no example database is kept, so every run draws the same calls.
+int64 copies of them, and a str, bytes and a list, which it must refuse)
+and must end in a finite result, in a result flagged ``converged=False``,
+or in ``ValueError``, within a time bound.  The closed forms and the
+continuation also draw arrays and lists, and each entry they read must
+carry the bits of the float call at that entry.  The CLI, run in-process,
+must end in exit code 0 (finite output), 1 (usage error) or 2 (not
+converged), never in a traceback.  The seeds are fixed and no example
+database is kept, so every run draws the same calls.
 """
 
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import numbers
@@ -17,10 +21,12 @@ import re
 import time
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from ngonspiral import (
     AccelerationSettings,
+    SummationResult,
     center,
     center_closed,
     classify,
@@ -40,8 +46,8 @@ from ngonspiral import (
     verify_telescoping_identity,
 )
 from ngonspiral.cli import main
-from ngonspiral.lengthfns import LengthFunction, LengthKind
-from ngonspiral.spiral import vertex_at
+from ngonspiral.lengthfns import LengthFunction, LengthKind, parse_length, power_law
+from ngonspiral.spiral import continuation, vertex_at
 
 EDGES = (0.0, -0.0, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 3.5, 47.0, 48.0, 2048.0, 2049.0,
          2.0**53, 2**53 + 1, 1e12, 1e300, 10**300, 10**400, math.inf, -math.inf, math.nan)
@@ -59,14 +65,18 @@ def _copies(x):
     return out
 
 
-POOL = [c for x in EDGES for c in _copies(x)]
+NUMBERS = [c for x in EDGES for c in _copies(x)]
+# one argument that is no number: each call given one must refuse it
+NOT_NUMBERS = ("5", b"5", [5.0])
+POOL = NUMBERS + list(NOT_NUMBERS)
 edges = st.sampled_from(POOL)
 families = st.builds(LengthFunction, st.sampled_from(list(LengthKind)),
                      st.sampled_from(EXPONENTS))
 tolerances = st.sampled_from((1e-8, 1e-13, *EDGES))
 budgets = st.sampled_from((4, 40, 4000, *EDGES))
 accelerations = st.builds(AccelerationSettings, tolerances, budgets)
-curves = st.sampled_from((vertex_closed, q_closed, center_closed))
+CLOSED_FORMS = (vertex_closed, q_closed, center_closed)
+curves = st.sampled_from(CLOSED_FORMS)
 
 # Each call ends within this many seconds: the slowest allowed inputs
 # (a curve of 2,048 samples, a polygon of 2,049 sides) take well under it.
@@ -81,6 +91,8 @@ def _finite(x) -> bool:
         return math.isfinite(x.real) and math.isfinite(x.imag)
     if isinstance(x, dict):
         return all(_finite(v) for v in x.values())
+    if isinstance(x, np.ndarray):
+        return _finite(x.ravel().tolist())
     if isinstance(x, (list, tuple)):
         return all(_finite(v) for v in x)
     if getattr(x, "converged", True) is False:
@@ -93,9 +105,12 @@ def _ends_well(call, *args):
     try:
         out = call(*args)
     except ValueError:
-        out = ()
+        out = None
     assert time.perf_counter() - start < TIME_BOUND, (call, args)
-    assert _finite(out), (call, args, out)
+    if out is not None:
+        unread = NOT_NUMBERS[:2] if call in CLOSED_FORMS else NOT_NUMBERS  # they read [5.0] as an array
+        assert not any(a is b for a in args for b in unread), (call, args, out)
+        assert _finite(out), (call, args, out)
 
 
 def _call(fn, *arg_strategies):
@@ -142,7 +157,7 @@ def _text(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-flag_values = st.sampled_from(POOL).map(_text)
+flag_values = st.sampled_from(NUMBERS).map(_text)
 specs = st.tuples(st.sampled_from([k.value for k in LengthKind]), st.sampled_from(EXPONENTS)).map(
     lambda ks: ks[0] if ks[0] == "telescoping" else f"{ks[0]}:{_text(ks[1])}"
 )
@@ -195,3 +210,112 @@ def test_cli_ends_in_an_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+F = power_law(1.0)
+# Each call with an argument that is not one number (or, for the closed
+# forms and the continuation, not an array of real numbers that fit the
+# doubles), and the name its ValueError gives.
+REFUSALS = {
+    "center_closed('2.5')": (lambda: center_closed("2.5"), "n"),
+    "center_closed(b'25')": (lambda: center_closed(b"25"), "n"),
+    "center_closed(complex array)": (lambda: center_closed(np.array([2.5 + 1j])), "n"),
+    "center_closed(object array)": (lambda: center_closed(np.array([2.5], dtype=object)), "n"),
+    "center_closed([10**400])": (lambda: center_closed([10**400]), "n"),
+    "continuation([10**400])": (lambda: continuation(F, AccelerationSettings())([3.5, 10**400]), "n"),
+    "continuation('2.5')": (lambda: continuation(F, AccelerationSettings())("2.5"), "n"),
+    "digamma('5')": (lambda: digamma("5"), "x"),
+    "digamma(0-d array)": (lambda: digamma(np.array(5.5)), "x"),
+    "harmonic_continued('5')": (lambda: harmonic_continued("5"), "x"),
+    "orbit_distance_law('2', 10)": (lambda: orbit_distance_law("2", 10), "r"),
+    "self_intersections(lo='1.05')": (lambda: self_intersections(center_closed, "1.05", 6), "lo"),
+    "limit_point('0.5')": (lambda: limit_point("0.5"), "s"),
+    "limit_point([0.5])": (lambda: limit_point([0.5]), "s"),
+    "convergence_curve(samples='3')": (lambda: convergence_curve(0.5, 1.0, "3"), "samples"),
+    "AccelerationSettings('1e-8')": (lambda: AccelerationSettings("1e-8"), "target_tolerance"),
+    "AccelerationSettings(10**400)": (lambda: AccelerationSettings(10**400), "target_tolerance"),
+    "center(f, '5')": (lambda: center(F, "5"), "n"),
+    "vertex(f, [5.0] array)": (lambda: vertex(F, np.array([5.0])), "n"),
+    "q_term(f, [5.0])": (lambda: q_term(F, [5.0]), "n"),
+    "q_term(f, 0-d array)": (lambda: q_term(F, np.array(5.5)), "n"),
+    "interpolated_vertex(f, [5.0])": (lambda: interpolated_vertex(F, [5.0]), "n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused_by_name(case):
+    call, name = REFUSALS[case]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
+
+
+def test_an_index_is_read_once():
+    # a 0-d array of an integral value is the index it holds
+    assert vertex(F, np.array(5.0)) == vertex(F, 5)
+    assert center(F, np.array(5.0)) == center(F, 5) == center(F, 5.0)
+    # a tolerance is stored as the float it was read as
+    assert type(AccelerationSettings(1).target_tolerance) is float
+
+
+# The entries each array type holds: doubles (10**400 left out), float32
+# (up to 1e38) and int64 (integral, below 2**63), all from EDGES.
+DOUBLES = [float(x) for x in EDGES if not isinstance(x, int) or abs(x) < 2**1024]
+SINGLES = [x for x in DOUBLES if abs(x) < 1e38 or not math.isfinite(x)]
+INTEGERS = [int(x) for x in DOUBLES if math.isfinite(x) and x.is_integer() and abs(x) < 2**63]
+
+
+def _lists(entries, min_size=0, max_size=4):
+    return st.lists(st.sampled_from(entries), min_size=min_size, max_size=max_size)
+
+
+ARRAYS = st.one_of(
+    _lists(EDGES),  # lists of Python numbers, 10**400 included
+    st.sampled_from(DOUBLES).map(np.array),  # 0-d
+    st.sampled_from(([], (), np.empty(0), np.empty((0, 3)))),
+    _lists(DOUBLES, 4, 4).map(lambda xs: np.array(xs).reshape(2, 2)),  # nested
+    _lists(EDGES, 2, 2).map(lambda xs: [[xs[0]], [xs[1]]]),
+    _lists(SINGLES).map(lambda xs: np.array(xs, dtype=np.float32)),
+    _lists(INTEGERS).map(lambda xs: np.array(xs, dtype=np.int64)),
+    _lists(DOUBLES, 1).map(lambda xs: np.array(xs) + 1j),
+    _lists(EDGES, 1).map(lambda xs: np.array(xs, dtype=object)),
+    st.lists(st.booleans(), max_size=3).map(lambda bs: np.array(bs, dtype=bool)),
+    _lists(DOUBLES, 1).map(lambda xs: [repr(x) for x in xs]),
+    _lists(DOUBLES, 1).map(lambda xs: np.array([repr(x).encode() for x in xs])),
+    st.sampled_from(("2.5", b"25")),
+)
+
+
+@functools.cache
+def _continued(spec: str):
+    return continuation(parse_length(spec), AccelerationSettings(1e-10))
+
+
+ARRAY_CALLS = st.one_of(st.sampled_from(CLOSED_FORMS),
+                        st.sampled_from(("power:1", "power:0", "telescoping")).map(_continued))
+
+
+def _rows(result) -> tuple:
+    """A closed form's value, or the four fields of a continuation's result."""
+    if isinstance(result, SummationResult):
+        return result.value, result.error_estimate, result.converged, result.terms_used
+    return (result,)
+
+
+@seed(20221111)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ARRAY_CALLS, ARRAYS)
+def test_arrays_are_read_entry_by_entry(call, n):
+    try:
+        out = call(n)
+    except ValueError as exc:
+        assert re.search(r"\bn\b", str(exc)), (n, exc)
+        return
+    # read: a float array of n's shape, each entry the float call's bits there
+    x = np.asarray(n, dtype=float)
+    scalar = [call(v) for v in x.ravel().tolist()]
+    assert _finite(scalar), (n, scalar)
+    fields = [np.asarray(field) for field in _rows(out)]
+    assert all(field.shape == x.shape for field in fields), n
+    got = zip(*(field.ravel().tolist() for field in fields))
+    assert repr(list(got)) == repr(list(map(_rows, scalar))), n
