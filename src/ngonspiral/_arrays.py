@@ -33,10 +33,12 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _bernoulli_tail,
+    _cvz_orders,
+    _cvz_sum,
     digamma,
     two_sum,
 )
-from .spiral import _HEAD_STOP, _side
+from .spiral import _EULER_FROM, _side
 
 
 def _turns(t: np.ndarray) -> np.ndarray:
@@ -57,11 +59,12 @@ def _signed_phases(n: np.ndarray) -> np.ndarray:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, each product formed as CPython forms it."""
+    """a * b for complex arrays, each product formed as CPython forms it; a
+    numpy scalar for 0-d arrays, as numpy's own arithmetic gives."""
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return out if out.ndim else out[()]
 
 
 def _half_angles(n: np.ndarray) -> tuple:
@@ -111,17 +114,17 @@ def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
-def _terms(f: LengthFunction, k: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """l(k) u(k) at each entry of the float array k given H_k, with l from
-    f's formula at the whole array; a side length past the doubles raises
-    ``ValueError``, naming f and its k."""
+def _terms(f: LengthFunction, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """l(k) e^{2 pi i t} at each entry of the float array k given the phase t
+    in turns, with l from f's formula at the whole array; a side length past
+    the doubles raises ``ValueError``, naming f and its k."""
     try:
         lengths = _formula(f.kind, f.s, _ARRAY)(k)
     except OverflowError:
         for x in k.tolist():
             _side(f, x)  # raises at the first length past the doubles
         raise
-    return lengths * _turns(1.0 / k - 2.0 * h)  # l promoted to complex(l, 0), as CPython < 3.14 does
+    return lengths * _turns(t)  # l promoted to complex(l, 0), as CPython < 3.14 does
 
 
 # _tails sums this many columns at a time, so its working set stays flat
@@ -132,7 +135,7 @@ _COLUMNS = 256
 def _tails(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> SummationResult:
     """spiral._tail(f, x, settings) at each entry of the float array x,
     column by column in chunks of _COLUMNS: a SummationResult of arrays.
-    3,000 points of a power:0 curve take ~18 ms, ~115 ms one _tail at a time (2-vCPU x86-64 VM)."""
+    3,000 points of a power:0 curve take ~10 ms, ~85 ms one _tail at a time (2-vCPU x86-64 VM)."""
     flat = x.ravel()
     # an empty x is one empty chunk, so the fields are empty arrays
     starts = range(0, len(flat) or 1, _COLUMNS)
@@ -140,48 +143,78 @@ def _tails(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> 
     return SummationResult(*(np.concatenate(field).reshape(x.shape) for field in zip(*chunks)))
 
 
+class _TailTerms:
+    """spiral._tail_terms at each entry of the float array x, a row of terms
+    per next(); keep(mask) drops the columns a sum is done with."""
+
+    def __init__(self, f: LengthFunction, x: np.ndarray) -> None:
+        self.f, self.x, self.j = f, x, 0
+        self.s, self.c = _harmonic_exact(x - 1.0), np.zeros(len(x))
+
+    def __next__(self) -> np.ndarray:
+        k = self.x + self.j
+        inv = 1.0 / k
+        self.s, e = two_sum(self.s, inv)
+        self.c = self.c + e
+        self.j += 1
+        r = 2.0 * self.s  # r - floor(r) is r % 1.0, exactly, at a third of the cost
+        return _terms(self.f, k, (inv - (r - np.floor(r))) - 2.0 * self.c)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
+
+
 def _tail_columns(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> tuple:
-    """The steps of spiral._tail over the columns x, each an elementwise
-    copy of its scalar expression: (value, error estimate, converged,
-    terms used).  The head runs in lockstep over j; the Euler transform
-    then aligns every column at its first Euler term, keeps one difference
-    row per column, and drops each column once it stops.
-    """
+    """spiral._tail over the columns x: (value, error estimate, converged,
+    terms used), each an elementwise copy of its scalar expression, the
+    columns below _EULER_FROM by the CVZ steps and the others by Euler's."""
     m = len(x)
-    h = _harmonic_exact(x - 1.0)
-    hc = np.zeros(m)
+    out = np.empty(m, dtype=complex), np.empty(m), np.zeros(m, dtype=bool), np.empty(m, dtype=int)
+    below = x < _EULER_FROM
+    _cvz_columns(f, x, np.flatnonzero(below), settings, out)
+    _euler_columns(f, x, np.flatnonzero(~below), settings, out)
+    return out
 
-    def step(k, h, hc):
-        """harmonic_phases' step from H_{k-1} to H_k, and l(k) u(k)."""
-        h, e = two_sum(h, 1.0 / k)
-        hc = hc + e
-        return h, hc, _terms(f, k, h + hc)
 
-    # the head, x + j < _HEAD_STOP; heads ends as each column's j of its first Euler term
-    s, c = np.zeros((2, m), dtype=complex)
-    heads = np.zeros(m, dtype=int)
-    for j in range(_HEAD_STOP):
-        i = np.flatnonzero(x + j < _HEAD_STOP)
-        if not len(i):
-            break
-        h[i], hc[i], term = step(x[i] + j, h[i], hc[i])
-        s[i], e = two_sum(s[i], -term if j % 2 else term)
-        c[i] += e
-        heads[i] += 1
-    # euler_transform_sum per column: rest (value, estimate, converged, used)
-    value, err, used = np.empty(m, dtype=complex), np.empty(m), np.empty(m, dtype=int)
-    done = np.zeros(m, dtype=bool)
-    col, first = np.arange(m), heads
-    diag = np.empty((m, 0), dtype=complex)
-    total, best = np.zeros((2, m), dtype=complex)
-    best_err = np.full(m, math.inf)
+def _cvz_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
+                 out: tuple) -> None:
+    """numerics._cvz_transform_sum at the columns col of x, into out: every
+    column tries the same orders, so one order's weights serve all, and each
+    is dropped once its estimate is met or stops falling."""
+    value, err, done, used = out
+    stream, rows, orders = _TailTerms(f, x[col]), [], _cvz_orders(settings)
+    best, best_err = np.zeros(len(col), dtype=complex), np.full(len(col), math.inf)
+    for n in orders:
+        if not len(col):
+            return
+        rows += [next(stream) for _ in range(n - len(rows))]
+        now, now_err, met = _cvz_sum(rows, n, settings.target_tolerance, np.sqrt)
+        # the first order only records its sum, as the scalar loop does
+        stall = ~met & ~(now_err < best_err) & (n > orders[0])
+        value[col[met]], err[col[met]], done[col[met]] = now[met], now_err[met], True
+        value[col[stall]], err[col[stall]] = best[stall], best_err[stall]
+        used[col[met | stall]] = n
+        keep = ~(met | stall)
+        best, best_err, col, rows = now[keep], now_err[keep], col[keep], [row[keep] for row in rows]
+        stream.keep(keep)
+    # the orders ran out: the best sum seen, not converged
+    value[col], err[col], used[col] = best, best_err, n
+
+
+def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
+                   out: tuple) -> None:
+    """numerics.euler_transform_sum at the columns col of x, into out: one
+    difference row per column, each column dropped once it stops."""
+    value, err, done, used = out
+    stream, diag = _TailTerms(f, x[col]), np.empty((len(col), 0), dtype=complex)
+    total, best = np.zeros((2, len(col)), dtype=complex)
+    best_err = np.full(len(col), math.inf)
     tol = settings.target_tolerance
     for j in range(settings.max_terms):
         if not len(col):
-            break
-        h, hc, a = step(x + (first + j), h, hc)
+            return
         # euler_transform_sum's accumulate(diag, sub, initial=a), one row per column
-        diag = np.subtract.accumulate(np.column_stack((a, diag)), axis=1)
+        diag = np.subtract.accumulate(np.column_stack((next(stream), diag)), axis=1)
         head = diag[:, j]
         correction = head * 2.0 ** -(j + 1)
         if j % 2:
@@ -198,12 +231,10 @@ def _tail_columns(f: LengthFunction, x: np.ndarray, settings: AccelerationSettin
             value[col[met]], err[col[met]], used[col[met]] = total[met], last_err[met], j + 1
             done[col[met]] = True
             keep = ~(broken | met)
-            col, x, first, h, hc = col[keep], x[keep], first[keep], h[keep], hc[keep]
-            diag, total, best, best_err = diag[keep], total[keep], best[keep], best_err[keep]
+            col, diag, total, best, best_err = col[keep], diag[keep], total[keep], best[keep], best_err[keep]
+            stream.keep(keep)
     # the term budget is spent: the best estimate seen, not converged
     value[col], err[col], used[col] = best, best_err, settings.max_terms
-    odd = heads % 2 == 1
-    return (s + c) + np.where(odd, -value, value), err, done, heads + used
 
 
 # The array steps of spiral._space, under the float steps' names, and the namespace
@@ -252,7 +283,7 @@ def _dense_series(
     for lo in range(start + 1, end + 1, _CHUNK):
         ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
         hs = harmonic(ks)
-        terms = _alternate(lo, _terms(f, ks, hs))
+        terms = _alternate(lo, _terms(f, ks, 1.0 / ks - 2.0 * hs))
         yield lo, ks, hs, terms, acc.extend(terms)
 
 

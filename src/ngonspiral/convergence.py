@@ -4,10 +4,11 @@ Every limit here is one series over a catalog length function f = l,
 
     G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)},
 
-summed by spiral._limit_series as a direct head plus an Euler-transformed
-tail.  For l(k) = k^-s it is W(s), a point for s > 0.  For sides tending
-to a nonzero constant (exponent 0) it diverges by oscillation, and its
-Euler (regularised) sum is the orbit center; at s = 0 that is
+summed by spiral._limit_series as one CVZ weighted sum of ~25-40 terms.
+For l(k) = k^-s it is W(s), a point for s > 0.  For sides tending to a
+nonzero constant (exponent 0) it diverges by oscillation, and its
+regularised sum (CVZ, like Euler's, is a regular method) is the orbit
+center; at s = 0 that is
 lim_{s->0+} W(s).  Growing sides diverge.  The class is decided from the
 catalog's asymptotic exponent, never by watching partial sums fail.  The
 paper's absolute-convergence argument (the paired terms F(j), their
@@ -38,7 +39,7 @@ __all__ = [
     "orbit_distance_law",
 ]
 
-# Largest convergence_curve grid (one accelerated limit, ~120-150 us, per sample).
+# Largest convergence_curve grid (one accelerated limit, ~70-90 us, per sample).
 _MAX_CURVE_SAMPLES = 10**4
 
 
@@ -90,11 +91,11 @@ def limit_point(
 
 
 def orbit_center(settings: AccelerationSettings | None = None) -> SummationResult:
-    """Center of the s = 0 orbit: W(0) summed in the Euler (regularised)
-    sense, which equals lim_{s -> 0+} W(s).
+    """Center of the s = 0 orbit: W(0) summed in the regularised sense,
+    which equals lim_{s -> 0+} W(s).
 
     The tolerance is tightened to at least 1e-12: the center is a constant
-    reported to ~13 digits, and 60 terms reach 1e-12, so a looser sum
+    reported to ~13 digits, and ~31 terms reach 1e-12, so a looser sum
     would lose digits for no saving.
     """
     return _limit_series(power_law(0.0), _orbit_settings(settings or AccelerationSettings()))

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 from . import telescoping as tele
 from .convergence import CurveSample, convergence_curve, orbit_center
 from .lengthfns import LengthFunction, power_law, telescoping as telescoping_fn
-from .numerics import AccelerationSettings
+from .numerics import AccelerationSettings, _index
 from .render import WIDTH, Scene, _sample_levels, sample_curve_adaptive
 from .spiral import PolygonGeometry, continuation, polygon_from_vertex, vertex_at
 
@@ -69,6 +69,7 @@ def fig_spiral(
     with_interpolant: bool = True,
 ) -> tuple[Scene, Tables]:
     """Polygons 3..max_n with shared vertices and the smooth interpolant."""
+    max_n = _index(max_n, "max_n must be an integer, got {}")
     polys, vert_rows, scale = _spiral(f, max_n, max_n)
     settings = settings or AccelerationSettings(target_tolerance=1e-9)
     curves = {}
@@ -132,6 +133,7 @@ def fig_wcurve(
 
 def fig_telescope(max_n: int = 12) -> tuple[Scene, Tables]:
     """The telescoping spiral up to max_n with the continued centers curve."""
+    max_n = _index(max_n, "max_n must be an integer, got {}")
     polys, vert_rows, scale = _spiral(telescoping_fn(), max_n, max_n)
     center_rows = [(float(p.n), p.center) for p in polys]
     centers_curve = _sample_levels(

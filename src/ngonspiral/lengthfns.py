@@ -69,6 +69,7 @@ class LengthFunction:
 
     def __call__(self, x: float) -> float:
         # one-off evaluations; the scalar tail's loop holds on to as_callable()
+        x = _number(x, "x")
         if not x > 1.0:
             raise ValueError(f"length functions require x > 1, got {x}")
         return _formula(self.kind, self.s)(x)

@@ -10,15 +10,16 @@ and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
 the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
-error of the raw closed form.  The scalar tail below reads u term by term
-from harmonic_phases(); dense runs (vertex_at, the telescoping identity
-check) and batched tails read it in the numpy kernels of _arrays.  As the
+error of the raw closed form.  The scalar tail below reads its terms one
+by one from _tail_terms(); dense runs (vertex_at, the telescoping identity
+check) and batched tails read them in the numpy kernels of _arrays.  As the
 whole series minus its tail, the vertices and their smooth continuation to real
 n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
-with one kernel for E.  G_f is the limit (a point, or the orbit center when
+with one kernel for E: CVZ weights below x = 48, the Euler transform from
+there on.  G_f is the limit (a point, or the orbit center when
 the sides tend to a constant) and depends only on the family and the
 settings, so continuation() sums it once and returns n -> V(n).  At one n
 it sums one tail, in Python: interpolated_vertex reads it at one real n,
@@ -47,12 +48,12 @@ from .numerics import (
     TWO_PI,
     AccelerationSettings,
     SummationResult,
+    _cvz_transform_sum,
     _index,
     _number,
     _refuse,
     euler_transform_sum,
     harmonic_continued,
-    two_sum,
 )
 
 __all__ = [
@@ -109,17 +110,13 @@ def signed_phase(n: float) -> complex:
     return phase_of_turns(0.5 * n)
 
 
-def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
-    """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
-    E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)}.
-
-    ``start`` may be real; each x is start + j, an int when ``start`` is.
-    H_x starts from the digamma continuation of H_{start-1}, so a deep or
-    real stream starts in O(1), and advances by compensated increments 1/x
-    (two_sum), so N terms cost O(N).
-    """
+def _harmonic_steps(start: float) -> Iterator[tuple[float, float, float, float]]:
+    """(x, 1/x, s, c) for x = start + j, j = 0, 1, ..., with H_x = s + c:
+    s runs over the increments 1/x and c gathers each step's exact rounding
+    error (two_sum), from the digamma continuation of H_{start-1}, so a deep
+    or real stream starts in O(1) and N terms cost O(N).  ``start`` may be
+    real; each x is start + j, an int when ``start`` is."""
     s, c = harmonic_continued(start - 1), 0.0
-    cos, sin = math.cos, math.sin  # locals: this loop is the hot path
     for j in itertools.count():
         k = start + j
         inv = 1.0 / k
@@ -127,37 +124,52 @@ def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
         t = s + inv
         v = t - s
         s, c = t, c + ((s - (t - v)) + (inv - v))
+        yield k, inv, s, c
+
+
+def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
+    """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
+    E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)},
+    with u(x) = unit_phase(x, H_x) bit for bit (the stream of _harmonic_steps).
+    """
+    for k, inv, s, c in _harmonic_steps(start):
         hk = s + c
-        t = inv - 2.0 * hk
+        yield k, hk, phase_of_turns(inv - 2.0 * hk)
+
+
+def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
+    """l(x+j) u(x+j), j = 0, 1, ...: the terms of E(x) with the sign extracted.
+    Each phase is reduced in turns before 2 H_x rounds: 2 s sheds its whole
+    turns exactly (% 1.0), then 1/x and 2 c join the fraction, so a phase is
+    within an ulp or two of a turn, where 1/x - 2 H_x would round at the ulp
+    of 2 H_x (2e-15 turns at x = 48, 4e-15 at x = 10^6).  Against 40-digit
+    sums, that takes a limit of the families whose terms tend to 2 pi from
+    ~1e-13 off to ~1e-14.
+    """
+    lf = f.as_callable()
+    cos, sin = math.cos, math.sin  # locals: this loop is the hot path
+    for k, inv, s, c in _harmonic_steps(x):
+        t = (inv - (2.0 * s) % 1.0) - 2.0 * c
         ang = TWO_PI * (t - round(t))
-        yield k, hk, complex(cos(ang), sin(ang))
+        yield lf(float(k)) * complex(cos(ang), sin(ang))
 
 
-# E sums directly while x < _HEAD_STOP, where the phase still swings hard,
-# and hands the smooth rest to the Euler transform.
-_HEAD_STOP = 48
+# Below x = _EULER_FROM, where the phases still swing hard, E(x) is one CVZ
+# weighted sum (~24-40 terms); from there on the terms are smooth and the Euler
+# transform stops after 4-16.
+_EULER_FROM = 48
 
 
 def _tail(f: LengthFunction, x: float, settings: AccelerationSettings) -> SummationResult:
     """E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), the one alternating series
-    behind every limit, deep vertex and interpolated vertex: terms with
-    x + j < _HEAD_STOP summed with compensation, the rest by
-    euler_transform_sum, whose outcome the result carries.
+    behind every limit, deep vertex and interpolated vertex: by CVZ weights
+    (_cvz_transform_sum) while x < _EULER_FROM, else by euler_transform_sum;
+    the result carries the accelerator's outcome.
     """
-    lf = f.as_callable()
-    stream = harmonic_phases(x)
-    s = c = 0j
-    for j, (k, _, phase) in enumerate(stream):
-        term = lf(float(k)) * phase
-        if k >= _HEAD_STOP:
-            break
-        s, e = two_sum(s, -term if j % 2 else term)
-        c += e
-    rest = euler_transform_sum(
-        itertools.chain((term,), (lf(float(k)) * phase for k, _, phase in stream)), settings
-    )
-    value = (s + c) + (-rest.value if j % 2 else rest.value)
-    return replace(rest, value=value, terms_used=j + rest.terms_used)
+    terms = _tail_terms(f, x)
+    if x < _EULER_FROM:
+        return _cvz_transform_sum(terms, settings)
+    return euler_transform_sum(terms, settings)
 
 
 def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:

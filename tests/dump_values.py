@@ -49,7 +49,7 @@ CROSSING_GRIDS = ((center_closed, tuple(1.05 + 0.02 * j for j in range(16)), 4.5
 CROSSING_STEPS = (1e-2, 3e-3)
 # The closed forms' 3,605 points, read one at a time and as one array.
 CLOSED_GRID = (*(1.0001 + 0.0137 * k for k in range(3600)), PHI, PHI + 1.0, 4.0 / 3.0, 4.0, 1e6 + 0.5)
-# The batched continuation's 64 points: the head boundary (x = n + 1 = 48),
+# The batched continuation's 64 points: the CVZ-Euler switch (x = n + 1 = 48),
 # integers, a deep point, then an even spread to 270.
 BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in range(56)))
 # Out of the domain of the closed forms or of the continuation (1 + 2^-52

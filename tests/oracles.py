@@ -5,7 +5,8 @@ the heading theta_n, the harmonic numbers as a compensated running sum,
 the paired terms F(j) with their bounds A(j, s) and B(j), the compact
 spelling of the golden intersection point, the convex-clipping area that
 shows consecutive n-gons do not overlap, 40-digit mpmath values of deep
-vertices, of the interpolant and of the center offsets Q(n), and the
+vertices, of the limits G_f and W(s), of the tails E(x), of the
+interpolant and of the center offsets Q(n), and the
 adaptive curve sampler as a recursive depth-first walk.  The tests check
 the library against them; the library never calls them.
 """
@@ -230,6 +231,44 @@ def mp_vertices(spec: str, indices: Sequence[int]) -> dict[int, complex]:
 
         whole = _mp_full_sum(mp, g)
         return {n: complex(whole - _mp_tail_from(mp, g, n + 1)) for n in indices}
+
+
+def mp_limit(spec: str) -> complex:
+    """G_f = sum_{k>=3} (-1)^k l(k) u(k) at 40 digits for the family of CLI
+    spec ``spec``, rounded to a complex double, summed like mp_vertices (the
+    regularised sum when the sides tend to a constant).  Needs mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        length = _mp_length(mp, spec)
+        return complex(_mp_full_sum(mp, lambda k: length(mp.mpf(k)) * _mp_unit_phase(mp, mp.mpf(k))))
+
+
+def mp_w(s: float) -> complex:
+    """W(s) = sum_{k>=3} (-1)^k k^-s u(k) at 40 digits at the double s >= 0,
+    rounded to a complex double: the power-law limit (at s = 0 the orbit
+    center, the regularised sum), summed like mp_vertices.  Needs mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        return complex(_mp_full_sum(mp, lambda k: mp.mpf(k) ** -s * _mp_unit_phase(mp, mp.mpf(k))))
+
+
+def mp_tail(spec: str, x: float) -> complex:
+    """E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j) at 40 digits at the real
+    double x > 2, rounded to a complex double: a direct head j < 40, then
+    the 64-term CVZ tail of _mp_tail_from from the even offset j = 40.
+    Needs mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        length, x = _mp_length(mp, spec), mp.mpf(x)
+
+        def g(j):
+            return length(x + j) * _mp_unit_phase(mp, x + j)
+
+        return complex(sum((-1) ** j * g(j) for j in range(40)) + _mp_tail_from(mp, g, 40))
 
 
 def mp_interpolant(spec: str, n: float) -> complex:

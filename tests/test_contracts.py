@@ -46,6 +46,7 @@ from ngonspiral import (
     verify_telescoping_identity,
 )
 from ngonspiral.cli import main
+from ngonspiral.figures import fig_spiral, fig_telescope
 from ngonspiral.lengthfns import LengthFunction, LengthKind, parse_length, power_law
 from ngonspiral.spiral import continuation, vertex_at
 
@@ -239,6 +240,11 @@ REFUSALS = {
     "q_term(f, [5.0])": (lambda: q_term(F, [5.0]), "n"),
     "q_term(f, 0-d array)": (lambda: q_term(F, np.array(5.5)), "n"),
     "interpolated_vertex(f, [5.0])": (lambda: interpolated_vertex(F, [5.0]), "n"),
+    "f('5')": (lambda: F("5"), "x"),
+    "f([5.0])": (lambda: F([5.0]), "x"),
+    "fig_telescope(12.5)": (lambda: fig_telescope(12.5), "max_n"),
+    "fig_telescope('12')": (lambda: fig_telescope("12"), "max_n"),
+    "fig_spiral(f, 9.5)": (lambda: fig_spiral(F, 9.5), "max_n"),
 }
 
 
@@ -247,6 +253,13 @@ def test_refused_by_name(case):
     call, name = REFUSALS[case]
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
+
+
+@pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+def test_a_0d_array_gives_a_numpy_scalar(closed):
+    # numpy's own arithmetic unwraps a 0-d array; each closed form does too
+    out = closed(np.array(5.5))
+    assert type(out) is np.complex128 and out == closed(5.5)
 
 
 def test_an_index_is_read_once():

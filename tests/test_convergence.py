@@ -25,9 +25,10 @@ from ngonspiral.lengthfns import (
     power_law,
     telescoping,
 )
+from ngonspiral import numerics, spiral
 from ngonspiral.numerics import AccelerationSettings
 from ngonspiral.spiral import harmonic_phases, vertex, vertex_at
-from oracles import bound_A, bound_B, harmonic_number, paired_term, paired_terms
+from oracles import bound_A, bound_B, harmonic_number, mp_limit, mp_tail, mp_w, paired_term, paired_terms
 
 TIGHT = AccelerationSettings(target_tolerance=1e-13, max_terms=600)
 
@@ -101,7 +102,9 @@ def _cvz_limit(f):
     """sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)}: direct head k < 48
     (even, so the tail enters with sign +1), then a 24-term CVZ tail.  For
     exponent-0 families CVZ, like the Euler transform, is a regular method,
-    so it gives the same regularised sum."""
+    so it gives the same regularised sum.  The library sums the whole series
+    by CVZ weights too, from k = 3, so the tests below also compare it with
+    the 40-digit sums of the oracles module, an independent route."""
     lf = f.as_callable()
     g = [fk * lf(float(k)) for k, _, fk in islice(harmonic_phases(), 45 + 24)]
     head = sum(-x if k % 2 else x for k, x in zip(range(3, 48), g))
@@ -143,6 +146,105 @@ class TestSecondEstimator:
         out = classify(f, TIGHT)
         assert isinstance(out, Point) and out.converged
         assert abs(out.value - _cvz_limit(f)) < 1e-12
+
+    def test_w_against_mpmath(self):
+        pytest.importorskip("mpmath")
+        for s in np.geomspace(1e-3, 30.0, 12).tolist():
+            res = limit_point(s, TIGHT)
+            assert res.converged, s
+            assert abs(res.value - mp_w(s)) <= res.error_estimate, s
+
+    @pytest.mark.parametrize(
+        "spec", ["power:0", "inscribed:-1", "circumscribed:-1", "area:-2", "telescoping"]
+    )
+    def test_orbit_centers_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        out = classify(parse_length(spec), AccelerationSettings(1e-8))
+        assert isinstance(out, CircularOrbit) and out.converged
+        assert abs(out.center - mp_limit(spec)) < 1e-12
+
+    @pytest.mark.parametrize("spec", ["inscribed:0", "circumscribed:1", "area:0", "power:2"])
+    def test_points_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        out = classify(parse_length(spec), TIGHT)
+        assert isinstance(out, Point) and out.converged
+        assert abs(out.value - mp_limit(spec)) <= out.error_estimate
+
+
+# The catalog families of the deep-vertex tests: seven vanishing, five tending
+# to a constant; the six of the benchmark's deep-vertices workload; the real x
+# at which tails are checked, from near the poles of tan(pi/x) at x = 2 to the
+# last x that CVZ sums.
+FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0", "circumscribed:1",
+            "area:0", "power:0", "inscribed:-1", "circumscribed:-1", "area:-2", "telescoping")
+DEEP_FAMILIES = ("power:1", "power:0", "inscribed:0", "telescoping", "circumscribed:1", "area:0")
+TAIL_X = (2.05, 2.5, 3.5, 10.5, 20.5, 47.5)
+TOLERANCES = (1e-8, 1e-10, 1e-12, 1e-13)
+
+
+class TestHonestEstimates:
+    """No converged sum lies further from its 40-digit value than its error
+    estimate, down to the tolerance floor 1e-13."""
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_limits(self, spec):
+        pytest.importorskip("mpmath")
+        f, ref = parse_length(spec), mp_limit(spec)
+        for tol in TOLERANCES:
+            res = spiral._limit_series(f, AccelerationSettings(tol))
+            assert res.converged, tol
+            assert abs(res.value - ref) <= res.error_estimate, tol
+        # the three families whose terms tend to 2 pi or more (the floor
+        # families) are within the floor too
+        assert abs(res.value - ref) <= 1e-13
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_tails(self, spec):
+        # at 1e-13 the tails of the families whose terms tend to 2 pi or more
+        # may end not converged: their rounding term passes the tolerance
+        pytest.importorskip("mpmath")
+        f = parse_length(spec)
+        for x in TAIL_X:
+            ref = mp_tail(spec, x)
+            for tol in TOLERANCES:
+                res = spiral._tail(f, x, AccelerationSettings(tol))
+                if res.converged:
+                    assert abs(res.value - ref) <= res.error_estimate, (x, tol)
+                else:
+                    assert spec in ("inscribed:-1", "circumscribed:-1", "area:-2") and tol == 1e-13, x
+
+    @pytest.mark.parametrize("spec", DEEP_FAMILIES)
+    def test_deep_families_converge_at_the_jump_settings(self, spec):
+        # G_f of a deep jump is summed at _TAIL_SETTINGS; were it not
+        # converged, every deep index would be summed as a run instead
+        assert spiral._limit_series(parse_length(spec), spiral._TAIL_SETTINGS).converged
+
+
+def _mp_cvz_weights(n: int) -> list:
+    """The weights of order n at 50 digits (Algorithm 1 in mpmath)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        d = (3 + mp.sqrt(8)) ** n
+        d = (d + 1 / d) / 2
+        b, c, out = mp.mpf(-1), -d, []
+        for k in range(n):
+            c = b - c
+            out.append(c / d)
+            b = b * (k + n) * (k - n) / ((k + mp.mpf(1) / 2) * (k + 1))
+        return out
+
+
+def test_cvz_weights_are_the_50_digit_weights():
+    # every order a small max_terms sets, and every order the sums of the
+    # tests above reach (at most 44); the worst measured is 10 ulps of 1, at
+    # n = 44 and 48.  The cancellation in c = b - c grows with n (~14 ulps at
+    # 59, ~45 at 256), but no sum gets that far: its estimate stops falling.
+    pytest.importorskip("mpmath")
+    for n in range(4, 49):
+        ref = _mp_cvz_weights(n)
+        assert all(abs(w - float(r)) <= 12 * 2.0**-52 for w, r in zip(numerics._cvz_weights(n), ref)), n
+    assert all(map(math.isfinite, numerics._cvz_weights(numerics._CVZ_MAX_ORDER)))
 
 
 class TestPairedTerms:

@@ -8,9 +8,9 @@ The hashes are the bytes of the platform that generated them (x86-64
 Linux, CPython 3.11.7, numpy 2.4.6); another libm or numpy build may round
 a last digit differently.  A change that alters an output byte on purpose
 (ROADMAP items 1-2) updates the table entry here and names the changed
-file in CHANGES.md.  The interp, vertices, centers and q rows are also checked by
-value against their 40-digit mpmath oracles, so their hashes rest on
-checked numbers.
+file in CHANGES.md.  The interp, vertices, centers, q, limit, orbit-center
+and W rows are also checked by value against their 40-digit mpmath oracles,
+so their hashes rest on checked numbers.
 
 ``python tests/test_frozen_outputs.py`` prints the table as the program
 writes it now, to paste over ``FROZEN`` after a deliberate change and
@@ -31,7 +31,7 @@ if __name__ == "__main__":  # run as a script: use the package beside tests/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ngonspiral.cli import main
-from oracles import mp_q, mp_vertices
+from oracles import mp_q, mp_vertices, mp_w
 
 # (argv, exit code, sha256 of stdout, {svg name: sha256 of its bytes})
 FROZEN = [
@@ -39,12 +39,12 @@ FROZEN = [
         "build --length power:1 --max-n 9 --out fig2.svg",
         0,
         "80210fe9570f82aefd933624fac30ce949ee41b83a3f7a7ca78219d7d743a5b3",
-        {"fig2.svg": "1d9084f4e95938043ccdbbeb5c25a604431f899e59581af231492c193fa098f5"},
+        {"fig2.svg": "5130d8f64f12c642368480d44dcd3ca7fdfe7a08443925d08dd169c3a75233d4"},
     ),
     (
         "limit --s 0.00000001",
         0,
-        "fc7bf294e0510802494e787a1b01843bbb2549ff48468a35f676903f35654a57",
+        "f928f6cefc85e376e403032fa80727521715dc4e6cf7f3c377a2480b2dbd5afe",
         {},
     ),
     (
@@ -56,14 +56,14 @@ FROZEN = [
     (
         "orbit --out fig3a.svg",
         0,
-        "029d78f8e3b251a2865e676e4a4e7948966e42aa4a42cedb0872c3113e9de2c0",
-        {"fig3a.svg": "c47461b7256daf5183441688cf3f057ec232c60b7d4524f0f5bd361170963701"},
+        "7dda2aa761b7650889804924078061352051a03beccf567eae92507d4d128dbb",
+        {"fig3a.svg": "bb3af2f70185db05fd4d30c400c11fd34aac24f9ab358a87b95d4220442eb200"},
     ),
     (
         "curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg",
         0,
-        "f958dbdaf63aaedfbd9d4aba298ec4106e0039e084895e381ed8360362b38920",
-        {"fig3b.svg": "48b9f5535d1bdb5280cb882c7a7813f105b8fcc3a2f6494b0f256631f99592bd"},
+        "4d45db0427a4969b8afc45ccb7a8d9aa6e36262fd443ac044883cd12d3eca5cd",
+        {"fig3b.svg": "e20139cbc4df8102bd0243964359702b798c511c81374c94ec46c3d03f1632a1"},
     ),
     (
         "telescope --check --n-max 2000",
@@ -92,7 +92,7 @@ FROZEN = [
     (
         "interp --length power:1 --n 3.5",
         0,
-        "21ea6192a387b84c913b18e1d6b27b9d7e06d825d0f8e19ee9046e65673f69a4",
+        "75c135e8826b8c375b047b50ea2a5da83143b01094cfacdd717f8c6bb794c8a1",
         {},
     ),
 ]
@@ -154,6 +154,26 @@ def test_center_rows_are_the_mpmath_values(command, spec, name, capsys):
     for n, z in rows.items():
         q = mp_q(spec, n) if name != "vertices" else 0j
         assert abs(z - (vertices.get(int(n), 0j) + q)) < 1e-13, n
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("limit --s 0.00000001", "limit"),
+        ("orbit --out fig3a.svg", "orbit-center"),
+        ("curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg", "W"),
+    ],
+)
+def test_w_rows_are_the_mpmath_values(command, name, capsys, tmp_path, monkeypatch):
+    # a row (s, W(s)) within the CLI's default tolerance 1e-8 of the 40-digit
+    # W(s); the orbit center's row is W(0), at n = 0
+    pytest.importorskip("mpmath")
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    rows = _rows(capsys.readouterr().out, name)
+    assert len(rows) == (10 if name == "W" else 1)
+    for s, w in rows.items():
+        assert abs(w - mp_w(s)) < 1e-8, s
 
 
 def _current(command: str) -> tuple[int, str, dict[str, str]]:

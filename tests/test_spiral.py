@@ -345,23 +345,23 @@ class TestDeepVertices:
 
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
-        stream, dense = spiral.harmonic_phases, _arrays._dense_series
+        stream, dense = spiral._harmonic_steps, _arrays._dense_series
 
-        def counting_stream(start=3):
-            for term in stream(start):
-                consumed.append(term[0])
-                yield term
+        def counting_stream(start):
+            for step in stream(start):
+                consumed.append(step[0])
+                yield step
 
         def counting_dense(*args):
             for chunk in dense(*args):
                 consumed.extend(chunk[1].tolist())
                 yield chunk
 
-        monkeypatch.setattr(spiral, "harmonic_phases", counting_stream)
+        monkeypatch.setattr(spiral, "_harmonic_steps", counting_stream)
         monkeypatch.setattr(_arrays, "_dense_series", counting_dense)
         v = vertex_at(power_law(0.5), (10**6, 10**6 + 3))
         assert len(v) == 2
-        # G_f (~65 terms), one tail (4-8 terms) and a 3-term gap
+        # G_f (~32 terms), one tail (4-8 terms) and a 3-term gap
         assert len(consumed) < 100
 
     def test_stream_cap_is_exact(self, monkeypatch):
@@ -371,7 +371,7 @@ class TestDeepVertices:
             raise AssertionError("streamed")
 
         monkeypatch.setattr(_arrays, "_dense_series", refuse)
-        monkeypatch.setattr(spiral, "harmonic_phases", refuse)
+        monkeypatch.setattr(spiral, "_harmonic_steps", refuse)
         cap = spiral._MAX_STREAM
         growing = power_law(-1.0)
         with pytest.raises(AssertionError, match="streamed"):
@@ -704,7 +704,7 @@ class TestInterpolatedVertex:
 
 
 def _batch_n() -> list[float]:
-    """n for the batched continuation: the head boundary (x = n + 1 = 48),
+    """n for the batched continuation: the CVZ-Euler switch (x = n + 1 = 48),
     integers (the sign exactly +-1), far points, two n whose H_n from
     harmonic_array is an ulp off harmonic_continued's (so the tails must
     not be seeded from it), and seeded draws, 400 uniform in (1.05, 300]
