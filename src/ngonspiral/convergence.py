@@ -4,7 +4,9 @@ Every limit here is one series over a catalog length function f = l,
 
     G_f = sum_{k>=3} (-1)^k l(k) e^{2 pi i (1/k - 2 H_k)},
 
-summed by spiral._limit_series as one CVZ weighted sum of ~25-40 terms.
+summed by spiral._limit_series as one CVZ weighted sum of ~25-40 terms,
+whose phases u(k) come from one table shared by every family (the spiral
+turns alike whatever its sides), so each limit costs its l(k) and products.
 For l(k) = k^-s it is W(s), a point for s > 0.  For sides tending to a
 nonzero constant (exponent 0) it diverges by oscillation, and its
 regularised sum (CVZ, like Euler's, is a regular method) is the orbit
@@ -39,7 +41,8 @@ __all__ = [
     "orbit_distance_law",
 ]
 
-# Largest convergence_curve grid (one accelerated limit, ~70-90 us, per sample).
+# Largest convergence_curve grid (one accelerated limit, ~28-40 us, per sample,
+# 2,500 samples on [1e-8, 30], 2-vCPU x86-64 VM).
 _MAX_CURVE_SAMPLES = 10**4
 
 

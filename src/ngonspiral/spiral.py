@@ -10,9 +10,12 @@ and the shared vertices are the running sums V(n) = sum l(k) e^{i theta_k}
 from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
 the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
-error of the raw closed form.  The scalar tail below reads its terms one
-by one from _tail_terms(); dense runs (vertex_at, the telescoping identity
-check) and batched tails read them in the numpy kernels of _arrays.  As the
+error of the raw closed form.  The shared vertex and side fix theta_k, so
+u(k) at the integers is the same for every family: only l(k) is free.  The
+scalar tail below reads its terms one by one from _tail_terms(), G_f's
+phases from one table of u(3), u(4), ... built on first use; dense runs
+(vertex_at, the telescoping identity check) and batched tails read them in
+the numpy kernels of _arrays.  As the
 whole series minus its tail, the vertices and their smooth continuation to real
 n are one formula,
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -48,6 +52,7 @@ from .numerics import (
     TWO_PI,
     AccelerationSettings,
     SummationResult,
+    _CVZ_MAX_ORDER,
     _cvz_transform_sum,
     _index,
     _number,
@@ -137,8 +142,10 @@ def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
         yield k, hk, phase_of_turns(inv - 2.0 * hk)
 
 
-def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
-    """l(x+j) u(x+j), j = 0, 1, ...: the terms of E(x) with the sign extracted.
+def _phases(x: float, lf: Callable[[float], float] | None = None) -> Iterator[complex]:
+    """u(x+j), j = 0, 1, ...: the phases of E(x), whatever the side lengths;
+    given the length formula lf, the terms l(x+j) u(x+j) of E(x) instead,
+    in one loop (a second generator over this one made a term ~10 % slower).
     Each phase is reduced in turns before 2 H_x rounds: 2 s sheds its whole
     turns exactly (% 1.0), then 1/x and 2 c join the fraction, so a phase is
     within an ulp or two of a turn, where 1/x - 2 H_x would round at the ulp
@@ -146,12 +153,34 @@ def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
     sums, that takes a limit of the families whose terms tend to 2 pi from
     ~1e-13 off to ~1e-14.
     """
-    lf = f.as_callable()
     cos, sin = math.cos, math.sin  # locals: this loop is the hot path
     for k, inv, s, c in _harmonic_steps(x):
         t = (inv - (2.0 * s) % 1.0) - 2.0 * c
         ang = TWO_PI * (t - round(t))
-        yield lf(float(k)) * complex(cos(ang), sin(ang))
+        u = complex(cos(ang), sin(ang))
+        yield u if lf is None else lf(float(k)) * u
+
+
+@functools.lru_cache(maxsize=None)
+def _limit_phases() -> tuple[complex, ...]:
+    """u(3), ..., u(_CVZ_MAX_ORDER + 2), the first entries of _phases(3): the
+    shared sides fix the spiral's turns, so every G_f reads these phases.
+    Built by the first G_f summed, never at import."""
+    return tuple(itertools.islice(_phases(3), _CVZ_MAX_ORDER))
+
+
+def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
+    """l(x+j) u(x+j), j = 0, 1, ...: the terms of E(x) with the sign
+    extracted.  At x = 3, the tail of G_f, the phases come from the one
+    table _limit_phases() and, past its end, from the stream, so a G_f sum
+    costs only its side lengths and products; every other x streams them."""
+    lf = f.as_callable()
+    if x != 3:
+        return _phases(x, lf)
+    table = _limit_phases()
+    ks = map(float, range(3, 3 + len(table)))
+    rest = itertools.islice(_phases(3, lf), len(table), None)  # stepped only past the table
+    return itertools.chain(map(operator.mul, map(lf, ks), table), rest)
 
 
 # Below x = _EULER_FROM, where the phases still swing hard, E(x) is one CVZ

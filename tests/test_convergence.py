@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -218,6 +219,46 @@ class TestHonestEstimates:
         # G_f of a deep jump is summed at _TAIL_SETTINGS; were it not
         # converged, every deep index would be summed as a run instead
         assert spiral._limit_series(parse_length(spec), spiral._TAIL_SETTINGS).converged
+
+
+class TestLimitPhases:
+    """Every G_f reads u(3), u(4), ... from one table, spiral._limit_phases(),
+    with the bits of the live stream _phases(3)."""
+
+    def test_table_is_the_live_stream(self):
+        table = spiral._limit_phases()
+        assert len(table) == numerics._CVZ_MAX_ORDER
+        assert table == tuple(islice(spiral._phases(3), len(table)))
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_limits_are_the_live_sums(self, spec):
+        f = parse_length(spec)
+        for tol in (1e-8, 1e-10, 1e-13):
+            for max_terms in (4, 29, 256):
+                settings = AccelerationSettings(tol, max_terms)
+                live = numerics._cvz_transform_sum(spiral._phases(3, f.as_callable()), settings)
+                assert spiral._limit_series(f, settings) == replace(live, value=-live.value), (tol, max_terms)
+
+    def test_terms_past_the_table_are_the_live_stream(self):
+        f = parse_length("inscribed:-1")
+        n = numerics._CVZ_MAX_ORDER + 40
+        assert list(islice(spiral._tail_terms(f, 3), n)) == list(islice(spiral._phases(3, f.as_callable()), n))
+        # 3.0, as interpolated_vertex(f, 2.0) reads it, takes the table too
+        assert list(islice(spiral._tail_terms(f, 3.0), n)) == list(islice(spiral._tail_terms(f, 3), n))
+
+    def test_a_second_limit_steps_no_stream_from_3(self, monkeypatch):
+        limit_point(1.0)
+        starts = []
+        steps = spiral._harmonic_steps
+
+        def counting(start):
+            starts.append(start)
+            return steps(start)
+
+        monkeypatch.setattr(spiral, "_harmonic_steps", counting)
+        assert limit_point(0.7).converged
+        assert classify(power_law(0.0)).converged
+        assert starts == []
 
 
 def _mp_cvz_weights(n: int) -> list:

@@ -25,6 +25,16 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), (sub, name)
 
 
+def test_import_builds_no_phase_table():
+    # the table of u(k) every G_f reads is built by the first sum, not at import
+    code = ("import ngonspiral, ngonspiral.cli, ngonspiral.figures\n"
+            "assert ngonspiral.spiral._limit_phases.cache_info().currsize == 0\n"
+            "ngonspiral.limit_point(1.0)\n"
+            "assert ngonspiral.spiral._limit_phases.cache_info().currsize == 1\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_is_imported_lazily(tmp_path):
     # numpy is most of the import time; only the dense kernels, the batched
     # curve tails, the closed forms at an array (all in _arrays) and the
