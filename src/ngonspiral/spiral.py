@@ -15,9 +15,8 @@ u(k) at the integers is the same for every family: only l(k) is free.  The
 scalar tail below reads its terms one by one from _tail_terms(), G_f's
 phases from one table of u(3), u(4), ... built on first use; dense runs
 (vertex_at, the telescoping identity check) and batched tails read them in
-the numpy kernels of _arrays.  As the
-whole series minus its tail, the vertices and their smooth continuation to real
-n are one formula,
+the numpy kernels of _arrays.  As the whole series minus its tail, the
+vertices and their smooth continuation to real n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 

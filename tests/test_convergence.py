@@ -175,11 +175,12 @@ class TestSecondEstimator:
 # The catalog families of the deep-vertex tests: seven vanishing, five tending
 # to a constant; the six of the benchmark's deep-vertices workload; the real x
 # at which tails are checked, from near the poles of tan(pi/x) at x = 2 to the
-# last x that CVZ sums.
+# last x that CVZ sums, and from the first x that Euler sums to a deep jump.
 FAMILIES = ("power:1", "power:0.5", "power:2", "power:1e-3", "inscribed:0", "circumscribed:1",
             "area:0", "power:0", "inscribed:-1", "circumscribed:-1", "area:-2", "telescoping")
 DEEP_FAMILIES = ("power:1", "power:0", "inscribed:0", "telescoping", "circumscribed:1", "area:0")
 TAIL_X = (2.05, 2.5, 3.5, 10.5, 20.5, 47.5)
+EULER_X = (48.5, 50.25, 60.5, 75.5, 100.5, 150.5, 300.5, 1000.5, 2049, 10000.5)
 TOLERANCES = (1e-8, 1e-10, 1e-12, 1e-13)
 
 
@@ -213,6 +214,22 @@ class TestHonestEstimates:
                     assert abs(res.value - ref) <= res.error_estimate, (x, tol)
                 else:
                     assert spec in ("inscribed:-1", "circumscribed:-1", "area:-2") and tol == 1e-13, x
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_euler_tails_within_the_tolerance(self, spec):
+        # from x = 48 on, the estimate is the last Euler correction alone: the
+        # rounding of the start H_{x-1}, which turns the whole tail, leaves up
+        # to 51x that (2.7e-14 off at x = 10000.5, estimate 5.2e-16), always
+        # below the tolerance.  No rounding term covers these x without
+        # failing a deep tail of the benchmark's families at 1e-13.
+        pytest.importorskip("mpmath")
+        f = parse_length(spec)
+        for x in EULER_X:
+            ref = mp_tail(spec, x)
+            for tol in TOLERANCES:
+                res = spiral._tail(f, x, AccelerationSettings(tol))
+                assert res.converged, (x, tol)
+                assert abs(res.value - ref) <= tol, (x, tol)
 
     @pytest.mark.parametrize("spec", DEEP_FAMILIES)
     def test_deep_families_converge_at_the_jump_settings(self, spec):
