@@ -1,6 +1,7 @@
-"""The array kernels of the vertex series and _ARRAY, the array steps of
-spiral._space: the one module that imports numpy, which the scalar modules
-import only for array work (the dense runs, and _space at an array).
+"""The array kernels of the vertex series and of a polygon's ring, and _ARRAY,
+the array steps of spiral._space: the one module that imports numpy, which the
+scalar modules import only for array work (the dense runs, the rings, and
+_space at an array).
 
 _ARRAY mirrors each float step of _space, and math's cos, sin, sqrt, tan
 and pow, at a float array of any shape, each entry with the float step's
@@ -9,7 +10,9 @@ bits at that entry, because five rules hold throughout:
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
   an ulp off on ~1e-4 of arguments; only the dense runs read harmonic_array,
   whose bits are their own, as it is faster there (~37 vs ~310 us for 2,048
-  terms near 1e5) and slower below x = 11 (~6 vs ~1.2 ms on a crossing grid);
+  terms near 1e5) and slower below x = 11 (~6 vs ~1.2 ms on a crossing grid),
+  and the runs from V(2) read its first 2,048 entries, and their phases,
+  from one table (_first_chunk), built once per process in ~0.5 ms;
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -18,6 +21,7 @@ bits at that entry, because five rules hold throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 from types import SimpleNamespace
@@ -114,17 +118,17 @@ def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, args)), float, x.size).reshape(x.shape)
 
 
-def _terms(f: LengthFunction, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """l(k) e^{2 pi i t} at each entry of the float array k given the phase t
-    in turns, with l from f's formula at the whole array; a side length past
-    the doubles raises ``ValueError``, naming f and its k."""
+def _terms(f: LengthFunction, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """l(k) u at each entry of the float array k given the phases u (complex,
+    of k's shape), with l from f's formula at the whole array; a side length
+    past the doubles raises ``ValueError``, naming f and its k."""
     try:
         lengths = _formula(f.kind, f.s, _ARRAY)(k)
     except OverflowError:
         for x in k.tolist():
             _side(f, x)  # raises at the first length past the doubles
         raise
-    return lengths * _turns(t)  # l promoted to complex(l, 0), as CPython < 3.14 does
+    return lengths * u  # l promoted to complex(l, 0), as CPython < 3.14 does
 
 
 # _tails sums this many columns at a time, so its working set stays flat
@@ -158,7 +162,7 @@ class _TailTerms:
         self.c = self.c + e
         self.j += 1
         r = 2.0 * self.s  # r - floor(r) is r % 1.0, exactly, at a third of the cost
-        return _terms(self.f, k, (inv - (r - np.floor(r))) - 2.0 * self.c)
+        return _terms(self.f, k, _turns((inv - (r - np.floor(r))) - 2.0 * self.c))
 
     def keep(self, mask: np.ndarray) -> None:
         self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
@@ -271,20 +275,55 @@ class _RunningSum:
         return sums
 
 
+@functools.lru_cache(maxsize=None)
+def _first_chunk() -> tuple:
+    """(ks, hs, u) for k = 3..2,050, the first _CHUNK of every run from V(2):
+    k as floats, H_k = harmonic_array(ks) and u(k) = e^{2 pi i (1/k - 2 H_k)},
+    read-only.  The shared vertex and side fix u(k) for every family, so only
+    l(k) is left to compute.  ~64 KB, built by the first run, never at import."""
+    ks = 3.0 + np.arange(_CHUNK, dtype=float)
+    hs = harmonic_array(ks)
+    u = _turns(1.0 / ks - 2.0 * hs)
+    for a in (ks, hs, u):
+        a.flags.writeable = False
+    return ks, hs, u
+
+
 def _dense_series(
-    f: LengthFunction, start: int, base: complex, end: int, harmonic: Callable[[np.ndarray], np.ndarray]
+    f: LengthFunction, start: int, base: complex, end: int,
+    harmonic: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple]:
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
     (first k, k as floats, H_k = harmonic(ks), (-1)^k l(k) u(k), V(k)) per
-    chunk, V(start) = base, V from one _RunningSum.  The signs come from
-    the int k, so they hold past 2^53, where consecutive floats coincide.
+    chunk, V(start) = base, V from one _RunningSum.  Without ``harmonic``,
+    H_k is harmonic_array(ks), and a run from V(2) reads its first chunk's
+    ks, H_k and u(k) from _first_chunk().  The signs come from the int k,
+    so they hold past 2^53, where consecutive floats coincide.
     """
     acc = _RunningSum(base)
     for lo in range(start + 1, end + 1, _CHUNK):
-        ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
-        hs = harmonic(ks)
-        terms = _alternate(lo, _terms(f, ks, 1.0 / ks - 2.0 * hs))
+        m = min(_CHUNK, end + 1 - lo)
+        if lo == 3 and harmonic is None:
+            ks, hs, u = (a[:m] for a in _first_chunk())
+        else:
+            ks = float(lo) + np.arange(m, dtype=float)
+            hs = (harmonic or harmonic_array)(ks)
+            u = _turns(1.0 / ks - 2.0 * hs)
+        terms = _alternate(lo, _terms(f, ks, u))
         yield lo, ks, hs, terms, acc.extend(terms)
+
+
+def _ring(c: complex, spoke: complex, n: int) -> Iterator[complex]:
+    """c + spoke * cmath.exp(2j * math.pi * k / n) for k = 0..n-1, bit for bit,
+    _CHUNK corners at a time, so only the n Python complex numbers grow with n:
+    y = (2 pi k) / n as that complex division forms it, its cos and sin the
+    parts of e^{iy} (rule 5), and the product by _product."""
+    for lo in range(0, n, _CHUNK):
+        y = TWO_PI * np.arange(lo, min(lo + _CHUNK, n), dtype=float) / n
+        e = np.empty(len(y), dtype=complex)
+        e.real = np.cos(y)
+        e.imag = np.sin(y)
+        yield from (c + _product(spoke, e)).tolist()
 
 
 def _identity_residual(n_max: int) -> float:

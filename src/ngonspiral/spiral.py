@@ -15,8 +15,9 @@ u(k) at the integers is the same for every family: only l(k) is free.  The
 scalar tail below reads its terms one by one from _tail_terms(), G_f's
 phases from one table of u(3), u(4), ... built on first use; dense runs
 (vertex_at, the telescoping identity check) and batched tails read them in
-the numpy kernels of _arrays.  As the whole series minus its tail, the
-vertices and their smooth continuation to real n are one formula,
+the numpy kernels of _arrays, and every vertex_at run from V(2) its first
+2,048 phases from one such table there.  As the whole series minus its
+tail, the vertices and their smooth continuation to real n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
@@ -42,6 +43,7 @@ import functools
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -300,9 +302,10 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
     Each run of indices is summed by one numpy kernel from V(2) (or from a
-    jump): H_k from the vectorised digamma, l(k) from the array formula, phases
-    reduced in turns, and compensated running sums over chunks of 2,048
-    terms counted from the run's start, so dense ranges and every index up
+    jump): H_k from the vectorised digamma and phases reduced in turns, both
+    read for k <= 2,050 from one table built by the first run from V(2),
+    l(k) from the array formula, and compensated running sums over chunks
+    of 2,048 terms counted from the run's start, so dense ranges and every index up
     to 2,048 are direct sums whose bits do not depend on the other indices
     asked for.  An index above 2,048 more than 64 past the previous one
     instead jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1), G_f = -E(3)
@@ -337,14 +340,14 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     # the next start, the last one to the deepest index
     starts = [(2, 0j), *jumps.items()]
     ends = [n - deep[n] for n in jumps] + [order[-1]]
-    from ._arrays import _dense_series, harmonic_array
+    from ._arrays import _dense_series
 
     out = {}
     for (start, base), end in zip(starts, ends):
         if start in wanted:
             out[start] = base
         i = bisect.bisect_right(order, start)
-        for lo, ks, _, _, sums in _dense_series(f, start, base, end, harmonic_array):
+        for lo, ks, _, _, sums in _dense_series(f, start, base, end):
             j = bisect.bisect_right(order, lo + len(ks) - 1, i)
             values = sums.tolist()
             out.update((n, values[n - lo]) for n in order[i:j])
@@ -419,7 +422,8 @@ class PolygonGeometry:
         return abs(self.side_length) / (2.0 * math.sin(math.pi / self.n))
 
 
-# Largest polygon enumerated (one complex per vertex, ~0.5 s).
+# Largest polygon enumerated: one complex per vertex, ~0.15 s and ~40 MB at
+# 10^6 (2-vCPU x86-64 VM), the ring built _arrays._CHUNK corners at a time.
 _MAX_SIDES = 10**6
 
 
@@ -436,17 +440,32 @@ def polygon(f: LengthFunction, n: int) -> PolygonGeometry:
     return polygon_from_vertex(f, n, vertex(f, _sides(n)))
 
 
+def _point(v) -> complex:
+    """v as one finite complex number; ``ValueError`` naming v for anything
+    else: a str, bytes or array (even of one entry), nan, inf or no number."""
+    if not hasattr(v, "__len__"):  # complex() would parse a str; an array has a length
+        try:
+            z = complex(v)
+        except (TypeError, OverflowError):
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise ValueError(f"v must be one finite complex number, got {reprlib.repr(v)}")
+
+
 def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
     """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
     a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
-    Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6."""
+    Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6,
+    and v one finite complex number."""
     n = _sides(n)
+    v = _point(v)
     side = _side(f, float(n))
     c = v + q_term(f, n)
-    spoke = v - c
-    verts = tuple(
-        c + spoke * cmath.exp(2j * math.pi * k / n) for k in range(n)
-    )
+    from ._arrays import _ring
+
+    verts = tuple(_ring(c, v - c, n))
     return PolygonGeometry(
         n=n,
         side_length=side,

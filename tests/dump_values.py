@@ -97,6 +97,9 @@ def vertices() -> None:
             show_vertices(spec, mixed, above=2000)
             show_vertices(spec, [top + 1, top + 1 + g, top + 1 + 2 * g, 30_000, 30_000 + g])
         show_vertices(spec, [3, 100, 2049, 5000, 20_000, 80_000, 160_000])
+    for spec in ("power:1", "power:0"):
+        # one run from V(2) across the first chunk's edge (k = 2,050) and the second's
+        show_vertices(spec, range(2040, 4101))
 
 
 def sums() -> None:
@@ -116,7 +119,8 @@ def sums() -> None:
 
 def polygons() -> None:
     for spec in ("power:1", "power:0", "telescoping", "power:-1"):
-        for n in (2, 3, 4, 5, 12, 300):
+        # 2,000 is figures._MAX_POLYGON; 2,047-2,050 end at and past the first chunk
+        for n in (2, 3, 4, 5, 12, 300, 2000, 2047, 2048, 2049, 2050):
             show(f"polygon {spec} {n}", lambda: polygon(parse_length(spec), n))
 
 

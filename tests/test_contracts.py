@@ -48,7 +48,7 @@ from ngonspiral import (
 from ngonspiral.cli import main
 from ngonspiral.figures import fig_spiral, fig_telescope
 from ngonspiral.lengthfns import LengthFunction, LengthKind, parse_length, power_law
-from ngonspiral.spiral import continuation, vertex_at
+from ngonspiral.spiral import continuation, polygon_from_vertex, vertex_at
 
 EDGES = (0.0, -0.0, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 3.5, 47.0, 48.0, 2048.0, 2049.0,
          2.0**53, 2**53 + 1, 1e12, 1e300, 10**300, 10**400, math.inf, -math.inf, math.nan)
@@ -76,6 +76,9 @@ families = st.builds(LengthFunction, st.sampled_from(list(LengthKind)),
 tolerances = st.sampled_from((1e-8, 1e-13, *EDGES))
 budgets = st.sampled_from((4, 40, 4000, *EDGES))
 accelerations = st.builds(AccelerationSettings, tolerances, budgets)
+# a vertex: a real edge, or a complex number, finite or not, or no number
+points = st.one_of(edges, st.sampled_from((1j, complex(-2.5, 1e300), complex(math.nan, 1.0),
+                                           complex(0.0, -math.inf), np.complex128(3 - 4j), None)))
 CLOSED_FORMS = (vertex_closed, q_closed, center_closed)
 curves = st.sampled_from(CLOSED_FORMS)
 
@@ -122,6 +125,7 @@ LIBRARY_CALLS = st.one_of(
     _call(vertex, families, edges),
     _call(lambda f, a, b: vertex_at(f, (a, b)), families, edges, edges),
     _call(polygon, families, edges),
+    _call(polygon_from_vertex, families, edges, points),
     _call(center, families, edges),
     _call(q_term, families, edges),
     _call(interpolated_vertex, families, edges, accelerations),

@@ -426,6 +426,35 @@ class TestDenseKernel:
         terms = parts(2500) + 1j * parts(2500)
         _rounded_once(0j, [terms[:2100], terms[2100:]])
 
+    def test_first_chunk_is_the_live_chunk(self):
+        # the table every run from V(2) reads: k = 3..2,050, each array with
+        # the bits of that chunk computed live, read-only, 64 KB in all
+        ks, hs, u = _arrays._first_chunk()
+        live_ks = 3.0 + np.arange(_arrays._CHUNK, dtype=float)
+        live_hs = _arrays.harmonic_array(live_ks)
+        live_u = _arrays._turns(1.0 / live_ks - 2.0 * live_hs)
+        for got, live in ((ks, live_ks), (hs, live_hs), (u, live_u)):
+            assert got.dtype == live.dtype and got.tobytes() == live.tobytes()
+            assert not got.flags.writeable
+        assert ks[-1] == 2050.0
+        assert ks.nbytes + hs.nbytes + u.nbytes == 64 * 1024
+
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_runs_keep_their_bits_across_the_table(self, spec):
+        # H_k passed in, a run computes every chunk live, as it did before
+        # the table; vertex_at reads the first chunk from the table, and its
+        # runs across the chunk edges and its deep jumps keep their bits
+        f = parse_length(spec)
+        live = _arrays._dense_series(f, 2, 0j, 4097, _arrays.harmonic_array)
+        ref = [0j, *np.concatenate([sums for *_, sums in live]).tolist()]
+        for indices in (range(2, 4098), [2047, 2048, 2049, 2050], [2040, 2050, 2051]):
+            got = vertex_at(f, indices)
+            assert [repr(got[n]) for n in indices] == [repr(ref[n - 2]) for n in indices]
+        for n in (3, 2047, 2048):
+            assert repr(vertex(f, n)) == repr(ref[n - 2])
+        for n in (4097, 10**5 + 1, 10**6):
+            assert repr(vertex(f, n)) == repr(interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value)
+
     def test_running_harmonic_numbers(self):
         # the identity's direct H_k: 1/k summed from H_2 = 3/2, within an ulp
         acc = _arrays._RunningSum(1.5)
@@ -574,6 +603,33 @@ class TestPolygon:
             spiral.polygon_from_vertex(power_law(1.0), cap, 0j)
         with pytest.raises(ValueError, match=str(cap + 1)):
             spiral.polygon_from_vertex(power_law(1.0), cap + 1, 0j)
+
+    def test_ring_is_the_complex_exp_bits(self):
+        # the corners are one array, but each keeps the bits of the scalar
+        # c + (v - c) * cmath.exp(2j * math.pi * k / n)
+        f = power_law(1.0)
+        for n in (*range(3, 301), 2000, 10**4):
+            v = complex(0.25 * n, -1.0 / n)
+            pg = spiral.polygon_from_vertex(f, n, v)
+            c = pg.center
+            want = tuple(c + (v - c) * cmath.exp(2j * math.pi * k / n) for k in range(n))
+            assert repr(pg.vertices) == repr(want), n
+
+    def test_vertex_must_be_one_finite_complex_number(self, monkeypatch):
+        f = power_law(1.0)
+        ref = spiral.polygon_from_vertex(f, 5, 1 + 0j)
+        for v in (1, 1.0, np.float32(1.0), np.int64(1), np.complex128(1.0), Fraction(1)):
+            assert spiral.polygon_from_vertex(f, 5, v) == ref
+
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        # refused before Q(n) is read
+        monkeypatch.setattr(spiral, "q_term", refuse)
+        for v in ("x", "1+2j", b"1", None, [1j], np.array([1j]), np.array(1j), math.nan,
+                  -math.inf, complex(1.0, math.inf), 10**400):
+            with pytest.raises(ValueError, match="v must be one finite complex number"):
+                spiral.polygon_from_vertex(f, 5, v)
 
     def test_polygon_area_shoelace(self):
         square = [0j, 2 + 0j, 2 + 2j, 0 + 2j]
