@@ -9,8 +9,8 @@ bits at that entry, because five rules hold throughout:
 - phases are reduced in turns, as phase_of_turns does (_turns);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
   an ulp off on ~1e-4 of arguments; only the dense runs read harmonic_array,
-  whose bits are their own, as it is faster there (~37 vs ~310 us for 2,048
-  terms near 1e5) and slower below x = 11 (~6 vs ~1.2 ms on a crossing grid),
+  whose bits are their own, as it is faster there (~30 vs ~310 us for 2,048
+  terms near 1e5) and slower below x = 11 (~6 vs ~0.9 ms on a crossing grid),
   and the runs from V(2) read its first 2,048 entries, and their phases,
   from one table (_first_chunk), built once per process in ~0.5 ms;
 - complex products are formed as CPython forms them (_product);
@@ -31,6 +31,7 @@ import numpy as np
 
 from .lengthfns import LengthFunction, _formula, telescoping
 from .numerics import (
+    _DIGAMMA_ASYMPTOTIC,
     _DIGAMMA_SHIFT,
     EULER_GAMMA,
     TWO_PI,
@@ -47,10 +48,11 @@ from .spiral import _EULER_FROM, _side
 
 def _turns(t: np.ndarray) -> np.ndarray:
     """e^{2 pi i t} at each entry of the float array t, reduced mod 1 in turns."""
-    ang = TWO_PI * (t - np.rint(t))
+    ang = t - np.rint(t)  # a numpy scalar at a 0-d t, so *= rebinds it there
+    ang *= TWO_PI
     out = np.empty(t.shape, dtype=complex)
-    out.real = np.cos(ang)
-    out.imag = np.sin(ang)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
     return out
 
 
@@ -92,10 +94,22 @@ def harmonic_array(x):
     x = np.asarray(x + 1.0, dtype=float)
     with np.errstate(over="ignore"):  # x^2 -> inf, u -> 0 past 1e154, as in digamma
         u = 1.0 / (x * x)
-    psi = np.asarray(np.log(x) - 0.5 / x - u * _bernoulli_tail(u))
+    # log(x) - 0.5 / x - u * _bernoulli_tail(u), step for step, each in place
+    # (a 0-d x gives numpy scalars, which the augmented steps rebind)
+    c0, c1, c2, c3, c4, c5, c6 = _DIGAMMA_ASYMPTOTIC
+    tail = u * c6
+    for c in (c5, c4, c3, c2, c1, c0):
+        tail += c
+        tail *= u
+    psi = np.log(x)
+    psi -= 0.5 / x
+    psi -= tail
     small = x < _DIGAMMA_SHIFT
-    psi[small] = [digamma(v) for v in x[small].tolist()]
-    return EULER_GAMMA + psi
+    if small.any():
+        psi = np.asarray(psi)
+        psi[small] = [digamma(v) for v in x[small].tolist()]
+    psi += EULER_GAMMA
+    return psi if psi.ndim else psi[()]  # a numpy scalar at a 0-d x, as before
 
 
 def _harmonic_exact(x):
@@ -267,12 +281,32 @@ class _RunningSum:
         """The running sums, continued from the last, after each entry of
         the numpy array ``terms`` (float or complex, as at the start)."""
         p = np.add.accumulate(terms)
-        fix = np.add.accumulate(two_sum(np.concatenate(([0.0], p[:-1])), terms)[1])
-        head, err = two_sum(self._s, p)
-        sums = head + ((self._c + fix) + err)
-        self._s, e = two_sum(self._s, p[-1].item())
-        self._c = self._c + fix[-1].item() + e
-        return sums
+        # the error of each step's two_sum(prev, terms), prev = [0, p[:-1]]:
+        # its sum prev + terms is p already (or 0.0 where p[0] is -0.0, which
+        # leaves the error 0.0), so v = p - prev, e = (prev - (p - v)) + (terms - v)
+        prev = np.empty_like(p)
+        prev[0] = 0.0
+        prev[1:] = p[:-1]
+        v = p - prev
+        fix = p - v
+        np.subtract(prev, fix, out=fix)
+        np.subtract(terms, v, out=v)
+        fix += v
+        np.add.accumulate(fix, out=fix)
+        last = fix.item(-1)
+        # head, err = two_sum(self._s, p) (err in prev), then head + ((self._c + fix) + err)
+        head = self._s + p
+        np.subtract(head, self._s, out=v)
+        np.subtract(head, v, out=prev)
+        np.subtract(self._s, prev, out=prev)
+        np.subtract(p, v, out=v)
+        prev += v
+        np.add(self._c, fix, out=fix)
+        fix += prev
+        head += fix
+        self._s, e = two_sum(self._s, p.item(-1))
+        self._c = self._c + last + e
+        return head
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,17 +347,20 @@ def _dense_series(
         yield lo, ks, hs, terms, acc.extend(terms)
 
 
-def _ring(c: complex, spoke: complex, n: int) -> Iterator[complex]:
-    """c + spoke * cmath.exp(2j * math.pi * k / n) for k = 0..n-1, bit for bit,
-    _CHUNK corners at a time, so only the n Python complex numbers grow with n:
+def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
+    """[c + spoke * cmath.exp(2j * math.pi * k / n) for k = 0..n-1], bit for bit,
+    one list extended _CHUNK corners at a time, so only the n Python complex
+    numbers grow with n:
     y = (2 pi k) / n as that complex division forms it, its cos and sin the
     parts of e^{iy} (rule 5), and the product by _product."""
+    corners = []
     for lo in range(0, n, _CHUNK):
         y = TWO_PI * np.arange(lo, min(lo + _CHUNK, n), dtype=float) / n
         e = np.empty(len(y), dtype=complex)
-        e.real = np.cos(y)
-        e.imag = np.sin(y)
-        yield from (c + _product(spoke, e)).tolist()
+        np.cos(y, out=e.real)
+        np.sin(y, out=e.imag)
+        corners += (c + _product(spoke, e)).tolist()
+    return corners
 
 
 def _identity_residual(n_max: int) -> float:
@@ -333,9 +370,18 @@ def _identity_residual(n_max: int) -> float:
     for k0, ks, hs, terms, sums in _dense_series(
         telescoping(), 2, 0j, n_max, lambda ks: direct.extend(1.0 / ks)
     ):
-        rot = _turns(-2.0 * np.concatenate(([h_prev], hs)))  # e^{-4 pi i H_{k-1}}, then H_k
+        both = np.empty(len(hs) + 1)  # H_{k-1}, then H_k
+        both[0] = h_prev
+        both[1:] = hs
+        both *= -2.0
+        rot = _turns(both)  # e^{-4 pi i H_{k-1}}, then H_k
         h_prev = hs[-1]
         pairs = _alternate(k0, rot[:-1] + rot[1:])
-        closed = _alternate(k0, _turns(-2.0 * harmonic_array(ks))) - 1.0
-        worst = max(worst, np.abs(terms - pairs).max(), np.abs(sums - closed).max())
+        closed = harmonic_array(ks)
+        closed *= -2.0
+        closed = _alternate(k0, _turns(closed))
+        closed -= 1.0
+        np.subtract(terms, pairs, out=pairs)
+        np.subtract(sums, closed, out=closed)
+        worst = max(worst, np.abs(pairs).max(), np.abs(closed).max())
     return float(worst)

@@ -107,18 +107,23 @@ class LengthFunction:
 def _formula(kind: LengthKind, s: float, xp=math) -> Callable:
     """The side-length formula of one family at exponent s, written once for a
     float (xp = math) and a float array (xp = _arrays._ARRAY, entry for entry
-    the float's bits); power:0 is 1.0 at both, a singular x raises at both."""
+    the float's bits); a singular x raises at both.  At s = 0 (or -0.0) the
+    pow is left out: x^-0 is 1.0 at every x, and 1.0 times a float is that
+    float, so power:0 is 1.0 and the other families keep their bits."""
+    flat = s == 0.0
     if kind is LengthKind.POWER:
-        if s == 0.0:
+        if flat:
             return lambda x: 1.0
         return lambda x: xp.pow(x, -s)
     if kind is LengthKind.INSCRIBED:
+        if flat:
+            return lambda x: 2.0 * xp.sin(math.pi / x)
         return lambda x: 2.0 * xp.pow(x, -s) * xp.sin(math.pi / x)
     if kind is LengthKind.CIRCUMSCRIBED:
 
         def circumscribed_side(x):
             _refuse(x == 2.0, x, "circumscribed length is singular at x = 2")
-            return 2.0 * xp.pow(x, -s) * xp.tan(math.pi / x)
+            return (2.0 if flat else 2.0 * xp.pow(x, -s)) * xp.tan(math.pi / x)
 
         return circumscribed_side
     if kind is LengthKind.AREA:
@@ -126,7 +131,7 @@ def _formula(kind: LengthKind, s: float, xp=math) -> Callable:
         def area_side(x):
             # tan(pi/x) < 0 on (1, 2): no regular polygon of positive area.
             _refuse(x <= 2.0, x, "area-normalized length requires x > 2, got {}")
-            return xp.sqrt(4.0 * xp.pow(x, -s) * xp.tan(math.pi / x) / x)
+            return xp.sqrt((4.0 if flat else 4.0 * xp.pow(x, -s)) * xp.tan(math.pi / x) / x)
 
         return area_side
     return lambda x: 2.0 * xp.cos(_TWO_PI / x)

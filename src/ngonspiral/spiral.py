@@ -335,7 +335,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     if deep:
         v = continuation(f, _TAIL_SETTINGS)  # G_f summed once for every jump
         jumps = {n: res.value for n in deep if (res := v(n)).converged}
-    _check_work(order[-1], {n: deep[n] for n in jumps})
+    if len(jumps) < len(deep):  # a refused jump is summed after all
+        _check_work(order[-1], {n: deep[n] for n in jumps})
     # runs (start, V(start), end): one from each start to the index before
     # the next start, the last one to the deepest index
     starts = [(2, 0j), *jumps.items()]

@@ -39,7 +39,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # Re Q_L(n) as n -> 1+, the target of q_real_limit_estimate.
 Q_LIMIT_AT_1 = 4.0 * (1.0 - math.pi**2 / 6.0)
 
-# Largest n_max verify_telescoping_identity sums (0.18-0.27 s on a shared
+# Largest n_max verify_telescoping_identity sums (0.13-0.20 s on a shared
 # 2-vCPU x86-64 VM).  10^7 took 3.4 s there, and its residual, 1.7e-10,
 # fails the 1e-10 check of `spiral telescope --check`.
 _MAX_IDENTITY_N = 10**6

@@ -125,8 +125,10 @@ def polygons() -> None:
 
 
 def telescoping() -> None:
-    # 25,000 and 26,455 bound the benchmark's n_max pool; 10**6 is the largest n_max allowed
-    for n_max in (3, 258, 2050, 4100, 20_000, 25_000, 26_455, 10**6):
+    # 25,000 and 26,455 bound the benchmark's n_max pool (25,873 lies inside it);
+    # 10**6 is the largest n_max allowed; at 2,051 and 4,099 the last chunk
+    # holds one term, so its running sums have no earlier entry
+    for n_max in (3, 258, 2050, 2051, 4099, 4100, 20_000, 25_000, 25_873, 26_455, 10**6):
         show(f"verify_telescoping_identity {n_max}", lambda: verify_telescoping_identity(n_max))
     for n in CLOSED_GRID:
         for closed in (vertex_closed, q_closed, center_closed):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -366,6 +367,33 @@ class TestDeepVertices:
         # Euler tail (4 terms measured, at most 8) and a 3-term gap
         assert min(consumed) > 10**6
         assert len(consumed) <= 11
+
+    def test_work_is_checked_again_only_after_a_refused_jump(self, monkeypatch):
+        # the second check counts the refused jumps as summed gaps; with no
+        # jump refused it would repeat the first
+        checks, check = [], spiral._check_work
+
+        def counting(deepest, jumps):
+            checks.append(len(jumps))
+            check(deepest, jumps)
+
+        monkeypatch.setattr(spiral, "_check_work", counting)
+        f, far = power_law(1.0), spiral._TAIL_FROM + 10 * spiral._JUMP_GAP
+        for indices in ((3, 300), (3, far)):
+            checks.clear()
+            vertex_at(f, indices)
+            assert checks == [len(indices) - 1 - (far not in indices)]
+        live = spiral.continuation
+
+        def refusing(*args):
+            v = live(*args)
+            return lambda n: dataclasses.replace(v(n), converged=False) if n == far else v(n)
+
+        monkeypatch.setattr(spiral, "continuation", refusing)
+        checks.clear()
+        got = vertex_at(f, (3, far))
+        assert checks == [1, 0]
+        assert repr(got[far]) == repr(vertex_at(f, range(2, far + 1))[far])
 
     def test_stream_cap_is_exact(self, monkeypatch):
         # every sum (the dense kernel and the tails' stream) is replaced by
