@@ -5,7 +5,9 @@ _space at an array).
 
 _ARRAY mirrors each float step of _space, and math's cos, sin, sqrt, tan
 and pow, at a float array of any shape, each entry with the float step's
-bits at that entry, because five rules hold throughout:
+bits at that entry, because five rules hold throughout (save at -0.0 turns,
+which no library path forms: _turns gives (1+0j) there and phase_of_turns
+(1-0j), as np.rint(-0.0) cancels the sign that round(-0.0), the int 0, keeps):
 - phases are reduced in turns, as phase_of_turns does (_turns);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
   an ulp off on ~1e-4 of arguments; only the dense runs read harmonic_array,

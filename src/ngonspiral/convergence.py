@@ -137,7 +137,8 @@ def orbit_distance_law(
 
     U(m) = V(PowerLaw{0}, 2m); the prediction is |sin(2 pi ln r)|.  Requires
     finite n >= 10 and r >= 1 with n*r finite and integral (within 1e-9).  One
-    vertex_at call reads both vertices, each in O(1) for n above 1,024.
+    vertex_at call reads both vertices, each in O(1) once nr is above 1,024
+    and more than 32 past n, U(n) too for n above 257.
     """
     r, n = _number(r, "r"), n if isinstance(n, int) else _number(n)  # a larger int n: see n*r
     if not 10 <= n < math.inf:

@@ -26,9 +26,10 @@ there on.  G_f is the limit (a point, or the orbit center when
 the sides tend to a constant) and depends only on the family and the
 settings, so continuation() sums it once and returns n -> V(n).  At one n
 it sums one tail, in Python: interpolated_vertex reads it at one real n,
-and vertex_at at deep indices, in O(1), summing only short gaps.  At an
-array of n, the points of a figure's curve, it sums all their tails at
-once, column by column, with the scalar tail's steps and bits.
+and vertex_at at deep indices and, beside them, past long shallow gaps, in
+O(1), summing only short gaps.  At an array of n, the points of a figure's
+curve, it sums all their tails at once, column by column, with the scalar
+tail's steps and bits.
 
 Fractional powers (-1)^x are always read as e^{i pi x}, the continuous
 branch; that is the only choice under which the analytic continuations in
@@ -131,16 +132,6 @@ def _harmonic_steps(start: float) -> Iterator[tuple[float, float, float, float]]
         v = t - s
         s, c = t, c + ((s - (t - v)) + (inv - v))
         yield k, inv, s, c
-
-
-def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
-    """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
-    E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)},
-    with u(x) = unit_phase(x, H_x) bit for bit (the stream of _harmonic_steps).
-    """
-    for k, inv, s, c in _harmonic_steps(start):
-        hk = s + c
-        yield k, hk, phase_of_turns(inv - 2.0 * hk)
 
 
 def _phases(x: float, lf: Callable[[float], float] | None = None) -> Iterator[complex]:
@@ -272,11 +263,20 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
 
 # vertex_at sums runs of consecutive indices, except that an index above
 # _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is read
-# as G_f plus a signed Euler-summed tail, ~22-32 us, the cost of summing 100-250
-# terms of a run (2-vCPU x86-64 VM).  _TAIL_FROM lies above figures._MAX_POLYGON, so the
-# figures and every shallow index keep the bits of one run from V(2).
+# as G_f plus a signed Euler-summed tail, ~15-40 us, the cost of summing 70-270
+# terms of a deep run (2-vCPU x86-64 VM).  Once G_f is summed for such a jump, an
+# index at or below _TAIL_FROM jumps too when it lies more than _SHALLOW_GAP past
+# its predecessor.  There a run term reads its phase from one table, ~0.04-0.05 us
+# for power:0, telescoping and inscribed:0 (0.12-0.21 us for power:1 and
+# circumscribed:1, whose sides take math.pow or math.tan), so a jump beats those
+# runs only past ~350-450 terms: at a gap of 64,
+# vertex_at(power:0, [*range(100, 2001, 100), 10**5]) took 3.5x as long.
+# _TAIL_FROM lies above figures._MAX_POLYGON, and a call that asks for nothing
+# above it jumps nothing, so the figures and every such call keep the bits of
+# one run from V(2).
 _TAIL_FROM = 2048
 _JUMP_GAP = 64
+_SHALLOW_GAP = 512
 _TAIL_SETTINGS = AccelerationSettings(1e-13)
 # Work cap of one vertex_at call in summed terms (~4 s for power:-1 on a
 # shared 2-vCPU x86-64 VM); a jump counts as _JUMP_GAP terms.
@@ -297,6 +297,16 @@ def _check_work(deepest: int, jumps: dict[int, int]) -> None:
         )
 
 
+def _gaps(order: list[int], lo: int, hi: int, gap: int) -> dict[int, int]:
+    """{n: n - p} for the indices n of order[lo:hi] more than ``gap`` past the
+    previous index p (or 2); gaps are >= 1, so a dense range skips the scan."""
+    prev = order[lo - 1] if lo else 2
+    if hi == lo or order[hi - 1] - prev <= hi - lo - 1 + gap:
+        return {}
+    part = order[lo:hi]
+    return {n: n - p for p, n in zip([prev, *part], part) if n - p > gap}
+
+
 def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     """Shared vertices V_f(n) for several indices in one ascending walk.
 
@@ -305,13 +315,15 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     jump): H_k from the vectorised digamma and phases reduced in turns, both
     read for k <= 2,050 from one table built by the first run from V(2),
     l(k) from the array formula, and compensated running sums over chunks
-    of 2,048 terms counted from the run's start, so dense ranges and every index up
-    to 2,048 are direct sums whose bits do not depend on the other indices
-    asked for.  An index above 2,048 more than 64 past the previous one
-    instead jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1), G_f = -E(3)
-    (regularised for exponent 0),
-    E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at tolerance 1e-13.  It
-    sums the run after all when the sides grow or a sum does not converge.
+    of 2,048 terms counted from the run's start, so dense ranges, and every
+    index of a call that asks for nothing above 2,048, are direct sums whose
+    bits do not depend on the other indices asked for.  An index above 2,048
+    more than 64 past the previous one (the first counted from 2) instead
+    jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1), G_f = -E(3) (regularised
+    for exponent 0), E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at
+    tolerance 1e-13; once one does, so does an index up to 2,048 more than
+    512 past the previous one.  A jump sums the run after all when the sides
+    grow or a sum does not converge.
 
     Raises ``ValueError`` before any work for an index that is not integral
     or whose n + 1 does not fit in a double, and before any run when the
@@ -324,12 +336,12 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     _refuse(order[0] < 2, order[0], "vertex indices must be >= 2, got {}")
     _number(order[-1] + 1, f"vertex index n + 1, n = {order[-1]},")
     # deep: {n: gap} for the indices above _TAIL_FROM more than _JUMP_GAP past
-    # the previous one (or 2); gaps are >= 1, so a dense range skips the scan
+    # the previous one (or 2), then, once G_f is summed for them, for those at
+    # or below it more than _SHALLOW_GAP past theirs, in ascending order
     i = bisect.bisect_right(order, _TAIL_FROM)
-    prev = order[i - 1] if i else 2
-    deep = {}
-    if f.asymptote().exponent >= 0.0 and order[-1] - prev > len(order) - i - 1 + _JUMP_GAP:
-        deep = {n: n - p for p, n in zip([prev, *order[i:]], order[i:]) if n - p > _JUMP_GAP}
+    deep = _gaps(order, i, len(order), _JUMP_GAP) if f.asymptote().exponent >= 0.0 else {}
+    if deep:
+        deep = {**_gaps(order, 0, i, _SHALLOW_GAP), **deep}
     _check_work(order[-1], deep)
     jumps = {}
     if deep:

@@ -97,6 +97,12 @@ def vertices() -> None:
             show_vertices(spec, mixed, above=2000)
             show_vertices(spec, [top + 1, top + 1 + g, top + 1 + 2 * g, 30_000, 30_000 + g])
         show_vertices(spec, [3, 100, 2049, 5000, 20_000, 80_000, 160_000])
+        # shallow indices beside a deep one: a gap from 2 of 512 and of 513,
+        # a long and a short shallow gap, then shallow steps of 100
+        for n in (514, 515):
+            show_vertices(spec, [n, 10**5])
+        show_vertices(spec, [3, 100, 700, 1500, 2000, 2048, 2049, 10**5])
+        show_vertices(spec, [*range(100, 2001, 100), 10**5])
     for spec in ("power:1", "power:0"):
         # one run from V(2) across the first chunk's edge (k = 2,050) and the second's
         show_vertices(spec, range(2040, 4101))

@@ -18,8 +18,19 @@ import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ngonspiral.numerics import EULER_GAMMA, TWO_PI, digamma, harmonic_continued
-from ngonspiral.spiral import harmonic_phases, unit_phase
+from ngonspiral.spiral import _harmonic_steps, phase_of_turns, unit_phase
 from ngonspiral.telescoping import PHI
+
+
+def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
+    """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
+    E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)},
+    with u(x) = unit_phase(x, H_x) bit for bit, read from the library's
+    stream spiral._harmonic_steps (H_x = s + c).
+    """
+    for k, inv, s, c in _harmonic_steps(start):
+        hk = s + c
+        yield k, hk, phase_of_turns(inv - 2.0 * hk)
 
 
 def theta(n: float) -> float:
@@ -42,8 +53,8 @@ def harmonic_number(n: int) -> float:
     """H_n = sum_{k<=n} 1/k by a Neumaier-compensated running sum over 1/k,
     memoised, for integer n >= 1.
 
-    Built on its own, not from the library's harmonic_phases stream, so the
-    tests can check that stream against it.
+    Built on its own, not from the library's stream that harmonic_phases
+    reads, so the tests can check that stream against it.
     """
     if n < 1:
         raise ValueError(f"harmonic_number requires n >= 1, got {n}")

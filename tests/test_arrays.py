@@ -124,6 +124,13 @@ class TestTurns:
             got = _turns(np.array(t))
             assert got.shape == () and got.item() == z, t
 
+    def test_signed_zero_turns(self):
+        # the one entry without phase_of_turns' bits, as the _arrays docstring
+        # says: -0.0 turns, which no library path forms; +0.0 keeps them
+        assert repr(phase_of_turns(0.0)) == repr(_turns(np.array(0.0)).item()) == "(1+0j)"
+        assert repr(_turns(np.array([0.0, -0.0])).tolist()) == "[(1+0j), (1+0j)]"
+        assert repr(phase_of_turns(-0.0)) == "(1-0j)"
+
     def test_each_entry_is_the_plain_bits(self):
         flat = np.array(self.TURNS)
         for t in (flat, flat[:-1].reshape(17, 30), *map(np.array, self.TURNS)):

@@ -28,8 +28,18 @@ from ngonspiral.lengthfns import (
 )
 from ngonspiral import numerics, spiral
 from ngonspiral.numerics import AccelerationSettings
-from ngonspiral.spiral import harmonic_phases, vertex, vertex_at
-from oracles import bound_A, bound_B, harmonic_number, mp_limit, mp_tail, mp_w, paired_term, paired_terms
+from ngonspiral.spiral import vertex, vertex_at
+from oracles import (
+    bound_A,
+    bound_B,
+    harmonic_number,
+    harmonic_phases,
+    mp_limit,
+    mp_tail,
+    mp_w,
+    paired_term,
+    paired_terms,
+)
 
 TIGHT = AccelerationSettings(target_tolerance=1e-13, max_terms=600)
 

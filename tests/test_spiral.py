@@ -23,7 +23,6 @@ from ngonspiral.lengthfns import (
 from ngonspiral.numerics import EULER_GAMMA, AccelerationSettings, SummationResult
 from ngonspiral.spiral import (
     center,
-    harmonic_phases,
     interpolated_vertex,
     phase_of_turns,
     polygon,
@@ -35,6 +34,7 @@ from ngonspiral.spiral import (
 from oracles import (
     convex_intersection_area,
     harmonic_number,
+    harmonic_phases,
     mp_interpolant,
     mp_vertices,
     polygon_area,
@@ -268,7 +268,8 @@ class TestDeepVertices:
 
     @pytest.mark.parametrize("spec", ["power:1", "power:0", "telescoping"])
     def test_shallow_indices_are_streamed_bits(self, spec):
-        # the chunks of a run count from its start, so a value does not
+        # the chunks of a run count from its start, so in a call that asks
+        # for nothing above 2,048 (where no index jumps) a value does not
         # depend on the other indices asked for or on where the run ends
         ref = _dense(spec, 6000)
         f = parse_length(spec)
@@ -307,30 +308,65 @@ class TestDeepVertices:
             assert interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value == vertex(f, n), n
 
     @pytest.mark.parametrize("spec", ["power:1", "power:0"])
-    def test_jump_plan_edges(self, spec):
+    def test_jump_plan_edges(self, monkeypatch, spec):
         # an index jumps when it is above _TAIL_FROM and more than _JUMP_GAP
-        # past the previous one, the first counted from 2; at these indices a
-        # jump and the run differ in the last bits, so each value shows its path
+        # past the previous one, the first counted from 2; once one does, so
+        # does an index at or below _TAIL_FROM more than _SHALLOW_GAP past the
+        # previous one.  At these indices a jump and the run from V(2) differ
+        # in the last bits, so each value shows its path; an index summed on
+        # from a jump shows neither, and lies near the run's value
         f = parse_length(spec)
         top, gap = spiral._TAIL_FROM, spiral._JUMP_GAP
-        below = top - 48
+        below, deep = top - 48, 10**5
         cases = [
             ([top - gap, top], ()),  # top is not above _TAIL_FROM
             ([top], ()),  # nor with its gap from 2
-            ([below, below + gap], ()),  # a gap of exactly _JUMP_GAP
-            ([below, below + gap + 1], (below + gap + 1,)),
-            ([below, below + gap, below + 2 * gap + 1], (below + 2 * gap + 1,)),
+            ([3, 1500, top], ()),  # nothing above _TAIL_FROM, so no long shallow gap jumps
+            ([below, below + gap], ()),  # a gap of exactly _JUMP_GAP, so no G_f
+            ([below, below + gap + 1], (below, below + gap + 1)),  # below's gap from 2 too
+            ([top, top + gap + 1], (top, top + gap + 1)),  # top itself is shallow
+            ([below, below + gap, below + 2 * gap + 1], (below, below + 2 * gap + 1)),
             ([top + 1], (top + 1,)),  # the gap from 2
             ([*range(2, 5000), 60_000], (60_000,)),
+            ([514, deep], (deep,)),  # a shallow gap of exactly _SHALLOW_GAP = 512
+            ([515, deep], (515, deep)),
+            ([1000, 1512, deep], (1000, deep)),
+            ([1000, 1513, deep], (1000, 1513, deep)),
+            ([*range(100, 2001, 100), deep], (deep,)),  # strided: every shallow index runs
         ]
         ref = _dense(spec, 6000)
+        asked, live = [], spiral.continuation
+
+        def recording(*args):
+            v = live(*args)
+            return lambda n: asked.append(n) or v(n)
+
+        monkeypatch.setattr(spiral, "continuation", recording)
         for indices, jumped in cases:
+            asked.clear()
             got = vertex_at(f, indices)
+            assert asked == list(jumped), indices
             for n in indices:
                 if n in jumped:
                     assert got[n] == interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value, n
-                else:
+                elif n < min(jumped, default=n + 1):
                     assert got[n] == ref[n - 2], n
+                else:
+                    assert abs(got[n] - ref[n - 2]) < 1e-12, n
+
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_shallow_jumps_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        # each index in its own call beside a deep one, so each jumps: the
+        # interpolant's bits, within 5e-14 of 40 digits (measured worst
+        # 3.7e-14, circumscribed:-1 at 2,048), where the run from V(2) it
+        # replaces is up to 7.3e-13 off (inscribed:-1 at 1,000)
+        f, shallow = parse_length(spec), (515, 700, 1000, 1500, 2000, 2048)
+        ref = mp_vertices(spec, shallow)
+        for n in shallow:
+            got = vertex_at(f, [n, 100_001])[n]
+            assert got == interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value, n
+            assert abs(got - ref[n]) <= 5e-14, n
 
     def test_one_g_f_for_every_deep_index(self, monkeypatch):
         calls = []
