@@ -58,7 +58,8 @@ def _interpolant(
     f: LengthFunction, settings: AccelerationSettings
 ) -> Callable[[list[float]], list[complex]]:
     """The smooth spiral read a list at a time, ts -> [V(t) for t in ts],
-    with G_f summed once for the whole curve and the tails column-wise."""
+    with G_f read once for the whole curve (summed once per family and
+    settings, by continuation()) and the tails column-wise."""
     v = continuation(f, settings)
     return lambda ts: v(ts).value.tolist()
 

@@ -24,7 +24,8 @@ tail, the vertices and their smooth continuation to real n are one formula,
 with one kernel for E: CVZ weights below x = 48, the Euler transform from
 there on.  G_f is the limit (a point, or the orbit center when
 the sides tend to a constant) and depends only on the family and the
-settings, so continuation() sums it once and returns n -> V(n).  At one n
+settings, so continuation() sums it once per family and settings in a
+process, kept in a bounded cache, and returns n -> V(n).  At one n
 it sums one tail, in Python: interpolated_vertex reads it at one real n,
 and vertex_at at deep indices and, beside them, past long shallow gaps, in
 O(1), summing only short gaps.  At an array of n, the points of a figure's
@@ -201,6 +202,21 @@ def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> Summatio
     return replace(whole, value=-whole.value)
 
 
+# continuation()'s G_f, one entry per (family, settings): both are frozen
+# dataclasses, equal by value (power:0.0 and power:-0.0 share an entry, and
+# their formulas and sums are the same).  64 entries hold several times over
+# what one task reads (a series-queries pass: 11 families at one setting);
+# an entry holds a result, a family and a setting, ~0.3 kB.  A miss looks
+# _limit_series up per call, so a replaced spiral._limit_series serves it
+# too; a sum that raises stores nothing.  The limits of the convergence
+# module (limit_point, classify, orbit_center) sum G_f on every call and
+# skip this cache: they return G_f itself, so it would only hold repeated
+# identical calls.
+@functools.lru_cache(maxsize=64)
+def _cached_limit_series(f: LengthFunction, settings: AccelerationSettings) -> SummationResult:
+    return _limit_series(f, settings)
+
+
 # The float steps of the formulas written once for one number or many,
 # without numpy; _arrays._ARRAY holds their array mirrors under these names.
 # The tail looks _tail up per call, so a replaced spiral._tail serves it too.
@@ -232,9 +248,11 @@ def _space(n) -> tuple:
 
 def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[[float], SummationResult]:
     """n -> V(n) = G_f + e^{i pi n} E(n+1) for real n > 1, with G_f summed
-    here, once, and each point summing only its tail E(n+1), both at
-    ``settings``.  The error estimates add, and a value is converged only
-    when both sums are.  Growing side lengths are refused before any sum.
+    once per family and settings in a process (the first continuation of
+    each sums it, later ones read it from a cache of 64) and each point
+    summing only its tail E(n+1), both at ``settings``.  The error estimates
+    add, and a value is converged only when both sums are.  Growing side
+    lengths are refused before any sum.
 
     n is read by _space: one number is summed by the scalar _tail, without
     numpy; a sequence or array of n is summed column-wise by _arrays._tails,
@@ -244,7 +262,7 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
     """
     if f.asymptote().exponent < 0.0:
         raise ValueError(f"interpolant refused: {f} diverges (growing side lengths)")
-    whole = _limit_series(f, settings)
+    whole = _cached_limit_series(f, settings)
 
     def at(n: float) -> SummationResult:
         n, xp = _space(n)
@@ -345,7 +363,7 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     _check_work(order[-1], deep)
     jumps = {}
     if deep:
-        v = continuation(f, _TAIL_SETTINGS)  # G_f summed once for every jump
+        v = continuation(f, _TAIL_SETTINGS)  # one G_f for every jump, summed once per family
         jumps = {n: res.value for n in deep if (res := v(n)).converged}
     if len(jumps) < len(deep):  # a refused jump is summed after all
         _check_work(order[-1], {n: deep[n] for n in jumps})
@@ -494,6 +512,8 @@ def interpolated_vertex(
 ) -> SummationResult:
     """Smooth continuation of the vertex sequence at real n > 1: the one
     point continuation(f, settings)(n), V(n) = G_f + e^{i pi n} E(n+1).
+    G_f is summed by the first call for each family and settings and read
+    from continuation()'s cache after, so a later call sums only E(n+1).
 
     n must be finite with n + 1 > 2 in doubles, so the tail never starts
     at x = 2; it is checked first, then growing side lengths are refused,

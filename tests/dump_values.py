@@ -52,6 +52,9 @@ CLOSED_GRID = (*(1.0001 + 0.0137 * k for k in range(3600)), PHI, PHI + 1.0, 4.0 
 # The batched continuation's 64 points: the CVZ-Euler switch (x = n + 1 = 48),
 # integers, a deep point, then an even spread to 270.
 BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in range(56)))
+# The interpolants read twice by warm_reads: either side of the CVZ-Euler
+# switch (x = n + 1 = 48), and past the deepest first-chunk phase.
+WARM_N = (1.5, 3.25, 46.5, 47.5, 250.5, 2048.5)
 # Out of the domain of the closed forms or of the continuation (1 + 2^-52
 # only of the continuation's: n + 1 rounds to 2).
 OUTSIDE = (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan)
@@ -121,6 +124,29 @@ def sums() -> None:
         show(f"orbit_center {tol}", lambda: orbit_center(settings))
     for r, n in ((2.0, 2000), (2.0, 10**7), (2.71828, 25_000)):
         show(f"orbit_distance_law {r!r} {n}", lambda: orbit_distance_law(r, n))
+
+
+def warm_reads() -> None:
+    """Each family's interpolants read twice at settings no earlier section
+    uses: in FAMILIES order, then power:0.0 and power:-0.0 (equal families),
+    then the growing ones; then in reverse, n descending too.  Each pass
+    prints in the first pass's order, labelled "first" and "again", so a
+    checkout that keeps G_f from the first read prints the same lines twice."""
+    specs = (*FAMILIES, "power:0.0", "power:-0.0", *GROWING)
+    for tol in (1e-9, 1e-12):
+        settings = AccelerationSettings(tol)
+        for label, order, points in (("first", specs, WARM_N), ("again", specs[::-1], WARM_N[::-1])):
+            lines = {}
+            for spec in order:
+                f = parse_length(spec)
+                for n in points:
+                    try:
+                        lines[spec, n] = interpolated_vertex(f, n, settings)
+                    except ValueError as exc:
+                        lines[spec, n] = exc
+            for spec in specs:
+                for n in WARM_N:
+                    print(f"warm {label} interpolated_vertex {spec} {n!r} {tol}", repr(lines[spec, n]))
 
 
 def polygons() -> None:
@@ -206,6 +232,7 @@ def curves() -> None:
 if __name__ == "__main__":
     vertices()
     sums()
+    warm_reads()
     polygons()
     telescoping()
     arrays()

@@ -80,3 +80,9 @@ class TestOneGfPerCurve:
     def test_spiral(self, sums):
         fig_spiral(power_law(1.0), 9)
         assert len(sums) == 1
+
+    def test_second_spiral(self, sums):
+        # a second figure of the family reads the first one's G_f
+        fig_spiral(power_law(1.0), 9)
+        fig_spiral(power_law(1.0), 12)
+        assert len(sums) == 1

@@ -41,6 +41,20 @@ def test_import_builds_no_phase_table():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_the_limit_cache_empty():
+    # continuation()'s G_f cache fills on the first interpolant, not at
+    # import, and the limits of the convergence module leave it empty
+    code = ("import ngonspiral, ngonspiral.cli, ngonspiral.figures\n"
+            "cache = ngonspiral.spiral._cached_limit_series\n"
+            "assert cache.cache_info().currsize == 0\n"
+            "ngonspiral.limit_point(1.0)\n"
+            "assert cache.cache_info().currsize == 0\n"
+            "ngonspiral.interpolated_vertex(ngonspiral.power_law(1.0), 3.5)\n"
+            "assert cache.cache_info().currsize == 1\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_is_imported_lazily(tmp_path):
     # numpy is most of the import time; only the dense kernels, the batched
     # curve tails, the closed forms at an array (all in _arrays) and the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ngonspiral import _arrays, spiral
-from ngonspiral.convergence import limit_point
+from ngonspiral.convergence import classify, limit_point, orbit_center
 from ngonspiral.lengthfns import (
     area_normalized,
     circumscribed,
@@ -824,6 +824,125 @@ class TestInterpolatedVertex:
         # V(n) -> G_f, and at n = 1e300 the tail E(n + 1) is ~1e-300
         far = interpolated_vertex(power_law(1.0), 1e300)
         assert far.value == limit_point(1.0).value
+
+
+class TestLimitCache:
+    """continuation() sums G_f once per (family, settings) in a process and
+    reads it from a cache of 64 after; the convergence module's limits,
+    which return G_f itself, sum it on every call."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        calls = []
+        limit_series = spiral._limit_series
+
+        def counting(*args):
+            calls.append(args)
+            return limit_series(*args)
+
+        monkeypatch.setattr(spiral, "_limit_series", counting)
+        return calls
+
+    def test_one_sum_per_family_and_settings(self, sums):
+        f = power_law(1.0)
+        interpolated_vertex(f, 3.5, TIGHT)
+        assert sums == [(f, TIGHT)]
+        # equal families and settings are one key, whichever object asks
+        interpolated_vertex(f, 7.25, TIGHT)
+        interpolated_vertex(power_law(1.0), 100.5, AccelerationSettings(1e-12, max_terms=600))
+        assert len(sums) == 1
+        keys = [(power_law(2.0), TIGHT), (f, AccelerationSettings(1e-8)),
+                (f, AccelerationSettings(1e-12, max_terms=601))]
+        for g, settings in keys:  # a new family, a new tolerance, a new budget
+            interpolated_vertex(g, 3.5, settings)
+            interpolated_vertex(g, 4.5, settings)
+        assert sums == [(f, TIGHT), *keys]
+
+    def test_jumps_read_the_interpolants_g_f(self, sums):
+        # vertex_at's jumps sum their tails at _TAIL_SETTINGS, and so do
+        # these interpolants: one G_f for all of them, across the calls
+        f = power_law(0.5)
+        interpolated_vertex(f, 2049.0, spiral._TAIL_SETTINGS)
+        vertex_at(f, [10**5, 10**6])
+        vertex_at(f, [515, 10**5])
+        assert sums == [(f, spiral._TAIL_SETTINGS)]
+
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_warm_reads_are_the_cold_bits(self, spec):
+        # each cold read sums its own G_f; the warm reads, in the other
+        # order, read G_f from the first read at their settings
+        f, points = parse_length(spec), (1.5, 3.25, 47.5, 100.5, 2048.5)
+        tolerances = (1e-8, 1e-10, 1e-13)
+        cold = {}
+        for tol in tolerances:
+            for n in points:
+                spiral._cached_limit_series.cache_clear()
+                cold[tol, n] = repr(interpolated_vertex(f, n, AccelerationSettings(tol)))
+        spiral._cached_limit_series.cache_clear()
+        for tol in reversed(tolerances):
+            for n in reversed(points):
+                assert repr(interpolated_vertex(f, n, AccelerationSettings(tol))) == cold[tol, n], (tol, n)
+
+    @pytest.mark.parametrize("family", [power_law, inscribed, circumscribed, area_normalized])
+    def test_signed_zero_exponents_share_an_entry(self, family):
+        # s = 0.0 and s = -0.0 are equal keys, so either reads the other's
+        # G_f: the bits of its own fresh sum, since both skip the pow
+        settings = AccelerationSettings(1e-13)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            spiral._cached_limit_series.cache_clear()
+            fresh = repr(interpolated_vertex(family(second), 3.5, settings))
+            spiral._cached_limit_series.cache_clear()
+            interpolated_vertex(family(first), 4.5, settings)
+            assert repr(interpolated_vertex(family(second), 3.5, settings)) == fresh, first
+            assert spiral._cached_limit_series.cache_info().currsize == 1
+
+    def test_refusals_store_nothing(self, monkeypatch):
+        cache = spiral._cached_limit_series
+        for spec in ("power:-1", "inscribed:-2"):
+            with pytest.raises(ValueError, match="diverges"):
+                interpolated_vertex(parse_length(spec), 3.5, TIGHT)
+
+        def raising(*args):
+            raise ValueError("the sum raised")
+
+        monkeypatch.setattr(spiral, "_limit_series", raising)
+        with pytest.raises(ValueError, match="raised"):
+            interpolated_vertex(power_law(1.0), 3.5, TIGHT)
+        assert cache.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert interpolated_vertex(power_law(1.0), 3.5, TIGHT).converged
+        assert cache.cache_info().currsize == 1
+
+    def test_cache_is_bounded(self):
+        cache = spiral._cached_limit_series
+        assert cache.cache_info().maxsize == 64
+        for k in range(65):
+            interpolated_vertex(power_law(1.0 + k / 64), 3.5)
+        assert cache.cache_info().currsize == 64
+
+    def test_limits_sum_on_every_call(self, monkeypatch):
+        # G_f is the tail E(3), however a limit reaches it; each limit is
+        # read twice, at the family and settings of a cached interpolant
+        # (TIGHT is already at orbit_center's tolerance)
+        summed, tail = [], spiral._tail
+
+        def counting(f, x, settings):
+            if x == 3:
+                summed.append(f)
+            return tail(f, x, settings)
+
+        monkeypatch.setattr(spiral, "_tail", counting)
+        limits = [
+            (power_law(0.5), lambda: limit_point(0.5, TIGHT)),
+            (power_law(2.0), lambda: classify(power_law(2.0), TIGHT)),
+            (telescoping(), lambda: classify(telescoping(), TIGHT)),
+            (power_law(0.0), lambda: orbit_center(TIGHT)),
+        ]
+        for f, limit in limits:
+            interpolated_vertex(f, 3.5, TIGHT)
+            before = len(summed)
+            assert limit() == limit()
+            assert summed[before:] == [f, f]
 
 
 def _batch_n() -> list[float]:
