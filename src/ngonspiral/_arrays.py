@@ -14,7 +14,9 @@ which no library path forms: _turns gives (1+0j) there and phase_of_turns
   whose bits are their own, as it is faster there (~30 vs ~310 us for 2,048
   terms near 1e5) and slower below x = 11 (~6 vs ~0.9 ms on a crossing grid),
   and the runs from V(2) read its first 2,048 entries, and their phases,
-  from one table (_first_chunk), built once per process in ~0.5 ms;
+  from one table (_first_chunk), built once per process in ~0.5 ms, and
+  each family's terms and sums over them from a table of its own
+  (_first_run), built by its first run from V(2) in ~0.05-0.4 ms;
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -276,8 +278,8 @@ class _RunningSum:
     carried two_sum head and correction, so each sum is rounded once.
     """
 
-    def __init__(self, start: float | complex) -> None:
-        self._s, self._c = start, 0.0
+    def __init__(self, start: float | complex, c: float | complex = 0.0) -> None:
+        self._s, self._c = start, c  # the carry (head, correction) after the last entry
 
     def extend(self, terms: np.ndarray) -> np.ndarray:
         """The running sums, continued from the last, after each entry of
@@ -325,6 +327,35 @@ def _first_chunk() -> tuple:
     return ks, hs, u
 
 
+# _first_run's entries, one per family (equal by value, so power:0.0 and
+# power:-0.0 share one, with the same bits): ~64 KB each, the terms and the
+# running sums of 2,048 complex entries, so 16 entries hold at most ~1 MB and
+# twice the 7 families a series-queries pass reads from V(2).
+@functools.lru_cache(maxsize=16)
+def _first_run(f: LengthFunction) -> tuple | None:
+    """(terms, V(3..2,050), s, c) for the first _CHUNK of f's run from V(2) = 0:
+    its terms and Sum2 running sums, read-only, and the carry (s, c) of
+    _RunningSum after k = 2,050.  Sum2's only sequential steps are two
+    np.add.accumulate, so the first m sums are those of a chunk of m terms,
+    bit for bit.  None, and no table, when a side length or a sum of the
+    chunk is past the doubles (power:-100 at k = 1,210): such a family keeps
+    the live chunk, so a short run keeps its value and a long one its error.
+    Built by f's first run from V(2), never at import."""
+    ks, _, u = _first_chunk()
+    acc = _RunningSum(0j)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite chunk is refused below
+            terms = _alternate(3, _terms(f, ks, u))
+            sums = acc.extend(terms)
+    except ValueError:
+        return None
+    if not np.isfinite(sums).all():  # finite sums leave a finite carry
+        return None
+    for a in (terms, sums):
+        a.flags.writeable = False
+    return terms, sums, acc._s, acc._c
+
+
 def _dense_series(
     f: LengthFunction, start: int, base: complex, end: int,
     harmonic: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -332,12 +363,19 @@ def _dense_series(
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
     (first k, k as floats, H_k = harmonic(ks), (-1)^k l(k) u(k), V(k)) per
     chunk, V(start) = base, V from one _RunningSum.  Without ``harmonic``,
-    H_k is harmonic_array(ks), and a run from V(2) reads its first chunk's
-    ks, H_k and u(k) from _first_chunk().  The signs come from the int k,
-    so they hold past 2^53, where consecutive floats coincide.
+    H_k is harmonic_array(ks), and a run from V(2) = 0 reads its first
+    chunk from f's _first_run() table and goes on from the table's carry
+    (without a table, it reads that chunk's ks, H_k and u(k) from
+    _first_chunk()).  The signs come from the int k, so they hold past 2^53,
+    where consecutive floats coincide.
     """
-    acc = _RunningSum(base)
-    for lo in range(start + 1, end + 1, _CHUNK):
+    acc, lo = _RunningSum(base), start + 1
+    if lo == 3 <= end and harmonic is None and (first := _first_run(f)) is not None:
+        (ks, hs, _), (terms, sums, s, c) = _first_chunk(), first
+        m = min(_CHUNK, end - 2)
+        yield 3, ks[:m], hs[:m], terms[:m], sums[:m]
+        acc, lo = _RunningSum(s, c), 3 + _CHUNK
+    for lo in range(lo, end + 1, _CHUNK):
         m = min(_CHUNK, end + 1 - lo)
         if lo == 3 and harmonic is None:
             ks, hs, u = (a[:m] for a in _first_chunk())

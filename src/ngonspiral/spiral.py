@@ -15,9 +15,11 @@ u(k) at the integers is the same for every family: only l(k) is free.  The
 scalar tail below reads its terms one by one from _tail_terms(), G_f's
 phases from one table of u(3), u(4), ... built on first use; dense runs
 (vertex_at, the telescoping identity check) and batched tails read them in
-the numpy kernels of _arrays, and every vertex_at run from V(2) its first
-2,048 phases from one such table there.  As the whole series minus its
-tail, the vertices and their smooth continuation to real n are one formula,
+the numpy kernels of _arrays.  V(3), ..., V(2,050) depend only on the
+family, so every vertex_at run from V(2) reads them from one table per
+family there, summed by its first run in a process, and sums only past
+them.  As the whole series minus its tail, the vertices and their smooth
+continuation to real n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
 
@@ -284,11 +286,12 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
 # as G_f plus a signed Euler-summed tail, ~15-40 us, the cost of summing 70-270
 # terms of a deep run (2-vCPU x86-64 VM).  Once G_f is summed for such a jump, an
 # index at or below _TAIL_FROM jumps too when it lies more than _SHALLOW_GAP past
-# its predecessor.  There a run term reads its phase from one table, ~0.04-0.05 us
-# for power:0, telescoping and inscribed:0 (0.12-0.21 us for power:1 and
-# circumscribed:1, whose sides take math.pow or math.tan), so a jump beats those
-# runs only past ~350-450 terms: at a gap of 64,
-# vertex_at(power:0, [*range(100, 2001, 100), 10**5]) took 3.5x as long.
+# its predecessor.  _SHALLOW_GAP is where a jump beat a run of ~0.04-0.21 us
+# terms (~350-450 of them; at a gap of 64,
+# vertex_at(power:0, [*range(100, 2001, 100), 10**5]) took 3.5x as long).  A run
+# from V(2) to k <= 2,050 now reads its family's table (_arrays._first_run) at
+# no cost per term once the family's first run has built it, so such a jump
+# saves nothing there; it stays, as moving it moves the bits of those indices.
 # _TAIL_FROM lies above figures._MAX_POLYGON, and a call that asks for nothing
 # above it jumps nothing, so the figures and every such call keep the bits of
 # one run from V(2).
@@ -330,18 +333,22 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
     Each run of indices is summed by one numpy kernel from V(2) (or from a
-    jump): H_k from the vectorised digamma and phases reduced in turns, both
-    read for k <= 2,050 from one table built by the first run from V(2),
-    l(k) from the array formula, and compensated running sums over chunks
-    of 2,048 terms counted from the run's start, so dense ranges, and every
+    jump): H_k from the vectorised digamma and phases reduced in turns, l(k)
+    from the array formula, and compensated running sums over chunks of
+    2,048 terms counted from the run's start, so dense ranges, and every
     index of a call that asks for nothing above 2,048, are direct sums whose
-    bits do not depend on the other indices asked for.  An index above 2,048
-    more than 64 past the previous one (the first counted from 2) instead
-    jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1), G_f = -E(3) (regularised
-    for exponent 0), E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at
-    tolerance 1e-13; once one does, so does an index up to 2,048 more than
-    512 past the previous one.  A jump sums the run after all when the sides
-    grow or a sum does not converge.
+    bits do not depend on the other indices asked for.  A run from V(2)
+    reads V(3), ..., V(2,050) and the carry past them from one table per
+    family, built by the family's first run from V(2) in a process (unless a
+    side length or sum there is past the doubles), so a warm family sums
+    only past k = 2,050; only the asked entries become Python numbers.  An
+    index above 2,048 more than 64 past the previous one (the first counted
+    from 2) instead jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1),
+    G_f = -E(3) (regularised for exponent 0),
+    E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j), both at tolerance 1e-13; once
+    one does, so does an index up to 2,048 more than 512 past the previous
+    one.  A jump sums the run after
+    all when the sides grow or a sum does not converge.
 
     Raises ``ValueError`` before any work for an index that is not integral
     or whose n + 1 does not fit in a double, and before any run when the
@@ -380,8 +387,11 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         i = bisect.bisect_right(order, start)
         for lo, ks, _, _, sums in _dense_series(f, start, base, end):
             j = bisect.bisect_right(order, lo + len(ks) - 1, i)
-            values = sums.tolist()
-            out.update((n, values[n - lo]) for n in order[i:j])
+            if i < j:  # only the asked entries become Python complex numbers
+                span = sums[order[i] - lo : order[j - 1] + 1 - lo]
+                if len(span) > j - i:
+                    span = span[[n - order[i] for n in order[i:j]]]
+                out.update(zip(order[i:j], span.tolist()))
             i = j
     return out
 

@@ -55,6 +55,9 @@ BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in
 # The interpolants read twice by warm_reads: either side of the CVZ-Euler
 # switch (x = n + 1 = 48), and past the deepest first-chunk phase.
 WARM_N = (1.5, 3.25, 46.5, 47.5, 250.5, 2048.5)
+# The vertices read twice by warm_runs: either side of the first chunk's
+# end (k = 2,050), and past it, where 5,000 jumps unless the sides grow.
+RUN_N = (3, 17, 300, 2050, 2051, 5000)
 # Out of the domain of the closed forms or of the continuation (1 + 2^-52
 # only of the continuation's: n + 1 rounds to 2).
 OUTSIDE = (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan)
@@ -149,6 +152,30 @@ def warm_reads() -> None:
                     print(f"warm {label} interpolated_vertex {spec} {n!r} {tol}", repr(lines[spec, n]))
 
 
+def warm_runs() -> None:
+    """Each family's vertices at RUN_N read twice, families in warm_reads'
+    order: first in RUN_N order, then, after a run over range(2, 2100), again
+    with n descending, the families in reverse.  Each pair prints as a "first"
+    and an "again" line, so a checkout that keeps each family's first chunk
+    of sums from its first run prints the same value twice."""
+    specs = (*FAMILIES, "power:0.0", "power:-0.0", *GROWING)
+    lines = {}
+    for label, order, points in (("first", specs, RUN_N), ("again", specs[::-1], RUN_N[::-1])):
+        for spec in order:
+            f = parse_length(spec)
+            if label == "again":
+                vertex_at(f, range(2, 2100))
+            for n in points:
+                try:
+                    lines[label, spec, n] = spiral.vertex(f, n)
+                except ValueError as exc:
+                    lines[label, spec, n] = exc
+    for spec in specs:
+        for n in RUN_N:
+            for label in ("first", "again"):
+                print(f"warm {label} vertex {spec} {n}", repr(lines[label, spec, n]))
+
+
 def polygons() -> None:
     for spec in ("power:1", "power:0", "telescoping", "power:-1"):
         # 2,000 is figures._MAX_POLYGON; 2,047-2,050 end at and past the first chunk
@@ -238,3 +265,4 @@ if __name__ == "__main__":
     arrays()
     refusals()
     curves()
+    warm_runs()

@@ -528,6 +528,96 @@ class TestDenseKernel:
             assert abs(h - harmonic_number(k)) <= math.ulp(h), k
 
 
+def _live(f, end: int) -> list[complex]:
+    """V(2), ..., V(end) of one run from V(2) with every chunk computed live
+    (H_k passed in), the bits a run through f's table must keep."""
+    chunks = _arrays._dense_series(f, 2, 0j, end, _arrays.harmonic_array)
+    return [0j, *np.concatenate([sums for *_, sums in chunks]).tolist()]
+
+
+class TestFirstRun:
+    """Each family's run from V(2) reads its first 2,048 sums, and the carry
+    past them, from one table built by its first such run in a process."""
+
+    SPARSE = (3, 150, 2049, 2050, 2051, 4100)
+
+    @pytest.mark.parametrize("spec", [*VANISHING, *CONSTANT, "power:0.0", "power:-0.0", "power:-1", "inscribed:-2"])
+    def test_warm_runs_are_the_cold_bits(self, spec):
+        # each read cold, then all warm, after another family's run and in
+        # the other order, and each against runs computed live
+        f = parse_length(spec)
+        reads = {"sparse": lambda: vertex_at(f, self.SPARSE),
+                 "range": lambda: vertex_at(f, range(2, 2100)),
+                 "polygon": lambda: polygon(f, 300)}
+        cold = {}
+        for name, read in reads.items():
+            _arrays._first_run.cache_clear()
+            cold[name] = repr(read())
+        vertex_at(power_law(0.25), range(2, 3000))
+        for name, read in reversed(reads.items()):
+            assert repr(read()) == cold[name], name
+        live = _live(f, 4100)
+        assert cold["range"] == repr(dict(zip(range(2, 2100), live)))
+        assert cold["polygon"] == repr(spiral.polygon_from_vertex(f, 300, live[298]))
+        # 2,049 and 4,100 jump once G_f is summed, save where the sides grow
+        got = vertex_at(f, self.SPARSE)
+        for n in self.SPARSE if f.asymptote().exponent < 0.0 else (3, 150):
+            assert repr(got[n]) == repr(live[n - 2]), n
+
+    def test_signed_zero_exponents_share_an_entry(self):
+        fresh = repr(vertex_at(power_law(-0.0), range(2, 2100)))
+        _arrays._first_run.cache_clear()
+        vertex(power_law(0.0), 5)
+        assert repr(vertex_at(power_law(-0.0), range(2, 2100))) == fresh
+        assert _arrays._first_run.cache_info().currsize == 1
+
+    def test_a_chunk_past_the_doubles_keeps_the_live_run(self):
+        # 1,210^100 overflows a double, and the sides of inscribed:-93.026
+        # are inf from k ~ 2,045 on: neither family has a table, so a short
+        # run keeps its bits, and a long one its error or warning, however
+        # often read
+        refused, infinite = power_law(-100.0), inscribed(-93.026)
+        for _ in range(2):
+            for f in (refused, infinite):
+                assert repr(vertex(f, 50)) == repr(_live(f, 50)[-1])
+            with pytest.raises(ValueError, match=re.escape("power:-100 at n = 1210.0 is non-finite")):
+                vertex(refused, 2000)
+            with pytest.warns(RuntimeWarning, match="encountered in"):
+                vertex(infinite, 2050)
+        assert _arrays._first_run(refused) is _arrays._first_run(infinite) is None
+        assert _arrays._first_run.cache_info().currsize == 2
+
+    def test_table_is_read_only(self):
+        vertex(power_law(1.0), 3)
+        terms, sums, s, c = _arrays._first_run(power_law(1.0))
+        assert len(terms) == len(sums) == _arrays._CHUNK
+        for a in (terms, sums):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0j
+        # the slices a run hands out are views of the table, read-only too
+        chunk = next(_arrays._dense_series(power_law(1.0), 2, 0j, 300))
+        assert not any(a.flags.writeable for a in chunk[1:])
+
+    def test_cache_is_bounded(self):
+        cache = _arrays._first_run
+        assert cache.cache_info().maxsize == 16
+        for k in range(17):
+            vertex(power_law(1.0 + k / 16), 3)
+        assert cache.cache_info().currsize == 16
+
+    def test_cleared_cache_builds_again(self, monkeypatch):
+        # terms doubled by a stub double every sum exactly, so the sums show
+        # which build they come from: the warm table, then a new build
+        f = telescoping()
+        v = vertex(f, 300)
+        terms = _arrays._terms
+        monkeypatch.setattr(_arrays, "_terms", lambda *args: 2.0 * terms(*args))
+        assert vertex(f, 300) == v
+        _arrays._first_run.cache_clear()
+        assert vertex(f, 300) == 2.0 * v
+
+
 class TestQTerm:
     def test_modulus_is_circumradius(self):
         f = power_law(1.0)
