@@ -11,12 +11,13 @@ an exception.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -128,6 +129,10 @@ def _refuse(bad, x, message: str) -> None:
         raise ValueError(message.format(x[bad][0] if hasattr(x, "__len__") else x))
 
 
+# What a sum reads when the caller passes no settings: frozen, so one serves every call.
+_DEFAULT_SETTINGS = AccelerationSettings()
+
+
 # psi(x) ~ ln x - 1/(2x) - sum B_{2k}/(2k x^{2k}); coefficients of u = x^{-2}.
 _DIGAMMA_SHIFT = 12.0
 _DIGAMMA_ASYMPTOTIC = (
@@ -192,15 +197,16 @@ def euler_transform_sum(
     total = 0j
     best = 0j
     best_err = math.inf
-    last_err = math.inf
     used = 0
+    scale = 1.0  # 2^-(j+1) once halved: exact down to the subnormals, 0.0 past them, as ldexp is
     for j, a in enumerate(islice(terms, settings.max_terms)):
         # diag[p]: the p-th backward difference at a_j, from the last row, left to right
         diag = list(accumulate(diag, operator.sub, initial=complex(a)))
         head = diag[j]
-        if not (math.isfinite(head.real) and math.isfinite(head.imag)):
+        if not cmath.isfinite(head):
             break
-        correction = head * math.ldexp(1.0, -(j + 1))
+        scale *= 0.5
+        correction = head * scale
         if j % 2:
             correction = -correction
         total += correction
@@ -240,8 +246,9 @@ _EPS = sys.float_info.epsilon
 
 
 @functools.lru_cache(maxsize=None)
-def _cvz_weights(n: int) -> tuple[float, ...]:
-    """w_0, ..., w_{n-1} of order n, from the float recurrence of Algorithm 1."""
+def _cvz_weights(n: int, size: int = 0) -> tuple[float, ...]:
+    """w_0, ..., w_{n-1} of order n, from the float recurrence of Algorithm 1,
+    then zeros up to ``size`` entries."""
     d = _CVZ_RATE**n
     d = (d + 1.0 / d) / 2.0
     b, c, w = -1.0, -d, []
@@ -249,12 +256,13 @@ def _cvz_weights(n: int) -> tuple[float, ...]:
         c = b - c
         w.append(c / d)
         b = b * (k + n) * (k - n) / ((k + 0.5) * (k + 1))
-    return tuple(w)
+    return tuple(w) + (0.0,) * (size - n)
 
 
+@functools.lru_cache(maxsize=64)
 def _cvz_orders(settings: AccelerationSettings) -> range:
-    """The orders a CVZ sum tries at ``settings``: from the tolerance's first
-    order, _CVZ_STEP apart, none above max_terms (or _CVZ_MAX_ORDER)."""
+    """The orders a CVZ sum tries at ``settings``, kept per settings: from the
+    tolerance's first order, _CVZ_STEP apart, none above max_terms (or _CVZ_MAX_ORDER)."""
     cap = min(settings.max_terms, _CVZ_MAX_ORDER)
     first = 4 + math.ceil(math.log(1e8 / settings.target_tolerance, _CVZ_RATE))
     return range(min(first, cap), cap + 1, _CVZ_STEP)
@@ -268,7 +276,7 @@ def _cvz_sum(a, n: int, tol: float, sqrt=math.sqrt) -> tuple:
     two_sum; the estimate is |S_n - S_{n-4}| plus the rounding term, and it is
     met within tol or within _CVZ_ULPS ulps of |S_n|."""
     # the weights of order n - 4, padded with zeros to n (0.0 * a_j adds nothing)
-    w, v = _cvz_weights(n), _cvz_weights(max(n - _CVZ_STEP, 0)) + (0.0,) * min(n, _CVZ_STEP)
+    w, v = _cvz_weights(n), _cvz_weights(max(n - _CVZ_STEP, 0), n)
     s = c = low = 0j
     q = 0.0
     for wj, vj, aj in zip(w, v, a):
@@ -298,10 +306,10 @@ def _cvz_transform_sum(terms: Iterator[complex], settings: AccelerationSettings)
         value, err, met = _cvz_sum(a, n, settings.target_tolerance)
         if met:
             return SummationResult(value, err, True, n)
-        if best is not None and not err < best.error_estimate:
+        if best is not None and not err < best[1]:
             break
-        best = SummationResult(value, err, False, n)
-    return replace(best, terms_used=n)
+        best = value, err
+    return SummationResult(*best, False, n)
 
 
 def richardson(values: Sequence[complex]) -> complex:

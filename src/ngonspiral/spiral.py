@@ -48,7 +48,7 @@ import itertools
 import math
 import operator
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -58,6 +58,7 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _CVZ_MAX_ORDER,
+    _DEFAULT_SETTINGS,
     _cvz_transform_sum,
     _index,
     _number,
@@ -120,36 +121,28 @@ def signed_phase(n: float) -> complex:
     return phase_of_turns(0.5 * n)
 
 
-def _harmonic_steps(start: float) -> Iterator[tuple[float, float, float, float]]:
-    """(x, 1/x, s, c) for x = start + j, j = 0, 1, ..., with H_x = s + c:
-    s runs over the increments 1/x and c gathers each step's exact rounding
-    error (two_sum), from the digamma continuation of H_{start-1}, so a deep
-    or real stream starts in O(1) and N terms cost O(N).  ``start`` may be
-    real; each x is start + j, an int when ``start`` is."""
-    s, c = harmonic_continued(start - 1), 0.0
+def _phases(x: float, lf: Callable[[float], float] | None = None) -> Iterator[complex]:
+    """u(x+j), j = 0, 1, ...: the phases of E(x), whatever the side lengths;
+    given the length formula lf, the terms l(x+j) u(x+j) of E(x) instead.
+    One loop (a nested generator made 28 terms ~12 % slower, 2-vCPU x86-64
+    VM) steps H_{x+j} = s + c from the digamma continuation of H_{x-1}, so
+    a deep or real x starts in O(1), each x + j formed from x (an int when x
+    is), c gathering each step's exact rounding error (two_sum).  A phase is
+    reduced in turns before 2 H rounds: 2 s sheds its whole turns exactly
+    (% 1.0), then 1/x and 2 c join the fraction, so a phase is within an ulp
+    or two of a turn, where 1/x - 2 H_x would round at the ulp of 2 H_x
+    (2e-15 turns at x = 48, 4e-15 at x = 10^6).  Against 40-digit sums, that
+    takes a limit of the families whose terms tend to 2 pi from ~1e-13 off to ~1e-14.
+    """
+    cos, sin = math.cos, math.sin  # locals: this loop is the hot path
+    s, c = harmonic_continued(x - 1), 0.0
     for j in itertools.count():
-        k = start + j
+        k = x + j
         inv = 1.0 / k
         # two_sum(s, inv) inlined: the call made a term 10-30 % slower (2-vCPU x86-64 VM)
         t = s + inv
         v = t - s
         s, c = t, c + ((s - (t - v)) + (inv - v))
-        yield k, inv, s, c
-
-
-def _phases(x: float, lf: Callable[[float], float] | None = None) -> Iterator[complex]:
-    """u(x+j), j = 0, 1, ...: the phases of E(x), whatever the side lengths;
-    given the length formula lf, the terms l(x+j) u(x+j) of E(x) instead,
-    in one loop (a second generator over this one made a term ~10 % slower).
-    Each phase is reduced in turns before 2 H_x rounds: 2 s sheds its whole
-    turns exactly (% 1.0), then 1/x and 2 c join the fraction, so a phase is
-    within an ulp or two of a turn, where 1/x - 2 H_x would round at the ulp
-    of 2 H_x (2e-15 turns at x = 48, 4e-15 at x = 10^6).  Against 40-digit
-    sums, that takes a limit of the families whose terms tend to 2 pi from
-    ~1e-13 off to ~1e-14.
-    """
-    cos, sin = math.cos, math.sin  # locals: this loop is the hot path
-    for k, inv, s, c in _harmonic_steps(x):
         t = (inv - (2.0 * s) % 1.0) - 2.0 * c
         ang = TWO_PI * (t - round(t))
         u = complex(cos(ang), sin(ang))
@@ -201,7 +194,7 @@ def _limit_series(f: LengthFunction, settings: AccelerationSettings) -> Summatio
     (the regularised sum when the sides tend to a constant): the limits of
     the convergence module and the base of every continued vertex."""
     whole = _tail(f, 3, settings)
-    return replace(whole, value=-whole.value)
+    return SummationResult(-whole.value, whole.error_estimate, whole.converged, whole.terms_used)
 
 
 # continuation()'s G_f, one entry per (family, settings): both are frozen
@@ -221,9 +214,8 @@ def _cached_limit_series(f: LengthFunction, settings: AccelerationSettings) -> S
 
 # The float steps of the formulas written once for one number or many,
 # without numpy; _arrays._ARRAY holds their array mirrors under these names.
-# The tail looks _tail up per call, so a replaced spiral._tail serves it too.
 _FLOAT = SimpleNamespace(turns=phase_of_turns, signed=signed_phase, harmonic=harmonic_continued,
-                         mul=operator.mul, half_angle=half_angle, tail=lambda *args: _tail(*args))
+                         mul=operator.mul, half_angle=half_angle)
 
 
 def _space(n) -> tuple:
@@ -234,7 +226,9 @@ def _space(n) -> tuple:
     ``ValueError`` names n for an array of other than bools, integers and floats,
     or for an entry past the doubles.  A domain check on such n joins
     comparisons with |, which reads a number and an array alike (~ would not: ~True is -2)."""
-    if type(n) is float:  # the common case: q_closed(2.5) takes 0.2-0.5 us (~10 %) longer without it
+    # the common cases, as _number returns them (an int below 2^1000 fits the doubles):
+    # q_closed(2.5) takes 0.2-0.5 us (~10 %) longer without it, a vertex_at jump ~0.4 us
+    if type(n) is float or type(n) is int and n.bit_length() < 1000:
         return n, _FLOAT
     if not hasattr(n, "__len__") or isinstance(n, (str, bytes)):
         return _number(n), _FLOAT
@@ -270,7 +264,8 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
         n, xp = _space(n)
         _refuse((n + 1.0 <= 2.0) | (n >= math.inf) | (n != n), n,
                 "continuation requires finite n > 1 with n + 1 > 2")
-        tail = xp.tail(f, n + 1, settings)
+        # _tail is looked up per call, so a replaced spiral._tail serves it too
+        tail = _tail(f, n + 1, settings) if xp is _FLOAT else xp.tail(f, n + 1, settings)
         return SummationResult(
             whole.value + xp.mul(xp.signed(n), tail.value),
             whole.error_estimate + tail.error_estimate,
@@ -283,7 +278,7 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
 
 # vertex_at sums runs of consecutive indices, except that an index above
 # _TAIL_FROM and more than _JUMP_GAP past its predecessor jumps: it is read
-# as G_f plus a signed Euler-summed tail, ~15-40 us, the cost of summing 70-270
+# as G_f plus a signed Euler-summed tail, ~13-25 us, the cost of summing 60-250
 # terms of a deep run (2-vCPU x86-64 VM).  Once G_f is summed for such a jump, an
 # index at or below _TAIL_FROM jumps too when it lies more than _SHALLOW_GAP past
 # its predecessor.  _SHALLOW_GAP is where a jump beat a run of ~0.04-0.21 us
@@ -384,6 +379,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     for (start, base), end in zip(starts, ends):
         if start in wanted:
             out[start] = base
+        if start == end:  # an empty run: the next asked index jumps too
+            continue
         i = bisect.bisect_right(order, start)
         for lo, ks, _, _, sums in _dense_series(f, start, base, end):
             j = bisect.bisect_right(order, lo + len(ks) - 1, i)
@@ -531,4 +528,4 @@ def interpolated_vertex(
     """
     if not 2.0 < _number(n) + 1.0 < math.inf:
         raise ValueError(f"interpolated_vertex requires a finite n > 1, n + 1 > 2, got n = {n!r}")
-    return continuation(f, settings or AccelerationSettings())(n)
+    return continuation(f, settings or _DEFAULT_SETTINGS)(n)

@@ -58,6 +58,9 @@ WARM_N = (1.5, 3.25, 46.5, 47.5, 250.5, 2048.5)
 # The vertices read twice by warm_runs: either side of the first chunk's
 # end (k = 2,050), and past it, where 5,000 jumps unless the sides grow.
 RUN_N = (3, 17, 300, 2050, 2051, 5000)
+# Settings no other section passes to classify and orbit_center: a term
+# budget below the first CVZ order at 1e-12 (31), and one at the floor tolerance.
+BUDGETS = ((1e-10, 20), (1e-13, 40))
 # Out of the domain of the closed forms or of the continuation (1 + 2^-52
 # only of the continuation's: n + 1 rounds to 2).
 OUTSIDE = (1.0, 1.0 + 2.0**-52, 0.5, -0.5, math.inf, math.nan)
@@ -127,6 +130,26 @@ def sums() -> None:
         show(f"orbit_center {tol}", lambda: orbit_center(settings))
     for r, n in ((2.0, 2000), (2.0, 10**7), (2.71828, 25_000)):
         show(f"orbit_distance_law {r!r} {n}", lambda: orbit_distance_law(r, n))
+
+
+def defaults() -> None:
+    """The sums with no settings passed, as the benchmark calls them, then
+    classify and orbit_center at each of BUDGETS, whose orbit sums tighten
+    the tolerance to 1e-12 and keep the term budget."""
+    for spec in FAMILIES + GROWING:
+        f = parse_length(spec)
+        show(f"default classify {spec}", lambda: classify(f))
+        for n in (1.5, 3.25, 46.5, 47.5, 100.5, 2048.5):
+            show(f"default interpolated_vertex {spec} {n!r}", lambda: interpolated_vertex(f, n))
+    for s in (1e-8, 1e-3, 0.5, 1.0, 2.0, 5.0):
+        show(f"default limit_point {s!r}", lambda: limit_point(s))
+    show("default orbit_center", orbit_center)
+    for tol, max_terms in BUDGETS:
+        settings = AccelerationSettings(tol, max_terms)
+        for spec in FAMILIES + GROWING:
+            f = parse_length(spec)
+            show(f"classify {spec} {tol} {max_terms}", lambda: classify(f, settings))
+        show(f"orbit_center {tol} {max_terms}", lambda: orbit_center(settings))
 
 
 def warm_reads() -> None:
@@ -266,3 +289,4 @@ if __name__ == "__main__":
     refusals()
     curves()
     warm_runs()
+    defaults()

@@ -14,19 +14,36 @@ the library against them; the library never calls them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ngonspiral.numerics import EULER_GAMMA, TWO_PI, digamma, harmonic_continued
-from ngonspiral.spiral import _harmonic_steps, phase_of_turns, unit_phase
+from ngonspiral.spiral import phase_of_turns, unit_phase
 from ngonspiral.telescoping import PHI
+
+
+def _harmonic_steps(start: float) -> Iterator[tuple[float, float, float, float]]:
+    """(x, 1/x, s, c) for x = start + j, j = 0, 1, ..., with H_x = s + c:
+    the steps spiral._phases takes inline.  s runs over the increments 1/x
+    from the digamma continuation of H_{start-1} and c gathers each step's
+    exact rounding error (two_sum).  ``start`` may be real; each x is
+    start + j, an int when ``start`` is."""
+    s, c = harmonic_continued(start - 1), 0.0
+    for j in itertools.count():
+        k = start + j
+        inv = 1.0 / k
+        t = s + inv
+        v = t - s
+        s, c = t, c + ((s - (t - v)) + (inv - v))
+        yield k, inv, s, c
 
 
 def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:
     """(x, H_x, u(x)) for x = start + j, j = 0, 1, ...: the phases of
     E(start) = sum_{j>=0} (-1)^j l(x) u(x), u(x) = e^{2 pi i (1/x - 2 H_x)},
-    with u(x) = unit_phase(x, H_x) bit for bit, read from the library's
-    stream spiral._harmonic_steps (H_x = s + c).
+    with u(x) = unit_phase(x, H_x) bit for bit, over the library's steps
+    of H_x = s + c (_harmonic_steps).
     """
     for k, inv, s, c in _harmonic_steps(start):
         hk = s + c

@@ -1,7 +1,7 @@
 import math
 import random
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -276,13 +276,16 @@ class TestLimitPhases:
     def test_a_second_limit_steps_no_stream_from_3(self, monkeypatch):
         limit_point(1.0)
         starts = []
-        steps = spiral._harmonic_steps
+        phases = spiral._phases
 
-        def counting(start):
-            starts.append(start)
-            return steps(start)
+        def counting(x, lf=None):
+            # a term stepped from x; _tail_terms makes the stream past the
+            # table at every G_f, but steps it only past the table's end
+            for term in phases(x, lf):
+                starts.append(x)
+                yield term
 
-        monkeypatch.setattr(spiral, "_harmonic_steps", counting)
+        monkeypatch.setattr(spiral, "_phases", counting)
         assert limit_point(0.7).converged
         assert classify(power_law(0.0)).converged
         assert starts == []
@@ -401,6 +404,28 @@ class TestOrbitCenter:
         res = orbit_center()
         w8 = limit_point(1e-8, TIGHT)
         assert abs(w8.value - res.value) < 1e-7
+
+    def test_orbit_sums_keep_the_callers_budget(self, monkeypatch):
+        # classify(power:0) and orbit_center sum at min(tol, 1e-12) with the
+        # caller's own max_terms, whichever settings came before: a memo of
+        # the tightened settings keyed on the tolerance alone would sum
+        # (1e-10, 40) with the 20 terms of (1e-10, 20), or the reverse
+        seen, live = [], convergence._limit_series
+
+        def recording(f, settings):
+            seen.append(settings)
+            return live(f, settings)
+
+        monkeypatch.setattr(convergence, "_limit_series", recording)
+        budgets = (AccelerationSettings(1e-10, 20), AccelerationSettings(1e-10, 40),
+                   AccelerationSettings(1e-13, 40), AccelerationSettings(1e-12, 7))
+        for order in permutations(budgets):
+            for settings in order:
+                seen.clear()
+                orbit_center(settings)
+                classify(power_law(0.0), settings)
+                want = AccelerationSettings(min(settings.target_tolerance, 1e-12), settings.max_terms)
+                assert seen == [want, want], (order, settings)
 
     def test_even_and_odd_radius(self):
         res = orbit_center()

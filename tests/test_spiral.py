@@ -32,6 +32,7 @@ from ngonspiral.spiral import (
     vertex_at,
 )
 from oracles import (
+    _harmonic_steps,
     convex_intersection_area,
     harmonic_number,
     harmonic_phases,
@@ -382,12 +383,13 @@ class TestDeepVertices:
 
     def test_deep_index_reads_a_few_terms(self, monkeypatch):
         consumed = []
-        stream, dense = spiral._harmonic_steps, _arrays._dense_series
+        stream, dense = spiral._phases, _arrays._dense_series
 
-        def counting_stream(start):
-            for step in stream(start):
-                consumed.append(step[0])
-                yield step
+        def counting_stream(x, lf=None):
+            # each term stepped, at its x + j; a stream made and never stepped counts none
+            for j, term in enumerate(stream(x, lf)):
+                consumed.append(x + j)
+                yield term
 
         def counting_dense(*args):
             for chunk in dense(*args):
@@ -395,7 +397,7 @@ class TestDeepVertices:
                 yield chunk
 
         spiral._limit_phases()  # built first, so the count does not hang on the test order
-        monkeypatch.setattr(spiral, "_harmonic_steps", counting_stream)
+        monkeypatch.setattr(spiral, "_phases", counting_stream)
         monkeypatch.setattr(_arrays, "_dense_series", counting_dense)
         v = vertex_at(power_law(0.5), (10**6, 10**6 + 3))
         assert len(v) == 2
@@ -438,7 +440,7 @@ class TestDeepVertices:
             raise AssertionError("streamed")
 
         monkeypatch.setattr(_arrays, "_dense_series", refuse)
-        monkeypatch.setattr(spiral, "_harmonic_steps", refuse)
+        monkeypatch.setattr(spiral, "_phases", refuse)
         cap = spiral._MAX_STREAM
         growing = power_law(-1.0)
         with pytest.raises(AssertionError, match="streamed"):
@@ -1123,6 +1125,18 @@ class TestPhaseHelpers:
             assert k == k_ref
             assert abs(hk - hk_ref) < 1e-14
             assert abs(phase - phase_ref) < 1e-13
+
+    def test_phases_take_the_oracle_steps(self):
+        # spiral._phases steps H_x inline: its phases, and its terms given a
+        # length formula, are the oracle's steps reduced as _phases reduces
+        # them, bit for bit, at int starts (3, deep) and real ones
+        lf = parse_length("circumscribed:1").as_callable()
+        for start in (3, 5001, 10**6 + 1, 2.4030927323372047, 47.5):
+            steps = list(itertools.islice(_harmonic_steps(start), 60))
+            phases = [phase_of_turns((inv - (2.0 * s) % 1.0) - 2.0 * c) for _, inv, s, c in steps]
+            assert list(itertools.islice(spiral._phases(start), 60)) == phases, start
+            terms = [lf(float(k)) * u for (k, *_), u in zip(steps, phases)]
+            assert list(itertools.islice(spiral._phases(start, lf), 60)) == terms, start
 
     def test_real_start_computes_each_x_from_start(self):
         # x = start + j, not a running sum: from this start a running sum
