@@ -10,13 +10,14 @@ which no library path forms: _turns gives (1+0j) there and phase_of_turns
 (1-0j), as np.rint(-0.0) cancels the sign that round(-0.0), the int 0, keeps):
 - phases are reduced in turns, as phase_of_turns does (_turns);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
-  an ulp off on ~1e-4 of arguments; only the dense runs read harmonic_array,
-  whose bits are their own, as it is faster there (~30 vs ~310 us for 2,048
-  terms near 1e5) and slower below x = 11 (~6 vs ~0.9 ms on a crossing grid),
-  and the runs from V(2) read its first 2,048 entries, and their phases,
-  from one table (_first_chunk), built once per process in ~0.5 ms, and
-  each family's terms and sums over them from a table of its own
-  (_first_run), built by its first run from V(2) in ~0.05-0.4 ms;
+  an ulp off on ~1e-4 of arguments; only the dense runs and the identity
+  check read harmonic_array, whose bits are their own, as it is faster
+  there (~30 vs ~310 us for 2,048 terms near 1e5) and slower below x = 11
+  (~6 vs ~0.9 ms on a crossing grid), and the runs from V(2) read the
+  phases of its first 2,048 entries from one table (_first_chunk), built
+  once per process in ~0.5 ms, and each family's terms and sums over
+  them from a table of its own (_first_run), built by its first run from
+  V(2) in ~0.05-0.4 ms;
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -235,7 +236,7 @@ def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: 
     for j in range(settings.max_terms):
         if not len(col):
             return
-        # euler_transform_sum's accumulate(diag, sub, initial=a), one row per column
+        # euler_transform_sum's row a, a - d_0, (a - d_0) - d_1, ..., one per column
         diag = np.subtract.accumulate(np.column_stack((next(stream), diag)), axis=1)
         head = diag[:, j]
         correction = head * 2.0 ** -(j + 1)
@@ -267,7 +268,7 @@ _ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=_harmonic
 
 
 # The dense kernel works in chunks of _CHUNK terms, so its working set
-# stays near 0.6 MB however long the run (chunks of 2^12 would double it).
+# stays near 0.3 MB however long the run (vertex(power:-1, 10^5)).
 _CHUNK = 1 << 11
 
 
@@ -315,16 +316,15 @@ class _RunningSum:
 
 @functools.lru_cache(maxsize=None)
 def _first_chunk() -> tuple:
-    """(ks, hs, u) for k = 3..2,050, the first _CHUNK of every run from V(2):
-    k as floats, H_k = harmonic_array(ks) and u(k) = e^{2 pi i (1/k - 2 H_k)},
+    """(ks, u) for k = 3..2,050, the first _CHUNK of every run from V(2):
+    k as floats and u(k) = e^{2 pi i (1/k - 2 H_k)}, H_k = harmonic_array(ks),
     read-only.  The shared vertex and side fix u(k) for every family, so only
-    l(k) is left to compute.  ~64 KB, built by the first run, never at import."""
+    l(k) is left to compute.  48 KB, built by the first run, never at import."""
     ks = 3.0 + np.arange(_CHUNK, dtype=float)
-    hs = harmonic_array(ks)
-    u = _turns(1.0 / ks - 2.0 * hs)
-    for a in (ks, hs, u):
+    u = _turns(1.0 / ks - 2.0 * harmonic_array(ks))
+    for a in (ks, u):
         a.flags.writeable = False
-    return ks, hs, u
+    return ks, u
 
 
 # _first_run's entries, one per family (equal by value, so power:0.0 and
@@ -341,7 +341,7 @@ def _first_run(f: LengthFunction) -> tuple | None:
     chunk is past the doubles (power:-100 at k = 1,210): such a family keeps
     the live chunk, so a short run keeps its value and a long one its error.
     Built by f's first run from V(2), never at import."""
-    ks, _, u = _first_chunk()
+    ks, u = _first_chunk()
     acc = _RunningSum(0j)
     try:
         with np.errstate(all="ignore"):  # a non-finite chunk is refused below
@@ -356,35 +356,29 @@ def _first_run(f: LengthFunction) -> tuple | None:
     return terms, sums, acc._s, acc._c
 
 
-def _dense_series(
-    f: LengthFunction, start: int, base: complex, end: int,
-    harmonic: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Iterator[tuple]:
+def _dense_series(f: LengthFunction, start: int, base: complex, end: int) -> Iterator[tuple]:
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
-    (first k, k as floats, H_k = harmonic(ks), (-1)^k l(k) u(k), V(k)) per
-    chunk, V(start) = base, V from one _RunningSum.  Without ``harmonic``,
-    H_k is harmonic_array(ks), and a run from V(2) = 0 reads its first
-    chunk from f's _first_run() table and goes on from the table's carry
-    (without a table, it reads that chunk's ks, H_k and u(k) from
-    _first_chunk()).  The signs come from the int k, so they hold past 2^53,
-    where consecutive floats coincide.
+    (first k, k as floats, V(k)) per chunk, V(start) = base, V from one
+    _RunningSum of the terms (-1)^k l(k) u(k), H_k from harmonic_array.  A
+    run from V(2) = 0 reads its first chunk from f's _first_run() table and
+    goes on from the table's carry (without a table, it reads that chunk's
+    ks and u(k) from _first_chunk()).  The signs come from the int k, so
+    they hold past 2^53, where consecutive floats coincide.
     """
     acc, lo = _RunningSum(base), start + 1
-    if lo == 3 <= end and harmonic is None and (first := _first_run(f)) is not None:
-        (ks, hs, _), (terms, sums, s, c) = _first_chunk(), first
+    if lo == 3 <= end and (first := _first_run(f)) is not None:
+        ks, (_, sums, s, c) = _first_chunk()[0], first
         m = min(_CHUNK, end - 2)
-        yield 3, ks[:m], hs[:m], terms[:m], sums[:m]
+        yield 3, ks[:m], sums[:m]
         acc, lo = _RunningSum(s, c), 3 + _CHUNK
     for lo in range(lo, end + 1, _CHUNK):
         m = min(_CHUNK, end + 1 - lo)
-        if lo == 3 and harmonic is None:
-            ks, hs, u = (a[:m] for a in _first_chunk())
+        if lo == 3:
+            ks, u = (a[:m] for a in _first_chunk())
         else:
             ks = float(lo) + np.arange(m, dtype=float)
-            hs = (harmonic or harmonic_array)(ks)
-            u = _turns(1.0 / ks - 2.0 * hs)
-        terms = _alternate(lo, _terms(f, ks, u))
-        yield lo, ks, hs, terms, acc.extend(terms)
+            u = _turns(1.0 / ks - 2.0 * harmonic_array(ks))
+        yield lo, ks, acc.extend(_alternate(lo, _terms(f, ks, u)))
 
 
 def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
@@ -403,25 +397,36 @@ def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
     return corners
 
 
+# _identity_residual sums this many terms a chunk: its scratch peaks near
+# 0.7 MB at n_max = 10^6.
+_IDENTITY_CHUNK = 1 << 12
+
+
 def _identity_residual(n_max: int) -> float:
-    """verify_telescoping_identity's largest residual over 3 <= k <= n_max."""
-    direct = _RunningSum(1.5)  # H_2
-    h_prev, worst = 1.5, 0.0
-    for k0, ks, hs, terms, sums in _dense_series(
-        telescoping(), 2, 0j, n_max, lambda ks: direct.extend(1.0 / ks)
-    ):
-        both = np.empty(len(hs) + 1)  # H_{k-1}, then H_k
-        both[0] = h_prev
-        both[1:] = hs
-        both *= -2.0
-        rot = _turns(both)  # e^{-4 pi i H_{k-1}}, then H_k
-        h_prev = hs[-1]
-        pairs = _alternate(k0, rot[:-1] + rot[1:])
+    """verify_telescoping_identity's largest residual over 3 <= k <= n_max,
+    in chunks of _IDENTITY_CHUNK terms.  The direct side sums the series
+    from H_k = H_2 + sum 1/j (a _RunningSum from 3/2); the closed side's
+    rotations r_k = e^{-4 pi i H_k}, H_k from harmonic_array, serve both
+    checks: V(k) against -1 + (-1)^k r_k, and each term against
+    (-1)^k (r_{k-1} + r_k), r_{k-1} carried across chunks from r_2 = 1."""
+    f = telescoping()
+    direct, series = _RunningSum(1.5), _RunningSum(0j)  # H_2 and V(2)
+    last, worst = 1 + 0j, 0.0  # r_2 = e^{-6 pi i}, exactly 1
+    for lo in range(3, n_max + 1, _IDENTITY_CHUNK):
+        ks = float(lo) + np.arange(min(_IDENTITY_CHUNK, n_max + 1 - lo), dtype=float)
+        inv = 1.0 / ks
+        terms = _alternate(lo, _terms(f, ks, _turns(inv - 2.0 * direct.extend(inv))))
+        sums = series.extend(terms)
         closed = harmonic_array(ks)
         closed *= -2.0
-        closed = _alternate(k0, _turns(closed))
-        closed -= 1.0
-        np.subtract(terms, pairs, out=pairs)
-        np.subtract(sums, closed, out=closed)
-        worst = max(worst, np.abs(pairs).max(), np.abs(closed).max())
+        rot = _turns(closed)
+        pairs = np.empty_like(rot)  # r_{k-1} + r_k
+        pairs[0] = last + rot.item(0)
+        np.add(rot[:-1], rot[1:], out=pairs[1:])
+        last = rot.item(-1)
+        np.subtract(terms, _alternate(lo, pairs), out=pairs)
+        rot = _alternate(lo, rot)
+        rot -= 1.0
+        np.subtract(sums, rot, out=rot)
+        worst = max(worst, np.abs(pairs).max(), np.abs(rot).max())
     return float(worst)

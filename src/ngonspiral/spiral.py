@@ -167,8 +167,13 @@ def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
         return _phases(x, lf)
     table = _limit_phases()
     ks = map(float, range(3, 3 + len(table)))
-    rest = itertools.islice(_phases(3, lf), len(table), None)  # stepped only past the table
-    return itertools.chain(map(operator.mul, map(lf, ks), table), rest)
+    return itertools.chain(map(operator.mul, map(lf, ks), table), _past_table(lf, len(table)))
+
+
+def _past_table(lf: Callable[[float], float], skip: int) -> Iterator[complex]:
+    """The terms of E(3) from the ``skip``-th on: a stream from 3, made only
+    when first stepped, which no CVZ order within the table ever does."""
+    yield from itertools.islice(_phases(3, lf), skip, None)
 
 
 # Below x = _EULER_FROM, where the phases still swing hard, E(x) is one CVZ
@@ -382,7 +387,7 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         if start == end:  # an empty run: the next asked index jumps too
             continue
         i = bisect.bisect_right(order, start)
-        for lo, ks, _, _, sums in _dense_series(f, start, base, end):
+        for lo, ks, sums in _dense_series(f, start, base, end):
             j = bisect.bisect_right(order, lo + len(ks) - 1, i)
             if i < j:  # only the asked entries become Python complex numbers
                 span = sums[order[i] - lo : order[j - 1] + 1 - lo]

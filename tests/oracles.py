@@ -6,9 +6,12 @@ the paired terms F(j) with their bounds A(j, s) and B(j), the compact
 spelling of the golden intersection point, the convex-clipping area that
 shows consecutive n-gons do not overlap, 40-digit mpmath values of deep
 vertices, of the limits G_f and W(s), of the tails E(x), of the
-interpolant and of the center offsets Q(n), and the
-adaptive curve sampler as a recursive depth-first walk.  The tests check
-the library against them; the library never calls them.
+interpolant and of the center offsets Q(n), the adaptive curve sampler as
+a recursive depth-first walk, and earlier forms of three kernels: a dense
+run with every chunk computed live, the telescoping identity check with its
+pairing side read from the direct H_k, and the Euler transform with a new
+difference row per term.  The tests check the library against them; the
+library never calls them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,17 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from ngonspiral.numerics import EULER_GAMMA, TWO_PI, digamma, harmonic_continued
+from ngonspiral.numerics import (
+    EULER_GAMMA,
+    TWO_PI,
+    AccelerationSettings,
+    SummationResult,
+    digamma,
+    harmonic_continued,
+)
 from ngonspiral.spiral import phase_of_turns, unit_phase
 from ngonspiral.telescoping import PHI
 
@@ -365,3 +376,83 @@ def sample_depth_first(
     for i in range(initial - 1):
         refine(params[i], values[i], params[i + 1], values[i + 1], 0)
     return out
+
+
+def live_run(f, end: int) -> list[complex]:
+    """V(2), ..., V(end) of one run from V(2) with every chunk of the dense
+    kernel computed live: k, H_k = harmonic_array(k) and u(k) per chunk of
+    _arrays._CHUNK terms, V from one _RunningSum, the bits a run through f's
+    _first_run table must keep."""
+    import numpy as np
+
+    from ngonspiral import _arrays
+
+    acc, sums = _arrays._RunningSum(0j), [0j]
+    for lo in range(3, end + 1, _arrays._CHUNK):
+        ks = float(lo) + np.arange(min(_arrays._CHUNK, end + 1 - lo), dtype=float)
+        u = _arrays._turns(1.0 / ks - 2.0 * _arrays.harmonic_array(ks))
+        sums += acc.extend(_arrays._alternate(lo, _arrays._terms(f, ks, u))).tolist()
+    return sums
+
+
+def identity_residual_two_sided(n_max: int) -> float:
+    """verify_telescoping_identity's residual with both sides of the pairing
+    identity read from the direct H_k: in chunks of 2,048 terms, the vertex
+    series and (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k}) from the running
+    sum of 1/k from H_2 = 3/2, the prefix sums against the closed form from
+    harmonic_array."""
+    import numpy as np
+
+    from ngonspiral import _arrays
+    from ngonspiral.lengthfns import telescoping
+
+    f, chunk = telescoping(), 2048
+    direct, series = _arrays._RunningSum(1.5), _arrays._RunningSum(0j)
+    h_prev, worst = 1.5, 0.0
+    for k0 in range(3, n_max + 1, chunk):
+        ks = float(k0) + np.arange(min(chunk, n_max + 1 - k0), dtype=float)
+        hs = direct.extend(1.0 / ks)
+        terms = _arrays._alternate(k0, _arrays._terms(f, ks, _arrays._turns(1.0 / ks - 2.0 * hs)))
+        sums = series.extend(terms)
+        both = np.empty(len(hs) + 1)  # H_{k-1}, then H_k
+        both[0] = h_prev
+        both[1:] = hs
+        both *= -2.0
+        rot = _arrays._turns(both)
+        h_prev = hs[-1]
+        pairs = _arrays._alternate(k0, rot[:-1] + rot[1:])
+        closed = _arrays.harmonic_array(ks)
+        closed *= -2.0
+        closed = _arrays._alternate(k0, _arrays._turns(closed))
+        closed -= 1.0
+        np.subtract(terms, pairs, out=pairs)
+        np.subtract(sums, closed, out=closed)
+        worst = max(worst, np.abs(pairs).max(), np.abs(closed).max())
+    return float(worst)
+
+
+def euler_transform_rows(terms, settings: AccelerationSettings) -> SummationResult:
+    """numerics.euler_transform_sum with its difference row built anew for
+    every term, list(accumulate(row, sub, initial=a_j)): the same
+    subtractions in the same order."""
+    tol = settings.target_tolerance
+    diag: list[complex] = []
+    total = best = 0j
+    best_err, used, scale = math.inf, 0, 1.0
+    for j, a in enumerate(itertools.islice(terms, settings.max_terms)):
+        diag = list(itertools.accumulate(diag, operator.sub, initial=complex(a)))
+        head = diag[j]
+        if not cmath.isfinite(head):
+            break
+        scale *= 0.5
+        correction = head * scale
+        if j % 2:
+            correction = -correction
+        total += correction
+        last_err = abs(correction)
+        used = j + 1
+        if last_err < best_err:
+            best_err, best = last_err, total
+        if used >= 4 and last_err <= tol:
+            return SummationResult(total, last_err, True, used)
+    return SummationResult(best, best_err, False, used)

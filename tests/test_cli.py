@@ -315,7 +315,7 @@ class TestSizeCaps:
 
         monkeypatch.setattr(figures, "vertex_at", refuse)
         monkeypatch.setattr(convergence, "limit_point", refuse)
-        monkeypatch.setattr(_arrays, "_dense_series", refuse)
+        monkeypatch.setattr(_arrays, "_identity_residual", refuse)
 
     @pytest.mark.parametrize(
         "argv",

@@ -290,6 +290,26 @@ class TestLimitPhases:
         assert classify(power_law(0.0)).converged
         assert starts == []
 
+    def test_a_limit_makes_no_stream_from_3(self, monkeypatch):
+        # the stream past the table is made when first stepped, and then
+        # holds the live stream's terms
+        limit_point(1.0)
+        made, phases = [], spiral._phases
+
+        def counting(x, lf=None):
+            made.append(x)
+            return phases(x, lf)
+
+        monkeypatch.setattr(spiral, "_phases", counting)
+        assert limit_point(0.7).converged
+        assert classify(power_law(0.0)).converged
+        assert made == []
+        f = parse_length("inscribed:-1")
+        terms = spiral._tail_terms(f, 3)
+        n = numerics._CVZ_MAX_ORDER + 40
+        assert list(islice(terms, n)) == list(islice(phases(3, f.as_callable()), n))
+        assert made == [3]
+
 
 def _mp_cvz_weights(n: int) -> list:
     """The weights of order n at 50 digits (Algorithm 1 in mpmath)."""

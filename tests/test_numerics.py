@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+from ngonspiral import spiral
 from ngonspiral._arrays import harmonic_array
+from ngonspiral.lengthfns import parse_length
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
@@ -16,7 +19,7 @@ from ngonspiral.numerics import (
     richardson,
     two_sum,
 )
-from oracles import harmonic_number
+from oracles import euler_transform_rows, harmonic_number
 
 TIGHT = AccelerationSettings(target_tolerance=1e-12, max_terms=200)
 
@@ -213,6 +216,31 @@ class TestEulerTransform:
         assert res.converged
         # sum (-1)^(k-1)/k^2 = pi^2/12, here offset by the sign convention
         assert abs(res.value - math.pi**2 / 12.0) <= max(res.error_estimate, 1e-12)
+
+    def test_row_in_place_is_the_row_rebuilt(self):
+        # the difference row updated in place against a new row per term:
+        # the same result, bit for bit, overflowing terms included
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        parts = st.floats(-1e300, 1e300) | st.floats(-2.0, 2.0)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.builds(complex, parts, parts), max_size=40),
+                          st.floats(1e-13, 1.0), st.integers(4, 48))
+        def check(terms, tol, max_terms):
+            settings = AccelerationSettings(tol, max_terms)
+            got = euler_transform_sum(iter(terms), settings)
+            assert repr(got) == repr(euler_transform_rows(iter(terms), settings))
+
+        check()
+
+    @pytest.mark.parametrize("x", [48.5, 2049, 10**6 + 0.25])
+    def test_row_in_place_keeps_the_tail_bits(self, x):
+        for spec in ("power:1", "power:0.5", "telescoping", "inscribed:-1"):
+            terms = list(islice(spiral._phases(x, parse_length(spec).as_callable()), 64))
+            for tol in (1e-8, 1e-13):
+                settings = AccelerationSettings(tol, 64)
+                assert repr(euler_transform_sum(terms, settings)) == repr(euler_transform_rows(terms, settings))
 
 
 class TestRichardson:

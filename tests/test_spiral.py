@@ -36,6 +36,7 @@ from oracles import (
     convex_intersection_area,
     harmonic_number,
     harmonic_phases,
+    live_run,
     mp_interpolant,
     mp_vertices,
     polygon_area,
@@ -494,25 +495,23 @@ class TestDenseKernel:
 
     def test_first_chunk_is_the_live_chunk(self):
         # the table every run from V(2) reads: k = 3..2,050, each array with
-        # the bits of that chunk computed live, read-only, 64 KB in all
-        ks, hs, u = _arrays._first_chunk()
+        # the bits of that chunk computed live, read-only, 48 KB in all
+        ks, u = _arrays._first_chunk()
         live_ks = 3.0 + np.arange(_arrays._CHUNK, dtype=float)
-        live_hs = _arrays.harmonic_array(live_ks)
-        live_u = _arrays._turns(1.0 / live_ks - 2.0 * live_hs)
-        for got, live in ((ks, live_ks), (hs, live_hs), (u, live_u)):
+        live_u = _arrays._turns(1.0 / live_ks - 2.0 * _arrays.harmonic_array(live_ks))
+        for got, live in ((ks, live_ks), (u, live_u)):
             assert got.dtype == live.dtype and got.tobytes() == live.tobytes()
             assert not got.flags.writeable
         assert ks[-1] == 2050.0
-        assert ks.nbytes + hs.nbytes + u.nbytes == 64 * 1024
+        assert ks.nbytes + u.nbytes == 48 * 1024
 
     @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
     def test_runs_keep_their_bits_across_the_table(self, spec):
-        # H_k passed in, a run computes every chunk live, as it did before
-        # the table; vertex_at reads the first chunk from the table, and its
+        # live_run computes every chunk live, as a run did before the
+        # table; vertex_at reads the first chunk from the table, and its
         # runs across the chunk edges and its deep jumps keep their bits
         f = parse_length(spec)
-        live = _arrays._dense_series(f, 2, 0j, 4097, _arrays.harmonic_array)
-        ref = [0j, *np.concatenate([sums for *_, sums in live]).tolist()]
+        ref = live_run(f, 4097)
         for indices in (range(2, 4098), [2047, 2048, 2049, 2050], [2040, 2050, 2051]):
             got = vertex_at(f, indices)
             assert [repr(got[n]) for n in indices] == [repr(ref[n - 2]) for n in indices]
@@ -528,13 +527,6 @@ class TestDenseKernel:
         hs = np.concatenate([acc.extend(1.0 / ks[:5000]), acc.extend(1.0 / ks[5000:])])
         for k, h in zip(range(3, 10_001), hs.tolist()):
             assert abs(h - harmonic_number(k)) <= math.ulp(h), k
-
-
-def _live(f, end: int) -> list[complex]:
-    """V(2), ..., V(end) of one run from V(2) with every chunk computed live
-    (H_k passed in), the bits a run through f's table must keep."""
-    chunks = _arrays._dense_series(f, 2, 0j, end, _arrays.harmonic_array)
-    return [0j, *np.concatenate([sums for *_, sums in chunks]).tolist()]
 
 
 class TestFirstRun:
@@ -558,7 +550,7 @@ class TestFirstRun:
         vertex_at(power_law(0.25), range(2, 3000))
         for name, read in reversed(reads.items()):
             assert repr(read()) == cold[name], name
-        live = _live(f, 4100)
+        live = live_run(f, 4100)
         assert cold["range"] == repr(dict(zip(range(2, 2100), live)))
         assert cold["polygon"] == repr(spiral.polygon_from_vertex(f, 300, live[298]))
         # 2,049 and 4,100 jump once G_f is summed, save where the sides grow
@@ -581,7 +573,7 @@ class TestFirstRun:
         refused, infinite = power_law(-100.0), inscribed(-93.026)
         for _ in range(2):
             for f in (refused, infinite):
-                assert repr(vertex(f, 50)) == repr(_live(f, 50)[-1])
+                assert repr(vertex(f, 50)) == repr(live_run(f, 50)[-1])
             with pytest.raises(ValueError, match=re.escape("power:-100 at n = 1210.0 is non-finite")):
                 vertex(refused, 2000)
             with pytest.warns(RuntimeWarning, match="encountered in"):

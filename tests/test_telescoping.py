@@ -22,7 +22,7 @@ from ngonspiral.telescoping import (
     vertex_closed,
     verify_telescoping_identity,
 )
-from oracles import golden_intersection_point
+from oracles import golden_intersection_point, identity_residual_two_sided
 
 # C_L(phi), frozen from a 40-dps evaluation of the closed form
 GOLDEN_POINT = complex(-0.611305553872685466, 0.00909054270848651906)
@@ -191,11 +191,29 @@ class TestTelescopingIdentity:
                 verify_telescoping_identity(bad)
         assert verify_telescoping_identity(12.0) == verify_telescoping_identity(12)
 
-    @pytest.mark.parametrize("n_max", [258, 259, 2050, 2051, 4098, 4099, 4100, 8195])
+    @pytest.mark.parametrize("n_max", [258, 259, 2050, 2051, 4098, 4099, 4100, 8194, 8195])
     def test_block_and_chunk_edges(self, n_max):
-        # the first and last terms of the kernel's chunks (2048), and
-        # n_max = 258, 259; measured 2.6e-13 to 1.5e-12
+        # the first and last terms of the identity's chunks of 4,096 and of
+        # the dense kernel's of 2,048, and n_max = 258, 259; measured 2.6e-13
+        # to 1.5e-12
         assert verify_telescoping_identity(n_max) < 1e-11
+
+    def test_the_cap_passes_the_check(self):
+        # measured 1.37e-11; `spiral telescope --check` fails above 1e-10
+        assert verify_telescoping_identity(10**6) < 1e-10
+
+    @pytest.mark.parametrize("n_max", [3, 258, 2050, 2051, 4099, 4100, 20_000, 25_000, 25_873, 26_455, 10**6])
+    def test_same_residual_as_the_two_sided_check(self, n_max):
+        # tests/dump_values.py's n_max: the pairing side read from the closed
+        # rotations returns the float of the check that read it from the
+        # direct H_k
+        assert repr(verify_telescoping_identity(n_max)) == repr(identity_residual_two_sided(n_max))
+
+    @pytest.mark.parametrize("n_max", range(13, 18))
+    def test_stricter_pairing_stays_near_the_two_sided_check(self, n_max):
+        # the digamma H_13 lies a few ulps off the running sum, which the
+        # pairing check sees: 1.03e-14 against 7.6e-15 to 8.7e-15
+        assert verify_telescoping_identity(n_max) <= 1.5 * identity_residual_two_sided(n_max)
 
     def test_closed_form_side_reads_the_continuation(self, monkeypatch):
         # the closed side reads H_k through the vectorised digamma, the
@@ -220,7 +238,7 @@ class TestTelescopingIdentity:
         def refuse(*args):
             raise AssertionError("the series was streamed")
 
-        monkeypatch.setattr(_arrays, "_dense_series", refuse)
+        monkeypatch.setattr(_arrays, "_identity_residual", refuse)
         cap = telescoping_mod._MAX_IDENTITY_N
         with pytest.raises(AssertionError, match="streamed"):
             verify_telescoping_identity(cap)
