@@ -3,19 +3,21 @@
 Used on the telescoping centers curve C_L(n) (golden-ratio crossing at
 (phi, phi+1)) and on Q_L(n) (which passes through the origin at both of
 its zeros, n = 4/3 and n = 4).  The method is plain: sample the curve into
-a polyline, find the segment pairs that may cross with a sort-and-sweep
-over their bounding boxes (the Shamos-Hoey / Bentley-Ottmann sweep, here
-only as a box filter) and one segment predicate, then polish each
-candidate with a damped two-variable Newton iteration using a central
-finite-difference Jacobian.  A candidate Newton cannot close to the
-tolerance is dropped.
+a polyline and find the segment pairs that may cross: their bounding
+boxes overlap on the sweep axis by a sort and a binary search (the
+Shamos-Hoey / Bentley-Ottmann sweep, here only as a box filter), then on
+the cross axis by one mask, and only then are the orientation tests run.
+Each candidate is polished with a damped two-variable Newton iteration
+using a central finite-difference Jacobian.  A candidate Newton cannot
+close to the tolerance is dropped.
 
-A curve maps a float parameter to a complex point.  It may also map a
-float array to a complex array of the same shape, as the closed forms of
-the telescoping module do; the sample grid, read-only, is then read in
-one call.  A curve that raises on the array, or returns anything else for
-it, is read one point at a time.  Refinement always
-calls the curve at single floats.
+A curve maps a float parameter to a complex point, the same point for the
+same parameter.  It may also map a float array to a complex array of the
+same shape, as the closed forms of the telescoping module do; the sample
+grid, read-only, is then read in one call.  A curve that raises on the
+array, or returns anything else for it, is read one point at a time.
+Refinement always calls the curve at single floats, and reports the
+readings of its last step rather than reading the curve again.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ _SEPARATION = 1e-3
 # before anything is allocated.
 _MAX_SAMPLES = 10**6
 
-# Most crossing segment pairs (~1 ms of Newton each) a grid may have; Q_L
-# at step 1, whose sign flips at every integer, has ~2e6 and is refused.
+# Most crossing segment pairs a grid may have, at ~30-60 us of Newton each on
+# the closed forms' crossings and ~0.3 ms on a coarse Q_L grid's (2-vCPU x86-64
+# VM); Q_L at step 1, whose sign flips at every integer, has ~2e6 and is refused.
 _MAX_CANDIDATES = 2048
 
 
@@ -56,8 +59,7 @@ _MAX_CANDIDATES = 2048
 class Intersection:
     """A parameter pair (a < b) where the curve meets itself.
 
-    ``residual`` is |curve(a) - curve(b)| re-evaluated at the reported
-    parameters.
+    ``residual`` is |curve(a) - curve(b)| at the reported parameters.
     """
 
     a: float
@@ -92,21 +94,13 @@ def _sample(
     return ts, pts
 
 
-def _overlap(a0, a1, b0, b1):
-    """Whether the intervals [a0, a1] and [b0, b1] (either order) meet."""
-    import numpy as np
-
-    return (np.minimum(a0, a1) <= np.maximum(b0, b1)) & (
-        np.minimum(b0, b1) <= np.maximum(a0, a1)
-    )
-
-
 def _segments_cross(p0, p1, q0, q1):
-    """Whether segments p0-p1 and q0-q1 may meet, elementwise.
+    """Whether segments p0-p1 and q0-q1, whose bounding boxes overlap on
+    both axes, may meet, elementwise.
 
     Takes complex scalars or numpy complex arrays.  The orientation tests
     are inclusive (touching counts) so crossings that pass exactly through
-    a sample point are not lost.  The bounding-box overlap rejects the
+    a sample point are not lost.  The caller's box test rejects the
     collinear segments that do not meet, which the orientation tests alone
     accept; for any other pair it rejects nothing the tests pass.
     """
@@ -116,34 +110,33 @@ def _segments_cross(p0, p1, q0, q1):
     d2 = r.real * (q1.imag - p0.imag) - r.imag * (q1.real - p0.real)
     d3 = s.real * (p0.imag - q0.imag) - s.imag * (p0.real - q0.real)
     d4 = s.real * (p1.imag - q0.imag) - s.imag * (p1.real - q0.real)
-    return (
-        (d1 * d2 <= 0.0)
-        & (d3 * d4 <= 0.0)
-        & _overlap(p0.real, p1.real, q0.real, q1.real)
-        & _overlap(p0.imag, p1.imag, q0.imag, q1.imag)
-    )
+    return (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
 
 
 def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
     """Index pairs (i, j), j > i + 1, sorted, whose segments may cross.
 
-    Segments are sorted by their lower end on the axis where the samples
-    spread wider, so a straight run along either axis is swept along its
-    length.  Each segment is paired with the later ones whose extents
-    overlap it on that axis (found by binary search), those pairs are
-    expanded at most ``_PAIR_BUDGET`` at a time, and ``_segments_cross``
-    decides.  Duplicates are cleaned up after refinement.  More than
-    ``_MAX_CANDIDATES`` crossing pairs raise ``ValueError``.
+    Segments are sorted by their lower end on the sweep axis, the one where
+    the samples spread wider, so a straight run along either axis is swept
+    along its length.  Each segment is paired with the later ones whose
+    extents overlap it on that axis (found by binary search), and those
+    pairs are expanded at most ``_PAIR_BUDGET`` at a time.  A pair that is
+    adjacent or whose extents miss on the cross axis is dropped by one
+    mask; ``_segments_cross`` decides the rest.  Duplicates are cleaned up
+    after refinement.  More than ``_MAX_CANDIDATES`` crossing pairs raise
+    ``ValueError``.
     """
     import numpy as np
 
     p0, p1 = pts[:-1], pts[1:]
-    axis = np.real if np.ptp(pts.real) >= np.ptp(pts.imag) else np.imag
-    a0, a1 = axis(p0), axis(p1)
-    lows, highs = np.minimum(a0, a1), np.maximum(a0, a1)
+    x, y = pts.real, pts.imag
+    sweep, cross = (x, y) if np.ptp(x) >= np.ptp(y) else (y, x)
+    lows = np.minimum(sweep[:-1], sweep[1:])
     order = np.argsort(lows)
-    lower, upper = lows[order], highs[order]
-    # sorted segment k overlaps sorted segments k + 1 .. stop[k] - 1
+    lower, upper = lows[order], np.maximum(sweep[:-1], sweep[1:])[order]
+    # each segment's extent on the cross axis, in the same order
+    below, above = np.minimum(cross[:-1], cross[1:])[order], np.maximum(cross[:-1], cross[1:])[order]
+    # sorted segment k overlaps sorted segments k + 1 .. stop[k] - 1 on the sweep axis
     stop = np.searchsorted(lower, upper, side="right")
     counts = np.maximum(stop - np.arange(len(order)) - 1, 0)
     ends = np.cumsum(counts)
@@ -156,10 +149,10 @@ def _crossing_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
         c = counts[r0:r1]
         k = np.repeat(np.arange(r0, r1), c)
         m = k + 1 + np.arange(len(k)) - np.repeat(starts[r0:r1] - starts[r0], c)
-        i = np.minimum(order[k], order[m])
-        j = np.maximum(order[k], order[m])
-        apart = j > i + 1
-        i, j = i[apart], j[apart]
+        ok, om = order[k], order[m]
+        i, j = np.minimum(ok, om), np.maximum(ok, om)
+        keep = (j > i + 1) & (below[m] <= above[k]) & (below[k] <= above[m])
+        i, j = i[keep], j[keep]
         hit = _segments_cross(p0[i], p1[i], p0[j], p1[j])
         firsts.append(i[hit])
         seconds.append(j[hit])
@@ -198,17 +191,17 @@ def _newton_refine(
     tolerance: float,
 ) -> tuple[float, float, complex, float] | None:
     """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, midpoint,
-    residual) from one fresh evaluation at each parameter, or None on failure."""
-
-    def gap(u: float, v: float) -> complex:
-        return curve(u) - curve(v)
+    residual) from the curve's last readings at (a, b), or None on failure,
+    as where a difference step vanishes in the rounding of a parameter."""
 
     def slope(t: float) -> complex:
-        """curve'(t) as a central difference of step _FD_STEP, clamped to [lo, hi]."""
+        """curve'(t) as a central difference of step _FD_STEP, clamped to
+        [lo, hi]; nan where t +- _FD_STEP rounds back to t."""
         up, down = min(t + _FD_STEP, hi), max(t - _FD_STEP, lo)
-        return (curve(up) - curve(down)) / (up - down)
+        return (curve(up) - curve(down)) / (up - down) if up > down else complex(math.nan)
 
-    g = gap(a, b)
+    pa, pb = curve(a), curve(b)
+    g = pa - pb
     for _ in range(_NEWTON_ITERS):
         if abs(g) <= tolerance:
             break
@@ -225,17 +218,17 @@ def _newton_refine(
         for _ in range(20):
             na = min(max(a + damp * sa, lo), hi)
             nb = min(max(b + damp * sb, lo), hi)
-            ng = gap(na, nb)
+            qa, qb = curve(na), curve(nb)
+            ng = qa - qb
             if abs(ng) < abs(g):
-                a, b, g = na, nb, ng
+                a, b, pa, pb, g = na, nb, qa, qb, ng
                 break
             damp *= 0.5
         else:
             break  # no damped step reduced the gap
     if not abs(g) <= tolerance:  # a nan gap fails too
         return None
-    pa, pb = curve(a), curve(b)
-    return a, b, 0.5 * (pa + pb), abs(pa - pb)
+    return a, b, 0.5 * (pa + pb), abs(g)
 
 
 def self_intersections(

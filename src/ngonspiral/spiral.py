@@ -95,11 +95,6 @@ def phase_of_turns(t: float) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def unit_phase(k: float, harmonic_k: float) -> complex:
-    """e^{2 pi i (1/k - 2 H_k)} given H_k; the sign-reduced phase factor."""
-    return phase_of_turns(1.0 / k - 2.0 * harmonic_k)
-
-
 def half_angle(n: float) -> tuple[float, float]:
     """(sin, cos) of pi/n for n > 1, accurate through both endpoints.
 
@@ -159,21 +154,15 @@ def _limit_phases() -> tuple[complex, ...]:
 
 def _tail_terms(f: LengthFunction, x: float) -> Iterator[complex]:
     """l(x+j) u(x+j), j = 0, 1, ...: the terms of E(x) with the sign
-    extracted.  At x = 3, the tail of G_f, the phases come from the one
-    table _limit_phases() and, past its end, from the stream, so a G_f sum
-    costs only its side lengths and products; every other x streams them."""
+    extracted.  At x = 3, the tail of G_f, they are the table
+    _limit_phases()'s terms alone, so a G_f sum costs only its side lengths
+    and products: it is a CVZ sum, whose orders stop at the table's length;
+    every other x streams them."""
     lf = f.as_callable()
     if x != 3:
         return _phases(x, lf)
     table = _limit_phases()
-    ks = map(float, range(3, 3 + len(table)))
-    return itertools.chain(map(operator.mul, map(lf, ks), table), _past_table(lf, len(table)))
-
-
-def _past_table(lf: Callable[[float], float], skip: int) -> Iterator[complex]:
-    """The terms of E(3) from the ``skip``-th on: a stream from 3, made only
-    when first stepped, which no CVZ order within the table ever does."""
-    yield from itertools.islice(_phases(3, lf), skip, None)
+    return map(operator.mul, map(lf, map(float, range(3, 3 + len(table)))), table)
 
 
 # Below x = _EULER_FROM, where the phases still swing hard, E(x) is one CVZ
@@ -424,7 +413,7 @@ def q_term(f: LengthFunction, n: float) -> complex:
     """
     n = _number(n)
     _refuse(not 1.0 < n < math.inf, n, "q_term requires a finite n > 1, got {}")
-    num = signed_phase(n) * _side(f, n) * unit_phase(n, harmonic_continued(n))
+    num = signed_phase(n) * _side(f, n) * phase_of_turns(1.0 / n - 2.0 * harmonic_continued(n))
     # e^{2 pi i / n} - 1 = 2 sin(pi/n) (-sin(pi/n) + i cos(pi/n)), which
     # avoids the cos - 1 cancellation at both ends of the domain
     s, c = half_angle(n)

@@ -1,8 +1,9 @@
 """Test-only oracles for the paper's claims.
 
 These restate what the paper proves with tools that no library path needs:
-the heading theta_n, the harmonic numbers as a compensated running sum,
-the paired terms F(j) with their bounds A(j, s) and B(j), the compact
+the heading theta_n, the phase factor u(k) from a given H_k, the harmonic
+numbers as a compensated running sum, the paired terms F(j) with their
+bounds A(j, s) and B(j), the compact
 spelling of the golden intersection point, the convex-clipping area that
 shows consecutive n-gons do not overlap, 40-digit mpmath values of deep
 vertices, of the limits G_f and W(s), of the tails E(x), of the
@@ -30,7 +31,7 @@ from ngonspiral.numerics import (
     digamma,
     harmonic_continued,
 )
-from ngonspiral.spiral import phase_of_turns, unit_phase
+from ngonspiral.spiral import phase_of_turns
 from ngonspiral.telescoping import PHI
 
 
@@ -48,6 +49,12 @@ def _harmonic_steps(start: float) -> Iterator[tuple[float, float, float, float]]
         v = t - s
         s, c = t, c + ((s - (t - v)) + (inv - v))
         yield k, inv, s, c
+
+
+def unit_phase(k: float, harmonic_k: float) -> complex:
+    """e^{2 pi i (1/k - 2 H_k)} given H_k; the sign-reduced phase factor, as
+    spiral.q_term forms it."""
+    return phase_of_turns(1.0 / k - 2.0 * harmonic_k)
 
 
 def harmonic_phases(start: float = 3) -> Iterator[tuple[float, float, complex]]:

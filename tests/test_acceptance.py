@@ -25,7 +25,7 @@ from ngonspiral.intersect import self_intersections
 from ngonspiral.lengthfns import inscribed, power_law, telescoping
 from ngonspiral.numerics import AccelerationSettings
 from ngonspiral.render import render_svg, view_transform
-from ngonspiral.spiral import polygon, unit_phase, vertex, vertex_at
+from ngonspiral.spiral import polygon, vertex, vertex_at
 from ngonspiral.telescoping import (
     PHI,
     center_closed,
@@ -41,6 +41,7 @@ from oracles import (
     harmonic_number,
     paired_terms,
     theta,
+    unit_phase,
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"

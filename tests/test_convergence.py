@@ -39,6 +39,7 @@ from oracles import (
     mp_w,
     paired_term,
     paired_terms,
+    unit_phase,
 )
 
 TIGHT = AccelerationSettings(target_tolerance=1e-13, max_terms=600)
@@ -266,12 +267,19 @@ class TestLimitPhases:
                 live = numerics._cvz_transform_sum(spiral._phases(3, f.as_callable()), settings)
                 assert spiral._limit_series(f, settings) == replace(live, value=-live.value), (tol, max_terms)
 
-    def test_terms_past_the_table_are_the_live_stream(self):
+    def test_terms_are_the_tables_alone(self):
         f = parse_length("inscribed:-1")
-        n = numerics._CVZ_MAX_ORDER + 40
-        assert list(islice(spiral._tail_terms(f, 3), n)) == list(islice(spiral._phases(3, f.as_callable()), n))
+        n = len(spiral._limit_phases())
+        assert list(spiral._tail_terms(f, 3)) == list(islice(spiral._phases(3, f.as_callable()), n))
         # 3.0, as interpolated_vertex(f, 2.0) reads it, takes the table too
-        assert list(islice(spiral._tail_terms(f, 3.0), n)) == list(islice(spiral._tail_terms(f, 3), n))
+        assert list(spiral._tail_terms(f, 3.0)) == list(spiral._tail_terms(f, 3))
+
+    @pytest.mark.parametrize("max_terms", [4, 255, 256, 257, 10**6])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-8, 1e-2])
+    def test_cvz_orders_never_pass_the_table(self, tol, max_terms):
+        # a G_f sum reads only the table's terms, so no CVZ order may pass it
+        orders = numerics._cvz_orders(AccelerationSettings(tol, max_terms))
+        assert max(orders) <= len(spiral._limit_phases()) == numerics._CVZ_MAX_ORDER
 
     def test_a_second_limit_steps_no_stream_from_3(self, monkeypatch):
         limit_point(1.0)
@@ -279,8 +287,7 @@ class TestLimitPhases:
         phases = spiral._phases
 
         def counting(x, lf=None):
-            # a term stepped from x; _tail_terms makes the stream past the
-            # table at every G_f, but steps it only past the table's end
+            # a term stepped from x
             for term in phases(x, lf):
                 starts.append(x)
                 yield term
@@ -291,8 +298,6 @@ class TestLimitPhases:
         assert starts == []
 
     def test_a_limit_makes_no_stream_from_3(self, monkeypatch):
-        # the stream past the table is made when first stepped, and then
-        # holds the live stream's terms
         limit_point(1.0)
         made, phases = [], spiral._phases
 
@@ -304,11 +309,8 @@ class TestLimitPhases:
         assert limit_point(0.7).converged
         assert classify(power_law(0.0)).converged
         assert made == []
-        f = parse_length("inscribed:-1")
-        terms = spiral._tail_terms(f, 3)
-        n = numerics._CVZ_MAX_ORDER + 40
-        assert list(islice(terms, n)) == list(islice(phases(3, f.as_callable()), n))
-        assert made == [3]
+        list(spiral._tail_terms(parse_length("inscribed:-1"), 3))
+        assert made == []
 
 
 def _mp_cvz_weights(n: int) -> list:
@@ -340,8 +342,6 @@ def test_cvz_weights_are_the_50_digit_weights():
 
 class TestPairedTerms:
     def test_first_term_is_f4_minus_f3(self):
-        from ngonspiral.spiral import unit_phase
-
         f3 = unit_phase(3.0, harmonic_number(3))
         f4 = unit_phase(4.0, harmonic_number(4))
         t = paired_term(2, 0.0)

@@ -7,11 +7,7 @@ import pytest
 
 from ngonspiral import intersect
 from ngonspiral.cli import main
-from ngonspiral.intersect import (
-    _crossing_candidates,
-    _segments_cross,
-    self_intersections,
-)
+from ngonspiral.intersect import _crossing_candidates, self_intersections
 from ngonspiral.telescoping import PHI, center_closed, q_closed
 
 
@@ -50,6 +46,18 @@ class TestKnownCurves:
         ]
         assert len(match) == 1
         assert abs(match[0].point) < 1e-8
+
+
+class TestLargeParameters:
+    @pytest.mark.parametrize("t0", [2e10, 1e12])
+    def test_a_vanishing_difference_step_drops_the_candidate(self, t0):
+        # at |t| >= 2^34, t +- _FD_STEP rounds back to t: no slope can be
+        # formed, so each candidate is dropped instead of dividing by zero
+        def shifted(t: float) -> complex:
+            return limacon(t - t0)
+
+        assert t0 + intersect._FD_STEP == t0
+        assert self_intersections(shifted, t0, t0 + 6.3, step=0.01) == []
 
 
 class TestContracts:
@@ -162,6 +170,21 @@ class TestCurveProtocol:
         assert all(shape == () for shape in calls[1:])
         assert hits
 
+    def test_a_refinement_reads_the_curve_only_at_its_steps(self):
+        # the golden crossing at step 2e-3 is one candidate and one Newton
+        # step: the seed pair, four difference points and the accepted pair.
+        # The reported point and residual reuse the last pair's readings.
+        calls = []
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return center_closed(t)
+
+        [hit] = self_intersections(counted, 1.05, 6.0, step=2e-3)
+        assert calls.count(()) == 8
+        assert hit.residual == abs(center_closed(hit.a) - center_closed(hit.b))
+        assert hit.point == 0.5 * (center_closed(hit.a) + center_closed(hit.b))
+
     @pytest.mark.parametrize("curve", [limacon, _cmath_limacon, _piecewise_limacon, _averaging_limacon,
                                        _shifting_limacon, _integer_checking_limacon, _asserting_limacon])
     def test_scalar_only_curves_are_read_point_by_point(self, curve):
@@ -196,14 +219,39 @@ class TestCurveProtocol:
             self_intersections(center_closed, 0.5, 3.0, step=0.1)
 
 
+def _overlap(a0, a1, b0, b1):
+    """Whether the intervals [a0, a1] and [b0, b1] (either order) meet."""
+    return (np.minimum(a0, a1) <= np.maximum(b0, b1)) & (
+        np.minimum(b0, b1) <= np.maximum(a0, a1)
+    )
+
+
+def _segments_meet(p0, p1, q0, q1):
+    """The whole segment predicate, which the scan splits into its box
+    tests and intersect._segments_cross: the bounding boxes overlap on both
+    axes and the inclusive orientation tests pass."""
+    r = p1 - p0
+    s = q1 - q0
+    d1 = r.real * (q0.imag - p0.imag) - r.imag * (q0.real - p0.real)
+    d2 = r.real * (q1.imag - p0.imag) - r.imag * (q1.real - p0.real)
+    d3 = s.real * (p0.imag - q0.imag) - s.imag * (p0.real - q0.real)
+    d4 = s.real * (p1.imag - q0.imag) - s.imag * (p1.real - q0.real)
+    return (
+        (d1 * d2 <= 0.0)
+        & (d3 * d4 <= 0.0)
+        & _overlap(p0.real, p1.real, q0.real, q1.real)
+        & _overlap(p0.imag, p1.imag, q0.imag, q1.imag)
+    )
+
+
 def _brute_force_candidates(pts: np.ndarray) -> list[tuple[int, int]]:
-    """Every pair (i, j), j > i + 1, that the segment predicate accepts."""
+    """Every pair (i, j), j > i + 1, that the whole segment predicate accepts."""
     n_seg = len(pts) - 1
     return [
         (i, j)
         for i in range(n_seg)
         for j in range(i + 2, n_seg)
-        if _segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1])
+        if _segments_meet(pts[i], pts[i + 1], pts[j], pts[j + 1])
     ]
 
 
@@ -226,6 +274,32 @@ class TestSweepScan:
 
         check()
 
+    def test_matches_brute_force_on_float_walks(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # Random walks, stretched along x or along y so that both axes are
+        # swept and the other one is left to the cross-axis mask.
+        steps = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(steps, min_size=1, max_size=40), st.floats(0.05, 20.0), st.integers(1, 64))
+        def check(walk, stretch, budget):
+            monkeypatch.setattr(intersect, "_PAIR_BUDGET", budget)
+            pts = np.cumsum([0j] + [complex(stretch * dx, dy) for dx, dy in walk])
+            assert _crossing_candidates(pts) == _brute_force_candidates(pts)
+
+        check()
+
+    def test_both_sweep_axes_are_drawn(self):
+        # a walk wider in x sweeps x and one wider in y sweeps y; the float
+        # walks above draw both (stretch below and above 1)
+        rng = np.random.default_rng(5)
+        for stretch in (0.1, 10.0):
+            pts = np.cumsum(stretch * rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60))
+            assert (np.ptp(pts.real) >= np.ptp(pts.imag)) == (stretch > 1.0)
+            assert _crossing_candidates(pts) == _brute_force_candidates(pts)
+
     def test_collinear_segments_count_only_where_they_meet(self):
         # Segments 0 and 4 lie on the x-axis with a gap between them.
         gap = np.array([0, 1, 1 + 1j, 2 + 1j, 2, 3], dtype=complex)
@@ -245,8 +319,8 @@ class TestSweepScan:
 
     def test_a_grid_crossing_itself_everywhere_is_refused(self, monkeypatch):
         # Q_L flips sign at every integer, so at step 1 nearly all of the
-        # ~2e6 segment pairs cross (~1 ms of Newton each); the scan refuses
-        # the grid before any refinement
+        # ~2e6 segment pairs cross (~0.3 ms of Newton each); the scan
+        # refuses the grid before any refinement
         def refuse(*args):
             raise AssertionError("a candidate was refined")
 

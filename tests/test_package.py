@@ -85,3 +85,24 @@ def test_numpy_is_imported_lazily(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert svg.stat().st_size > 0
     assert q_svg.stat().st_size > 0
+
+
+def test_line_counts_classify_each_line_once():
+    from count_lines import count
+
+    source = '''"""Module docstring,
+
+over three lines."""
+import math  # a comment after code is code
+
+# a comment line
+
+
+def f(x):
+    """One line."""
+    text = """a string
+
+    in code"""
+    return math.sqrt(x)
+'''
+    assert count(source) == {"code": 5, "docstring": 3, "comment": 1, "blank": 5, "total": 14}

@@ -27,7 +27,6 @@ from ngonspiral.spiral import (
     phase_of_turns,
     polygon,
     q_term,
-    unit_phase,
     vertex,
     vertex_at,
 )
@@ -41,6 +40,7 @@ from oracles import (
     mp_vertices,
     polygon_area,
     theta,
+    unit_phase,
 )
 
 import scipy.special as sp
