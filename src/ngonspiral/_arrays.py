@@ -1,23 +1,24 @@
 """The array kernels of the vertex series and of a polygon's ring, and _ARRAY,
 the array steps of spiral._space: the one module that imports numpy, which the
-scalar modules import only for array work (the dense runs, the rings, and
-_space at an array).
+scalar modules import only for array work (the dense runs, the identity
+check, the rings, and _space at an array).
 
 _ARRAY mirrors each float step of _space, and math's cos, sin, sqrt, tan
 and pow, at a float array of any shape, each entry with the float step's
 bits at that entry, because five rules hold throughout (save at -0.0 turns,
 which no library path forms: _turns gives (1+0j) there and phase_of_turns
 (1-0j), as np.rint(-0.0) cancels the sign that round(-0.0), the int 0, keeps):
-- phases are reduced in turns, as phase_of_turns does (_turns);
+- phases are reduced in turns, as phase_of_turns does (_turns), and
+  1/k - 2 H_k, H_k = s + c, as spiral._phases reduces it (_reduced);
 - H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
-  an ulp off on ~1e-4 of arguments; only the dense runs and the identity
-  check read harmonic_array, whose bits are their own, as it is faster
-  there (~30 vs ~310 us for 2,048 terms near 1e5) and slower below x = 11
-  (~6 vs ~0.9 ms on a crossing grid), and the runs from V(2) read the
-  phases of its first 2,048 entries from one table (_first_chunk), built
-  once per process in ~0.5 ms, and each family's terms and sums over
-  them from a table of its own (_first_run), built by its first run from
-  V(2) in ~0.05-0.4 ms;
+  an ulp off on ~1e-4 of arguments; the runs step H_k = s + c with
+  spiral._phases' own steps (_run_phases) from H_2 = 3/2, or from
+  harmonic_continued after a jump, as the tails do, and only the identity
+  check's closed side reads harmonic_array, whose bits are their own, as
+  it is faster there (~30 vs ~310 us for 2,048 terms near 1e5) and slower
+  below x = 11 (~6 vs ~0.9 ms on a crossing grid); each family's first
+  4,096 terms and sums from V(2) come from a table of its own
+  (_first_run), built by its first run from V(2) in ~0.2-1 ms;
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -46,6 +47,7 @@ from .numerics import (
     _cvz_orders,
     _cvz_sum,
     digamma,
+    harmonic_continued,
     two_sum,
 )
 from .spiral import _EULER_FROM, _side
@@ -90,6 +92,31 @@ def _alternate(k0: int, z: np.ndarray) -> np.ndarray:
     odd = z[1 - k0 % 2 :: 2]
     np.negative(odd, out=odd)
     return z
+
+
+def _reduced(inv: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u = e^{2 pi i t} at each entry, t = (1/k - (2 s mod 1)) - 2 c: spiral._phases'
+    reduction of 1/k - 2 H_k, H_k = s + c, in turns before 2 H_k rounds."""
+    r = 2.0 * s  # r - floor(r) is r % 1.0, exactly, at a third of the cost
+    return _turns((inv - (r - np.floor(r))) - 2.0 * c)
+
+
+def _run_phases(ks: np.ndarray, s: float, c: float) -> tuple:
+    """(u, (s, c)): u(k) at the consecutive k of the float array ks, given
+    H_{ks[0] - 1} = s + c, and the carry (s, c) at H_{ks[-1]}, bit for bit
+    spiral._phases' steps, each sequential one an np.add.accumulate: s
+    sums 1/k, c gathers each step's two_sum error, then _reduced."""
+    inv = 1.0 / ks
+    h = np.add.accumulate(np.concatenate(([s], inv)))
+    prev, h = h[:-1], h[1:]
+    v = h - prev
+    err = h - v
+    np.subtract(prev, err, out=err)
+    np.subtract(inv, v, out=v)
+    err += v
+    err[0] += c
+    np.add.accumulate(err, out=err)
+    return _reduced(inv, h, err), (h.item(-1), err.item(-1))
 
 
 def harmonic_array(x):
@@ -180,8 +207,7 @@ class _TailTerms:
         self.s, e = two_sum(self.s, inv)
         self.c = self.c + e
         self.j += 1
-        r = 2.0 * self.s  # r - floor(r) is r % 1.0, exactly, at a third of the cost
-        return _terms(self.f, k, _turns((inv - (r - np.floor(r))) - 2.0 * self.c))
+        return _terms(self.f, k, _reduced(inv, self.s, self.c))
 
     def keep(self, mask: np.ndarray) -> None:
         self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
@@ -267,9 +293,10 @@ _ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=_harmonic
                          tan=lambda x: _each(math.tan, x), pow=lambda x, y: _each(math.pow, x, y))
 
 
-# The dense kernel works in chunks of _CHUNK terms, so its working set
-# stays near 0.3 MB however long the run (vertex(power:-1, 10^5)).
-_CHUNK = 1 << 11
+# Runs, rings and the identity check work in chunks of _CHUNK terms, so
+# their working set stays near 0.6-0.7 MB however long the run
+# (vertex(power:-1, 10^5)) or the identity (n_max = 10^6).
+_CHUNK = 1 << 12
 
 
 class _RunningSum:
@@ -314,34 +341,23 @@ class _RunningSum:
         return head
 
 
-@functools.lru_cache(maxsize=None)
-def _first_chunk() -> tuple:
-    """(ks, u) for k = 3..2,050, the first _CHUNK of every run from V(2):
-    k as floats and u(k) = e^{2 pi i (1/k - 2 H_k)}, H_k = harmonic_array(ks),
-    read-only.  The shared vertex and side fix u(k) for every family, so only
-    l(k) is left to compute.  48 KB, built by the first run, never at import."""
-    ks = 3.0 + np.arange(_CHUNK, dtype=float)
-    u = _turns(1.0 / ks - 2.0 * harmonic_array(ks))
-    for a in (ks, u):
-        a.flags.writeable = False
-    return ks, u
-
-
 # _first_run's entries, one per family (equal by value, so power:0.0 and
-# power:-0.0 share one, with the same bits): ~64 KB each, the terms and the
-# running sums of 2,048 complex entries, so 16 entries hold at most ~1 MB and
+# power:-0.0 share one, with the same bits): ~128 KB each, the terms and the
+# running sums of 4,096 complex entries, so 16 entries hold at most ~2 MB and
 # twice the 7 families a series-queries pass reads from V(2).
 @functools.lru_cache(maxsize=16)
 def _first_run(f: LengthFunction) -> tuple | None:
-    """(terms, V(3..2,050), s, c) for the first _CHUNK of f's run from V(2) = 0:
-    its terms and Sum2 running sums, read-only, and the carry (s, c) of
-    _RunningSum after k = 2,050.  Sum2's only sequential steps are two
-    np.add.accumulate, so the first m sums are those of a chunk of m terms,
-    bit for bit.  None, and no table, when a side length or a sum of the
-    chunk is past the doubles (power:-100 at k = 1,210): such a family keeps
-    the live chunk, so a short run keeps its value and a long one its error.
-    Built by f's first run from V(2), never at import."""
-    ks, u = _first_chunk()
+    """(terms, V(3..4,098), carry, phase carry) for the first _CHUNK of f's
+    run from V(2) = 0: its terms and Sum2 running sums, read-only, the
+    carry (s, c) of _RunningSum and that of _run_phases after k = 4,098.
+    Sum2's only sequential steps are two np.add.accumulate, so the first m
+    sums are those of a chunk of m terms, bit for bit.  None, and no table,
+    when a side length or a sum of the chunk is past the doubles (power:-100
+    at k = 1,210): such a family keeps the live chunk, so a short run keeps
+    its value and a long one its error.  Built by f's first run from V(2),
+    never at import."""
+    ks = 3.0 + np.arange(_CHUNK, dtype=float)
+    u, phase_carry = _run_phases(ks, 1.5, 0.0)
     acc = _RunningSum(0j)
     try:
         with np.errstate(all="ignore"):  # a non-finite chunk is refused below
@@ -353,32 +369,32 @@ def _first_run(f: LengthFunction) -> tuple | None:
         return None
     for a in (terms, sums):
         a.flags.writeable = False
-    return terms, sums, acc._s, acc._c
+    return terms, sums, (acc._s, acc._c), phase_carry
 
 
 def _dense_series(f: LengthFunction, start: int, base: complex, end: int) -> Iterator[tuple]:
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
-    (first k, k as floats, V(k)) per chunk, V(start) = base, V from one
-    _RunningSum of the terms (-1)^k l(k) u(k), H_k from harmonic_array.  A
-    run from V(2) = 0 reads its first chunk from f's _first_run() table and
-    goes on from the table's carry (without a table, it reads that chunk's
-    ks and u(k) from _first_chunk()).  The signs come from the int k, so
-    they hold past 2^53, where consecutive floats coincide.
+    (first k, terms, V(k)) per chunk, V(start) = base, V from one
+    _RunningSum of the terms (-1)^k l(k) u(k), u(k) from _run_phases
+    seeded with H_2 = 3/2 from V(2), or with harmonic_continued(start), the
+    seed of the tail E(start + 1), after a jump, summed only when a chunk
+    needs it.  A run from V(2) = 0 reads its first chunk from f's
+    _first_run() table and goes on from the table's carries.  The signs
+    come from the int k, so they hold past 2^53, where consecutive floats
+    coincide.
     """
-    acc, lo = _RunningSum(base), start + 1
+    acc, lo, h = _RunningSum(base), start + 1, None
     if lo == 3 <= end and (first := _first_run(f)) is not None:
-        ks, (_, sums, s, c) = _first_chunk()[0], first
-        m = min(_CHUNK, end - 2)
-        yield 3, ks[:m], sums[:m]
-        acc, lo = _RunningSum(s, c), 3 + _CHUNK
+        terms, sums, carry, h = first
+        yield 3, terms[: end - 2], sums[: end - 2]
+        acc, lo = _RunningSum(*carry), 3 + _CHUNK
     for lo in range(lo, end + 1, _CHUNK):
-        m = min(_CHUNK, end + 1 - lo)
-        if lo == 3:
-            ks, u = (a[:m] for a in _first_chunk())
-        else:
-            ks = float(lo) + np.arange(m, dtype=float)
-            u = _turns(1.0 / ks - 2.0 * harmonic_array(ks))
-        yield lo, ks, acc.extend(_alternate(lo, _terms(f, ks, u)))
+        ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
+        if h is None:  # H_start, summed only once a chunk is live
+            h = 1.5 if start == 2 else harmonic_continued(start), 0.0
+        u, h = _run_phases(ks, *h)
+        terms = _alternate(lo, _terms(f, ks, u))
+        yield lo, terms, acc.extend(terms)
 
 
 def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
@@ -397,36 +413,21 @@ def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
     return corners
 
 
-# _identity_residual sums this many terms a chunk: its scratch peaks near
-# 0.7 MB at n_max = 10^6.
-_IDENTITY_CHUNK = 1 << 12
-
-
 def _identity_residual(n_max: int) -> float:
-    """verify_telescoping_identity's largest residual over 3 <= k <= n_max,
-    in chunks of _IDENTITY_CHUNK terms.  The direct side sums the series
-    from H_k = H_2 + sum 1/j (a _RunningSum from 3/2); the closed side's
-    rotations r_k = e^{-4 pi i H_k}, H_k from harmonic_array, serve both
-    checks: V(k) against -1 + (-1)^k r_k, and each term against
-    (-1)^k (r_{k-1} + r_k), r_{k-1} carried across chunks from r_2 = 1."""
-    f = telescoping()
-    direct, series = _RunningSum(1.5), _RunningSum(0j)  # H_2 and V(2)
+    """verify_telescoping_identity's largest residual over 3 <= k <= n_max.
+    The direct side is the telescoping family's run from V(2)
+    (_dense_series); the closed side's rotations r_k = e^{-4 pi i H_k},
+    H_k from harmonic_array, serve both checks: V(k) against
+    -1 + (-1)^k r_k, and each term against (-1)^k (r_{k-1} + r_k), r_{k-1}
+    carried across chunks from r_2 = 1."""
     last, worst = 1 + 0j, 0.0  # r_2 = e^{-6 pi i}, exactly 1
-    for lo in range(3, n_max + 1, _IDENTITY_CHUNK):
-        ks = float(lo) + np.arange(min(_IDENTITY_CHUNK, n_max + 1 - lo), dtype=float)
-        inv = 1.0 / ks
-        terms = _alternate(lo, _terms(f, ks, _turns(inv - 2.0 * direct.extend(inv))))
-        sums = series.extend(terms)
-        closed = harmonic_array(ks)
-        closed *= -2.0
-        rot = _turns(closed)
+    for lo, terms, sums in _dense_series(telescoping(), 2, 0j, n_max):
+        rot = _turns(-2.0 * harmonic_array(float(lo) + np.arange(len(sums), dtype=float)))
         pairs = np.empty_like(rot)  # r_{k-1} + r_k
         pairs[0] = last + rot.item(0)
         np.add(rot[:-1], rot[1:], out=pairs[1:])
         last = rot.item(-1)
         np.subtract(terms, _alternate(lo, pairs), out=pairs)
-        rot = _alternate(lo, rot)
-        rot -= 1.0
-        np.subtract(sums, rot, out=rot)
+        np.subtract(sums, _alternate(lo, rot) - 1.0, out=rot)
         worst = max(worst, np.abs(pairs).max(), np.abs(rot).max())
     return float(worst)

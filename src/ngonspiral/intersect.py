@@ -59,7 +59,8 @@ _MAX_CANDIDATES = 2048
 class Intersection:
     """A parameter pair (a < b) where the curve meets itself.
 
-    ``residual`` is |curve(a) - curve(b)| at the reported parameters.
+    ``residual`` is |curve(a) - curve(b)| at the reported parameters:
+    within the tolerance, or within the rounding of large parameters.
     """
 
     a: float
@@ -192,7 +193,10 @@ def _newton_refine(
 ) -> tuple[float, float, complex, float] | None:
     """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, midpoint,
     residual) from the curve's last readings at (a, b), or None on failure,
-    as where a difference step vanishes in the rounding of a parameter."""
+    as where a difference step vanishes in the rounding of a parameter.
+    A gap is accepted within the tolerance, or within the rounding of the
+    parameters, 4 (ulp(a) |curve'(a)| + ulp(b) |curve'(b)|), where that is
+    larger (a large parameter), so the residual may then exceed the tolerance."""
 
     def slope(t: float) -> complex:
         """curve'(t) as a central difference of step _FD_STEP, clamped to
@@ -202,10 +206,15 @@ def _newton_refine(
 
     pa, pb = curve(a), curve(b)
     g = pa - pb
+    within = tolerance
     for _ in range(_NEWTON_ITERS):
-        if abs(g) <= tolerance:
+        if abs(g) <= within:
             break
         da, db = slope(a), slope(b)
+        # the gap the rounding of (a, b) leaves, read by the next check (the
+        # tolerance alone where a slope is nan or inf)
+        floor = 4.0 * (math.ulp(a) * abs(da) + math.ulp(b) * abs(db))
+        within = max(tolerance, floor) if floor < math.inf else tolerance
         # solve [da, -db] [sa, sb]^T = -g as a real 2x2 system
         j11, j21 = da.real, da.imag
         j12, j22 = -db.real, -db.imag
@@ -226,7 +235,7 @@ def _newton_refine(
             damp *= 0.5
         else:
             break  # no damped step reduced the gap
-    if not abs(g) <= tolerance:  # a nan gap fails too
+    if not abs(g) <= within:  # a nan gap fails too
         return None
     return a, b, 0.5 * (pa + pb), abs(g)
 
@@ -244,7 +253,10 @@ def self_intersections(
     takes an array, see the module docstring), crossing segment pairs seed
     Newton refinement, and results closer than ``_SEPARATION`` in
     parameter, to each other or to the diagonal a = b, are merged or
-    dropped; the rest come back sorted by the first parameter.
+    dropped; the rest come back sorted by the first parameter.  Where a
+    parameter's rounding moves the curve by more than ``tolerance`` (about
+    ulp(t) |curve'(t)|, at large t), a crossing is kept within that
+    rounding, and its residual may exceed ``tolerance``.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, if the curve is
     non-finite anywhere on the sample grid, or if the grid crosses itself

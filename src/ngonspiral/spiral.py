@@ -11,14 +11,16 @@ from k = 3, with V(2) = 0 seeding the spiral at the origin.  For integer k
 the phase reduces to (-1)^k u(k), u(x) = e^{2 pi i (1/x - 2 H_x)}, whose
 reduced angle stays O(log x) instead of O(x), dodging the argument-reduction
 error of the raw closed form.  The shared vertex and side fix theta_k, so
-u(k) at the integers is the same for every family: only l(k) is free.  The
-scalar tail below reads its terms one by one from _tail_terms(), G_f's
-phases from one table of u(3), u(4), ... built on first use; dense runs
-(vertex_at, the telescoping identity check) and batched tails read them in
-the numpy kernels of _arrays.  V(3), ..., V(2,050) depend only on the
-family, so every vertex_at run from V(2) reads them from one table per
-family there, summed by its first run in a process, and sums only past
-them.  As the whole series minus its tail, the vertices and their smooth
+u(k) at the integers is the same for every family: only l(k) is free.  One
+phase stream serves every sum: H_k = s + c stepped by two_sum and each
+phase reduced in turns before 2 H_k rounds (_phases).  The scalar tail
+below reads its terms one by one from _tail_terms(), G_f's phases from one
+table of u(3), u(4), ... built on first use; dense runs (vertex_at, the
+telescoping identity check) and batched tails take the same steps in the
+numpy kernels of _arrays.  V(3), ..., V(4,098) depend only on the family,
+so every vertex_at run from V(2) reads them from one table per family
+there, summed by its first run in a process, and sums only past them.  As
+the whole series minus its tail, the vertices and their smooth
 continuation to real n are one formula,
 
     V(n) = G_f + e^{i pi n} E(n+1),   G_f = -E(3),   E(x) = sum_{j>=0} (-1)^j l(x+j) u(x+j),
@@ -127,7 +129,9 @@ def _phases(x: float, lf: Callable[[float], float] | None = None) -> Iterator[co
     (% 1.0), then 1/x and 2 c join the fraction, so a phase is within an ulp
     or two of a turn, where 1/x - 2 H_x would round at the ulp of 2 H_x
     (2e-15 turns at x = 48, 4e-15 at x = 10^6).  Against 40-digit sums, that
-    takes a limit of the families whose terms tend to 2 pi from ~1e-13 off to ~1e-14.
+    takes a limit of the families whose terms tend to 2 pi from ~1e-13 off to ~1e-14,
+    and a run to 2 x 10^4 from ~5e-12 to ~5e-13 (_arrays._run_phases takes
+    these steps over a chunk at once).
     """
     cos, sin = math.cos, math.sin  # locals: this loop is the hot path
     s, c = harmonic_continued(x - 1), 0.0
@@ -278,9 +282,10 @@ def continuation(f: LengthFunction, settings: AccelerationSettings) -> Callable[
 # its predecessor.  _SHALLOW_GAP is where a jump beat a run of ~0.04-0.21 us
 # terms (~350-450 of them; at a gap of 64,
 # vertex_at(power:0, [*range(100, 2001, 100), 10**5]) took 3.5x as long).  A run
-# from V(2) to k <= 2,050 now reads its family's table (_arrays._first_run) at
+# from V(2) to k <= 4,098 now reads its family's table (_arrays._first_run) at
 # no cost per term once the family's first run has built it, so such a jump
-# saves nothing there; it stays, as moving it moves the bits of those indices.
+# saves nothing there; it stays for accuracy: a jump is within 3.7e-14 of 40
+# digits at k <= 2,048, a run from V(2) up to 7.5e-14 off (circumscribed:-1).
 # _TAIL_FROM lies above figures._MAX_POLYGON, and a call that asks for nothing
 # above it jumps nothing, so the figures and every such call keep the bits of
 # one run from V(2).
@@ -322,15 +327,16 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
 
     V_f(2) = 0 and V_f(n) = sum_{k=3}^{n} (-1)^k l(k) e^{2 pi i (1/k - 2H_k)}.
     Each run of indices is summed by one numpy kernel from V(2) (or from a
-    jump): H_k from the vectorised digamma and phases reduced in turns, l(k)
-    from the array formula, and compensated running sums over chunks of
-    2,048 terms counted from the run's start, so dense ranges, and every
-    index of a call that asks for nothing above 2,048, are direct sums whose
-    bits do not depend on the other indices asked for.  A run from V(2)
-    reads V(3), ..., V(2,050) and the carry past them from one table per
+    jump): H_k = s + c stepped from H_2 = 3/2 (or from H_n at a jump at n)
+    and phases reduced in turns, as the tails' are, l(k) from the array
+    formula, and compensated running sums over chunks of 4,096 terms
+    counted from the run's start, so dense ranges, and every index of a
+    call that asks for nothing above 2,048, are direct sums whose bits do
+    not depend on the other indices asked for.  A run from V(2) reads
+    V(3), ..., V(4,098) and the carries past them from one table per
     family, built by the family's first run from V(2) in a process (unless a
     side length or sum there is past the doubles), so a warm family sums
-    only past k = 2,050; only the asked entries become Python numbers.  An
+    only past k = 4,098; only the asked entries become Python numbers.  An
     index above 2,048 more than 64 past the previous one (the first counted
     from 2) instead jumps, in O(1), to V(n) = G_f + (-1)^n E(n+1),
     G_f = -E(3) (regularised for exponent 0),
@@ -376,8 +382,8 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         if start == end:  # an empty run: the next asked index jumps too
             continue
         i = bisect.bisect_right(order, start)
-        for lo, ks, sums in _dense_series(f, start, base, end):
-            j = bisect.bisect_right(order, lo + len(ks) - 1, i)
+        for lo, _, sums in _dense_series(f, start, base, end):
+            j = bisect.bisect_right(order, lo + len(sums) - 1, i)
             if i < j:  # only the asked entries become Python complex numbers
                 span = sums[order[i] - lo : order[j - 1] + 1 - lo]
                 if len(span) > j - i:

@@ -39,9 +39,8 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # Re Q_L(n) as n -> 1+, the target of q_real_limit_estimate.
 Q_LIMIT_AT_1 = 4.0 * (1.0 - math.pi**2 / 6.0)
 
-# Largest n_max verify_telescoping_identity sums (0.11-0.14 s on a shared
-# 2-vCPU x86-64 VM).  10^7 took 1.2 s there, and its residual, 1.7e-10,
-# fails the 1e-10 check of `spiral telescope --check`.
+# Largest n_max verify_telescoping_identity sums (0.10-0.14 s on a shared
+# 2-vCPU x86-64 VM).  10^7 took 1.0 s there, with a residual of 2.6e-12.
 _MAX_IDENTITY_N = 10**6
 
 
@@ -94,14 +93,15 @@ def verify_telescoping_identity(n_max: int) -> float:
     """Largest residual between the direct vertex series and the closed form
     over integer 3 <= n <= n_max.
 
-    Two array checks per chunk of the identity's own kernel: the compensated
-    prefix sums against -1 + (-1)^k r_k, r_k = e^{-4 pi i H_k}, and the
-    termwise pairing identity L(k) e^{i theta_k} = (-1)^k (r_{k-1} + r_k),
-    read from the same closed-side rotations (r_2 = 1 exactly); the returned
-    maximum covers both.  The two sides compute H_k independently: the
-    direct side as a compensated running sum of 1/k from H_2 = 3/2, the
-    closed side from the vectorised digamma, so both checks hold one
-    against the other at every k.
+    Two array checks per chunk of the telescoping family's run from V(2)
+    (the dense kernel of vertex_at): the compensated prefix sums against
+    -1 + (-1)^k r_k, r_k = e^{-4 pi i H_k}, and the termwise pairing
+    identity L(k) e^{i theta_k} = (-1)^k (r_{k-1} + r_k), read from the same
+    closed-side rotations (r_2 = 1 exactly); the returned maximum covers
+    both.  The two sides compute H_k independently: the direct side as the
+    run's compensated pair s + c stepped from H_2 = 3/2, the closed side
+    from the vectorised digamma, so both checks hold one against the other
+    at every k.
     Raises ``ValueError`` unless n_max is integral, 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
     n_max = _index(n_max, "n_max must be an integer, got {}")

@@ -55,8 +55,9 @@ BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in
 # The interpolants read twice by warm_reads: either side of the CVZ-Euler
 # switch (x = n + 1 = 48), and past the deepest first-chunk phase.
 WARM_N = (1.5, 3.25, 46.5, 47.5, 250.5, 2048.5)
-# The vertices read twice by warm_runs: either side of the first chunk's
-# end (k = 2,050), and past it, where 5,000 jumps unless the sides grow.
+# The vertices read twice by warm_runs: either side of k = 2,050 (the end
+# of the first chunk when chunks held 2,048 terms, not 4,096), and past it,
+# where 5,000 jumps unless the sides grow.
 RUN_N = (3, 17, 300, 2050, 2051, 5000)
 # Settings no other section passes to classify and orbit_center: a term
 # budget below the first CVZ order at 1e-12 (31), and one at the floor tolerance.
@@ -113,7 +114,8 @@ def vertices() -> None:
         show_vertices(spec, [3, 100, 700, 1500, 2000, 2048, 2049, 10**5])
         show_vertices(spec, [*range(100, 2001, 100), 10**5])
     for spec in ("power:1", "power:0"):
-        # one run from V(2) across the first chunk's edge (k = 2,050) and the second's
+        # one run from V(2) across the first chunk's edge (k = 4,098), and
+        # across k = 2,050, the edge when chunks held 2,048 terms
         show_vertices(spec, range(2040, 4101))
 
 
@@ -201,15 +203,17 @@ def warm_runs() -> None:
 
 def polygons() -> None:
     for spec in ("power:1", "power:0", "telescoping", "power:-1"):
-        # 2,000 is figures._MAX_POLYGON; 2,047-2,050 end at and past the first chunk
+        # 2,000 is figures._MAX_POLYGON; 2,047-2,050 ended at and past the
+        # first chunk when it held 2,048 terms
         for n in (2, 3, 4, 5, 12, 300, 2000, 2047, 2048, 2049, 2050):
             show(f"polygon {spec} {n}", lambda: polygon(parse_length(spec), n))
 
 
 def telescoping() -> None:
     # 25,000 and 26,455 bound the benchmark's n_max pool (25,873 lies inside it);
-    # 10**6 is the largest n_max allowed; at 2,051 and 4,099 the last chunk
-    # holds one term, so its running sums have no earlier entry
+    # 10**6 is the largest n_max allowed; at 4,099 (and at 2,051 with
+    # chunks of 2,048) the last chunk holds one term, so its running sums
+    # have no earlier entry
     for n_max in (3, 258, 2050, 2051, 4099, 4100, 20_000, 25_000, 25_873, 26_455, 10**6):
         show(f"verify_telescoping_identity {n_max}", lambda: verify_telescoping_identity(n_max))
     for n in CLOSED_GRID:

@@ -150,6 +150,19 @@ class TestCurve:
             assert math.isfinite(abs(z))
         ET.parse(out_file)
 
+    def test_starved_samples_are_flagged(self, capsys, tmp_path):
+        # 4 terms a sum converge nowhere: every row is renamed, none dropped,
+        # stderr counts them and the exit code says so
+        code, out, err = run_cli(
+            capsys, "curve", "--s-min", "0.0000726", "--s-max", "1.77", "--samples", "10",
+            "--max-terms", "4",
+        )
+        assert code == 2
+        rows = parse_csv(out)
+        assert [name for name, _, _ in rows] == ["W-not-converged"] * 10
+        assert abs(rows[0][1] - 0.0000726) < 1e-12 and abs(rows[-1][1] - 1.77) < 1e-12
+        assert err == "curve: 10 of 10 samples not converged\n"
+
 
 class TestTelescope:
     def test_check_passes(self, capsys):

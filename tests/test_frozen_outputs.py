@@ -9,8 +9,9 @@ Linux, CPython 3.11.7, numpy 2.4.6); another libm or numpy build may round
 a last digit differently.  A change that alters an output byte on purpose
 (ROADMAP items 1-2) updates the table entry here and names the changed
 file in CHANGES.md.  The interp, vertices, centers, q, limit, orbit-center
-and W rows are also checked by value against their 40-digit mpmath oracles,
-so their hashes rest on checked numbers.
+and W rows, and the vertices and polygons of fig2, fig3a and fig4a, are
+also checked by value against their 40-digit mpmath oracles, so their
+hashes rest on checked numbers.
 
 ``python tests/test_frozen_outputs.py`` prints the table as the program
 writes it now, to paste over ``FROZEN`` after a deliberate change and
@@ -31,6 +32,8 @@ if __name__ == "__main__":  # run as a script: use the package beside tests/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ngonspiral.cli import main
+from ngonspiral.figures import fig_orbit, fig_spiral, fig_telescope
+from ngonspiral.lengthfns import power_law
 from oracles import mp_q, mp_vertices, mp_w
 
 # (argv, exit code, sha256 of stdout, {svg name: sha256 of its bytes})
@@ -38,7 +41,7 @@ FROZEN = [
     (
         "build --length power:1 --max-n 9 --out fig2.svg",
         0,
-        "80210fe9570f82aefd933624fac30ce949ee41b83a3f7a7ca78219d7d743a5b3",
+        "cf60ebc02d80e5b431940cced87d15bb0c9d02d3f7329783acfe7ea381b9e4e8",
         {"fig2.svg": "5130d8f64f12c642368480d44dcd3ca7fdfe7a08443925d08dd169c3a75233d4"},
     ),
     (
@@ -57,7 +60,7 @@ FROZEN = [
         "orbit --out fig3a.svg",
         0,
         "7dda2aa761b7650889804924078061352051a03beccf567eae92507d4d128dbb",
-        {"fig3a.svg": "bb3af2f70185db05fd4d30c400c11fd34aac24f9ab358a87b95d4220442eb200"},
+        {"fig3a.svg": "a10616308cb7a9c618a3477c4eb4926926a5438110d86591e81a06b1b70d73a8"},
     ),
     (
         "curve --s-min 0.0000726 --s-max 1.77 --samples 10 --out fig3b.svg",
@@ -68,13 +71,13 @@ FROZEN = [
     (
         "telescope --check --n-max 2000",
         0,
-        "f21f40b87ee59304af21eade53fd39819c923e07b3fe46105f17b08250f1b6f2",
+        "cca5b684527247f93e327854a2406e8254e0ebe7822339008c162e23aec4daa8",
         {},
     ),
     (
         "telescope --out fig4a.svg",
         0,
-        "2f27ab27b8f781572bbe1b75d348c7f6681fc4bf8ac3668a642e0818ddaed37a",
+        "550131383031f055404f52f81c7ae439c8d8351385b8f82a286b0b09d11c529e",
         {"fig4a.svg": "ecaf6cb5237b0a6b6eff74c0ab673d0f7bd06e8196689b3c2c26333d51f1fc77"},
     ),
     (
@@ -154,6 +157,37 @@ def test_center_rows_are_the_mpmath_values(command, spec, name, capsys):
     for n, z in rows.items():
         q = mp_q(spec, n) if name != "vertices" else 0j
         assert abs(z - (vertices.get(int(n), 0j) + q)) < 1e-13, n
+
+
+# Largest error against 40 digits of a figure's vertex rows and of its
+# polygons' shared vertices V(n), V(n-1) and centers (measured, rounded up:
+# 3.5e-15 for the 139 rows of fig3a, 1.21e-14 for fig4a's centers).  When the
+# runs rounded each phase at the ulp of 2 H_k they were 4.0e-14 and 1.9e-14.
+FIGURE_VERTEX_ERROR, FIGURE_POLYGON_ERROR = 4e-15, 1.3e-14
+
+
+@pytest.mark.parametrize(
+    "build, spec",
+    [
+        (lambda: fig_spiral(power_law(1.0), 9), "power:1"),  # build --max-n 9, fig2.svg
+        (fig_orbit, "power:0"),  # fig3a.svg
+        (fig_telescope, "telescoping"),  # telescope, fig4a.svg
+    ],
+    ids=["fig2", "fig3a", "fig4a"],
+)
+def test_figure_vertices_are_the_mpmath_values(build, spec):
+    # the vertex rows a figure draws and prints, V(2) to V(140) for fig3a,
+    # and each polygon's two shared vertices and its center
+    pytest.importorskip("mpmath")
+    scene, tables = build()
+    rows = dict(tables["vertices"])
+    ref = mp_vertices(spec, [int(n) for n in rows])
+    for n, z in rows.items():
+        assert abs(z - ref[int(n)]) <= FIGURE_VERTEX_ERROR, n
+    for p in scene.polygons:
+        assert abs(p.vertices[0] - ref[p.n]) <= FIGURE_POLYGON_ERROR, p.n
+        assert abs(p.vertices[1] - ref[p.n - 1]) <= FIGURE_POLYGON_ERROR, p.n
+        assert abs(p.center - (ref[p.n] + mp_q(spec, p.n))) <= FIGURE_POLYGON_ERROR, p.n
 
 
 @pytest.mark.parametrize(

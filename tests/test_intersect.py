@@ -30,6 +30,19 @@ class TestKnownCurves:
         assert abs(hit.point) < 1e-9
         assert hit.residual < 1e-10
 
+    def test_one_crossing_seen_from_several_pairs_is_one_hit(self, monkeypatch):
+        # the nodal cubic meets itself at t = -1 and 1; at step 0.5 the grid
+        # crosses there at 4 segment pairs, whose refinements all land on
+        # (-1, 1) and are merged into one hit
+        def cubic(t: float) -> complex:
+            return complex(t * t - 1.0, t * (t * t - 1.0))
+
+        refined, refine = [], intersect._newton_refine
+        monkeypatch.setattr(intersect, "_newton_refine", lambda *args: refined.append(args) or refine(*args))
+        hits = self_intersections(cubic, -2.0, 2.0, step=0.5)
+        assert len(refined) == 4
+        assert hits == [intersect.Intersection(-1.0, 1.0, 0j, 0.0)]
+
     def test_centers_curve_golden_intersection(self):
         hits = self_intersections(center_closed, 1.05, 6.0, step=2e-3)
         assert len(hits) == 1
@@ -58,6 +71,27 @@ class TestLargeParameters:
 
         assert t0 + intersect._FD_STEP == t0
         assert self_intersections(shifted, t0, t0 + 6.3, step=0.01) == []
+
+    @pytest.mark.parametrize("t0", [1e6, 1.6e10])
+    def test_a_crossing_is_kept_within_the_parameters_rounding(self, t0):
+        # ulp(t0) |curve'| passes the tolerance 1e-10 (ulp(1e6) = 1.2e-10,
+        # ulp(1.6e10) = 1.9e-6), so no Newton step closes the gap to it: each
+        # of the 4 hits of t0 = 1 is kept (3 of them were at 1e6, none at
+        # 1.6e10), the origin crossing (2 pi/3, 4 pi/3) within 8 ulp(t0) and
+        # past the tolerance, and each residual within the tolerance or the
+        # rounding of its parameters, |limacon'| < 4
+        def shifted(t: float) -> complex:
+            return limacon(t - t0)
+
+        ref = self_intersections(lambda t: limacon(t - 1.0), 1.0, 7.3, step=0.01)
+        hits = self_intersections(shifted, t0, t0 + 6.3, step=0.01)
+        assert len(hits) == len(ref) == 4
+        origin = hits[-1]
+        assert abs(origin.a - t0 - 2.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
+        assert abs(origin.b - t0 - 4.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
+        assert origin.residual > 1e-10
+        for h in hits:
+            assert h.residual <= max(1e-10, 16.0 * (math.ulp(h.a) + math.ulp(h.b)))
 
 
 class TestContracts:

@@ -211,6 +211,15 @@ class TestEulerTransform:
         # best estimate still in the right neighborhood
         assert abs(res.value - math.log(2.0)) < 1e-2
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, math.nan)])
+    def test_a_non_finite_term_stops_the_sum(self, bad):
+        # the best estimate and the count of the terms before it, not
+        # converged: the sum of those three terms alone
+        settings = AccelerationSettings(target_tolerance=1e-12)
+        got = euler_transform_sum(iter([1.0, 0.5, 0.25, bad, 0.125]), settings)
+        assert not got.converged and got.terms_used == 3
+        assert got == euler_transform_sum(iter([1.0, 0.5, 0.25]), settings)
+
     def test_value_within_reported_error_of_true_limit(self):
         res = euler_transform_sum((1.0 / (k * k) for k in range(1, 10**4)), TIGHT)
         assert res.converged

@@ -26,20 +26,18 @@ def test_every_exported_name_resolves():
 
 
 def test_import_builds_no_phase_table():
-    # the tables of u(k) every G_f and every run from V(2) read, and each
-    # family's first chunk of sums, are built by the first sum and the first
-    # run, not at import
+    # the table of u(k) every G_f reads, and each family's first chunk of
+    # a run from V(2), are built by the first sum and the first run, not at
+    # import
     code = ("import ngonspiral, ngonspiral.cli, ngonspiral.figures\n"
             "assert ngonspiral.spiral._limit_phases.cache_info().currsize == 0\n"
             "ngonspiral.limit_point(1.0)\n"
             "assert ngonspiral.spiral._limit_phases.cache_info().currsize == 1\n"
-            # nor the first chunk of the dense runs, nor any family's sums
-            # over it, by the import of _arrays; a family's first run builds both
+            # nor any family's first chunk of phases, terms and sums by the
+            # import of _arrays; a family's first run builds its own
             "import ngonspiral._arrays as arrays\n"
-            "assert arrays._first_chunk.cache_info().currsize == 0\n"
             "assert arrays._first_run.cache_info().currsize == 0\n"
             "ngonspiral.vertex(ngonspiral.power_law(1.0), 3)\n"
-            "assert arrays._first_chunk.cache_info().currsize == 1\n"
             "assert arrays._first_run.cache_info().currsize == 1\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

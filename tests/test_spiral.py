@@ -20,7 +20,7 @@ from ngonspiral.lengthfns import (
     power_law,
     telescoping,
 )
-from ngonspiral.numerics import EULER_GAMMA, AccelerationSettings, SummationResult
+from ngonspiral.numerics import EULER_GAMMA, AccelerationSettings, SummationResult, harmonic_continued
 from ngonspiral.spiral import (
     center,
     interpolated_vertex,
@@ -213,11 +213,14 @@ def _dense(spec: str, n_max: int) -> tuple[complex, ...]:
     return tuple(v[n] for n in range(2, n_max + 1))
 
 
-# The chunk (2048 terms) edges of a run from V(2), whose first term is
-# k = 3, n = 258 and 259 (kept as inputs), and a dense sample of n <= 2e4.
+# The chunk edges of a run from V(2), whose first term is k = 3 (chunks of
+# 4,096 terms, and of 2,048 before), n = 258 and 259 (kept as inputs), and a
+# dense sample of n <= 2e4.
 EDGES = (258, 259, 2050, 2051, 4098, 4099, 4100, 8195)
 DENSE_N = sorted({3, 4, 12, 50, 257, 260, 513, 2047, 2048, 4097, 8196, 12291, *EDGES,
                   *range(1000, 20_001, 1000)})
+# A run's indices up to _TAIL_FROM: DENSE_N's, a stride of 97 and the shallow jumps'.
+RUN_N = sorted({*(n for n in DENSE_N if n <= 2048), *range(100, 2049, 97), 515, 700, 1500, 2000})
 # Largest error of the scalar streaming loop this kernel replaced, from mpmath,
 # over DENSE_N (measured, rounded up at the third digit): the kernel may be
 # no worse.
@@ -226,6 +229,20 @@ STREAM_ERROR = {
     "power:1e-3": 1.02e-12, "inscribed:0": 1.65e-14, "circumscribed:1": 2.71e-15,
     "area:0": 9.86e-15, "power:0": 1.03e-12, "inscribed:-1": 6.43e-12,
     "circumscribed:-1": 6.46e-12, "area:-2": 3.61e-12, "telescoping": 2.06e-12,
+}
+
+
+# Largest error of a run from V(2) against mpmath (measured, rounded up at
+# the second digit): over RUN_N, and over DENSE_N past 2,048.  Runs step
+# H_k = s + c and reduce each phase in turns as the tails do; when they
+# formed 1/k - 2 H_k in one double the worst were 9.3e-13 and 5.2e-12
+# (inscribed:-1), against 7.5e-14 (circumscribed:-1) and 5.5e-13 now.
+RUN_ERROR = {
+    "power:1": (2.3e-16, 1.2e-16), "power:0.5": (5e-16, 1.2e-15), "power:2": (5.1e-17, 5.1e-17),
+    "power:1e-3": (7.6e-15, 8.2e-14), "inscribed:0": (6.3e-16, 6.3e-16),
+    "circumscribed:1": (8.1e-16, 8.1e-16), "area:0": (6.7e-16, 6.3e-16), "power:0": (7.8e-15, 8.7e-14),
+    "inscribed:-1": (4.8e-14, 5.5e-13), "circumscribed:-1": (7.5e-14, 5.1e-13),
+    "area:-2": (3.3e-14, 2.7e-13), "telescoping": (1.8e-14, 1.7e-13),
 }
 
 
@@ -252,6 +269,15 @@ class TestDeepVertices:
         got = _dense(spec, 20_000)
         ref = mp_vertices(spec, DENSE_N)
         assert max(abs(got[n - 2] - ref[n]) for n in DENSE_N) <= STREAM_ERROR[spec]
+
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_runs_against_mpmath(self, spec):
+        pytest.importorskip("mpmath")
+        got = _dense(spec, 20_000)
+        ref = mp_vertices(spec, sorted({*RUN_N, *DENSE_N}))
+        shallow, deep = RUN_ERROR[spec]
+        assert max(abs(got[n - 2] - ref[n]) for n in RUN_N) <= shallow
+        assert max(abs(got[n - 2] - ref[n]) for n in DENSE_N if n > 2048) <= deep
 
     def test_jump_matches_stream(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -280,6 +306,11 @@ class TestDeepVertices:
         for n in (3, 4, 100, 257, *EDGES[:2], 2047):
             assert vertex(f, n) == ref[n - 2], n
         assert ref == _dense(spec, 20_000)[: len(ref)]
+
+    def test_no_indices_no_vertices(self, monkeypatch):
+        monkeypatch.setattr(_arrays, "_dense_series", None)  # nothing is summed
+        assert vertex_at(power_law(1.0), []) == {}
+        assert vertex_at(power_law(1.0), iter(())) == {}
 
     @pytest.mark.parametrize("spec", ["power:-1", "inscribed:-2"])
     def test_growing_family_streams(self, spec):
@@ -362,7 +393,7 @@ class TestDeepVertices:
         # each index in its own call beside a deep one, so each jumps: the
         # interpolant's bits, within 5e-14 of 40 digits (measured worst
         # 3.7e-14, circumscribed:-1 at 2,048), where the run from V(2) it
-        # replaces is up to 7.3e-13 off (inscribed:-1 at 1,000)
+        # replaces is up to 7.5e-14 off (circumscribed:-1 at 2,000; RUN_ERROR)
         f, shallow = parse_length(spec), (515, 700, 1000, 1500, 2000, 2048)
         ref = mp_vertices(spec, shallow)
         for n in shallow:
@@ -393,9 +424,9 @@ class TestDeepVertices:
                 yield term
 
         def counting_dense(*args):
-            for chunk in dense(*args):
-                consumed.extend(chunk[1].tolist())
-                yield chunk
+            for lo, terms, sums in dense(*args):
+                consumed.extend(range(lo, lo + len(sums)))
+                yield lo, terms, sums
 
         spiral._limit_phases()  # built first, so the count does not hang on the test order
         monkeypatch.setattr(spiral, "_phases", counting_stream)
@@ -493,17 +524,23 @@ class TestDenseKernel:
         terms = parts(2500) + 1j * parts(2500)
         _rounded_once(0j, [terms[:2100], terms[2100:]])
 
-    def test_first_chunk_is_the_live_chunk(self):
-        # the table every run from V(2) reads: k = 3..2,050, each array with
-        # the bits of that chunk computed live, read-only, 48 KB in all
-        ks, u = _arrays._first_chunk()
-        live_ks = 3.0 + np.arange(_arrays._CHUNK, dtype=float)
-        live_u = _arrays._turns(1.0 / live_ks - 2.0 * _arrays.harmonic_array(live_ks))
-        for got, live in ((ks, live_ks), (u, live_u)):
-            assert got.dtype == live.dtype and got.tobytes() == live.tobytes()
-            assert not got.flags.writeable
-        assert ks[-1] == 2050.0
-        assert ks.nbytes + u.nbytes == 48 * 1024
+    @pytest.mark.parametrize("after", [2, 10**5, 10**12])
+    def test_run_phases_are_the_stream(self, after):
+        # a run from V(2) (H_2 = 3/2) and one after a jump at 10^5 or 10^12
+        # (H from harmonic_continued, the seed of the tail E(after + 1)):
+        # two chunks, the carry passed across their edge, give
+        # spiral._phases' bits entry for entry
+        h = (1.5 if after == 2 else harmonic_continued(after), 0.0)
+        got = []
+        for lo in (after + 1, after + 1 + 2048):
+            u, h = _arrays._run_phases(float(lo) + np.arange(2048.0), *h)
+            got += u.tolist()
+        assert got == list(itertools.islice(spiral._phases(after + 1), 4096))
+
+    def test_run_phases_hold_the_limit_phases(self):
+        table = spiral._limit_phases()
+        u, _ = _arrays._run_phases(3.0 + np.arange(float(len(table))), 1.5, 0.0)
+        assert u.tolist() == list(table)
 
     @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
     def test_runs_keep_their_bits_across_the_table(self, spec):
@@ -511,8 +548,8 @@ class TestDenseKernel:
         # table; vertex_at reads the first chunk from the table, and its
         # runs across the chunk edges and its deep jumps keep their bits
         f = parse_length(spec)
-        ref = live_run(f, 4097)
-        for indices in (range(2, 4098), [2047, 2048, 2049, 2050], [2040, 2050, 2051]):
+        ref = live_run(f, 8200)
+        for indices in (range(2, 8200), [2047, 2048, 2049, 2050], [2040, 2050, 2051]):
             got = vertex_at(f, indices)
             assert [repr(got[n]) for n in indices] == [repr(ref[n - 2]) for n in indices]
         for n in (3, 2047, 2048):
@@ -521,17 +558,20 @@ class TestDenseKernel:
             assert repr(vertex(f, n)) == repr(interpolated_vertex(f, float(n), spiral._TAIL_SETTINGS).value)
 
     def test_running_harmonic_numbers(self):
-        # the identity's direct H_k: 1/k summed from H_2 = 3/2, within an ulp
-        acc = _arrays._RunningSum(1.5)
-        ks = np.arange(3.0, 10_001.0)
-        hs = np.concatenate([acc.extend(1.0 / ks[:5000]), acc.extend(1.0 / ks[5000:])])
-        for k, h in zip(range(3, 10_001), hs.tolist()):
-            assert abs(h - harmonic_number(k)) <= math.ulp(h), k
+        # the runs' H_k, the carry s + c of _run_phases from H_2 = 3/2, within
+        # an ulp at the end of each chunk, chunks of 1 to 4,000 terms
+        h, lo = (1.5, 0.0), 3
+        for m in (1, 2, 7, 100, 255, 1000, 4000, *range(1, 60)):
+            _, h = _arrays._run_phases(float(lo) + np.arange(float(m)), *h)
+            lo += m
+            hk = h[0] + h[1]
+            assert abs(hk - harmonic_number(lo - 1)) <= math.ulp(hk), lo - 1
 
 
 class TestFirstRun:
-    """Each family's run from V(2) reads its first 2,048 sums, and the carry
-    past them, from one table built by its first such run in a process."""
+    """Each family's run from V(2) reads its first 4,096 terms and sums, and
+    the carries past them, from one table built by its first such run in a
+    process."""
 
     SPARSE = (3, 150, 2049, 2050, 2051, 4100)
 
@@ -541,7 +581,7 @@ class TestFirstRun:
         # the other order, and each against runs computed live
         f = parse_length(spec)
         reads = {"sparse": lambda: vertex_at(f, self.SPARSE),
-                 "range": lambda: vertex_at(f, range(2, 2100)),
+                 "range": lambda: vertex_at(f, range(2, 4200)),
                  "polygon": lambda: polygon(f, 300)}
         cold = {}
         for name, read in reads.items():
@@ -550,8 +590,8 @@ class TestFirstRun:
         vertex_at(power_law(0.25), range(2, 3000))
         for name, read in reversed(reads.items()):
             assert repr(read()) == cold[name], name
-        live = live_run(f, 4100)
-        assert cold["range"] == repr(dict(zip(range(2, 2100), live)))
+        live = live_run(f, 4200)
+        assert cold["range"] == repr(dict(zip(range(2, 4200), live)))
         assert cold["polygon"] == repr(spiral.polygon_from_vertex(f, 300, live[298]))
         # 2,049 and 4,100 jump once G_f is summed, save where the sides grow
         got = vertex_at(f, self.SPARSE)
@@ -583,7 +623,7 @@ class TestFirstRun:
 
     def test_table_is_read_only(self):
         vertex(power_law(1.0), 3)
-        terms, sums, s, c = _arrays._first_run(power_law(1.0))
+        terms, sums, _, _ = _arrays._first_run(power_law(1.0))
         assert len(terms) == len(sums) == _arrays._CHUNK
         for a in (terms, sums):
             assert not a.flags.writeable

@@ -193,26 +193,32 @@ class TestTelescopingIdentity:
 
     @pytest.mark.parametrize("n_max", [258, 259, 2050, 2051, 4098, 4099, 4100, 8194, 8195])
     def test_block_and_chunk_edges(self, n_max):
-        # the first and last terms of the identity's chunks of 4,096 and of
-        # the dense kernel's of 2,048, and n_max = 258, 259; measured 2.6e-13
-        # to 1.5e-12
+        # the first and last terms of the run's chunks of 4,096 (the first
+        # read from the family's table), those of 2,048 before the chunks grew,
+        # and n_max = 258, 259; measured 2.2e-14 to 1.1e-13
         assert verify_telescoping_identity(n_max) < 1e-11
 
     def test_the_cap_passes_the_check(self):
-        # measured 1.37e-11; `spiral telescope --check` fails above 1e-10
-        assert verify_telescoping_identity(10**6) < 1e-10
+        # measured 8.45e-13 (1.37e-11 when the runs rounded each phase at
+        # the ulp of 2 H_k); `spiral telescope --check` fails above 1e-10
+        assert verify_telescoping_identity(10**6) < 1e-12
 
     @pytest.mark.parametrize("n_max", [3, 258, 2050, 2051, 4099, 4100, 20_000, 25_000, 25_873, 26_455, 10**6])
     def test_same_residual_as_the_two_sided_check(self, n_max):
-        # tests/dump_values.py's n_max: the pairing side read from the closed
-        # rotations returns the float of the check that read it from the
-        # direct H_k
-        assert repr(verify_telescoping_identity(n_max)) == repr(identity_residual_two_sided(n_max))
+        # tests/dump_values.py's n_max: the check returns the float of the
+        # oracle's, which adds the pairing with both sides read from the
+        # direct H_k; the closed rotations' own pairing sets the float at
+        # n_max = 258 (2.22e-14 at k = 139, against 1.65e-14 two-sided) and
+        # nowhere else here, now that the run's phases no longer round at
+        # the ulp of 2 H_k
+        got = verify_telescoping_identity(n_max)
+        assert repr(got) == repr(identity_residual_two_sided(n_max, closed=True))
+        assert got <= 1.5 * identity_residual_two_sided(n_max)
 
     @pytest.mark.parametrize("n_max", range(13, 18))
     def test_stricter_pairing_stays_near_the_two_sided_check(self, n_max):
         # the digamma H_13 lies a few ulps off the running sum, which the
-        # pairing check sees: 1.03e-14 against 7.6e-15 to 8.7e-15
+        # pairing check sees: 5.4e-15 to 6.2e-15 against 4.8e-15
         assert verify_telescoping_identity(n_max) <= 1.5 * identity_residual_two_sided(n_max)
 
     def test_closed_form_side_reads_the_continuation(self, monkeypatch):
