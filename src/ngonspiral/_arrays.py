@@ -16,9 +16,12 @@ which no library path forms: _turns gives (1+0j) there and phase_of_turns
   harmonic_continued after a jump, as the tails do, and only the identity
   check's closed side reads harmonic_array, whose bits are their own, as
   it is faster there (~30 vs ~310 us for 2,048 terms near 1e5) and slower
-  below x = 11 (~6 vs ~0.9 ms on a crossing grid); each family's first
-  4,096 terms and sums from V(2) come from a table of its own
-  (_first_run), built by its first run from V(2) in ~0.2-1 ms;
+  below x = 11 (~6 vs ~0.9 ms on a crossing grid); one Sum2 cascade
+  (_cascade) carries both running sums of a run across its chunks, H_k
+  over 1/k and V(k) over the terms, each chunk one _chunk step; each
+  family's first 4,096 terms and sums from V(2) come from a table of its
+  own (_first_run, that step from V(2)), built by its first run from V(2)
+  in ~0.3-1 ms;
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -101,21 +104,33 @@ def _reduced(inv: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _turns((inv - (r - np.floor(r))) - 2.0 * c)
 
 
-def _run_phases(ks: np.ndarray, s: float, c: float) -> tuple:
-    """(u, (s, c)): u(k) at the consecutive k of the float array ks, given
-    H_{ks[0] - 1} = s + c, and the carry (s, c) at H_{ks[-1]}, bit for bit
-    spiral._phases' steps, each sequential one an np.add.accumulate: s
-    sums 1/k, c gathers each step's two_sum error, then _reduced."""
-    inv = 1.0 / ks
-    h = np.add.accumulate(np.concatenate(([s], inv)))
+def _cascade(s, c, x: np.ndarray) -> tuple:
+    """(heads, corrections): the running Sum2 of Ogita, Rump and Oishi
+    ("Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005) of
+    the float or complex array x, continued from the carry s + c, so the
+    sum after each entry is heads + corrections, rounded once, and the
+    carry after the last is (heads[-1], corrections[-1]); its sequential
+    steps are two np.add.accumulate: the heads, then c and each step's
+    two_sum error."""
+    h = np.add.accumulate(np.concatenate(([s], x)))
     prev, h = h[:-1], h[1:]
     v = h - prev
     err = h - v
     np.subtract(prev, err, out=err)
-    np.subtract(inv, v, out=v)
+    np.subtract(x, v, out=v)
     err += v
     err[0] += c
     np.add.accumulate(err, out=err)
+    return h, err
+
+
+def _run_phases(ks: np.ndarray, s: float, c: float) -> tuple:
+    """(u, (s, c)): u(k) at the consecutive k of the float array ks, given
+    H_{ks[0] - 1} = s + c, and the carry (s, c) at H_{ks[-1]}, bit for bit
+    spiral._phases' steps: s sums 1/k and c gathers each step's two_sum
+    error (_cascade), then _reduced."""
+    inv = 1.0 / ks
+    h, err = _cascade(s, c, inv)
     return _reduced(inv, h, err), (h.item(-1), err.item(-1))
 
 
@@ -299,46 +314,16 @@ _ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=_harmonic
 _CHUNK = 1 << 12
 
 
-class _RunningSum:
-    """Compensated running sums of a long real or complex series fed in
-    chunks: Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product",
-    SIAM J. Sci. Comput. 26(6), 2005) over each chunk, continued from a
-    carried two_sum head and correction, so each sum is rounded once.
-    """
-
-    def __init__(self, start: float | complex, c: float | complex = 0.0) -> None:
-        self._s, self._c = start, c  # the carry (head, correction) after the last entry
-
-    def extend(self, terms: np.ndarray) -> np.ndarray:
-        """The running sums, continued from the last, after each entry of
-        the numpy array ``terms`` (float or complex, as at the start)."""
-        p = np.add.accumulate(terms)
-        # the error of each step's two_sum(prev, terms), prev = [0, p[:-1]]:
-        # its sum prev + terms is p already (or 0.0 where p[0] is -0.0, which
-        # leaves the error 0.0), so v = p - prev, e = (prev - (p - v)) + (terms - v)
-        prev = np.empty_like(p)
-        prev[0] = 0.0
-        prev[1:] = p[:-1]
-        v = p - prev
-        fix = p - v
-        np.subtract(prev, fix, out=fix)
-        np.subtract(terms, v, out=v)
-        fix += v
-        np.add.accumulate(fix, out=fix)
-        last = fix.item(-1)
-        # head, err = two_sum(self._s, p) (err in prev), then head + ((self._c + fix) + err)
-        head = self._s + p
-        np.subtract(head, self._s, out=v)
-        np.subtract(head, v, out=prev)
-        np.subtract(self._s, prev, out=prev)
-        np.subtract(p, v, out=v)
-        prev += v
-        np.add(self._c, fix, out=fix)
-        fix += prev
-        head += fix
-        self._s, e = two_sum(self._s, p.item(-1))
-        self._c = self._c + last + e
-        return head
+def _chunk(f: LengthFunction, lo: int, n: int, h: tuple, v: tuple) -> tuple:
+    """(terms, V(lo..lo + n - 1), h, v): the n terms (-1)^k l(k) u(k) from
+    k = lo and their running sums, the phases from the H carry h (_run_phases)
+    and the sums from the V carry v (_cascade), with both carries after the
+    last k."""
+    ks = float(lo) + np.arange(n, dtype=float)
+    u, h = _run_phases(ks, *h)
+    terms = _alternate(lo, _terms(f, ks, u))
+    heads, fixes = _cascade(*v, terms)
+    return terms, heads + fixes, h, (heads.item(-1), fixes.item(-1))
 
 
 # _first_run's entries, one per family (equal by value, so power:0.0 and
@@ -347,54 +332,46 @@ class _RunningSum:
 # twice the 7 families a series-queries pass reads from V(2).
 @functools.lru_cache(maxsize=16)
 def _first_run(f: LengthFunction) -> tuple | None:
-    """(terms, V(3..4,098), carry, phase carry) for the first _CHUNK of f's
-    run from V(2) = 0: its terms and Sum2 running sums, read-only, the
-    carry (s, c) of _RunningSum and that of _run_phases after k = 4,098.
-    Sum2's only sequential steps are two np.add.accumulate, so the first m
-    sums are those of a chunk of m terms, bit for bit.  None, and no table,
-    when a side length or a sum of the chunk is past the doubles (power:-100
-    at k = 1,210): such a family keeps the live chunk, so a short run keeps
-    its value and a long one its error.  Built by f's first run from V(2),
-    never at import."""
-    ks = 3.0 + np.arange(_CHUNK, dtype=float)
-    u, phase_carry = _run_phases(ks, 1.5, 0.0)
-    acc = _RunningSum(0j)
+    """_chunk(f, 3, _CHUNK, (3/2, 0), (0, 0)), the first _CHUNK of f's run
+    from V(2) = 0: its terms and V(3..4,098), read-only, and the H and V
+    carries after k = 4,098.  Sum2's only sequential steps are
+    np.add.accumulate, so the first m sums are those of a chunk of m terms,
+    bit for bit.  None, and no table, when a side length or a sum of the
+    chunk is past the doubles (power:-100 at k = 1,210): such a family
+    keeps the live chunk, so a short run keeps its value and a long one its
+    error.  Built by f's first run from V(2), never at import."""
     try:
         with np.errstate(all="ignore"):  # a non-finite chunk is refused below
-            terms = _alternate(3, _terms(f, ks, u))
-            sums = acc.extend(terms)
+            run = _chunk(f, 3, _CHUNK, (1.5, 0.0), (0j, 0j))
     except ValueError:
         return None
-    if not np.isfinite(sums).all():  # finite sums leave a finite carry
+    if not np.isfinite(run[1]).all():  # finite sums leave finite carries
         return None
-    for a in (terms, sums):
+    for a in run[:2]:
         a.flags.writeable = False
-    return terms, sums, (acc._s, acc._c), phase_carry
+    return run
 
 
 def _dense_series(f: LengthFunction, start: int, base: complex, end: int) -> Iterator[tuple]:
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
-    (first k, terms, V(k)) per chunk, V(start) = base, V from one
-    _RunningSum of the terms (-1)^k l(k) u(k), u(k) from _run_phases
-    seeded with H_2 = 3/2 from V(2), or with harmonic_continued(start), the
-    seed of the tail E(start + 1), after a jump, summed only when a chunk
-    needs it.  A run from V(2) = 0 reads its first chunk from f's
-    _first_run() table and goes on from the table's carries.  The signs
-    come from the int k, so they hold past 2^53, where consecutive floats
-    coincide.
+    (first k, terms, V(k)) per chunk from _chunk, V(start) = base, the
+    phases seeded with H_2 = 3/2 from V(2), or with
+    harmonic_continued(start), the seed of the tail E(start + 1), after a
+    jump, summed only when a chunk needs it.  A run from V(2) = 0 reads its
+    first chunk from f's _first_run() table and goes on from the table's
+    carries.  The signs come from the int k, so they hold past 2^53, where
+    consecutive floats coincide.
     """
-    acc, lo, h = _RunningSum(base), start + 1, None
+    lo, h, v = start + 1, None, (base, 0j)
     if lo == 3 <= end and (first := _first_run(f)) is not None:
-        terms, sums, carry, h = first
+        terms, sums, h, v = first
         yield 3, terms[: end - 2], sums[: end - 2]
-        acc, lo = _RunningSum(*carry), 3 + _CHUNK
+        lo += _CHUNK
     for lo in range(lo, end + 1, _CHUNK):
-        ks = float(lo) + np.arange(min(_CHUNK, end + 1 - lo), dtype=float)
         if h is None:  # H_start, summed only once a chunk is live
             h = 1.5 if start == 2 else harmonic_continued(start), 0.0
-        u, h = _run_phases(ks, *h)
-        terms = _alternate(lo, _terms(f, ks, u))
-        yield lo, terms, acc.extend(terms)
+        terms, sums, h, v = _chunk(f, lo, min(_CHUNK, end + 1 - lo), h, v)
+        yield lo, terms, sums
 
 
 def _ring(c: complex, spoke: complex, n: int) -> list[complex]:

@@ -6,12 +6,14 @@ check the telescoping closed forms, hunt self-intersections, or evaluate
 the interpolant.  Numeric output is echoed to stdout in the name,n,re,im
 schema; figures land in SVG files.
 
-Exit codes: 0 success, 1 usage error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 usage error or a closed stdout, 2 numerical
+non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -158,6 +160,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_telescope(args: argparse.Namespace) -> int:
+    # a flag the chosen output does not read is refused, not ignored
+    unread = {"--check": {"--out": args.out, "--fig": args.fig}, "--fig q": {"--n-max": args.max_n}}
+    mode = "--check" if args.check else "--fig q" if args.fig == "q" else None
+    for flag, value in unread.get(mode, {}).items():
+        if value is not None:
+            raise ValueError(f"telescope {mode} does not read {flag}")
     if args.check:
         return _telescope_check(args)
     if args.fig == "q":
@@ -210,20 +218,10 @@ def _telescope_check(args: argparse.Namespace) -> int:
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
     curve = tele.center_closed if args.curve == "centers" else tele.q_closed
-    hits = self_intersections(
-        curve,
-        args.lo,
-        args.hi,
-        step=args.step,
-        tolerance=args.tol if args.tol is not None else TOL_CLOSED_FORM,
-    )
-    tables: dict[str, list[tuple[float, complex]]] = {}
-    for i, hit in enumerate(hits, start=1):
-        tables[f"{args.curve}-intersection-{i}"] = [
-            (hit.a, hit.point),
-            (hit.b, hit.point),
-        ]
-    _emit(tables, args.format)
+    tol = args.tol if args.tol is not None else TOL_CLOSED_FORM
+    hits = self_intersections(curve, args.lo, args.hi, step=args.step, tolerance=tol)
+    _emit({f"{args.curve}-intersection-{i}": [(hit.a, hit.point), (hit.b, hit.point)]
+           for i, hit in enumerate(hits, start=1)}, args.format)
     sys.stderr.write(f"intersect: {len(hits)} self-intersection(s) found\n")
     return 0
 
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="run the closed-form invariants")
     p.add_argument("--n-max", type=int, default=None, dest="max_n")
     p.add_argument("--out", default=None, help="SVG output path")
-    p.add_argument("--fig", choices=("centers", "q"), default="centers")
+    p.add_argument("--fig", choices=("centers", "q"), default=None, help="the figure (default centers)")
     p.set_defaults(func=_cmd_telescope)
 
     p = sub.add_parser("intersect", help="self-intersections of the telescoping curves")
@@ -303,10 +301,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse raises SystemExit for both --help (0) and usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"spiral: error: {exc}\n")
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: the Python docs' SIGPIPE recipe points it
+        # at devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -256,7 +256,11 @@ def self_intersections(
     dropped; the rest come back sorted by the first parameter.  Where a
     parameter's rounding moves the curve by more than ``tolerance`` (about
     ulp(t) |curve'(t)|, at large t), a crossing is kept within that
-    rounding, and its residual may exceed ``tolerance``.
+    rounding, and its residual may exceed ``tolerance``.  A retraced arc,
+    where the curve runs again over a stretch of itself, is no crossing,
+    yet it comes back as arbitrary points of the overlap, one per
+    surviving candidate pair (the limacon (1 + 2 cos t) e^{it} on
+    [0, 6.3] at step 0.01 gives three besides its one crossing).
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, if the curve is
     non-finite anywhere on the sample grid, or if the grid crosses itself

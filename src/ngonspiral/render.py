@@ -187,7 +187,9 @@ def sample_curve_adaptive(
 
     The intervals are refined breadth-first, one level at a time, and each
     level's points are read in one call; the output is the points in
-    parameter order, as a depth-first walk emits them.
+    parameter order, as a depth-first walk emits them.  Raises
+    ``ValueError``, before any call of fn, unless lo and hi are finite,
+    px_scale is finite and positive and initial is an int of at least 2.
     """
     return _sample_levels(lambda ts: [fn(t) for t in ts], lo, hi, px_scale, initial)
 
@@ -202,8 +204,10 @@ def _sample_levels(
     """sample_curve_adaptive over a curve read a list of parameters at a
     time, ``batch(ts) -> [fn(t) for t in ts]``: at most _MAX_DEPTH calls,
     the first for the initial samples and their midpoints."""
-    if initial < 2:
-        raise ValueError("need at least two initial samples")
+    if not (isinstance(initial, int) and initial >= 2):
+        raise ValueError(f"need an int of at least two initial samples, got {initial!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < px_scale < math.inf):
+        raise ValueError(f"need finite lo and hi and a finite px_scale > 0, got {lo!r}, {hi!r}, {px_scale!r}")
     tol = _MAX_DEVIATION_PX / px_scale
 
     ts = [lo + (hi - lo) * i / (initial - 1) for i in range(initial)]
@@ -240,7 +244,7 @@ def export_table(
     text recovers every float bit-exactly; JSON mirrors the same rows.  A
     non-finite number in any row raises ValueError: it is never emitted.
     """
-    fmt = format.lower()
+    fmt = format.lower() if isinstance(format, str) else format
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     rows = []

@@ -17,7 +17,8 @@ phase reduced in turns before 2 H_k rounds (_phases).  The scalar tail
 below reads its terms one by one from _tail_terms(), G_f's phases from one
 table of u(3), u(4), ... built on first use; dense runs (vertex_at, the
 telescoping identity check) and batched tails take the same steps in the
-numpy kernels of _arrays.  V(3), ..., V(4,098) depend only on the family,
+numpy kernels of _arrays, where one Sum2 cascade carries a run's H_k and
+its vertices across chunks.  V(3), ..., V(4,098) depend only on the family,
 so every vertex_at run from V(2) reads them from one table per family
 there, summed by its first run in a process, and sums only past them.  As
 the whole series minus its tail, the vertices and their smooth
@@ -329,8 +330,9 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     Each run of indices is summed by one numpy kernel from V(2) (or from a
     jump): H_k = s + c stepped from H_2 = 3/2 (or from H_n at a jump at n)
     and phases reduced in turns, as the tails' are, l(k) from the array
-    formula, and compensated running sums over chunks of 4,096 terms
-    counted from the run's start, so dense ranges, and every index of a
+    formula, and V by the same Sum2 cascade as H_k, each carried across
+    chunks of 4,096 terms counted from the run's start, so V(k) is rounded
+    once from the run's start; dense ranges, and every index of a
     call that asks for nothing above 2,048, are direct sums whose bits do
     not depend on the other indices asked for.  A run from V(2) reads
     V(3), ..., V(4,098) and the carries past them from one table per

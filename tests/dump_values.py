@@ -272,6 +272,20 @@ def refusals() -> None:
             show(f"{name} {label}", lambda: call(n))
 
 
+def jump_runs() -> None:
+    """A run of 9,000 terms after a jump at 10^5 for each family, so the
+    running sums carry across chunk edges after a jump: only the edges
+    (10^5 + 4,096 j, where a chunk of 4,096 terms ends, and the entries
+    either side) and every 500th index print."""
+    start, end = 10**5, 10**5 + 9000
+    edges = {n for j in range(3) for n in range(start + 4096 * j - 1, start + 4096 * j + 2)}
+    shown = sorted(n for n in edges | set(range(start, end, 500)) if start <= n < end)
+    for spec in FAMILIES:
+        got = vertex_at(parse_length(spec), range(start, end))
+        for n in shown:
+            print("jump run", spec, n, repr(got[n]))
+
+
 def curves() -> None:
     """Every point of the sampled curves of four figures."""
     for label, build in (("fig_spiral power:1 9", lambda: fig_spiral(power_law(1.0), 9)),
@@ -294,3 +308,4 @@ if __name__ == "__main__":
     curves()
     warm_runs()
     defaults()
+    jump_runs()

@@ -388,54 +388,64 @@ def sample_depth_first(
 def _run_harmonics(ks, s: float, c: float) -> tuple:
     """(1/k, s, c) at each k of the consecutive float array ks, with
     H_k = s + c from H_{ks[0] - 1} = s + c given: spiral._phases' steps as
-    plain array expressions, s an np.add.accumulate of 1/k and c one of the
-    numerics.two_sum errors."""
+    plain array expressions (_sum2)."""
+    inv = 1.0 / ks
+    return (inv, *_sum2(inv, s, c))
+
+
+def _sum2(x, s, c) -> tuple:
+    """(s, c) after each entry of the float or complex array x, the running
+    sum s + c continued from s + c given: Sum2 as plain array expressions,
+    s an np.add.accumulate of x and c one of the numerics.two_sum errors."""
     import numpy as np
 
     from ngonspiral.numerics import two_sum
 
-    inv = 1.0 / ks
-    hs = np.add.accumulate(np.concatenate(([s], inv)))
-    _, err = two_sum(hs[:-1], inv)
-    return inv, hs[1:], np.add.accumulate(np.concatenate(([c], err)))[1:]
+    hs = np.add.accumulate(np.concatenate(([s], x)))
+    _, err = two_sum(hs[:-1], x)
+    return hs[1:], np.add.accumulate(np.concatenate(([c], err)))[1:]
 
 
 def live_run(f, end: int) -> list[complex]:
     """V(2), ..., V(end) of one run from V(2) with every chunk of the dense
     kernel computed live: per chunk of _arrays._CHUNK terms, H_k = s + c
     stepped from H_2 = 3/2 (_run_harmonics), u(k) with the phase
-    t = (1/k - (2 s mod 1)) - 2 c, and V from one _RunningSum: the bits a
-    run through f's _first_run table must keep."""
+    t = (1/k - (2 s mod 1)) - 2 c, and V = s + c by the same plain Sum2
+    (_sum2) from V(2) = 0: the bits a run through f's _first_run table
+    must keep."""
     import numpy as np
 
     from ngonspiral import _arrays
 
-    acc, sums, s, c = _arrays._RunningSum(0j), [0j], 1.5, 0.0
+    sums, s, c, vs, vc = [0j], 1.5, 0.0, 0j, 0j
     for lo in range(3, end + 1, _arrays._CHUNK):
         ks = float(lo) + np.arange(min(_arrays._CHUNK, end + 1 - lo), dtype=float)
         inv, hs, cs = _run_harmonics(ks, s, c)
         s, c = hs[-1], cs[-1]
         u = _arrays._turns((inv - np.mod(2.0 * hs, 1.0)) - 2.0 * cs)
-        sums += acc.extend(_arrays._alternate(lo, _arrays._terms(f, ks, u))).tolist()
+        heads, fixes = _sum2(_arrays._alternate(lo, _arrays._terms(f, ks, u)), vs, vc)
+        vs, vc = heads[-1], fixes[-1]
+        sums += (heads + fixes).tolist()
     return sums
 
 
 def identity_residual_two_sided(n_max: int, closed: bool = False) -> float:
     """verify_telescoping_identity's residual with both sides of the pairing
     identity read from the direct H_k: in chunks of 2,048 terms, the vertex
-    series and (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k}) from
-    H_k = s + c stepped from H_2 = 3/2 (_run_harmonics), each phase reduced
-    as (2 s mod 1) + 2 c, the prefix sums against the closed form from
-    harmonic_array.  With ``closed``, each term is also checked against the
-    pair of closed rotations, r_{k-1} read from harmonic_array at k - 1
-    (r_2 = 1), as the library's check does."""
+    series (summed by the plain Sum2, _sum2) and
+    (-1)^k (e^{-4 pi i H_{k-1}} + e^{-4 pi i H_k}) from H_k = s + c stepped
+    from H_2 = 3/2 (_run_harmonics), each phase reduced as (2 s mod 1) + 2 c,
+    the prefix sums against the closed form from harmonic_array.  With
+    ``closed``, each term is also checked against the pair of closed
+    rotations, r_{k-1} read from harmonic_array at k - 1 (r_2 = 1), as the
+    library's check does."""
     import numpy as np
 
     from ngonspiral import _arrays
     from ngonspiral.lengthfns import telescoping
 
     f, chunk = telescoping(), 2048
-    series, s, c = _arrays._RunningSum(0j), 1.5, 0.0
+    s, c, vs, vc = 1.5, 0.0, 0j, 0j
     worst = 0.0
     for k0 in range(3, n_max + 1, chunk):
         ks = float(k0) + np.arange(min(chunk, n_max + 1 - k0), dtype=float)
@@ -447,7 +457,9 @@ def identity_residual_two_sided(n_max: int, closed: bool = False) -> float:
         turns[1:] = frac + 2.0 * cs
         s, c = hs[-1], cs[-1]
         terms = _arrays._alternate(k0, _arrays._terms(f, ks, u))
-        sums = series.extend(terms)
+        heads, fixes = _sum2(terms, vs, vc)
+        vs, vc = heads[-1], fixes[-1]
+        sums = heads + fixes
         rot = _arrays._turns(-turns)
         pairs = _arrays._alternate(k0, rot[:-1] + rot[1:])
         both = _arrays.harmonic_array(np.concatenate(([ks[0] - 1.0], ks)))  # H_{k-1}, then H_k

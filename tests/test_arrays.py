@@ -1,5 +1,5 @@
 """The in-place array kernels of ngonspiral._arrays against the plain
-expressions they replace, bit for bit: the Sum2 running sums, the phases in
+expressions they replace, bit for bit: the Sum2 cascade, the phases in
 turns, the vectorised H_x, and the side lengths at exponent 0."""
 
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ngonspiral import _arrays
-from ngonspiral._arrays import _ARRAY, _RunningSum, _turns, harmonic_array
+from ngonspiral._arrays import _ARRAY, _cascade, _turns, harmonic_array
 from ngonspiral.lengthfns import LengthKind, _formula
 from ngonspiral.numerics import (
     _DIGAMMA_SHIFT,
@@ -27,21 +27,13 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
-class _PlainRunningSum:
-    """_RunningSum.extend as the plain Sum2 expression: each step's two_sum
-    formed afresh, with temporaries."""
-
-    def __init__(self, start):
-        self._s, self._c = start, 0.0
-
-    def extend(self, terms):
-        p = np.add.accumulate(terms)
-        fix = np.add.accumulate(two_sum(np.concatenate(([0.0], p[:-1])), terms)[1])
-        head, err = two_sum(self._s, p)
-        sums = head + ((self._c + fix) + err)
-        self._s, e = two_sum(self._s, p[-1].item())
-        self._c = self._c + fix[-1].item() + e
-        return sums
+def _plain_cascade(s, c, x):
+    """_cascade as the plain Sum2 expression, with temporaries: the prefix
+    sums from s, each step's two_sum error, then the running sum of c and
+    the errors."""
+    prefix = np.add.accumulate(np.concatenate(([s], x)))
+    errors = two_sum(prefix[:-1], x)[1]
+    return prefix[1:], np.add.accumulate(np.concatenate(([c], errors)))[1:]
 
 
 def _chunks(kind: str, dtype) -> list:
@@ -86,16 +78,20 @@ class TestRunningSum:
     @pytest.mark.parametrize("kind", ["random", "zeros", "cancel", "one", "nonfinite"])
     @pytest.mark.parametrize("dtype, start", [(float, 1.5), (complex, 0.5 - 0.25j), (complex, -0.0j)])
     def test_extend_is_the_plain_sum2(self, kind, dtype, start):
-        # the sums, the carried head and correction, and the terms left alone
-        got, ref = _RunningSum(start), _PlainRunningSum(start)
+        # _cascade extended chunk by chunk, the carry (heads[-1],
+        # corrections[-1]) passed on: the heads, the corrections, and the
+        # terms left alone
+        got = ref = (start, 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
             for chunk in _chunks(kind, dtype):
                 before = _bits(chunk)
-                a = got.extend(chunk)
+                a = _cascade(*got, chunk)
                 assert _bits(chunk) == before
-                b = ref.extend(chunk)
-                assert a.dtype == b.dtype and _bits(a) == _bits(b), kind
-                assert repr((got._s, got._c)) == repr((ref._s, ref._c))
+                b = _plain_cascade(*ref, chunk)
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype == chunk.dtype and _bits(x) == _bits(y), kind
+                got, ref = (a[0].item(-1), a[1].item(-1)), (b[0].item(-1), b[1].item(-1))
+                assert repr(got) == repr(ref)
 
 
 def _plain_turns(t):

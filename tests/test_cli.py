@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -196,6 +197,24 @@ class TestTelescope:
         assert code == 0
         ET.parse(out_file)
 
+    @pytest.mark.parametrize(
+        "argv, mode, flag",
+        [
+            (["--check", "--out", "fig.svg"], "--check", "--out"),
+            (["--check", "--fig", "centers"], "--check", "--fig"),
+            (["--check", "--fig", "q"], "--check", "--fig"),
+            (["--fig", "q", "--n-max", "20"], "--fig q", "--n-max"),
+        ],
+        ids=["check-out", "check-fig-centers", "check-fig-q", "fig-q-n-max"],
+    )
+    def test_flags_the_output_does_not_read_are_refused(self, capsys, tmp_path, monkeypatch, argv, mode, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "telescope", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"spiral: error: telescope {mode} does not read {flag}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestIntersect:
     def test_centers_golden_pair(self, capsys):
@@ -366,6 +385,20 @@ class TestDeterminism:
 
 
 class TestConsoleEntry:
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # stdout block-buffered, as a pipe's is by default, so ~210 KB of
+        # rows go out in several writes, more than a pipe holds: the writer
+        # outlives the reader, which takes one line and closes the pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        argv = [sys.executable, "-m", "ngonspiral.cli", "build", "--length", "power:1", "--max-n", "2000",
+                "--no-interp"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"name,n,re,im\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ngonspiral.cli", "classify", "--length", "power:-1"],

@@ -148,6 +148,32 @@ class TestAdaptiveSampling:
         assert len(calls) <= render._MAX_DEPTH + 1
 
 
+    @pytest.mark.parametrize(
+        "lo, hi, px_scale, initial, message",
+        [
+            (0.0, 1.0, 0.0, 64, "px_scale"),
+            (0.0, 1.0, -100.0, 64, "px_scale"),
+            (0.0, 1.0, math.nan, 64, "px_scale"),
+            (math.nan, 1.0, 100.0, 64, "lo and hi"),
+            (0.0, math.inf, 100.0, 64, "lo and hi"),
+            (0.0, 1.0, 100.0, 2.5, "initial samples"),
+        ],
+        ids=["px-scale-zero", "px-scale-negative", "px-scale-nan", "lo-nan", "hi-inf", "initial-2.5"],
+    )
+    def test_bad_arguments_are_refused_before_any_call(self, lo, hi, px_scale, initial, message):
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return complex(math.sqrt(t), 0.0)
+
+        with pytest.raises(ValueError, match=message):
+            sample_curve_adaptive(fn, lo, hi, px_scale, initial)
+        with pytest.raises(ValueError, match=message):
+            render._sample_levels(lambda ts: [fn(t) for t in ts], lo, hi, px_scale, initial)
+        assert calls == []
+
+
 class TestExportTable:
     def test_seed_row_spelling(self):
         text = export_table({"vertices": [(2.0, 0j)]}, "csv")
@@ -173,6 +199,10 @@ class TestExportTable:
     def test_bad_format(self):
         with pytest.raises(ValueError):
             export_table({}, "xml")
+
+    def test_format_that_is_no_string(self):
+        with pytest.raises(ValueError, match="format must be 'csv' or 'json', got 3"):
+            export_table({"a": [(1.0, 1 + 1j)]}, format=3)
 
     def test_determinism(self):
         data = {"a": [(1.0, 1 + 1j)], "b": [(2.0, 2 - 2j)]}

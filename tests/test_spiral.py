@@ -490,11 +490,16 @@ class TestDeepVertices:
 
 
 def _rounded_once(start, chunks):
-    """Feed the complex arrays ``chunks`` to one _RunningSum from ``start``
-    and hold each running sum, part by part, within half an ulp of the
-    exact Fraction sum (measured: half an ulp at worst)."""
-    acc = _arrays._RunningSum(start)
-    got = np.concatenate([acc.extend(c) for c in chunks])
+    """Feed the complex arrays ``chunks`` to _arrays._cascade from ``start``,
+    the carry passed across chunks, and hold each running sum, part by
+    part, within half an ulp of the exact Fraction sum (measured: half an
+    ulp at worst)."""
+    carry, sums = (start, 0j), []
+    for c in chunks:
+        heads, fixes = _arrays._cascade(*carry, c)
+        sums.append(heads + fixes)
+        carry = heads.item(-1), fixes.item(-1)
+    got = np.concatenate(sums)
     re, im = Fraction(start.real), Fraction(start.imag)
     for j, (z, w) in enumerate(zip(np.concatenate(chunks).tolist(), got.tolist())):
         re += Fraction(z.real)
