@@ -21,7 +21,9 @@ which no library path forms: _turns gives (1+0j) there and phase_of_turns
   over 1/k and V(k) over the terms, each chunk one _chunk step; each
   family's first 4,096 terms and sums from V(2) come from a table of its
   own (_first_run, that step from V(2)), built by its first run from V(2)
-  in ~0.3-1 ms;
+  of more than 16 terms in ~0.3-1 ms (spiral._float_run sums the shorter
+  ones one float at a time, and polygon_from_vertex forms _ring's rings of
+  at most 16 corners so);
 - complex products are formed as CPython forms them (_product);
 - moduli come from np.hypot, as abs() of a Python complex does;
 - side lengths use a numpy ufunc only where it has math's bits (cos, sin
@@ -192,15 +194,17 @@ def _terms(f: LengthFunction, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lengths * u  # l promoted to complex(l, 0), as CPython < 3.14 does
 
 
-# _tails sums this many columns at a time, so its working set stays flat
-# however many points a curve asks for.
-_COLUMNS = 256
+# _tails sums this many columns at a time, so its working set stays near
+# 0.4 MB however many points a curve asks for.  With fewer, numpy's cost per
+# call outweighs the work: fig_orbit takes ~34 ms at 256 columns, ~24 ms at
+# 1,024 and at 2,048 (2-vCPU x86-64 VM).  Columns are independent, so bits hold at any width.
+_COLUMNS = 1024
 
 
 def _tails(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> SummationResult:
     """spiral._tail(f, x, settings) at each entry of the float array x,
     column by column in chunks of _COLUMNS: a SummationResult of arrays.
-    3,000 points of a power:0 curve take ~10 ms, ~85 ms one _tail at a time (2-vCPU x86-64 VM)."""
+    3,000 points of a power:0 curve take ~5 ms, ~70-90 ms one _tail at a time (2-vCPU x86-64 VM)."""
     flat = x.ravel()
     # an empty x is one empty chunk, so the fields are empty arrays
     starts = range(0, len(flat) or 1, _COLUMNS)
@@ -379,7 +383,9 @@ def _ring(c: complex, spoke: complex, n: int) -> list[complex]:
     one list extended _CHUNK corners at a time, so only the n Python complex
     numbers grow with n:
     y = (2 pi k) / n as that complex division forms it, its cos and sin the
-    parts of e^{iy} (rule 5), and the product by _product."""
+    parts of e^{iy} (rule 5), and the product by _product.  That is
+    c + spoke * complex(cos(y), sin(y)) with y = TWO_PI * k / n, which
+    spiral.polygon_from_vertex forms corner by corner for n <= 16."""
     corners = []
     for lo in range(0, n, _CHUNK):
         y = TWO_PI * np.arange(lo, min(lo + _CHUNK, n), dtype=float) / n

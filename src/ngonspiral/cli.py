@@ -13,6 +13,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -161,7 +162,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _cmd_telescope(args: argparse.Namespace) -> int:
     # a flag the chosen output does not read is refused, not ignored
-    unread = {"--check": {"--out": args.out, "--fig": args.fig}, "--fig q": {"--n-max": args.max_n}}
+    unread = {"--check": {"--out": args.out, "--fig": args.fig, "--format": args.format},
+              "--fig q": {"--n-max": args.max_n}}
     mode = "--check" if args.check else "--fig q" if args.fig == "q" else None
     for flag, value in unread.get(mode, {}).items():
         if value is not None:
@@ -174,7 +176,7 @@ def _cmd_telescope(args: argparse.Namespace) -> int:
         scene, tables = figures.fig_telescope(max_n=12 if args.max_n is None else args.max_n)
     if args.out:
         _write_svg(args.out, scene)
-    _emit(tables, args.format)
+    _emit(tables, args.format or "csv")
     return 0
 
 
@@ -199,11 +201,12 @@ def _telescope_check(args: argparse.Namespace) -> int:
     worst = float(np.abs(np.hypot(v.real + 1.0, v.imag) - 1.0).max())
     verdict(worst < 1e-12, f"unit-circle law: max deviation {worst:.3e} (tol 1e-12)")
 
-    # relative to max(1, |Q|): |Q(m)| ~ m / pi, so rounding grows with m
+    # relative to max(1, |Q|): |Q(m)| ~ m / pi, so rounding grows with m;
+    # q_closed at the array of m has the float calls' bits
+    f, ms = telescoping_fn(), np.arange(3.0, min(n_max, 2000) + 1.0)
     worst = 0.0
-    for m in range(3, min(n_max, 2000) + 1):
-        q = tele.q_closed(float(m))
-        worst = max(worst, abs(q - q_term(telescoping_fn(), float(m))) / max(1.0, abs(q)))
+    for m, q in zip(ms.tolist(), tele.q_closed(ms).tolist()):
+        worst = max(worst, abs(q - q_term(f, m)) / max(1.0, abs(q)))
     verdict(worst < 1e-13, f"Q closed form vs centers formula: max relative {worst:.3e} (tol 1e-13)")
 
     golden = abs(tele.center_closed(tele.PHI) - tele.center_closed(tele.PHI + 1.0))
@@ -270,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("telescope", help="telescoping spiral closed forms and checks")
-    _add_shared(p, "--format")
+    # None, read as csv, so --check can tell a --format it does not read
+    p.add_argument("--format", **{**_SHARED_FLAGS["--format"], "default": None})
     p.add_argument("--check", action="store_true", help="run the closed-form invariants")
     p.add_argument("--n-max", type=int, default=None, dest="max_n")
     p.add_argument("--out", default=None, help="SVG output path")
@@ -300,18 +304,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse raises SystemExit for both --help (0) and usage errors
         return int(exc.code or 0)
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # unbuffered (python -u, PYTHONUNBUFFERED): the text layer takes a
+        # pipe's short write as complete, so a reader that closes early would
+        # cut the output short at exit 0; a BufferedWriter writes the rest of
+        # each line, or raises BrokenPipeError
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors,
+                                      line_buffering=True, write_through=True)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except (ValueError, OverflowError) as exc:
+            sys.stderr.write(f"spiral: error: {exc}\n")
+            code = USAGE_ERROR
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
-    except (ValueError, OverflowError) as exc:
-        sys.stderr.write(f"spiral: error: {exc}\n")
-        return USAGE_ERROR
     except BrokenPipeError:
         # the reader closed stdout: the Python docs' SIGPIPE recipe points it
         # at devnull, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if sys.stdout is not stdout:  # flushed: detached, so stdout stays open
+            sys.stdout.detach().detach()
+            sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .convergence import CurveSample, convergence_curve, orbit_center
 from .lengthfns import LengthFunction, power_law, telescoping as telescoping_fn
 from .numerics import AccelerationSettings, _index
 from .render import WIDTH, Scene, _sample_levels, sample_curve_adaptive
-from .spiral import PolygonGeometry, continuation, polygon_from_vertex, vertex_at
+from .spiral import _FLOAT_STEPS, PolygonGeometry, continuation, polygon_from_vertex, vertex_at
 
 __all__ = [
     "fig_orbit",
@@ -54,14 +54,25 @@ def _spiral(
     return polys, vert_rows, _px_scale_guess([z for _, z in vert_rows])
 
 
-def _interpolant(
-    f: LengthFunction, settings: AccelerationSettings
-) -> Callable[[list[float]], list[complex]]:
-    """The smooth spiral read a list at a time, ts -> [V(t) for t in ts],
-    with G_f read once for the whole curve (summed once per family and
-    settings, by continuation()) and the tails column-wise."""
+def _curve(fn: Callable, max_n: int) -> Callable[[list[float]], list[complex]]:
+    """A figure's curve read a list at a time, ts -> [fn(t) for t in ts]: one
+    float at a time, without numpy, when every polygon of the figure takes
+    the float steps (max_n <= spiral._FLOAT_STEPS), else fn at the whole list,
+    whose entries carry the float calls' bits.  fig2's 269 interpolant
+    points take ~11-14 ms one at a time and fig4a's 1,717 centers ~7 ms,
+    less than numpy's import (~70-85 ms), but orbit's 8,785 take ~250-310 ms,
+    against ~25-45 ms as arrays (2-vCPU x86-64 VM)."""
+    if max_n <= _FLOAT_STEPS:
+        return lambda ts: [fn(t) for t in ts]
+    return lambda ts: fn(ts).tolist()
+
+
+def _interpolant(f: LengthFunction, settings: AccelerationSettings, max_n: int) -> Callable:
+    """The smooth spiral to max_n read a list at a time (_curve), with G_f read
+    once for the whole curve (summed once per family and settings, by
+    continuation())."""
     v = continuation(f, settings)
-    return lambda ts: v(ts).value.tolist()
+    return _curve(lambda t: v(t).value, max_n)
 
 
 def fig_spiral(
@@ -70,14 +81,16 @@ def fig_spiral(
     settings: AccelerationSettings | None = None,
     with_interpolant: bool = True,
 ) -> tuple[Scene, Tables]:
-    """Polygons 3..max_n with shared vertices and the smooth interpolant."""
+    """Polygons 3..max_n with shared vertices and the smooth interpolant; up
+    to max_n = 16 its vertices, rings and curve take the float steps, so fig2
+    (max_n = 9) never imports numpy."""
     max_n = _index(max_n, "max_n must be an integer, got {}")
     polys, vert_rows, scale = _spiral(f, max_n, max_n)
     settings = settings or AccelerationSettings(target_tolerance=1e-9)
     curves = {}
     if with_interpolant:
         curves["interpolant"] = _sample_levels(
-            _interpolant(f, settings), 2.0, float(max_n), scale, initial=16 * (max_n - 1)
+            _interpolant(f, settings, max_n), 2.0, float(max_n), scale, initial=16 * (max_n - 1)
         )
     scene = Scene(
         polygons=polys,
@@ -106,7 +119,7 @@ def fig_orbit(settings: AccelerationSettings | None = None) -> tuple[Scene, Tabl
         },
         curves={
             "interpolant": _sample_levels(
-                _interpolant(f, settings), 2.0, 140.0, scale, initial=8 * 140
+                _interpolant(f, settings, 140), 2.0, 140.0, scale, initial=8 * 140
             ),
             "orbit-circle": circle,
         },
@@ -134,12 +147,14 @@ def fig_wcurve(
 
 
 def fig_telescope(max_n: int = 12) -> tuple[Scene, Tables]:
-    """The telescoping spiral up to max_n with the continued centers curve."""
+    """The telescoping spiral up to max_n with the continued centers curve,
+    read one float at a time up to max_n = 16 (_curve): the default figure
+    (fig4a, max_n = 12) never imports numpy."""
     max_n = _index(max_n, "max_n must be an integer, got {}")
     polys, vert_rows, scale = _spiral(telescoping_fn(), max_n, max_n)
     center_rows = [(float(p.n), p.center) for p in polys]
     centers_curve = _sample_levels(
-        lambda ts: tele.center_closed(ts).tolist(), 1.05, float(max_n), scale, initial=48 * max_n
+        _curve(tele.center_closed, max_n), 1.05, float(max_n), scale, initial=48 * max_n
     )
     scene = Scene(
         polygons=polys,
@@ -154,7 +169,8 @@ def fig_telescope(max_n: int = 12) -> tuple[Scene, Tables]:
 
 def fig_q() -> tuple[Scene, Tables]:
     """The center-offset spiral Q_L(n) on [1.02, 35], read one float at a
-    time: `spiral telescope --fig q` never imports numpy."""
+    time whatever its size, as the small figures' curves are (_curve):
+    `spiral telescope --fig q` never imports numpy."""
     marker_rows = [(float(n), tele.q_closed(float(n))) for n in range(2, 36)]
     scale = _px_scale_guess([z for _, z in marker_rows])
     curve = sample_curve_adaptive(tele.q_closed, 1.02, 35.0, scale, initial=2048)

@@ -18,9 +18,11 @@ below reads its terms one by one from _tail_terms(), G_f's phases from one
 table of u(3), u(4), ... built on first use; dense runs (vertex_at, the
 telescoping identity check) and batched tails take the same steps in the
 numpy kernels of _arrays, where one Sum2 cascade carries a run's H_k and
-its vertices across chunks.  V(3), ..., V(4,098) depend only on the family,
-so every vertex_at run from V(2) reads them from one table per family
-there, summed by its first run in a process, and sums only past them.  As
+its vertices across chunks; a run of at most 16 terms, and a ring of at most
+16 corners, take those steps one float at a time here, with their bits,
+without numpy.  V(3), ..., V(4,098) depend only on the family, so every
+longer vertex_at run from V(2) reads them from one table per family there,
+summed by its first such run in a process, and sums only past them.  As
 the whole series minus its tail, the vertices and their smooth
 continuation to real n are one formula,
 
@@ -68,6 +70,7 @@ from .numerics import (
     _refuse,
     euler_transform_sum,
     harmonic_continued,
+    two_sum,
 )
 
 __all__ = [
@@ -294,6 +297,12 @@ _TAIL_FROM = 2048
 _JUMP_GAP = 64
 _SHALLOW_GAP = 512
 _TAIL_SETTINGS = AccelerationSettings(1e-13)
+# A run of at most _FLOAT_STEPS terms, and a ring of at most _FLOAT_STEPS
+# corners, takes the float steps of the array kernels, with their bits: numpy's
+# import (~70-85 ms) and _first_run's 4,096-entry table dwarf such work (a cold
+# vertex(f, 12) takes ~35-60 us, 0.3-1 ms through the table; 2-vCPU x86-64 VM).
+# The paper's small figures (fig2: n <= 9, fig4a: n <= 12) stay within it.
+_FLOAT_STEPS = 16
 # Work cap of one vertex_at call in summed terms (~4 s for power:-1 on a
 # shared 2-vCPU x86-64 VM); a jump counts as _JUMP_GAP terms.
 _MAX_STREAM = 10**7
@@ -323,6 +332,28 @@ def _gaps(order: list[int], lo: int, hi: int, gap: int) -> dict[int, int]:
     return {n: n - p for p, n in zip([prev, *part], part) if n - p > gap}
 
 
+def _float_run(f: LengthFunction, start: int, base: complex, end: int) -> list[complex]:
+    """V(start + 1), ..., V(end) from V(start) = base, a short run by the float
+    steps of _arrays._dense_series, with its bits below 2^53: the terms
+    l(k) u(k) of _phases(start + 1), whose H is seeded with H_start (exactly
+    3/2 at start 2), the sign from the int k, and V = s + c by _cascade's
+    Sum2 steps, c gathering each step's two_sum error.  A side length past
+    the doubles raises the run's ``ValueError``.  Past 2^53 the two read l
+    and 1/k at other doubles: here at float(k), the double nearest each k,
+    there at float(start + 1) + j; their seeds, signs and sums agree."""
+    s, c, sums = base, 0j, []
+    try:
+        for k, t in zip(range(start + 1, end + 1), _phases(start + 1, f.as_callable())):
+            s, e = two_sum(s, -t if k % 2 else t)
+            c += e
+            sums.append(s + c)
+    except OverflowError:
+        for k in range(start + 1, end + 1):
+            _side(f, float(k))  # raises at the first length past the doubles
+        raise
+    return sums
+
+
 def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     """Shared vertices V_f(n) for several indices in one ascending walk.
 
@@ -334,9 +365,11 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     chunks of 4,096 terms counted from the run's start, so V(k) is rounded
     once from the run's start; dense ranges, and every index of a
     call that asks for nothing above 2,048, are direct sums whose bits do
-    not depend on the other indices asked for.  A run from V(2) reads
+    not depend on the other indices asked for.  A run of at most 16 terms
+    takes the same steps one float at a time (_float_run), without numpy,
+    with the kernel's bits below 2^53.  A longer run from V(2) reads
     V(3), ..., V(4,098) and the carries past them from one table per
-    family, built by the family's first run from V(2) in a process (unless a
+    family, built by the family's first such run in a process (unless a
     side length or sum there is past the doubles), so a warm family sums
     only past k = 4,098; only the asked entries become Python numbers.  An
     index above 2,048 more than 64 past the previous one (the first counted
@@ -375,8 +408,6 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
     # the next start, the last one to the deepest index
     starts = [(2, 0j), *jumps.items()]
     ends = [n - deep[n] for n in jumps] + [order[-1]]
-    from ._arrays import _dense_series
-
     out = {}
     for (start, base), end in zip(starts, ends):
         if start in wanted:
@@ -384,6 +415,12 @@ def vertex_at(f: LengthFunction, indices: Iterable[int]) -> dict[int, complex]:
         if start == end:  # an empty run: the next asked index jumps too
             continue
         i = bisect.bisect_right(order, start)
+        if end - start <= _FLOAT_STEPS:
+            sums = _float_run(f, start, base, end)
+            out.update((n, sums[n - start - 1]) for n in order[i : bisect.bisect_right(order, end, i)])
+            continue
+        from ._arrays import _dense_series
+
         for lo, _, sums in _dense_series(f, start, base, end):
             j = bisect.bisect_right(order, lo + len(sums) - 1, i)
             if i < j:  # only the asked entries become Python complex numbers
@@ -496,16 +533,22 @@ def _point(v) -> complex:
 
 def polygon_from_vertex(f: LengthFunction, n: int, v: complex) -> PolygonGeometry:
     """Enumerate the n-gon from its shared vertex v = V(n), e.g. one entry of
-    a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n).
-    Raises ``ValueError`` before any work unless n is integral, 3 <= n <= 10^6,
-    and v one finite complex number."""
+    a vertex_at pass: vertices C + (v - C) e^{2 pi i k / n}, C = v + Q(n),
+    corner by corner up to n = 16, without numpy, else by _arrays._ring, with
+    the same bits.  Raises ``ValueError`` before any work unless n is
+    integral, 3 <= n <= 10^6, and v one finite complex number."""
     n = _sides(n)
     v = _point(v)
     side = _side(f, float(n))
     c = v + q_term(f, n)
-    from ._arrays import _ring
+    spoke = v - c
+    if n <= _FLOAT_STEPS:  # _ring's formula, corner by corner
+        angles = (TWO_PI * k / n for k in range(n))
+        verts = tuple(c + spoke * complex(math.cos(y), math.sin(y)) for y in angles)
+    else:
+        from ._arrays import _ring
 
-    verts = tuple(_ring(c, v - c, n))
+        verts = tuple(_ring(c, spoke, n))
     return PolygonGeometry(
         n=n,
         side_length=side,

@@ -204,8 +204,9 @@ class TestTelescope:
             (["--check", "--fig", "centers"], "--check", "--fig"),
             (["--check", "--fig", "q"], "--check", "--fig"),
             (["--fig", "q", "--n-max", "20"], "--fig q", "--n-max"),
+            (["--check", "--n-max", "10", "--format", "json"], "--check", "--format"),
         ],
-        ids=["check-out", "check-fig-centers", "check-fig-q", "fig-q-n-max"],
+        ids=["check-out", "check-fig-centers", "check-fig-q", "fig-q-n-max", "check-format"],
     )
     def test_flags_the_output_does_not_read_are_refused(self, capsys, tmp_path, monkeypatch, argv, mode, flag):
         monkeypatch.chdir(tmp_path)
@@ -385,11 +386,8 @@ class TestDeterminism:
 
 
 class TestConsoleEntry:
-    def test_closed_stdout_exits_one_without_a_traceback(self):
-        # stdout block-buffered, as a pipe's is by default, so ~210 KB of
-        # rows go out in several writes, more than a pipe holds: the writer
-        # outlives the reader, which takes one line and closes the pipe
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    @staticmethod
+    def _read_one_line_and_close(env):
         argv = [sys.executable, "-m", "ngonspiral.cli", "build", "--length", "power:1", "--max-n", "2000",
                 "--no-interp"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
@@ -398,6 +396,18 @@ class TestConsoleEntry:
             err = proc.stderr.read().decode()
             assert proc.wait() == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # stdout block-buffered, as a pipe's is by default, so ~210 KB of
+        # rows go out in several writes, more than a pipe holds: the writer
+        # outlives the reader, which takes one line and closes the pipe
+        self._read_one_line_and_close({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
+
+    def test_closed_unbuffered_stdout_exits_one(self):
+        # unbuffered (PYTHONUNBUFFERED=1, python -u), the rows go out in one
+        # write, which the pipe takes only in part: the rest must be written
+        # or the closed pipe seen, not dropped at exit 0
+        self._read_one_line_and_close({**os.environ, "PYTHONUNBUFFERED": "1"})
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -37,7 +37,7 @@ def test_import_builds_no_phase_table():
             # import of _arrays; a family's first run builds its own
             "import ngonspiral._arrays as arrays\n"
             "assert arrays._first_run.cache_info().currsize == 0\n"
-            "ngonspiral.vertex(ngonspiral.power_law(1.0), 3)\n"
+            "ngonspiral.vertex(ngonspiral.power_law(1.0), ngonspiral.spiral._FLOAT_STEPS + 3)\n"
             "assert arrays._first_run.cache_info().currsize == 1\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -58,14 +58,21 @@ def test_import_leaves_the_limit_cache_empty():
 
 
 def test_numpy_is_imported_lazily(tmp_path):
-    # numpy is most of the import time; only the dense kernels, the batched
-    # curve tails, the closed forms at an array (all in _arrays) and the
-    # crossing scan need it, so the import, the scalar commands (fig_q
-    # reads q_closed one float at a time), a single interpolated vertex and
-    # a closed form at a float skip it, and _arrays with it, after each
+    # numpy is most of the import time; only the dense kernels past
+    # _FLOAT_STEPS terms or corners, the batched curve tails, the closed
+    # forms at an array (all in _arrays) and the crossing scan need it, so
+    # the import, the scalar commands, the small figures (fig2, fig4a and
+    # fig_q read their curves one float at a time), a short run or ring, a
+    # single interpolated vertex and a closed form at a float skip it, and
+    # _arrays with it, after each
     svg = tmp_path / "fig3b.svg"
     q_svg = tmp_path / "fig4b.svg"
+    small = {name: tmp_path / f"{name}.svg" for name in ("fig2", "fig4a")}
     calls = [
+        f"main(['build', '--length', 'power:1', '--max-n', '9', '--out', {str(small['fig2'])!r}]) == 0",
+        f"main(['telescope', '--out', {str(small['fig4a'])!r}]) == 0",
+        "ngonspiral.vertex(ngonspiral.power_law(0.5), 16)",
+        "ngonspiral.polygon(ngonspiral.inscribed(1.0), 16)",
         "main(['limit', '--s', '0.5']) == 0",
         "main(['classify', '--length', 'power:-1']) == 0",
         "main(['curve', '--s-min', '0.0000726', '--s-max', '1.77', '--samples', '10',"
@@ -81,8 +88,8 @@ def test_numpy_is_imported_lazily(tmp_path):
     code += "".join(f"assert {call}\n" + loaded % call for call in calls)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert svg.stat().st_size > 0
-    assert q_svg.stat().st_size > 0
+    for path in (svg, q_svg, *small.values()):
+        assert path.stat().st_size > 0
 
 
 def test_line_counts_classify_each_line_once():

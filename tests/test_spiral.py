@@ -180,6 +180,13 @@ class TestVertex:
                 call()
         with pytest.raises(ValueError, match=re.escape("inscribed:-300 at n = 11.0 is non-finite")):
             vertex(inscribed(-300), 200)
+        # 3^700 overflows in a run on the float steps: its ValueError is the
+        # array run's, not the float step's OverflowError
+        message = "the side length of power:-700 at n = 3.0 is non-finite (overflows a double)"
+        for call in (lambda: vertex(power_law(-700), 5),
+                     lambda: list(_arrays._dense_series(power_law(-700), 2, 0j, 5))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
         assert cmath.isfinite(vertex(power_law(-300), 10))
 
     def test_index_beyond_the_double_range_is_refused(self):
@@ -606,7 +613,7 @@ class TestFirstRun:
     def test_signed_zero_exponents_share_an_entry(self):
         fresh = repr(vertex_at(power_law(-0.0), range(2, 2100)))
         _arrays._first_run.cache_clear()
-        vertex(power_law(0.0), 5)
+        vertex(power_law(0.0), spiral._FLOAT_STEPS + 3)  # a run past the float steps builds the table
         assert repr(vertex_at(power_law(-0.0), range(2, 2100))) == fresh
         assert _arrays._first_run.cache_info().currsize == 1
 
@@ -642,8 +649,14 @@ class TestFirstRun:
         cache = _arrays._first_run
         assert cache.cache_info().maxsize == 16
         for k in range(17):
-            vertex(power_law(1.0 + k / 16), 3)
+            vertex(power_law(1.0 + k / 16), spiral._FLOAT_STEPS + 3)
         assert cache.cache_info().currsize == 16
+
+    def test_short_runs_build_no_table(self):
+        # a sweep of more than the cache holds, each run on the float steps
+        for k in range(17):
+            vertex(power_law(1.0 + k / 16), 12)
+        assert _arrays._first_run.cache_info().currsize == 0
 
     def test_cleared_cache_builds_again(self, monkeypatch):
         # terms doubled by a stub double every sum exactly, so the sums show
@@ -655,6 +668,60 @@ class TestFirstRun:
         assert vertex(f, 300) == v
         _arrays._first_run.cache_clear()
         assert vertex(f, 300) == 2.0 * v
+
+
+# Starts of the runs past 2^53, where k and k + 1 can share a double.
+PAST_EXACT = (2**53 - 8, 2**53, 2**53 + 1, 2**60 + 100, 10**17, 10**20)
+
+
+class TestFloatSteps:
+    """A run of at most _FLOAT_STEPS terms and a ring of at most _FLOAT_STEPS
+    corners take the float steps, with the bits of the array kernels."""
+
+    @staticmethod
+    def _array_run(f, start, base, end):
+        return [z for _, _, sums in _arrays._dense_series(f, start, base, end) for z in sums.tolist()]
+
+    @pytest.mark.parametrize("after", [2, 10**5, 10**12])
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_runs_are_the_array_bits(self, spec, after):
+        # every run of 1 to 16 terms, from V(2) and after a jump
+        f = parse_length(spec)
+        base = vertex(f, after)
+        for m in range(1, spiral._FLOAT_STEPS + 1):
+            got = spiral._float_run(f, after, base, after + m)
+            assert repr(got) == repr(self._array_run(f, after, base, after + m)), m
+        # and vertex reads them: V(3) to V(18), each a run from V(2)
+        ends = range(3, spiral._FLOAT_STEPS + 3) if after == 2 else ()
+        for end in ends:
+            assert repr(vertex(f, end)) == repr(self._array_run(f, 2, 0j, end)[-1]), end
+
+    @pytest.mark.parametrize("spec", VANISHING + CONSTANT)
+    def test_rings_are_the_array_bits(self, spec):
+        f = parse_length(spec)
+        for n in range(3, spiral._FLOAT_STEPS + 1):
+            pg = polygon(f, n)
+            c = pg.center
+            assert repr(pg.vertices) == repr(tuple(_arrays._ring(c, vertex(f, n) - c, n))), n
+
+    @pytest.mark.parametrize("start", PAST_EXACT)
+    def test_runs_past_exact_floats(self, start):
+        # the float steps keep the array run's seed H_start, its signs (from
+        # the int k) and its Sum2; they read l and 1/k at float(k), the
+        # double nearest each k, where the array run reads
+        # float(start + 1) + j: the bits agree wherever those doubles do, and
+        # within a few ulps of a term elsewhere (1.9e-15 measured)
+        end = start + spiral._FLOAT_STEPS
+        shared = all(float(k) == float(start + 1) + (k - start - 1) for k in range(start + 1, end + 1))
+        for spec in VANISHING + CONSTANT:
+            f = parse_length(spec)
+            got = spiral._float_run(f, start, 0.25 - 0.5j, end)
+            want = self._array_run(f, start, 0.25 - 0.5j, end)
+            if shared:
+                assert repr(got) == repr(want), spec
+            else:
+                assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14, spec
+        assert shared == (start not in (2**53, 10**17))
 
 
 class TestQTerm:
