@@ -10,13 +10,12 @@ which no library path forms: _turns gives (1+0j) there and phase_of_turns
 (1-0j), as np.rint(-0.0) cancels the sign that round(-0.0), the int 0, keeps):
 - phases are reduced in turns, as phase_of_turns does (_turns), and
   1/k - 2 H_k, H_k = s + c, as spiral._phases reduces it (_reduced);
-- H_x takes digamma's steps with math.log (_harmonic_exact), as np.log is
-  an ulp off on ~1e-4 of arguments; the runs step H_k = s + c with
-  spiral._phases' own steps (_run_phases) from H_2 = 3/2, or from
-  harmonic_continued after a jump, as the tails do, and only the identity
-  check's closed side reads harmonic_array, whose bits are their own, as
-  it is faster there (~30 vs ~310 us for 2,048 terms near 1e5) and slower
-  below x = 11 (~6 vs ~0.9 ms on a crossing grid); one Sum2 cascade
+- H_x takes digamma's steps with math.log (harmonic_array), as np.log is
+  an ulp off on ~1e-4 of arguments; only the identity check's closed side
+  passes np.log, whose bits are its own, as it is faster there (~40 vs
+  ~270 us for 2,048 terms near 2e4, 2-vCPU x86-64 VM); the runs step
+  H_k = s + c with spiral._phases' own steps (_run_phases) from
+  harmonic_continued(start), as the tails do; one Sum2 cascade
   (_cascade) carries both running sums of a run across its chunks, H_k
   over 1/k and V(k) over the terms, each chunk one _chunk step; each
   family's first 4,096 terms and sums from V(2) come from a table of its
@@ -42,7 +41,6 @@ import numpy as np
 
 from .lengthfns import LengthFunction, _formula, telescoping
 from .numerics import (
-    _DIGAMMA_ASYMPTOTIC,
     _DIGAMMA_SHIFT,
     EULER_GAMMA,
     TWO_PI,
@@ -51,7 +49,6 @@ from .numerics import (
     _bernoulli_tail,
     _cvz_orders,
     _cvz_sum,
-    digamma,
     harmonic_continued,
     two_sum,
 )
@@ -136,44 +133,29 @@ def _run_phases(ks: np.ndarray, s: float, c: float) -> tuple:
     return _reduced(inv, h, err), (h.item(-1), err.item(-1))
 
 
-def harmonic_array(x):
-    """harmonic_continued at each entry of a float array x > -1: digamma's
-    asymptotic series at once, then the scalar digamma at each entry below
-    x = 11, so its bits there and an ulp off now and then above."""
-    x = np.asarray(x + 1.0, dtype=float)
+def harmonic_array(x, log=None):
+    """harmonic_continued at each entry of a float array x > -1, a numpy
+    scalar at a 0-d x: digamma's recurrence entry for entry, run only on
+    the entries below x = 11, gathered into one compact array, then its
+    asymptotic series once, with math.log per entry (so the float call's
+    bits) or with ``log`` at the whole array (np.log: faster, and an ulp
+    off on ~1e-4 of arguments)."""
+    x = np.array(x, dtype=float)  # a copy, which the recurrence shifts in place
+    x += 1.0
+    flat = x.reshape(-1)
+    small = np.flatnonzero(flat < _DIGAMMA_SHIFT)
+    y, shift = flat[small], np.zeros(len(small))
+    while (step := y < _DIGAMMA_SHIFT).any():
+        shift -= np.where(step, 1.0 / y, 0.0)
+        y += step
+    flat[small] = y
     with np.errstate(over="ignore"):  # x^2 -> inf, u -> 0 past 1e154, as in digamma
         u = 1.0 / (x * x)
-    # log(x) - 0.5 / x - u * _bernoulli_tail(u), step for step, each in place
-    # (a 0-d x gives numpy scalars, which the augmented steps rebind)
-    c0, c1, c2, c3, c4, c5, c6 = _DIGAMMA_ASYMPTOTIC
-    tail = u * c6
-    for c in (c5, c4, c3, c2, c1, c0):
-        tail += c
-        tail *= u
-    psi = np.log(x)
+    psi = np.asarray(_each(math.log, x) if log is None else log(x))  # np.log gives a scalar at 0-d
+    psi.reshape(-1)[small] += shift  # shift + log(x), digamma's first sum
     psi -= 0.5 / x
-    psi -= tail
-    small = x < _DIGAMMA_SHIFT
-    if small.any():
-        psi = np.asarray(psi)
-        psi[small] = [digamma(v) for v in x[small].tolist()]
-    psi += EULER_GAMMA
-    return psi if psi.ndim else psi[()]  # a numpy scalar at a 0-d x, as before
-
-
-def _harmonic_exact(x):
-    """harmonic_continued at each entry of a float array x > -1, bit for bit:
-    digamma's recurrence as masked array steps, then math.log per entry."""
-    x = np.asarray(x, dtype=float) + 1.0
-    shift = np.zeros_like(x)
-    small = x < _DIGAMMA_SHIFT
-    while small.any():
-        shift -= np.where(small, 1.0 / x, 0.0)
-        x += small
-        small = x < _DIGAMMA_SHIFT
-    with np.errstate(over="ignore"):  # as in harmonic_array
-        u = 1.0 / (x * x)
-    return EULER_GAMMA + (shift + _each(math.log, x) - 0.5 / x - u * _bernoulli_tail(u))
+    psi -= u * _bernoulli_tail(u)
+    return EULER_GAMMA + psi
 
 
 def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
@@ -202,14 +184,20 @@ _COLUMNS = 1024
 
 
 def _tails(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> SummationResult:
-    """spiral._tail(f, x, settings) at each entry of the float array x,
-    column by column in chunks of _COLUMNS: a SummationResult of arrays.
+    """spiral._tail(f, x, settings) at each entry of the float array x: a
+    SummationResult of arrays of x's shape, each field an elementwise copy
+    of its scalar expression, the columns summed _COLUMNS at a time, those
+    below _EULER_FROM by the CVZ steps and the others by Euler's.
     3,000 points of a power:0 curve take ~5 ms, ~70-90 ms one _tail at a time (2-vCPU x86-64 VM)."""
     flat = x.ravel()
-    # an empty x is one empty chunk, so the fields are empty arrays
-    starts = range(0, len(flat) or 1, _COLUMNS)
-    chunks = [_tail_columns(f, flat[i : i + _COLUMNS], settings) for i in starts]
-    return SummationResult(*(np.concatenate(field).reshape(x.shape) for field in zip(*chunks)))
+    m = len(flat)
+    out = np.empty(m, dtype=complex), np.empty(m), np.zeros(m, dtype=bool), np.empty(m, dtype=int)
+    for lo in range(0, m, _COLUMNS):
+        col = np.arange(lo, min(lo + _COLUMNS, m))
+        below = flat[col] < _EULER_FROM
+        _cvz_columns(f, flat, col[below], settings, out)
+        _euler_columns(f, flat, col[~below], settings, out)
+    return SummationResult(*(field.reshape(x.shape) for field in out))
 
 
 class _TailTerms:
@@ -218,7 +206,7 @@ class _TailTerms:
 
     def __init__(self, f: LengthFunction, x: np.ndarray) -> None:
         self.f, self.x, self.j = f, x, 0
-        self.s, self.c = _harmonic_exact(x - 1.0), np.zeros(len(x))
+        self.s, self.c = harmonic_array(x - 1.0), np.zeros(len(x))
 
     def __next__(self) -> np.ndarray:
         k = self.x + self.j
@@ -230,18 +218,6 @@ class _TailTerms:
 
     def keep(self, mask: np.ndarray) -> None:
         self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
-
-
-def _tail_columns(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> tuple:
-    """spiral._tail over the columns x: (value, error estimate, converged,
-    terms used), each an elementwise copy of its scalar expression, the
-    columns below _EULER_FROM by the CVZ steps and the others by Euler's."""
-    m = len(x)
-    out = np.empty(m, dtype=complex), np.empty(m), np.zeros(m, dtype=bool), np.empty(m, dtype=int)
-    below = x < _EULER_FROM
-    _cvz_columns(f, x, np.flatnonzero(below), settings, out)
-    _euler_columns(f, x, np.flatnonzero(~below), settings, out)
-    return out
 
 
 def _cvz_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
@@ -307,7 +283,7 @@ def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: 
 
 # The array steps of spiral._space, under the float steps' names, and the namespace
 # lengthfns._formula reads l with at an array (tests/test_lengthfns.py checks the fifth rule).
-_ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=_harmonic_exact, mul=_product,
+_ARRAY = SimpleNamespace(turns=_turns, signed=_signed_phases, harmonic=harmonic_array, mul=_product,
                          half_angle=_half_angles, tail=_tails, cos=np.cos, sin=np.sin, sqrt=np.sqrt,
                          tan=lambda x: _each(math.tan, x), pow=lambda x, y: _each(math.pow, x, y))
 
@@ -359,12 +335,11 @@ def _first_run(f: LengthFunction) -> tuple | None:
 def _dense_series(f: LengthFunction, start: int, base: complex, end: int) -> Iterator[tuple]:
     """The vertex series over k = start+1..end in chunks of _CHUNK terms:
     (first k, terms, V(k)) per chunk from _chunk, V(start) = base, the
-    phases seeded with H_2 = 3/2 from V(2), or with
-    harmonic_continued(start), the seed of the tail E(start + 1), after a
-    jump, summed only when a chunk needs it.  A run from V(2) = 0 reads its
-    first chunk from f's _first_run() table and goes on from the table's
-    carries.  The signs come from the int k, so they hold past 2^53, where
-    consecutive floats coincide.
+    phases seeded with harmonic_continued(start) (exactly 3/2 at start 2),
+    the seed of the tail E(start + 1) too, summed only when a chunk needs
+    it.  A run from V(2) = 0 reads its first chunk from f's _first_run()
+    table and goes on from the table's carries.  The signs come from the
+    int k, so they hold past 2^53, where consecutive floats coincide.
     """
     lo, h, v = start + 1, None, (base, 0j)
     if lo == 3 <= end and (first := _first_run(f)) is not None:
@@ -373,7 +348,7 @@ def _dense_series(f: LengthFunction, start: int, base: complex, end: int) -> Ite
         lo += _CHUNK
     for lo in range(lo, end + 1, _CHUNK):
         if h is None:  # H_start, summed only once a chunk is live
-            h = 1.5 if start == 2 else harmonic_continued(start), 0.0
+            h = harmonic_continued(start), 0.0
         terms, sums, h, v = _chunk(f, lo, min(_CHUNK, end + 1 - lo), h, v)
         yield lo, terms, sums
 
@@ -400,12 +375,12 @@ def _identity_residual(n_max: int) -> float:
     """verify_telescoping_identity's largest residual over 3 <= k <= n_max.
     The direct side is the telescoping family's run from V(2)
     (_dense_series); the closed side's rotations r_k = e^{-4 pi i H_k},
-    H_k from harmonic_array, serve both checks: V(k) against
+    H_k from harmonic_array with np.log, serve both checks: V(k) against
     -1 + (-1)^k r_k, and each term against (-1)^k (r_{k-1} + r_k), r_{k-1}
     carried across chunks from r_2 = 1."""
     last, worst = 1 + 0j, 0.0  # r_2 = e^{-6 pi i}, exactly 1
     for lo, terms, sums in _dense_series(telescoping(), 2, 0j, n_max):
-        rot = _turns(-2.0 * harmonic_array(float(lo) + np.arange(len(sums), dtype=float)))
+        rot = _turns(-2.0 * harmonic_array(float(lo) + np.arange(len(sums), dtype=float), np.log))
         pairs = np.empty_like(rot)  # r_{k-1} + r_k
         pairs[0] = last + rot.item(0)
         np.add(rot[:-1], rot[1:], out=pairs[1:])

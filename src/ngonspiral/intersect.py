@@ -190,13 +190,14 @@ def _newton_refine(
     lo: float,
     hi: float,
     tolerance: float,
-) -> tuple[float, float, complex, float] | None:
+) -> tuple[float, float, complex, float, float] | None:
     """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, midpoint,
-    residual) from the curve's last readings at (a, b), or None on failure,
-    as where a difference step vanishes in the rounding of a parameter.
-    A gap is accepted within the tolerance, or within the rounding of the
-    parameters, 4 (ulp(a) |curve'(a)| + ulp(b) |curve'(b)|), where that is
-    larger (a large parameter), so the residual may then exceed the tolerance."""
+    residual, bound) from the curve's last readings at (a, b), or None on
+    failure, as where a difference step vanishes in the rounding of a
+    parameter.  A gap is accepted within the bound: the tolerance, or the
+    rounding of the parameters, 4 (ulp(a) |curve'(a)| + ulp(b) |curve'(b)|),
+    where that is larger (a large parameter), so the residual may then
+    exceed the tolerance."""
 
     def slope(t: float) -> complex:
         """curve'(t) as a central difference of step _FD_STEP, clamped to
@@ -237,7 +238,19 @@ def _newton_refine(
             break  # no damped step reduced the gap
     if not abs(g) <= within:  # a nan gap fails too
         return None
-    return a, b, 0.5 * (pa + pb), abs(g)
+    return a, b, 0.5 * (pa + pb), abs(g), within
+
+
+def _retraced(curve: Callable[[float], complex], a: float, b: float, half: float, lo: float, hi: float,
+              bound: float) -> bool:
+    """Whether the curve runs over itself along the refined pair (a, b):
+    read half a step further along both branches, either way, at the points
+    in [lo, hi], a point of one branch and a point of the other lie within
+    ``bound``, in the same direction (an arc traced again) or in opposite
+    ones (an arc traced back).  Across a crossing the branches part."""
+    near_a = [curve(t) for t in (a - half, a + half) if lo <= t <= hi]
+    near_b = [curve(t) for t in (b - half, b + half) if lo <= t <= hi]
+    return any(abs(p - q) <= bound for p in near_a for q in near_b)
 
 
 def self_intersections(
@@ -253,14 +266,11 @@ def self_intersections(
     takes an array, see the module docstring), crossing segment pairs seed
     Newton refinement, and results closer than ``_SEPARATION`` in
     parameter, to each other or to the diagonal a = b, are merged or
-    dropped; the rest come back sorted by the first parameter.  Where a
-    parameter's rounding moves the curve by more than ``tolerance`` (about
-    ulp(t) |curve'(t)|, at large t), a crossing is kept within that
-    rounding, and its residual may exceed ``tolerance``.  A retraced arc,
-    where the curve runs again over a stretch of itself, is no crossing,
-    yet it comes back as arbitrary points of the overlap, one per
-    surviving candidate pair (the limacon (1 + 2 cos t) e^{it} on
-    [0, 6.3] at step 0.01 gives three besides its one crossing).
+    dropped, as are the pairs along which the curve runs over itself (a
+    retraced arc is no crossing); the rest come back sorted by the first
+    parameter.  Where a parameter's rounding moves the curve by more than
+    ``tolerance`` (about ulp(t) |curve'(t)|, at large t), a crossing is
+    kept within that rounding, and its residual may exceed ``tolerance``.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, if the curve is
     non-finite anywhere on the sample grid, or if the grid crosses itself
@@ -290,10 +300,10 @@ def self_intersections(
         refined = _newton_refine(curve, a0, b0, lo, hi, tolerance)
         if refined is None:
             continue
-        a, b, point, residual = refined
+        a, b, point, residual, bound = refined
         if a > b:
             a, b = b, a
-        if b - a < _SEPARATION:
+        if b - a < _SEPARATION or _retraced(curve, a, b, 0.5 * step, lo, hi, bound):
             continue
         duplicate = False
         for idx, known in enumerate(found):

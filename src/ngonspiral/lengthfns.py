@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .numerics import _number, _refuse
+from .numerics import TWO_PI, _number, _refuse
 
 __all__ = [
     "Asymptote",
@@ -28,7 +28,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_TWO_PI = 2.0 * math.pi
 
 
 class LengthKind(Enum):
@@ -81,7 +80,7 @@ class LengthFunction:
             return Asymptote(self.s, 1.0)
         if kind in (LengthKind.INSCRIBED, LengthKind.CIRCUMSCRIBED):
             e = 1.0 + self.s
-            return Asymptote(e, _TWO_PI)
+            return Asymptote(e, TWO_PI)
         if kind is LengthKind.AREA:
             e = 1.0 + 0.5 * self.s
             return Asymptote(e, 2.0 * _SQRT_PI)
@@ -134,7 +133,7 @@ def _formula(kind: LengthKind, s: float, xp=math) -> Callable:
             return xp.sqrt((4.0 if flat else 4.0 * xp.pow(x, -s)) * xp.tan(math.pi / x) / x)
 
         return area_side
-    return lambda x: 2.0 * xp.cos(_TWO_PI / x)
+    return lambda x: 2.0 * xp.cos(TWO_PI / x)
 
 
 def power_law(s: float) -> LengthFunction:

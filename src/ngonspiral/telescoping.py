@@ -100,8 +100,8 @@ def verify_telescoping_identity(n_max: int) -> float:
     closed-side rotations (r_2 = 1 exactly); the returned maximum covers
     both.  The two sides compute H_k independently: the direct side as the
     run's compensated pair s + c stepped from H_2 = 3/2, the closed side
-    from the vectorised digamma, so both checks hold one against the other
-    at every k.
+    from digamma's steps at the whole chunk, with numpy's log, so both
+    checks hold one against the other at every k.
     Raises ``ValueError`` unless n_max is integral, 3 <= n_max <= ``_MAX_IDENTITY_N``.
     """
     n_max = _index(n_max, "n_max must be an integer, got {}")

@@ -52,6 +52,11 @@ CLOSED_GRID = (*(1.0001 + 0.0137 * k for k in range(3600)), PHI, PHI + 1.0, 4.0 
 # The batched continuation's 64 points: the CVZ-Euler switch (x = n + 1 = 48),
 # integers, a deep point, then an even spread to 270.
 BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in range(56)))
+# The batched continuation's 2,100 points on [1.05, 140], a wider batch than
+# one chunk of columns: either side of the CVZ-Euler switch, and across the
+# chunk edges at 1,024 and 2,048 columns.
+WIDE_BATCH = np.linspace(1.05, 140.0, 2100).tolist()
+COLUMN_EDGES = (1024, 2048)
 # The interpolants read twice by warm_reads: either side of the CVZ-Euler
 # switch (x = n + 1 = 48), and past the deepest first-chunk phase.
 WARM_N = (1.5, 3.25, 46.5, 47.5, 250.5, 2048.5)
@@ -253,6 +258,18 @@ def arrays() -> None:
             show(f"{closed.__name__} array {n!r}", lambda: closed([3.5, n]))
 
 
+def wide_batches() -> None:
+    """The continuation at WIDE_BATCH in one call for three families: the
+    points either side of each chunk edge of COLUMN_EDGES, and every 50th."""
+    shown = sorted({i for edge in COLUMN_EDGES for i in (edge - 1, edge)} | set(range(0, len(WIDE_BATCH), 50)))
+    for spec in ("power:1", "circumscribed:1", "telescoping"):
+        v = spiral.continuation(parse_length(spec), AccelerationSettings(1e-10))
+        res = v(np.array(WIDE_BATCH))
+        fields = [a.tolist() for a in (res.value, res.error_estimate, res.converged, res.terms_used)]
+        for i in shown:
+            print(f"continuation {spec} wide {WIDE_BATCH[i]!r}", *(repr(field[i]) for field in fields))
+
+
 def refusals() -> None:
     """Each one-number function at each UNREAD argument, the closed forms and
     the continuation too, which read [5.0] and a 0-d array as arrays."""
@@ -304,6 +321,7 @@ if __name__ == "__main__":
     polygons()
     telescoping()
     arrays()
+    wide_batches()
     refusals()
     curves()
     warm_runs()

@@ -462,7 +462,7 @@ def identity_residual_two_sided(n_max: int, closed: bool = False) -> float:
         sums = heads + fixes
         rot = _arrays._turns(-turns)
         pairs = _arrays._alternate(k0, rot[:-1] + rot[1:])
-        both = _arrays.harmonic_array(np.concatenate(([ks[0] - 1.0], ks)))  # H_{k-1}, then H_k
+        both = _arrays.harmonic_array(np.concatenate(([ks[0] - 1.0], ks)), np.log)  # H_{k-1}, then H_k
         both *= -2.0
         rot = _arrays._turns(both)
         if closed:

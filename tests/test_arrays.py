@@ -15,7 +15,6 @@ from ngonspiral.numerics import (
     EULER_GAMMA,
     TWO_PI,
     _bernoulli_tail,
-    digamma,
     harmonic_continued,
     two_sum,
 )
@@ -137,14 +136,17 @@ class TestTurns:
 
 
 def _plain_harmonic_array(x):
-    """harmonic_array as the plain expression, with temporaries."""
-    x = np.asarray(x + 1.0, dtype=float)
+    """harmonic_array(x, np.log) as the plain expression: digamma's
+    recurrence one entry at a time, then the series with temporaries."""
+    x = np.array(x + 1.0, dtype=float)
+    shift = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        while x[i] < _DIGAMMA_SHIFT:
+            shift[i] -= 1.0 / x[i]
+            x[i] += 1.0
     with np.errstate(over="ignore"):
         u = 1.0 / (x * x)
-    psi = np.asarray(np.log(x) - 0.5 / x - u * _bernoulli_tail(u))
-    small = x < _DIGAMMA_SHIFT
-    psi[small] = [digamma(v) for v in x[small].tolist()]
-    return EULER_GAMMA + psi
+    return EULER_GAMMA + (shift + np.log(x) - 0.5 / x - u * _bernoulli_tail(u))
 
 
 class TestHarmonicArray:
@@ -155,22 +157,31 @@ class TestHarmonicArray:
 
     def test_zero_d_is_the_plain_bits(self):
         for x in self.XS:
-            got, want = harmonic_array(np.array(x)), _plain_harmonic_array(np.array(x))
+            got, want = harmonic_array(np.array(x), np.log), _plain_harmonic_array(np.array(x))
             assert np.ndim(got) == 0 and type(got) is type(want), x
             assert _bits(got) == _bits(want), x
-            if x + 1.0 < _DIGAMMA_SHIFT:
-                assert float(got) == harmonic_continued(x), x
 
     @pytest.mark.parametrize("lo, step", [(-0.5, 0.005), (3.0, 0.37), (11.0, 0.37), (1e5, 1.0)])
     def test_arrays_are_the_plain_bits(self, lo, step):
         # chunks wholly below x = 11, across it and wholly above it
         x = lo + np.arange(2048.0) * step
         before = _bits(x)
-        assert _bits(harmonic_array(x)) == _bits(_plain_harmonic_array(x))
+        assert _bits(harmonic_array(x, np.log)) == _bits(_plain_harmonic_array(x))
         assert _bits(x) == before
         grid = x[:2040].reshape(8, 255)
-        got = harmonic_array(grid)
+        got = harmonic_array(grid, np.log)
         assert got.shape == grid.shape and _bits(got) == _bits(_plain_harmonic_array(grid))
+
+    def test_default_log_is_the_float_bits(self):
+        # math.log per entry: harmonic_continued's bits everywhere, where
+        # np.log is an ulp off on ~1e-4 of arguments
+        rng = np.random.default_rng(35)
+        log_uniform = np.exp(rng.uniform(math.log(1e-9), math.log(1e12 + 1.0), 100_000)) - 1.0
+        for x in (np.array(self.XS), log_uniform, np.arange(3.0, 30_001.0)):
+            want = np.array([harmonic_continued(v) for v in x.tolist()])
+            assert _bits(harmonic_array(x)) == _bits(want)
+        for x in self.XS:
+            assert _bits(harmonic_array(np.array(x))) == _bits(harmonic_continued(x)), x
 
 
 # The pow route of each family that skips pow at s = 0, written out.

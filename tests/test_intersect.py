@@ -30,6 +30,16 @@ class TestKnownCurves:
         assert abs(hit.point) < 1e-9
         assert hit.residual < 1e-10
 
+    @pytest.mark.parametrize("t0", [1.0, 1e6, 1.6e10])
+    def test_a_retraced_arc_is_no_crossing(self, t0):
+        # on [t0, t0 + 6.3] the limacon runs again over [t0, t0 + 0.017]; its
+        # points there meet, 6e-16 apart at t0 = 1 and 3.8e-6 at 1.6e10, but
+        # only the origin crossing is one
+        hits = self_intersections(lambda t: limacon(t - t0), t0, t0 + 6.3, step=0.01)
+        assert len(hits) == 1
+        assert abs(hits[0].a - t0 - 2.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
+        assert abs(hits[0].b - t0 - 4.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
+
     def test_one_crossing_seen_from_several_pairs_is_one_hit(self, monkeypatch):
         # the nodal cubic meets itself at t = -1 and 1; at step 0.5 the grid
         # crosses there at 4 segment pairs, whose refinements all land on
@@ -75,17 +85,16 @@ class TestLargeParameters:
     @pytest.mark.parametrize("t0", [1e6, 1.6e10])
     def test_a_crossing_is_kept_within_the_parameters_rounding(self, t0):
         # ulp(t0) |curve'| passes the tolerance 1e-10 (ulp(1e6) = 1.2e-10,
-        # ulp(1.6e10) = 1.9e-6), so no Newton step closes the gap to it: each
-        # of the 4 hits of t0 = 1 is kept (3 of them were at 1e6, none at
-        # 1.6e10), the origin crossing (2 pi/3, 4 pi/3) within 8 ulp(t0) and
-        # past the tolerance, and each residual within the tolerance or the
-        # rounding of its parameters, |limacon'| < 4
+        # ulp(1.6e10) = 1.9e-6), so no Newton step closes the gap to it: the
+        # one hit of t0 = 1 is kept, the origin crossing (2 pi/3, 4 pi/3)
+        # within 8 ulp(t0) and past the tolerance, and its residual within
+        # the tolerance or the rounding of its parameters, |limacon'| < 4
         def shifted(t: float) -> complex:
             return limacon(t - t0)
 
         ref = self_intersections(lambda t: limacon(t - 1.0), 1.0, 7.3, step=0.01)
         hits = self_intersections(shifted, t0, t0 + 6.3, step=0.01)
-        assert len(hits) == len(ref) == 4
+        assert len(hits) == len(ref) == 1
         origin = hits[-1]
         assert abs(origin.a - t0 - 2.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
         assert abs(origin.b - t0 - 4.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
@@ -206,8 +215,9 @@ class TestCurveProtocol:
 
     def test_a_refinement_reads_the_curve_only_at_its_steps(self):
         # the golden crossing at step 2e-3 is one candidate and one Newton
-        # step: the seed pair, four difference points and the accepted pair.
-        # The reported point and residual reuse the last pair's readings.
+        # step: the seed pair, four difference points and the accepted pair,
+        # then the four points half a step either way that show the branches
+        # part.  The reported point and residual reuse the accepted pair's readings.
         calls = []
 
         def counted(t):
@@ -215,7 +225,7 @@ class TestCurveProtocol:
             return center_closed(t)
 
         [hit] = self_intersections(counted, 1.05, 6.0, step=2e-3)
-        assert calls.count(()) == 8
+        assert calls.count(()) == 12
         assert hit.residual == abs(center_closed(hit.a) - center_closed(hit.b))
         assert hit.point == 0.5 * (center_closed(hit.a) + center_closed(hit.b))
 

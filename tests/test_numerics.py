@@ -71,7 +71,7 @@ class TestDigamma:
         xs = [0.1, 0.37, 1.0, 2.5, 7.3, 11.99, 12.01, 55.5, 4000.0]
         for x, y in zip(xs, harmonic_array(np.array(xs) - 1.0).tolist()):
             assert abs(digamma(x) - sp.digamma(x)) < 1e-13
-            # the array path: the scalar values below 12, the same series above
+            # the array path: the scalar digamma's steps, the same series
             ref = harmonic_continued(x - 1.0)
             assert abs(y - ref) <= 2.0 * math.ulp(ref), x
 
@@ -104,9 +104,8 @@ class TestHarmonicContinued:
         assert abs(harmonic_continued(3.0) - 11.0 / 6.0) < 1e-14
 
     def test_array_of_any_shape(self):
-        # 0-D and 2-D arrays, entry for entry the 1-D result; below 11 each
-        # entry is harmonic_continued's bits (the scalar digamma), above it
-        # np.log may be an ulp off math.log, so H_x too
+        # 0-D and 2-D arrays, entry for entry the 1-D result and
+        # harmonic_continued's bits (tests/test_arrays.py checks them all)
         for x in (5.0, 0.5, 10.75, 11.0, 40.0, 2999.0):
             got = harmonic_array(np.array(x))
             assert got.shape == ()

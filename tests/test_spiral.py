@@ -1144,9 +1144,9 @@ class TestLimitCache:
 def _batch_n() -> list[float]:
     """n for the batched continuation: the CVZ-Euler switch (x = n + 1 = 48),
     integers (the sign exactly +-1), far points, two n whose H_n from
-    harmonic_array is an ulp off harmonic_continued's (so the tails must
-    not be seeded from it), and seeded draws, 400 uniform in (1.05, 300]
-    and 100 log-uniform up to 10^6."""
+    harmonic_array(x, np.log) is an ulp off harmonic_continued's (so the
+    tails must not be seeded with np.log), and seeded draws, 400 uniform
+    in (1.05, 300] and 100 log-uniform up to 10^6."""
     rng = random.Random(20001)
     return [1.05, 1.5, 2.0, 2.5, 3.0, 3.5, 10.0, 46.5, 47.0, 47.5, 48.0, 100.0, 1e4, 1e4 + 0.5,
             1e8 + 0.5, 14.772940852857289, 42.7468991877322,
@@ -1182,18 +1182,19 @@ class TestBatchedContinuation:
             assert repr(row) == repr(v(n)), (spec, n)
 
     def test_a_batch_one_column_longer_than_a_chunk(self, monkeypatch):
-        chunks = []
-        tail_columns = _arrays._tail_columns
+        # each chunk builds two term streams, its CVZ columns' and its Euler columns'
+        widths = []
 
-        def counting(f, x, settings):
-            chunks.append(len(x))
-            return tail_columns(f, x, settings)
+        class Counting(_arrays._TailTerms):
+            def __init__(self, f, x):
+                widths.append(len(x))
+                super().__init__(f, x)
 
-        monkeypatch.setattr(_arrays, "_tail_columns", counting)
+        monkeypatch.setattr(_arrays, "_TailTerms", Counting)
         v = spiral.continuation(power_law(1.0), AccelerationSettings(1e-10))
         ns = np.linspace(1.05, 140.0, _arrays._COLUMNS + 1)
         res = v(ns.reshape(1, -1))
-        assert chunks == [_arrays._COLUMNS, 1]
+        assert [sum(widths[i : i + 2]) for i in range(0, len(widths), 2)] == [_arrays._COLUMNS, 1]
         assert res.value.shape == res.converged.shape == (1, _arrays._COLUMNS + 1)
         for n, row in zip(ns.tolist(), _rows(res)):
             assert repr(row) == repr(v(n)), n
