@@ -140,22 +140,21 @@ def harmonic_array(x, log=None):
     asymptotic series once, with math.log per entry (so the float call's
     bits) or with ``log`` at the whole array (np.log: faster, and an ulp
     off on ~1e-4 of arguments)."""
-    x = np.array(x, dtype=float)  # a copy, which the recurrence shifts in place
-    x += 1.0
-    flat = x.reshape(-1)
-    small = np.flatnonzero(flat < _DIGAMMA_SHIFT)
-    y, shift = flat[small], np.zeros(len(small))
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1) + 1.0  # a new 1-d array in any layout
+    small = np.flatnonzero(x < _DIGAMMA_SHIFT)
+    y, shift = x[small], np.zeros(len(small))
     while (step := y < _DIGAMMA_SHIFT).any():
         shift -= np.where(step, 1.0 / y, 0.0)
         y += step
-    flat[small] = y
+    x[small] = y
     with np.errstate(over="ignore"):  # x^2 -> inf, u -> 0 past 1e154, as in digamma
         u = 1.0 / (x * x)
-    psi = np.asarray(_each(math.log, x) if log is None else log(x))  # np.log gives a scalar at 0-d
-    psi.reshape(-1)[small] += shift  # shift + log(x), digamma's first sum
+    psi = _each(math.log, x) if log is None else log(x)
+    psi[small] += shift  # shift + log(x), digamma's first sum
     psi -= 0.5 / x
     psi -= u * _bernoulli_tail(u)
-    return EULER_GAMMA + psi
+    return EULER_GAMMA + psi.reshape(shape)
 
 
 def _each(fn: Callable, x: np.ndarray, *args) -> np.ndarray:

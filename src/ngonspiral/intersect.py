@@ -190,14 +190,13 @@ def _newton_refine(
     lo: float,
     hi: float,
     tolerance: float,
-) -> tuple[float, float, complex, float, float] | None:
-    """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, midpoint,
-    residual, bound) from the curve's last readings at (a, b), or None on
-    failure, as where a difference step vanishes in the rounding of a
-    parameter.  A gap is accepted within the bound: the tolerance, or the
-    rounding of the parameters, 4 (ulp(a) |curve'(a)| + ulp(b) |curve'(b)|),
-    where that is larger (a large parameter), so the residual may then
-    exceed the tolerance."""
+) -> tuple[float, float, complex, complex] | None:
+    """Drive curve(a) - curve(b) to zero by damped Newton: (a, b, curve(a),
+    curve(b)), the last readings, or None on failure, as where a difference
+    step vanishes in the rounding of a parameter.  A gap is accepted within
+    the tolerance, or within the rounding of the parameters, 4 (ulp(a)
+    |curve'(a)| + ulp(b) |curve'(b)|), where that is larger (a large
+    parameter), so the residual may then exceed the tolerance."""
 
     def slope(t: float) -> complex:
         """curve'(t) as a central difference of step _FD_STEP, clamped to
@@ -238,19 +237,29 @@ def _newton_refine(
             break  # no damped step reduced the gap
     if not abs(g) <= within:  # a nan gap fails too
         return None
-    return a, b, 0.5 * (pa + pb), abs(g), within
+    return a, b, pa, pb
 
 
-def _retraced(curve: Callable[[float], complex], a: float, b: float, half: float, lo: float, hi: float,
-              bound: float) -> bool:
-    """Whether the curve runs over itself along the refined pair (a, b):
-    read half a step further along both branches, either way, at the points
-    in [lo, hi], a point of one branch and a point of the other lie within
-    ``bound``, in the same direction (an arc traced again) or in opposite
-    ones (an arc traced back).  Across a crossing the branches part."""
-    near_a = [curve(t) for t in (a - half, a + half) if lo <= t <= hi]
-    near_b = [curve(t) for t in (b - half, b + half) if lo <= t <= hi]
-    return any(abs(p - q) <= bound for p in near_a for q in near_b)
+def _retraced(curve: Callable[[float], complex], a: float, b: float, pa: complex, pb: complex, half: float,
+              sign: float, lo: float, hi: float) -> bool:
+    """Whether the curve runs over itself along the hit (a, b), pa = curve(a)
+    and pb = curve(b): half a step further along both branches, b's in the
+    direction ``sign`` (1.0 where the grid runs the two branches the same way,
+    an arc traced again; -1.0 where it runs them opposite ways, an arc traced
+    back), at parameters in [lo, hi], the gap pa - pb has moved by no more
+    than its own size and the rounding of the parameters, 4 (ulp(a)
+    |curve'(a)| + ulp(b) |curve'(b)|), each slope read over that half step.
+    Along an arc retraced at the same speed the gap keeps to the one Newton
+    left, whatever the tolerance; across a crossing it moves by half the
+    step times |curve'(a) - sign curve'(b)|, and so does it along an arc
+    retraced at another speed, which this does not see."""
+    for s in (half, -half):
+        ta, tb = a + s, b + sign * s
+        if lo <= min(ta, tb) and max(ta, tb) <= hi:
+            qa, qb = curve(ta), curve(tb)
+            floor = 4.0 * (math.ulp(a) * abs(qa - pa) + math.ulp(b) * abs(qb - pb)) / half
+            return abs((qa - qb) - (pa - pb)) <= floor + abs(pa - pb)
+    return False
 
 
 def self_intersections(
@@ -266,11 +275,12 @@ def self_intersections(
     takes an array, see the module docstring), crossing segment pairs seed
     Newton refinement, and results closer than ``_SEPARATION`` in
     parameter, to each other or to the diagonal a = b, are merged or
-    dropped, as are the pairs along which the curve runs over itself (a
-    retraced arc is no crossing); the rest come back sorted by the first
-    parameter.  Where a parameter's rounding moves the curve by more than
-    ``tolerance`` (about ulp(t) |curve'(t)|, at large t), a crossing is
-    kept within that rounding, and its residual may exceed ``tolerance``.
+    dropped, as are the pairs along which the curve runs over itself at
+    the same speed both ways (a retraced arc is no crossing); the rest come
+    back sorted by the first parameter.  Where a parameter's rounding moves
+    the curve by more than ``tolerance`` (about ulp(t) |curve'(t)|, at large
+    t), a crossing is kept within that rounding, and its residual may
+    exceed ``tolerance``.
     Raises ``ValueError`` if any argument after ``curve`` is not finite,
     if the grid would exceed ``_MAX_SAMPLES`` samples, if the curve is
     non-finite anywhere on the sample grid, or if the grid crosses itself
@@ -300,19 +310,18 @@ def self_intersections(
         refined = _newton_refine(curve, a0, b0, lo, hi, tolerance)
         if refined is None:
             continue
-        a, b, point, residual, bound = refined
+        a, b, pa, pb = refined
         if a > b:
-            a, b = b, a
-        if b - a < _SEPARATION or _retraced(curve, a, b, 0.5 * step, lo, hi, bound):
+            a, b, pa, pb = b, a, pb, pa
+        residual = abs(pa - pb)
+        if b - a < _SEPARATION:
             continue
-        duplicate = False
-        for idx, known in enumerate(found):
-            if abs(known.a - a) < _SEPARATION and abs(known.b - b) < _SEPARATION:
-                duplicate = True
-                if residual < known.residual:
-                    found[idx] = Intersection(a, b, point, residual)
-                break
-        if not duplicate:
-            found.append(Intersection(a, b, point, residual))
+        known = next((idx for idx, hit in enumerate(found)
+                      if abs(hit.a - a) < _SEPARATION and abs(hit.b - b) < _SEPARATION), len(found))
+        if known < len(found) and not residual < found[known].residual:
+            continue  # a duplicate no closer than the hit it repeats
+        same_way = ((pts[i + 1] - pts[i]).conjugate() * (pts[j + 1] - pts[j])).real >= 0.0
+        if not _retraced(curve, a, b, pa, pb, 0.5 * step, 1.0 if same_way else -1.0, lo, hi):
+            found[known:known + 1] = [Intersection(a, b, 0.5 * (pa + pb), residual)]  # replace, or append
     found.sort(key=lambda it: (it.a, it.b))
     return found

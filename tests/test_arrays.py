@@ -183,6 +183,18 @@ class TestHarmonicArray:
         for x in self.XS:
             assert _bits(harmonic_array(np.array(x))) == _bits(harmonic_continued(x)), x
 
+    @pytest.mark.parametrize("log", [None, np.log])
+    def test_any_memory_layout(self, log):
+        # a transposed (Fortran-ordered) grid and a strided view are read
+        # entry for entry as the contiguous array, and left as they were
+        x = np.linspace(-0.5, 30.0, 24)
+        want = harmonic_array(x, log)
+        for grid, same in ((x.reshape(4, 6).T, want.reshape(4, 6).T), (np.repeat(x, 2)[::2], want)):
+            before = _bits(grid)
+            assert not grid.flags.c_contiguous
+            assert _bits(harmonic_array(grid, log)) == _bits(same)
+            assert _bits(grid) == before
+
 
 # The pow route of each family that skips pow at s = 0, written out.
 _POW_ROUTE = {

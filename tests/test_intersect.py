@@ -40,6 +40,31 @@ class TestKnownCurves:
         assert abs(hits[0].a - t0 - 2.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
         assert abs(hits[0].b - t0 - 4.0 * math.pi / 3.0) <= 8.0 * math.ulp(t0)
 
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-2])
+    def test_a_retraced_arc_is_no_crossing_at_a_loose_tolerance(self, tolerance):
+        # Newton stops on the overlap with the branches up to the tolerance
+        # apart, far above the parameters' rounding; half a step along they
+        # are still as far apart, where a crossing's branches part
+        hits = self_intersections(lambda t: limacon(t - 1.0), 1.0, 7.3, step=0.01, tolerance=tolerance)
+        assert len(hits) == 1
+        assert abs(hits[0].a - 1.0 - 2.0 * math.pi / 3.0) < 1e-3
+
+    @pytest.mark.parametrize("step", [0.01, 0.003])
+    def test_an_arc_traced_back_is_no_crossing(self, step):
+        # e^{i sin t} runs up the unit circle to angle 1 and back down:
+        # curve(t) = curve(pi - t) all along, and no branch crosses another
+        assert self_intersections(lambda t: cmath.exp(1j * math.sin(t)), 0.1, 3.0, step=step) == []
+
+    @pytest.mark.parametrize("step, tolerance", [(1e-3, 1e-3), (0.01, 1e-2), (0.01, 0.1)])
+    def test_a_loose_tolerance_keeps_the_crossing(self, step, tolerance):
+        # half a step along, the branches of the origin crossing lie about
+        # step |limacon'| / 2 = 8.7e-4 (step 1e-3) apart, at or below these
+        # tolerances: they part all the same, by far more than the parameters' rounding
+        hits = self_intersections(limacon, 0.0, 2.0 * math.pi, step=step, tolerance=tolerance)
+        assert len(hits) == 1
+        assert abs(hits[0].a - 2.0 * math.pi / 3.0) < 1e-3
+        assert abs(hits[0].b - 4.0 * math.pi / 3.0) < 1e-3
+
     def test_one_crossing_seen_from_several_pairs_is_one_hit(self, monkeypatch):
         # the nodal cubic meets itself at t = -1 and 1; at step 0.5 the grid
         # crosses there at 4 segment pairs, whose refinements all land on
@@ -216,8 +241,9 @@ class TestCurveProtocol:
     def test_a_refinement_reads_the_curve_only_at_its_steps(self):
         # the golden crossing at step 2e-3 is one candidate and one Newton
         # step: the seed pair, four difference points and the accepted pair,
-        # then the four points half a step either way that show the branches
-        # part.  The reported point and residual reuse the accepted pair's readings.
+        # then a + h and b + h or b - h, half a step along both branches the
+        # way the grid runs them, which show the branches part.  The reported point
+        # and residual reuse the accepted pair's readings.
         calls = []
 
         def counted(t):
@@ -225,7 +251,7 @@ class TestCurveProtocol:
             return center_closed(t)
 
         [hit] = self_intersections(counted, 1.05, 6.0, step=2e-3)
-        assert calls.count(()) == 12
+        assert calls.count(()) == 10
         assert hit.residual == abs(center_closed(hit.a) - center_closed(hit.b))
         assert hit.point == 0.5 * (center_closed(hit.a) + center_closed(hit.b))
 

@@ -159,6 +159,18 @@ class TestArrayClosedForms:
         assert type(closed(2.5)) is complex
 
     @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
+    def test_any_memory_layout(self, closed):
+        # a transposed (Fortran-ordered) grid and a strided view, with every
+        # n below the digamma shift, give the contiguous array's entries
+        ns = np.linspace(1.05, 10.0, 6)
+        want = closed(ns)
+        for grid, same in ((ns.reshape(2, 3).T, want.reshape(2, 3).T), (np.repeat(ns, 2)[::2], want)):
+            assert not grid.flags.c_contiguous
+            got = closed(grid)
+            assert got.shape == grid.shape
+            assert [repr(z) for z in got.ravel().tolist()] == [repr(z) for z in same.ravel().tolist()]
+
+    @pytest.mark.parametrize("closed", [vertex_closed, q_closed, center_closed])
     def test_any_scalar_takes_the_float_path(self, closed):
         # numpy scalars and fractions are one number, not an array, read
         # as the matching Python number
