@@ -47,8 +47,9 @@ from .numerics import (
     AccelerationSettings,
     SummationResult,
     _bernoulli_tail,
+    _cvz_order,
     _cvz_orders,
-    _cvz_sum,
+    _euler_rule,
     harmonic_continued,
     two_sum,
 )
@@ -219,65 +220,66 @@ class _TailTerms:
         self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
 
 
+def _pick(pair: tuple, c: np.ndarray) -> tuple:
+    """pair[c] at each column, for the rules of numerics: of the pair
+    ((values, estimates), (values, estimates)), the second's entries where
+    c holds, the first's elsewhere."""
+    return tuple(np.where(c, new, old) for old, new in zip(*pair))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """abs() at each entry of the complex array z (rule 4)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _finish(out: tuple, col: np.ndarray, done: np.ndarray, fields: tuple) -> np.ndarray:
+    """Write the SummationResult fields of the sums done into out at their
+    columns col[done] (a field may be one number for all); the mask of the
+    sums that go on."""
+    for a, field in zip(out, fields):
+        a[col[done]] = np.broadcast_to(field, done.shape)[done]
+    return ~done
+
+
 def _cvz_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
                  out: tuple) -> None:
     """numerics._cvz_transform_sum at the columns col of x, into out: every
     column tries the same orders, so one order's weights serve all, and each
-    is dropped once its estimate is met or stops falling."""
-    value, err, done, used = out
+    is dropped once numerics._cvz_order is done with it."""
     stream, rows, orders = _TailTerms(f, x[col]), [], _cvz_orders(settings)
-    best, best_err = np.zeros(len(col), dtype=complex), np.full(len(col), math.inf)
+    best = 0j, math.inf
     for n in orders:
         if not len(col):
             return
         rows += [next(stream) for _ in range(n - len(rows))]
-        now, now_err, met = _cvz_sum(rows, n, settings.target_tolerance, np.sqrt)
-        # the first order only records its sum, as the scalar loop does
-        stall = ~met & ~(now_err < best_err) & (n > orders[0])
-        value[col[met]], err[col[met]], done[col[met]] = now[met], now_err[met], True
-        value[col[stall]], err[col[stall]] = best[stall], best_err[stall]
-        used[col[met | stall]] = n
-        keep = ~(met | stall)
-        best, best_err, col, rows = now[keep], now_err[keep], col[keep], [row[keep] for row in rows]
+        best, met, done = _cvz_order(rows, n, orders, best, settings.target_tolerance, np.sqrt, _pick)
+        keep = _finish(out, col, done, (*best, met, n))
+        col, rows, best = col[keep], [row[keep] for row in rows], tuple(b[keep] for b in best)
         stream.keep(keep)
-    # the orders ran out: the best sum seen, not converged
-    value[col], err[col], used[col] = best, best_err, n
 
 
 def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
                    out: tuple) -> None:
     """numerics.euler_transform_sum at the columns col of x, into out: one
-    difference row per column, each column dropped once it stops."""
-    value, err, done, used = out
+    difference row per column, each column dropped once numerics._euler_rule
+    is done with it."""
     stream, diag = _TailTerms(f, x[col]), np.empty((len(col), 0), dtype=complex)
-    total, best = np.zeros((2, len(col)), dtype=complex)
-    best_err = np.full(len(col), math.inf)
-    tol = settings.target_tolerance
+    total, best = 0j, (0j, math.inf)
+    tol, last = settings.target_tolerance, settings.max_terms - 1
     for j in range(settings.max_terms):
         if not len(col):
             return
         # euler_transform_sum's row a, a - d_0, (a - d_0) - d_1, ..., one per column
         diag = np.subtract.accumulate(np.column_stack((next(stream), diag)), axis=1)
-        head = diag[:, j]
-        correction = head * 2.0 ** -(j + 1)
+        correction = diag[:, j] * 2.0 ** -(j + 1)
         if j % 2:
             correction = -correction
         total = total + correction
-        last_err = np.hypot(correction.real, correction.imag)
-        better = last_err < best_err
-        best = np.where(better, total, best)
-        best_err = np.where(better, last_err, best_err)
-        broken = ~np.isfinite(head)
-        met = (last_err <= tol) & (j >= 3)
-        if broken.any() or met.any():
-            value[col[broken]], err[col[broken]], used[col[broken]] = best[broken], best_err[broken], j
-            value[col[met]], err[col[met]], used[col[met]] = total[met], last_err[met], j + 1
-            done[col[met]] = True
-            keep = ~(broken | met)
-            col, diag, total, best, best_err = col[keep], diag[keep], total[keep], best[keep], best_err[keep]
+        best, met, used, done = _euler_rule(j, total, correction, best, tol, last, _pick, _modulus)
+        if done.any():
+            keep = _finish(out, col, done, (*best, met, used))
+            col, diag, total, best = col[keep], diag[keep], total[keep], tuple(b[keep] for b in best)
             stream.keep(keep)
-    # the term budget is spent: the best estimate seen, not converged
-    value[col], err[col], used[col] = best, best_err, settings.max_terms
 
 
 # The array steps of spiral._space, under the float steps' names, and the namespace

@@ -11,9 +11,9 @@ an exception.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import operator
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -83,6 +83,14 @@ class SummationResult:
     converged: bool
     terms_used: int
 
+    def __init__(self, value: complex, error_estimate: float, converged: bool, terms_used: int) -> None:
+        # fields stored directly: a frozen dataclass's own __init__, one
+        # object.__setattr__ a field, took ~0.7 us, as long as 3 Euler terms
+        # (2-vCPU x86-64 VM)
+        fields = self.__dict__
+        fields["value"], fields["error_estimate"] = value, error_estimate
+        fields["converged"], fields["terms_used"] = converged, terms_used
+
 
 def two_sum(a, b):
     """(a + b, its exact rounding error), Knuth's TwoSum: the one error-free
@@ -146,10 +154,22 @@ _DIGAMMA_ASYMPTOTIC = (
 
 
 def _bernoulli_tail(u):
-    """sum_k B_{2k}/(2k) u^(k-1), k = 1..7, at u = x^{-2} (Horner): a float
-    or a numpy array."""
+    """sum_k B_{2k}/(2k) u^(k-1), k = 1..7, at u = x^{-2} (Horner): a float,
+    or a numpy array, stepped in place after its first product."""
     c0, c1, c2, c3, c4, c5, c6 = _DIGAMMA_ASYMPTOTIC
-    return c0 + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * (c5 + u * c6)))))
+    t = u * c6
+    t += c5
+    t *= u
+    t += c4
+    t *= u
+    t += c3
+    t *= u
+    t += c2
+    t *= u
+    t += c1
+    t *= u
+    t += c0
+    return t
 
 
 def digamma(x: float) -> float:
@@ -187,41 +207,53 @@ def euler_transform_sum(
 
     ``terms`` yields the a_j with the alternating sign already extracted.
     The transform accumulates forward-difference corrections
-    (-1)^j D^j a_0 / 2^(j+1); the reported error estimate is the modulus of
-    the last correction.  Exhausting ``max_terms`` before the tolerance is
-    reached produces a not-converged result carrying the best estimate.
+    (-1)^j D^j a_0 / 2^(j+1) and stops by _euler_rule: the reported error
+    estimate is the modulus of the last correction.  Exhausting
+    ``max_terms`` before the tolerance is reached produces a not-converged
+    result carrying the best estimate, as does a finite ``terms`` that runs out.
     """
-    tol = settings.target_tolerance
     diag: list[complex] = []
-    total = 0j
-    best = 0j
-    best_err = math.inf
-    used = 0
+    total, best = 0j, (0j, math.inf)
+    tol, last = settings.target_tolerance, settings.max_terms - 1
     scale = 1.0  # 2^-(j+1) once halved: exact down to the subnormals, 0.0 past them, as ldexp is
-    for j, a in enumerate(islice(terms, settings.max_terms)):
+    for j, a in enumerate(terms):
         # diag[p]: the p-th backward difference at a_j, from the last row,
         # left to right, in place (a new list per term cost ~20 % of a jump's
         # transform, 2-vCPU x86-64 VM)
-        head = complex(a)
+        head = a if type(a) is complex else complex(a)
         for p, d in enumerate(diag):
             diag[p] = head
             head = head - d
         diag.append(head)
-        if not cmath.isfinite(head):
-            break
         scale *= 0.5
         correction = head * scale
         if j % 2:
             correction = -correction
         total += correction
-        last_err = abs(correction)
-        used = j + 1
-        if last_err < best_err:
-            best_err = last_err
-            best = total
-        if used >= 4 and last_err <= tol:
-            return SummationResult(total, last_err, True, used)
-    return SummationResult(best, best_err, False, used)
+        best, met, used, done = _euler_rule(j, total, correction, best, tol, last)
+        if done:
+            return SummationResult(*best, met, used)
+    return SummationResult(*best, False, len(diag))
+
+
+def _euler_rule(j: int, total, correction, best: tuple, tol: float, last: int,
+                pick=operator.getitem, modulus=abs) -> tuple:
+    """The Euler transform's stopping rule at its j-th term (from 0), for
+    one sum (complex numbers) or a column array of them (complex arrays,
+    with the pick and modulus of _arrays, each entry with the bits of the
+    complex call).  ``total`` is the sum with its last ``correction``,
+    ``best`` the (value, estimate) of the best sum before it, (0j, inf) at
+    j = 0, and ``last`` the last term the budget allows.  Returns (best,
+    converged, terms used, done).  The estimate is the correction's
+    modulus.  A sum is done when its estimate is within ``tol`` from the
+    fourth term on (converged: best is then this sum), at a non-finite
+    term, whose estimate is inf or nan (the best sum before it, that term
+    not counted), or once the budget is spent (the best sum seen, not
+    converged).  ``pick(pair, c)`` is pair[c]."""
+    err = modulus(correction)
+    met = (err <= tol) & (j >= 3)
+    used = j + (err < math.inf)
+    return pick((best, (total, err)), (err < best[1]) | met), met, used, met | (used == j) | (j == last)
 
 
 # Algorithm 1 of Cohen, Rodriguez Villegas and Zagier ("Convergence acceleration
@@ -272,13 +304,32 @@ def _cvz_orders(settings: AccelerationSettings) -> range:
     return range(min(first, cap), cap + 1, _CVZ_STEP)
 
 
-def _cvz_sum(a, n: int, tol: float, sqrt=math.sqrt) -> tuple:
-    """(S_n, its error estimate, whether that estimate is met) over the first
-    n entries of ``a``, the a_j with the alternating sign extracted: complex
-    numbers, or complex arrays read entry by entry (with np.sqrt), each entry
-    with the bits of the complex call.  S_n is summed left to right with
-    two_sum; the estimate is |S_n - S_{n-4}| plus the rounding term, and it is
-    met within tol or within _CVZ_ULPS ulps of |S_n|."""
+def _cvz_transform_sum(terms: Iterator[complex], settings: AccelerationSettings) -> SummationResult:
+    """sum_{j>=0} (-1)^j a_j by CVZ weights, ``terms`` yielding the a_j with the
+    sign extracted: S_n at each order of _cvz_orders until _cvz_order is done."""
+    a: list[complex] = []
+    best, orders = (0j, math.inf), _cvz_orders(settings)
+    for n in orders:
+        a += islice(terms, n - len(a))
+        best, met, done = _cvz_order(a, n, orders, best, settings.target_tolerance)
+        if done:
+            return SummationResult(*best, met, n)
+
+
+def _cvz_order(a, n: int, orders: range, best: tuple, tol: float, sqrt=math.sqrt,
+               pick=operator.getitem) -> tuple:
+    """S_n over the first n entries of ``a``, the a_j with the alternating
+    sign extracted, and CVZ's stopping rule at the order n of ``orders``,
+    for one sum (complex numbers) or a column array of them (complex
+    arrays, with np.sqrt and the pick of _arrays, each entry with the bits
+    of the complex call).  ``best`` is the (S, estimate) of the order
+    before, (0j, inf) at the first.  Returns (best, converged, done), the
+    terms used being n.  S_n is summed left to right with two_sum; its
+    estimate is |S_n - S_{n-4}| plus the rounding term.  A sum is done when
+    the estimate is met, within tol or within _CVZ_ULPS ulps of |S_n|
+    (converged: best is S_n), when it stops falling after the first order
+    (stalled: the order before's), or at the last order (S_n, not
+    converged).  ``pick(pair, c)`` is pair[c]."""
     # the weights of order n - 4, padded with zeros to n (0.0 * a_j adds nothing)
     w, v = _cvz_weights(n), _cvz_weights(max(n - _CVZ_STEP, 0), n)
     s = c = low = 0j
@@ -295,25 +346,9 @@ def _cvz_sum(a, n: int, tol: float, sqrt=math.sqrt) -> tuple:
     value, gap = s + c, s + c - low
     size = sqrt(value.real * value.real + value.imag * value.imag)
     err = sqrt(gap.real * gap.real + gap.imag * gap.imag) + _CVZ_ROUNDING * _EPS * (sqrt(q) + size)
-    return value, err, (err <= tol) | (err <= _CVZ_ULPS * _EPS * size)
-
-
-def _cvz_transform_sum(terms: Iterator[complex], settings: AccelerationSettings) -> SummationResult:
-    """sum_{j>=0} (-1)^j a_j by CVZ weights, ``terms`` yielding the a_j with the
-    sign extracted: S_n at each order of _cvz_orders until its estimate is met
-    (converged), stops falling or the orders run out (not converged,
-    the best S_n seen).  terms_used is the last order tried."""
-    a: list[complex] = []
-    best = None
-    for n in _cvz_orders(settings):
-        a += islice(terms, n - len(a))
-        value, err, met = _cvz_sum(a, n, settings.target_tolerance)
-        if met:
-            return SummationResult(value, err, True, n)
-        if best is not None and not err < best[1]:
-            break
-        best = value, err
-    return SummationResult(*best, False, n)
+    met = (err <= tol) | (err <= _CVZ_ULPS * _EPS * size)
+    on = met | (err < best[1]) | (n == orders[0])  # not stalled
+    return pick((best, (value, err)), on), met, met | (on ^ True) | (n == orders[-1])
 
 
 def richardson(values: Sequence[complex]) -> complex:

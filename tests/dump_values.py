@@ -52,6 +52,10 @@ CLOSED_GRID = (*(1.0001 + 0.0137 * k for k in range(3600)), PHI, PHI + 1.0, 4.0 
 # The batched continuation's 64 points: the CVZ-Euler switch (x = n + 1 = 48),
 # integers, a deep point, then an even spread to 270.
 BATCH = (1.05, 1.5, 2.0, 3.0, 47.0, 47.5, 48.0, 2048.5, *(1.1 + 4.9 * j for j in range(56)))
+# Settings at which the batched continuation of the families that stall at the
+# floor tolerance ends stalled or capped: the floor with the default budget,
+# and budgets that cap both accelerators.
+STALLS = ((1e-13, 4000), (1e-13, 29), (1e-10, 5))
 # The batched continuation's 2,100 points on [1.05, 140], a wider batch than
 # one chunk of columns: either side of the CVZ-Euler switch, and across the
 # chunk edges at 1,024 and 2,048 columns.
@@ -237,8 +241,9 @@ def telescoping() -> None:
 
 def arrays() -> None:
     """The array steps: each closed form read at CLOSED_GRID in one call, the
-    continuation at BATCH in one call, and the refusals at one number and
-    at an array of each out-of-domain n."""
+    continuation at BATCH in one call (at STALLS too for the families that
+    stall), and the refusals at one number and at an array of each
+    out-of-domain n."""
     grid = np.array(CLOSED_GRID)
     for closed in (vertex_closed, q_closed, center_closed):
         for n, z in zip(CLOSED_GRID, closed(grid).tolist()):
@@ -251,6 +256,13 @@ def arrays() -> None:
             print(f"continuation {spec} array {n!r}", *map(repr, row))
         for n in OUTSIDE:
             show(f"continuation {spec} {n!r}", lambda: v(n))
+    for spec in ("inscribed:-1", "circumscribed:-1", "area:-2"):
+        for tol, max_terms in STALLS:
+            v = spiral.continuation(parse_length(spec), AccelerationSettings(tol, max_terms))
+            res = v(np.array(BATCH))
+            fields = (res.value, res.error_estimate, res.converged, res.terms_used)
+            for n, *row in zip(BATCH, *(a.tolist() for a in fields)):
+                print(f"continuation {spec} {tol} {max_terms} array {n!r}", *map(repr, row))
             show(f"continuation {spec} array {n!r}", lambda: v([3.5, n]))
     for closed in (vertex_closed, q_closed, center_closed):
         for n in OUTSIDE:

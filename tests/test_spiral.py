@@ -1181,6 +1181,18 @@ class TestBatchedContinuation:
         for n, row in zip(ns, rows):
             assert repr(row) == repr(v(n)), (spec, n)
 
+    @pytest.mark.parametrize("tol, max_terms", [(1e-13, 4000), (1e-13, 29), (1e-10, 5)])
+    @pytest.mark.parametrize("spec", ["inscribed:-1", "circumscribed:-1", "area:-2"])
+    def test_stalled_and_capped_columns_are_the_scalar_bits(self, spec, tol, max_terms):
+        # these families stall at the floor tolerance, and the small budgets cap
+        # both accelerators, so each column's stall and cap are compared too
+        v = spiral.continuation(parse_length(spec), AccelerationSettings(tol, max_terms))
+        ns = _batch_n()
+        rows = _rows(v(np.array(ns)))
+        assert not all(row.converged for row in rows)
+        for n, row in zip(ns, rows):
+            assert repr(row) == repr(v(n)), (spec, n)
+
     def test_a_batch_one_column_longer_than_a_chunk(self, monkeypatch):
         # each chunk builds two term streams, its CVZ columns' and its Euler columns'
         widths = []
