@@ -247,8 +247,8 @@ def _euler_rule(j: int, total, correction, best: tuple, tol: float, last: int,
     converged, terms used, done).  The estimate is the correction's
     modulus.  A sum is done when its estimate is within ``tol`` from the
     fourth term on (converged: best is then this sum), at a non-finite
-    term, whose estimate is inf or nan (the best sum before it, that term
-    not counted), or once the budget is spent (the best sum seen, not
+    difference, whose estimate is inf or nan (the best sum before it, that
+    term not counted), or once the budget is spent (the best sum seen, not
     converged).  ``pick(pair, c)`` is pair[c]."""
     err = modulus(correction)
     met = (err <= tol) & (j >= 3)
