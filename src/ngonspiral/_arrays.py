@@ -202,7 +202,8 @@ def _tails(f: LengthFunction, x: np.ndarray, settings: AccelerationSettings) -> 
 
 class _TailTerms:
     """spiral._tail_terms at each entry of the float array x, a row of terms
-    per next(); keep(mask) drops the columns a sum is done with."""
+    per next(); keep(mask) keeps the columns where mask holds, dropping those
+    a sum is done with, and returns mask."""
 
     def __init__(self, f: LengthFunction, x: np.ndarray) -> None:
         self.f, self.x, self.j = f, x, 0
@@ -216,8 +217,9 @@ class _TailTerms:
         self.j += 1
         return _terms(self.f, k, _reduced(inv, self.s, self.c))
 
-    def keep(self, mask: np.ndarray) -> None:
+    def keep(self, mask: np.ndarray) -> np.ndarray:
         self.x, self.s, self.c = self.x[mask], self.s[mask], self.c[mask]
+        return mask
 
 
 def _pick(pair: tuple, c: np.ndarray) -> tuple:
@@ -232,13 +234,13 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _finish(out: tuple, col: np.ndarray, done: np.ndarray, fields: tuple) -> np.ndarray:
+def _finish(out: tuple, col: np.ndarray, done: np.ndarray, fields: tuple, stream: _TailTerms) -> np.ndarray:
     """Write the SummationResult fields of the sums done into out at their
-    columns col[done] (a field may be one number for all); the mask of the
-    sums that go on."""
+    columns col[done] (a field may be one number for all) and drop those
+    columns from stream; the mask of the sums that go on."""
     for a, field in zip(out, fields):
         a[col[done]] = np.broadcast_to(field, done.shape)[done]
-    return ~done
+    return stream.keep(~done)
 
 
 def _cvz_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
@@ -253,9 +255,8 @@ def _cvz_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: Ac
             return
         rows += [next(stream) for _ in range(n - len(rows))]
         best, met, done = _cvz_order(rows, n, orders, best, settings.target_tolerance, np.sqrt, _pick)
-        keep = _finish(out, col, done, (*best, met, n))
+        keep = _finish(out, col, done, (*best, met, n), stream)
         col, rows, best = col[keep], [row[keep] for row in rows], tuple(b[keep] for b in best)
-        stream.keep(keep)
 
 
 def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: AccelerationSettings,
@@ -277,9 +278,8 @@ def _euler_columns(f: LengthFunction, x: np.ndarray, col: np.ndarray, settings: 
         total = total + correction
         best, met, used, done = _euler_rule(j, total, correction, best, tol, last, _pick, _modulus)
         if done.any():
-            keep = _finish(out, col, done, (*best, met, used))
+            keep = _finish(out, col, done, (*best, met, used), stream)
             col, diag, total, best = col[keep], diag[keep], total[keep], tuple(b[keep] for b in best)
-            stream.keep(keep)
 
 
 # The array steps of spiral._space, under the float steps' names, and the namespace

@@ -252,8 +252,10 @@ def _euler_rule(j: int, total, correction, best: tuple, tol: float, last: int,
     converged).  ``pick(pair, c)`` is pair[c]."""
     err = modulus(correction)
     met = (err <= tol) & (j >= 3)
-    used = j + (err < math.inf)
-    return pick((best, (total, err)), (err < best[1]) | met), met, used, met | (used == j) | (j == last)
+    finite = err < math.inf
+    # ^ True negates a bool and a bool array alike (~True is -2)
+    done = met | (finite ^ True) | (j == last)
+    return pick((best, (total, err)), (err < best[1]) | met), met, j + finite, done
 
 
 # Algorithm 1 of Cohen, Rodriguez Villegas and Zagier ("Convergence acceleration
@@ -347,8 +349,9 @@ def _cvz_order(a, n: int, orders: range, best: tuple, tol: float, sqrt=math.sqrt
     size = sqrt(value.real * value.real + value.imag * value.imag)
     err = sqrt(gap.real * gap.real + gap.imag * gap.imag) + _CVZ_ROUNDING * _EPS * (sqrt(q) + size)
     met = (err <= tol) | (err <= _CVZ_ULPS * _EPS * size)
-    on = met | (err < best[1]) | (n == orders[0])  # not stalled
-    return pick((best, (value, err)), on), met, met | (on ^ True) | (n == orders[-1])
+    falling = met | (err < best[1]) | (n == orders[0])  # not stalled
+    # done: met, stalled (falling ^ True, a negation as in _euler_rule) or at the last order
+    return pick((best, (value, err)), falling), met, met | (falling ^ True) | (n == orders[-1])
 
 
 def richardson(values: Sequence[complex]) -> complex:

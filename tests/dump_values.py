@@ -256,6 +256,7 @@ def arrays() -> None:
             print(f"continuation {spec} array {n!r}", *map(repr, row))
         for n in OUTSIDE:
             show(f"continuation {spec} {n!r}", lambda: v(n))
+            show(f"continuation {spec} array {n!r}", lambda: v([3.5, n]))
     for spec in ("inscribed:-1", "circumscribed:-1", "area:-2"):
         for tol, max_terms in STALLS:
             v = spiral.continuation(parse_length(spec), AccelerationSettings(tol, max_terms))
@@ -263,7 +264,6 @@ def arrays() -> None:
             fields = (res.value, res.error_estimate, res.converged, res.terms_used)
             for n, *row in zip(BATCH, *(a.tolist() for a in fields)):
                 print(f"continuation {spec} {tol} {max_terms} array {n!r}", *map(repr, row))
-            show(f"continuation {spec} array {n!r}", lambda: v([3.5, n]))
     for closed in (vertex_closed, q_closed, center_closed):
         for n in OUTSIDE:
             show(f"{closed.__name__} {n!r}", lambda: closed(n))

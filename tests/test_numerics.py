@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from ngonspiral.lengthfns import parse_length
 from ngonspiral.numerics import (
     EULER_GAMMA,
     AccelerationSettings,
+    SummationResult,
     digamma,
     euler_transform_sum,
     harmonic_continued,
@@ -260,6 +262,23 @@ class TestRichardson:
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
             richardson([1.0])
+
+
+class TestSummationResult:
+    def test_init_sets_exactly_the_dataclass_fields(self):
+        # SummationResult writes its own __init__; it must store what the
+        # frozen dataclass declares, in order, and nothing else
+        names = [field.name for field in dataclasses.fields(SummationResult)]
+        values = (1 - 2j, 0.5, True, 7)
+        r = SummationResult(*values)
+        assert list(vars(r)) == names
+        assert dataclasses.astuple(r) == values
+        assert r == SummationResult(**dict(zip(names, values)))
+        assert repr(r) == "SummationResult(value=(1-2j), error_estimate=0.5, converged=True, terms_used=7)"
+        assert hash(r) == hash(SummationResult(*values))
+        assert dataclasses.replace(r, converged=False).converged is False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = 0j
 
 
 class TestSettings:
